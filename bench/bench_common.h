@@ -8,6 +8,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -20,6 +21,7 @@
 #include "stats/profiler.h"
 #include "stats/state_sampler.h"
 #include "stats/telemetry.h"
+#include "stats/telemetry_sink.h"
 #include "workload/generator.h"
 
 namespace elastisim::bench {
@@ -105,13 +107,13 @@ inline core::SimulationResult run(const platform::ClusterConfig& platform,
   config.scheduler = scheduler;
   config.batch = batch;
   stats::DecisionJournal journal;
-  if (!journal_dir().empty()) config.journal = &journal;
+  if (!journal_dir().empty()) config.subscribers.push_back(&journal);
   stats::StateSampler sampler;
-  if (!timeseries_dir().empty()) config.sampler = &sampler;
+  if (!timeseries_dir().empty()) config.subscribers.push_back(&sampler);
   const double wall_begin = telemetry::enabled() ? telemetry::wall_now() : 0.0;
   core::SimulationResult result = core::run_simulation(config, std::move(jobs));
   detail::queue_high_water() = std::max(detail::queue_high_water(), result.queue_peak);
-  if (config.sampler) {
+  if (!timeseries_dir().empty()) {
     // Numbered like the journals: <dir>/<scheduler>.<n>.timeseries.csv.
     static int sample_index = 0;
     const std::string path = timeseries_dir() + "/" + scheduler + "." +
@@ -125,7 +127,7 @@ inline core::SimulationResult run(const platform::ClusterConfig& platform,
       std::fprintf(stderr, "timeseries: write failed: %s\n", error.what());
     }
   }
-  if (config.journal) {
+  if (!journal_dir().empty()) {
     // One journal per bench::run(), numbered in call order:
     //   <dir>/<scheduler>.<n>.journal.jsonl
     static int run_index = 0;
@@ -151,12 +153,24 @@ inline core::SimulationResult run(const platform::ClusterConfig& platform,
   return result;
 }
 
+/// Subscribes the batch telemetry sink to a harness-built BatchSystem while
+/// telemetry is on (bench::run gets one from core::run_scenario).
+class BatchTelemetry {
+ public:
+  explicit BatchTelemetry(core::BatchSystem& batch) {
+    if (telemetry::enabled()) batch.subscribe(&sink_.emplace());
+  }
+
+ private:
+  std::optional<stats::TelemetrySink> sink_;
+};
+
 /// Opt-in telemetry for the experiment harnesses: when the environment
 /// variable ELSIM_BENCH_TELEMETRY is set, enables collection for the
 /// harness's lifetime and writes <dir>/<name>.telemetry.json on destruction
 /// (the variable's value is the directory; "1" means the working directory).
-/// Every bench::run() records events/sec and per-run phase histograms, so
-/// any bench_r* binary can be profiled without a rebuild:
+/// Every bench::run() records events/sec and a per-run wall-time histogram,
+/// so any bench_r* binary can be profiled without a rebuild:
 ///   ELSIM_BENCH_TELEMETRY=out ./bench_r3_scheduler_comparison
 class TelemetryScope {
  public:

@@ -34,6 +34,7 @@ Outcome run_with_failures(const std::string& scheduler, core::FailurePolicy poli
   batch_config.failure_policy = policy;
   core::BatchSystem batch(engine, cluster, core::make_scheduler(scheduler), recorder,
                           batch_config);
+  const bench::BatchTelemetry batch_telemetry(batch);
   batch.submit_all(std::move(jobs));
 
   // Exponential failures over the expected horizon; each node returns to

@@ -22,7 +22,7 @@ int main() {
   for (const auto topology :
        {platform::TopologyKind::kStar, platform::TopologyKind::kFatTree,
         platform::TopologyKind::kDragonfly, platform::TopologyKind::kTorus}) {
-    for (const auto [placement, placement_name] :
+    for (const auto& [placement, placement_name] :
          {std::pair{core::PlacementPolicy::kLowestId, "lowest-id"},
           std::pair{core::PlacementPolicy::kCompact, "compact"},
           std::pair{core::PlacementPolicy::kSpread, "spread"}}) {

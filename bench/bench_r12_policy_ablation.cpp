@@ -59,6 +59,7 @@ int main() {
     core::BatchSystem batch(engine, cluster,
                             std::make_unique<AblatedScheduler>(variant.expand, variant.shrink),
                             recorder);
+    const bench::BatchTelemetry batch_telemetry(batch);
     batch.submit_all(workload::generate_workload(generator));
     engine.run();
     std::printf("%s,%.0f,%.1f,%.1f,%.4f,%d,%d\n", variant.name, recorder.makespan(),

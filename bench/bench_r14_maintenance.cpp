@@ -24,6 +24,7 @@ int main() {
       stats::Recorder recorder;
       platform::Cluster cluster(engine, platform);
       core::BatchSystem batch(engine, cluster, core::make_scheduler(scheduler), recorder);
+      const bench::BatchTelemetry batch_telemetry(batch);
       batch.submit_all(workload::generate_workload(generator));
       if (maintenance) {
         for (platform::NodeId node = 0; node < 32; ++node) {

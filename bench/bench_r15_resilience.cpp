@@ -43,6 +43,7 @@ Outcome run_case(core::FailurePolicy policy, int checkpoint_every, double mtbf_h
   batch_config.restart_overhead = 30.0;
   core::BatchSystem batch(engine, cluster, core::make_scheduler("easy-malleable"), recorder,
                           batch_config);
+  const bench::BatchTelemetry batch_telemetry(batch);
   batch.submit_all(std::move(jobs));
 
   core::FaultModelConfig fault;

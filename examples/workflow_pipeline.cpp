@@ -74,7 +74,7 @@ int main(int argc, char** argv) {
   stats::EventTrace trace;
   platform::Cluster cluster(engine, config);
   core::BatchSystem batch(engine, cluster, core::make_scheduler("easy"), recorder);
-  batch.set_event_trace(&trace);
+  batch.subscribe(&trace);
 
   workload::JobId id = 1;
   for (int p = 0; p < pipelines; ++p) {

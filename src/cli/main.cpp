@@ -1,10 +1,10 @@
 // elastisim — command-line front end.
 //
-//   elastisim --platform platform.json --workload workload.json \
-//             [--scheduler easy-malleable] [--interval 0] [--no-reconfig-cost] \
+//   elastisim --platform platform.json --workload workload.json
+//             [--scheduler easy-malleable] [--interval 0] [--no-reconfig-cost]
 //             [--out-dir results] [--log info]
 //
-//   elastisim --platform platform.json --swf trace.swf \
+//   elastisim --platform platform.json --swf trace.swf
 //             [--swf-cores-per-node 48] [--swf-malleable 0.0] ...
 //
 // Runs the workload on the platform under the chosen algorithm and writes
@@ -29,7 +29,6 @@
 // <out-dir>/profile.json) runs the self-profiler: hierarchical phase wall
 // times plus work-metric counters, written as deterministic-schema JSON.
 #include <algorithm>
-#include <chrono>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -125,6 +124,15 @@ json::Value summary_json(const core::SimulationResult& result,
   return json::Value(std::move(out));
 }
 
+/// A bare "--flag" parses as the boolean value "true"; a path-valued flag
+/// demands a real path instead of silently writing a file named "true".
+bool missing_path(const util::Flags& flags, const char* name) {
+  const std::string value = flags.get(name, std::string());
+  if (!flags.has(name) || (!value.empty() && value != "true")) return false;
+  std::fprintf(stderr, "error: --%s requires a file path\n", name);
+  return true;
+}
+
 double duration_flag(const util::Flags& flags, const std::string& name, double fallback) {
   const std::string raw = flags.get(name, std::string());
   if (raw.empty()) return fallback;
@@ -143,6 +151,19 @@ sim::CancellationToken g_run_token;
 void handle_run_signal(int) {
   g_run_token.cancel(sim::CancelReason::kInterrupted);
 }
+
+/// Ends the "setup" profiler phase when the event loop starts, so setup
+/// covers everything up to job submission, the run's own set-up included.
+class SetupPhaseEnd final : public stats::BatchSubscriber {
+ public:
+  explicit SetupPhaseEnd(std::optional<stats::profiler::ScopedPhase>& scope) : scope_(scope) {}
+  void on_event(const stats::BatchEvent& event) override {
+    if (event.kind == stats::BatchEventKind::kRunBegin) scope_.reset();
+  }
+
+ private:
+  std::optional<stats::profiler::ScopedPhase>& scope_;
+};
 
 }  // namespace
 
@@ -184,12 +205,12 @@ int main(int argc, char** argv) {
   // --profile <file.json> / ELSIM_PROFILE env (a path, or "1" for
   // <out-dir>/profile.json): self-profiler, enabled before any work so the
   // setup phase covers config parsing and workload generation too.
-  std::string profile_path = flags.get("profile", std::string());
-  if (flags.has("profile") && (profile_path.empty() || profile_path == "true")) {
-    std::fprintf(stderr, "error: --profile requires a file path\n");
+  if (missing_path(flags, "profile") || missing_path(flags, "chrome-trace") ||
+      missing_path(flags, "journal")) {
     usage(argv[0]);
     return 2;
   }
+  std::string profile_path = flags.get("profile", std::string());
   if (profile_path.empty()) {
     const char* env = std::getenv("ELSIM_PROFILE");
     if (env != nullptr && *env != '\0' && std::string(env) != "0") {
@@ -321,33 +342,12 @@ int main(int argc, char** argv) {
 
     const bool want_trace = flags.get("trace", false);
     const std::string chrome_path = flags.get("chrome-trace", std::string());
-    // A bare "--chrome-trace" parses as the boolean value "true"; demand a
-    // real path instead of silently writing a file named "true".
-    if (flags.has("chrome-trace") && (chrome_path.empty() || chrome_path == "true")) {
-      std::fprintf(stderr, "error: --chrome-trace requires a file path\n");
-      usage(argv[0]);
-      return 2;
-    }
     const std::string journal_path = flags.get("journal", std::string());
-    if (flags.has("journal") && (journal_path.empty() || journal_path == "true")) {
-      std::fprintf(stderr, "error: --journal requires a file path\n");
-      usage(argv[0]);
-      return 2;
-    }
     const double sample_interval = duration_flag(flags, "sample-interval", 0.0);
     // --sample-interval without --timeseries still means "I want the
     // timeline"; a bare --timeseries samples at scheduling points only.
     const bool want_timeseries = flags.get("timeseries", false) || sample_interval > 0.0;
     const bool want_telemetry = flags.get("telemetry", false) || !chrome_path.empty();
-    // --validate runs the InvariantChecker for the whole simulation: node
-    // conservation, queue/journal/sampler agreement, and monotonic clocks
-    // are re-verified at every scheduling point (docs/ANALYSIS.md).
-    const bool want_validate =
-        flags.get("validate", false) ||
-        [] {
-          const char* env = std::getenv("ELSIM_VALIDATE");
-          return env != nullptr && *env != '\0' && std::string(env) != "0";
-        }();
     // Flags only read on branches this invocation skipped (e.g. --swf-* on a
     // --workload run) are still legitimate; register them before diagnosing.
     flags.note_known({"platform", "workload", "swf", "scheduler", "interval",
@@ -370,80 +370,38 @@ int main(int argc, char** argv) {
     }
     if (want_telemetry) telemetry::set_enabled(true);
 
-    // Wire the pieces by hand (instead of run_simulation) so the optional
-    // event trace and telemetry sinks can be attached.
-    core::SimulationResult result;
-    std::vector<workload::JobId> stuck_ids;
+    // Sinks subscribe in this order: the trace before the journal, so
+    // journal verdicts link to trace rows.
+    stats::EventTrace trace;
+    stats::DecisionJournal journal;
+    stats::StateSampler sampler(sample_interval);
+    telemetry::ChromeTraceBuilder chrome;
+    SetupPhaseEnd setup_end(setup_scope);
+    if (want_trace) config.subscribers.push_back(&trace);
+    if (!journal_path.empty()) config.subscribers.push_back(&journal);
+    if (want_timeseries) config.subscribers.push_back(&sampler);
+    if (!chrome_path.empty()) config.subscribers.push_back(&chrome);
+    config.subscribers.push_back(&setup_end);
+    // --validate (or ELSIM_VALIDATE) runs the InvariantChecker for the whole
+    // simulation: node conservation, queue/journal/sampler agreement, and
+    // monotonic clocks are re-verified at every scheduling point
+    // (docs/ANALYSIS.md).
+    config.validate = flags.get("validate", false);
+    config.failures = &failures;
+    // Ctrl-C stops the engine between events; every sink below still
+    // flushes, so an interrupted run leaves complete (partial) artifacts.
+    config.cancel = &g_run_token;
+    std::signal(SIGINT, handle_run_signal);
+    std::signal(SIGTERM, handle_run_signal);
+    const core::SimulationResult result = core::run_simulation(config, std::move(jobs));
+    std::signal(SIGINT, SIG_DFL);
+    std::signal(SIGTERM, SIG_DFL);
+    if (result.validated_events > 0) {
+      std::printf("validated %llu scheduling points, %llu events: all invariants hold\n",
+                  static_cast<unsigned long long>(result.validated_points),
+                  static_cast<unsigned long long>(result.validated_events));
+    }
     {
-      sim::Engine engine;
-      platform::Cluster cluster(engine, config.platform);
-      core::BatchSystem batch(engine, cluster, core::make_scheduler(config.scheduler),
-                              result.recorder, config.batch);
-      stats::EventTrace trace;
-      if (want_trace) batch.set_event_trace(&trace);
-      stats::DecisionJournal journal;
-      if (!journal_path.empty()) batch.set_journal(&journal);
-      stats::StateSampler sampler(sample_interval);
-      if (want_timeseries) batch.set_state_sampler(&sampler);
-      telemetry::ChromeTraceBuilder chrome;
-      if (!chrome_path.empty()) batch.set_chrome_trace(&chrome);
-      core::InvariantChecker checker;
-      if (want_validate) {
-        checker.attach_engine(engine);
-        batch.set_invariant_checker(&checker);
-      }
-      core::FaultInjector::apply(batch, failures);
-      if (flight != nullptr) {
-        engine.set_event_hook(&core::FlightRecorder::engine_event_hook, flight);
-        batch.set_flight_recorder(flight);
-      }
-      result.submitted = batch.submit_all(std::move(jobs));
-      if (flight != nullptr) {
-        flight->note_mark(engine.now(), core::FlightMark::kRunBegin, result.submitted);
-      }
-      setup_scope.reset();
-      // Ctrl-C stops the engine between events; every sink below still
-      // flushes, so an interrupted run leaves complete (partial) artifacts.
-      engine.set_cancellation(&g_run_token);
-      std::signal(SIGINT, handle_run_signal);
-      std::signal(SIGTERM, handle_run_signal);
-      const auto wall_begin = std::chrono::steady_clock::now();
-      engine.run();
-      std::signal(SIGINT, SIG_DFL);
-      std::signal(SIGTERM, SIG_DFL);
-      if (flight != nullptr) {
-        if (g_run_token.cancelled()) {
-          flight->note_cancel(engine.now(), static_cast<int>(g_run_token.reason()),
-                              engine.events_processed());
-        } else {
-          flight->note_mark(engine.now(), core::FlightMark::kRunEnd,
-                            engine.events_processed());
-        }
-      }
-      result.cancelled = engine.cancel_requested();
-      result.wall_seconds =
-          std::chrono::duration<double>(std::chrono::steady_clock::now() - wall_begin)
-              .count();
-      result.finished = batch.finished_jobs();
-      result.killed = batch.killed_jobs();
-      result.stuck = batch.queued_jobs() + batch.running_jobs();
-      result.makespan = result.recorder.makespan();
-      result.events_processed = engine.events_processed();
-      result.rebalances = engine.fluid().rebalance_count();
-      result.queue_pushes = engine.queue().pushes();
-      result.queue_pops = engine.queue().pops();
-      result.queue_peak = engine.queue().peak_size();
-      result.activities_touched = engine.fluid().activities_touched();
-      result.activities_started = engine.fluid().activities_started();
-      result.scheduler_invocations = batch.scheduler_invocations();
-      result.scheduler_rounds = batch.scheduler_rounds();
-      result.scheduler_jobs_scanned = batch.scheduler_jobs_scanned();
-      if (result.stuck > 0) stuck_ids = batch.unfinished_job_ids();
-      if (want_validate) {
-        std::printf("validated %llu scheduling points, %llu events: all invariants hold\n",
-                    static_cast<unsigned long long>(checker.scheduling_point_checks()),
-                    static_cast<unsigned long long>(checker.events_checked()));
-      }
       // Everything from here on is artifact writing, billed to "output".
       ELSIM_PROFILE_SCOPE(stats::profiler::Phase::kOutput);
       if (want_trace) {
@@ -476,10 +434,6 @@ int main(int argc, char** argv) {
                                       : 0.0);
       }
       if (!chrome_path.empty()) {
-        chrome.close_open_slices(engine.now());
-        for (const telemetry::Span& span : telemetry::Registry::global().spans().spans()) {
-          chrome.wall_slice(span.name, span.wall_start_s, span.dur_s, span.items);
-        }
         const std::filesystem::path parent =
             std::filesystem::path(chrome_path).parent_path();
         if (!parent.empty()) std::filesystem::create_directories(parent);
@@ -536,12 +490,12 @@ int main(int argc, char** argv) {
       // Name the offenders (first few) so the user can go straight to
       // `elastisim inspect --job` instead of bisecting the workload.
       std::string ids;
-      const std::size_t shown = std::min<std::size_t>(stuck_ids.size(), 5);
+      const std::size_t shown = std::min<std::size_t>(result.stuck_ids.size(), 5);
       for (std::size_t i = 0; i < shown; ++i) {
         if (!ids.empty()) ids += ", ";
-        ids += std::to_string(static_cast<long long>(stuck_ids[i]));
+        ids += std::to_string(static_cast<long long>(result.stuck_ids[i]));
       }
-      if (stuck_ids.size() > shown) ids += ", ...";
+      if (result.stuck_ids.size() > shown) ids += ", ...";
       std::fprintf(stderr,
                    "warning: %zu jobs never completed (check job sizes vs platform): "
                    "job ids %s\n",

@@ -5,17 +5,13 @@
 #include <cmath>
 
 #include "core/flight_recorder.h"
-#include "core/invariant_checker.h"
-#include "stats/chrome_trace.h"
 #include "stats/profiler.h"
-#include "stats/state_sampler.h"
-#include "stats/telemetry.h"
-#include "util/fmt.h"
 #include "util/log.h"
 
 namespace elastisim::core {
 
 using workload::JobId;
+using Kind = stats::BatchEventKind;
 
 std::string to_string(FailurePolicy policy) {
   switch (policy) {
@@ -48,10 +44,23 @@ BatchSystem::BatchSystem(sim::Engine& engine, const platform::Cluster& cluster,
 
 BatchSystem::~BatchSystem() = default;
 
-BatchSystem::Managed& BatchSystem::managed(JobId id) {
-  auto it = jobs_.find(id);
-  assert(it != jobs_.end() && "unknown job id");
-  return *it->second;
+void BatchSystem::subscribe(stats::BatchSubscriber* subscriber) {
+  if (subscriber == nullptr) return;
+  subscribers_.push_back(subscriber);
+  explaining_ = explaining_ || subscriber->wants_explanations();
+  const double interval = subscriber->sample_interval();
+  if (interval > 0.0 && (sample_interval_ <= 0.0 || interval < sample_interval_)) {
+    sample_interval_ = interval;
+  }
+}
+
+void BatchSystem::set_flight_recorder(FlightRecorder* recorder) { subscribe(recorder); }
+
+void BatchSystem::begin_run() { emit({.kind = Kind::kRunBegin, .count = jobs_.size()}); }
+
+void BatchSystem::end_run() {
+  emit({.kind = Kind::kRunEnd, .count = engine_->events_processed(),
+        .cancel_reason = static_cast<int>(engine_->cancel_reason())});
 }
 
 const BatchSystem::Managed& BatchSystem::managed(JobId id) const {
@@ -90,16 +99,13 @@ bool BatchSystem::submit(workload::Job job) {
   entry->job = std::move(job);
   jobs_.emplace(id, std::move(entry));
   for (JobId dep : jobs_.at(id)->job.dependencies) dependents_[dep].push_back(id);
-  ++unfinished_;
   engine_->schedule_at(when, [this, id] { enter_queue(id); });
   return true;
 }
 
 std::size_t BatchSystem::submit_all(std::vector<workload::Job> jobs) {
   std::size_t accepted = 0;
-  for (workload::Job& job : jobs) {
-    if (submit(std::move(job))) ++accepted;
-  }
+  for (workload::Job& job : jobs) accepted += submit(std::move(job)) ? 1 : 0;
   return accepted;
 }
 
@@ -107,10 +113,7 @@ void BatchSystem::enter_queue(JobId id) {
   Managed& job = managed(id);
   assert(job.state == JobState::kPending);
   recorder_->on_submit(job.job, engine_->now());
-  trace(stats::TraceEvent::kSubmit, id,
-        util::fmt("{} nodes, {}", job.job.requested_nodes, workload::to_string(job.job.type)));
-  ELSIM_DEBUG("t={} submit job {} ({} nodes, {})", engine_->now(), id,
-              job.job.requested_nodes, workload::to_string(job.job.type));
+  emit({.kind = Kind::kSubmit, .job = &job.job});
 
   // Dependency gate: hold until every dependency finished; cancel right away
   // if one already failed.
@@ -128,17 +131,14 @@ void BatchSystem::enter_queue(JobId id) {
   }
   if (!job.outstanding_deps.empty()) {
     job.state = JobState::kHeld;
-    if (flight_) flight_->note_job_state(engine_->now(), FlightJobState::kHeld, id);
+    emit({.kind = Kind::kHeld, .job = &job.job});
     ++held_;
-    ELSIM_DEBUG("t={} job {} held on {} dependencies", engine_->now(), id,
-                job.outstanding_deps.size());
     return;
   }
   job.state = JobState::kQueued;
-  if (flight_) flight_->note_job_state(engine_->now(), FlightJobState::kQueued, id);
   queue_order_.push_back(id);
-  arm_timer();
-  arm_sample_timer();
+  emit({.kind = Kind::kQueued, .job = &job.job});
+  arm_timers();
   invoke_scheduler(stats::JournalCause::kSubmit);
 }
 
@@ -157,11 +157,9 @@ void BatchSystem::resolve_dependents(JobId id, bool succeeded) {
     if (child.outstanding_deps.empty()) {
       --held_;
       child.state = JobState::kQueued;
-      if (flight_) flight_->note_job_state(engine_->now(), FlightJobState::kQueued, child_id);
       queue_order_.push_back(child_id);
-      ELSIM_DEBUG("t={} job {} released into the queue", engine_->now(), child_id);
-      arm_timer();
-      arm_sample_timer();
+      emit({.kind = Kind::kQueued, .job = &child.job});
+      arm_timers();
     }
   }
 }
@@ -174,12 +172,9 @@ void BatchSystem::cancel_job(Managed& job) {
     queue_order_.erase(std::find(queue_order_.begin(), queue_order_.end(), id));
   }
   job.state = JobState::kCancelled;
-  if (flight_) flight_->note_job_state(engine_->now(), FlightJobState::kCancelled, id);
   recorder_->on_cancel(id, engine_->now());
-  trace(stats::TraceEvent::kCancel, id, "dependency failed");
+  emit({.kind = Kind::kCancel, .job = &job.job});
   ELSIM_INFO("t={} job {} cancelled (dependency failed)", engine_->now(), id);
-  ++cancelled_;
-  --unfinished_;
   // Cascade to this job's own dependents.
   resolve_dependents(id, /*succeeded=*/false);
 }
@@ -188,99 +183,10 @@ void BatchSystem::cancel_job(Managed& job) {
 // SchedulerContext
 // ---------------------------------------------------------------------------
 
-std::vector<platform::NodeId> BatchSystem::nodes_of(JobId id) const {
-  return managed(id).nodes;
-}
-
 std::vector<JobId> BatchSystem::unfinished_job_ids() const {
   std::vector<JobId> ids = queue_order_;
   ids.insert(ids.end(), running_order_.begin(), running_order_.end());
   return ids;
-}
-
-double BatchSystem::now() const { return engine_->now(); }
-
-int BatchSystem::total_nodes() const {
-  // Nodes currently in service: failures and drains shrink the machine
-  // (drain-pending nodes still count; their jobs are still running).
-  return static_cast<int>(cluster_->node_count() - failed_nodes_.size() -
-                          drained_nodes_.size());
-}
-
-int BatchSystem::free_nodes() const { return static_cast<int>(free_nodes_.size()); }
-
-double BatchSystem::user_usage(const std::string& user) const {
-  const auto usage = recorder_->node_seconds_by_user(engine_->now());
-  auto it = usage.find(user);
-  return it != usage.end() ? it->second : 0.0;
-}
-
-std::vector<platform::NodeId> BatchSystem::take_free_nodes(int count) {
-  assert(count <= free_nodes() && "allocating more nodes than free");
-  std::vector<platform::NodeId> taken;
-  taken.reserve(static_cast<std::size_t>(count));
-  switch (config_.placement) {
-    case PlacementPolicy::kLowestId:
-      for (int i = 0; i < count; ++i) {
-        auto first = free_nodes_.begin();
-        taken.push_back(*first);
-        free_nodes_.erase(first);
-      }
-      break;
-    case PlacementPolicy::kCompact: {
-      // Per-pod free lists, pods ordered by descending free count (ties by
-      // pod id): take whole pods before spilling into the next.
-      std::vector<std::vector<platform::NodeId>> pods(cluster_->pod_count());
-      for (platform::NodeId node : free_nodes_) {
-        pods[cluster_->pod_of(node)].push_back(node);
-      }
-      std::vector<std::size_t> order(pods.size());
-      for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-      std::stable_sort(order.begin(), order.end(), [&pods](std::size_t a, std::size_t b) {
-        return pods[a].size() > pods[b].size();
-      });
-      for (std::size_t pod : order) {
-        for (platform::NodeId node : pods[pod]) {
-          if (static_cast<int>(taken.size()) == count) break;
-          taken.push_back(node);
-          free_nodes_.erase(node);
-        }
-        if (static_cast<int>(taken.size()) == count) break;
-      }
-      break;
-    }
-    case PlacementPolicy::kSpread: {
-      // Round-robin one node per pod per pass.
-      std::vector<std::vector<platform::NodeId>> pods(cluster_->pod_count());
-      for (platform::NodeId node : free_nodes_) {
-        pods[cluster_->pod_of(node)].push_back(node);
-      }
-      std::size_t cursor = 0;
-      while (static_cast<int>(taken.size()) < count) {
-        bool any = false;
-        for (std::size_t i = 0; i < pods.size() &&
-                                static_cast<int>(taken.size()) < count;
-             ++i) {
-          auto& pod = pods[(i + cursor) % pods.size()];
-          if (pod.empty()) continue;
-          taken.push_back(pod.front());
-          pod.erase(pod.begin());
-          free_nodes_.erase(taken.back());
-          any = true;
-        }
-        ++cursor;
-        if (!any) break;  // defensive: cannot happen given the count check
-      }
-      break;
-    }
-  }
-  assert(static_cast<int>(taken.size()) == count);
-  if (telemetry::enabled()) {
-    ensure_telemetry();
-    nodes_allocated_->add(static_cast<std::uint64_t>(count));
-    free_gauge_->set(engine_->now(), static_cast<double>(free_nodes_.size()));
-  }
-  return taken;
 }
 
 void BatchSystem::start_job(JobId id, int nodes) {
@@ -296,25 +202,11 @@ void BatchSystem::start_job(JobId id, int nodes) {
 
   queue_order_.erase(std::find(queue_order_.begin(), queue_order_.end(), id));
   job.state = JobState::kRunning;
-  ++starts_total_;
-  if (flight_) {
-    flight_->note_job_state(engine_->now(), FlightJobState::kRunning, id,
-                            static_cast<std::uint32_t>(nodes));
-  }
   job.start_time = engine_->now();
-  job.nodes = take_free_nodes(nodes);
+  job.nodes = take_nodes(config_.placement, *cluster_, free_nodes_, nodes);
   running_order_.push_back(id);
   recorder_->on_start(id, engine_->now(), nodes);
-  const std::uint64_t start_seq = trace(stats::TraceEvent::kStart, id,
-                                        util::fmt("{} nodes", nodes));
-  journal_verdict(id, stats::VerdictAction::kStarted, stats::HoldReason::kNone, nodes,
-                  start_seq);
-  if (telemetry::enabled()) {
-    ensure_telemetry();
-    jobs_started_->add();
-  }
-  chrome_occupy(job, job.nodes);
-  ELSIM_DEBUG("t={} start job {} on {} nodes", engine_->now(), id, nodes);
+  emit({.kind = Kind::kStart, .job = &job.job, .nodes = nodes, .node_list = job.nodes});
 
   if (std::isfinite(job.job.walltime_limit)) {
     job.walltime_event = engine_->schedule_in(job.job.walltime_limit,
@@ -322,17 +214,19 @@ void BatchSystem::start_job(JobId id, int nodes) {
   }
   job.execution = std::make_unique<JobExecution>(
       *engine_, *cluster_, job.job, job.nodes,
-      [this, id](int delta) { handle_boundary(id, delta); },
+      [this, id](int evolving_delta) {
+        Managed& paused = managed(id);
+        paused.state = JobState::kAtBoundary;
+        paused.boundary_delta = evolving_delta;
+        // Defer: the boundary may fire from inside another job's event; a
+        // zero-delay event keeps scheduler invocations non-reentrant.
+        engine_->schedule_in(0.0, [this, id] { process_boundary(id); });
+      },
       [this, id] { handle_completion(id); });
   if (config_.failure_policy == FailurePolicy::kRequeueRestart && !job.checkpoint.at_origin()) {
-    trace(stats::TraceEvent::kStart, id,
-          util::fmt("restart from phase {} iter {}", job.checkpoint.phase,
-                    job.checkpoint.iteration));
-    if (chrome_) {
-      chrome_->instant(util::fmt("job {} restarts from checkpoint", id), engine_->now());
-    }
-    if (telemetry::enabled()) checkpoint_restarts_->add();
-    if (sampler_) sampler_->count_checkpoint_restart();
+    emit({.kind = Kind::kRestart, .job = &job.job, .from_checkpoint = true,
+          .checkpoint_phase = job.checkpoint.phase,
+          .checkpoint_iteration = job.checkpoint.iteration});
     job.execution->start_from(job.checkpoint, config_.restart_overhead);
   } else {
     job.execution->start();
@@ -349,12 +243,8 @@ void BatchSystem::set_target(JobId id, int nodes) {
   const int clamped = job.job.clamp_nodes(nodes);
   const int previous_target = job.pending_target;
   job.pending_target = clamped == current ? -1 : clamped;
-  if (journal_ && clamped != current && clamped != previous_target) {
-    journal_verdict(id,
-                    clamped > current ? stats::VerdictAction::kExpandTarget
-                                      : stats::VerdictAction::kShrinkTarget,
-                    stats::HoldReason::kNone, clamped, 0,
-                    util::fmt("{}->{}", current, clamped));
+  if (clamped != current && clamped != previous_target) {
+    emit({.kind = Kind::kTarget, .job = &job.job, .nodes = clamped, .previous_nodes = current});
   }
   rebuild_views();
 }
@@ -363,22 +253,10 @@ void BatchSystem::set_target(JobId id, int nodes) {
 // Scheduling points
 // ---------------------------------------------------------------------------
 
-void BatchSystem::handle_boundary(JobId id, int evolving_delta) {
-  Managed& job = managed(id);
-  job.state = JobState::kAtBoundary;
-  job.boundary_delta = evolving_delta;
-  // Defer: the boundary may fire from inside another job's event; a
-  // zero-delay event keeps scheduler invocations non-reentrant.
-  engine_->schedule_in(0.0, [this, id] { process_boundary(id); });
-}
-
 void BatchSystem::process_boundary(JobId id) {
   Managed& job = managed(id);
   if (job.state != JobState::kAtBoundary) return;  // killed meanwhile
-  if (flight_) {
-    flight_->note_job_state(engine_->now(), FlightJobState::kBoundary, id,
-                            static_cast<std::uint32_t>(job.nodes.size()));
-  }
+  emit({.kind = Kind::kBoundary, .job = &job.job, .nodes = static_cast<int>(job.nodes.size())});
 
   if (job.boundary_delta != 0 && job.job.type == workload::JobType::kEvolving) {
     const int current = static_cast<int>(job.nodes.size());
@@ -388,18 +266,9 @@ void BatchSystem::process_boundary(JobId id) {
       const bool granted =
           scheduler_->on_evolving_request(*this, id, desired - current);
       recorder_->on_evolving_request(id, granted);
-      std::string request = util::fmt("{}{} {}", desired - current >= 0 ? "+" : "",
-                                      desired - current, granted ? "granted" : "denied");
-      const std::uint64_t request_seq =
-          trace(stats::TraceEvent::kEvolvingRequest, id, request);
-      journal_verdict(id,
-                      granted ? stats::VerdictAction::kEvolvingGranted
-                              : stats::VerdictAction::kEvolvingDenied,
-                      stats::HoldReason::kNone, desired, request_seq, std::move(request));
-      if (granted) {
-        job.pending_target = desired;
-        if (sampler_) sampler_->count_evolving_grant();
-      }
+      emit({.kind = Kind::kEvolvingRequest, .job = &job.job, .nodes = desired,
+            .previous_nodes = current, .granted = granted});
+      if (granted) job.pending_target = desired;
     }
     job.boundary_delta = 0;
   }
@@ -433,40 +302,29 @@ void BatchSystem::apply_resize(Managed& job, int target) {
   job.state = JobState::kRunning;
   if (target > current) {
     // Expansion: new nodes are busy from the start of redistribution.
-    const std::vector<platform::NodeId> added = take_free_nodes(target - current);
+    const std::vector<platform::NodeId> added =
+        take_nodes(config_.placement, *cluster_, free_nodes_, target - current);
     std::vector<platform::NodeId> grown = job.nodes;
     for (platform::NodeId node : added) grown.push_back(node);
     job.nodes = grown;
     recorder_->on_resize(id, engine_->now(), target);
-    trace(stats::TraceEvent::kExpand, id, util::fmt("{}->{}", current, target));
-    if (telemetry::enabled()) {
-      ensure_telemetry();
-      expansions_->add();
-    }
-    if (sampler_) sampler_->count_expansion();
-    chrome_occupy(job, added);
-    ELSIM_DEBUG("t={} expand job {} {} -> {}", engine_->now(), id, current, target);
+    emit({.kind = Kind::kExpand, .job = &job.job, .nodes = target, .previous_nodes = current,
+          .node_list = added});
     job.execution->resume_with_nodes(std::move(grown), config_.charge_reconfiguration,
                                      nullptr);
   } else {
     // Shrink: keep a prefix; the tail is released after redistribution.
     std::vector<platform::NodeId> kept(job.nodes.begin(), job.nodes.begin() + target);
     std::vector<platform::NodeId> removed(job.nodes.begin() + target, job.nodes.end());
-    ELSIM_DEBUG("t={} shrink job {} {} -> {}", engine_->now(), id, current, target);
     job.execution->resume_with_nodes(
         kept, config_.charge_reconfiguration,
-        [this, id, kept, removed, target] {
+        [this, id, kept, removed, current, target] {
           Managed& shrunk = managed(id);
           shrunk.nodes = kept;
           for (platform::NodeId node : removed) return_node(node);
           recorder_->on_resize(id, engine_->now(), target);
-          trace(stats::TraceEvent::kShrink, id,
-                util::fmt("{}->{}", kept.size() + removed.size(), target));
-          if (telemetry::enabled()) {
-            ensure_telemetry();
-            shrinks_->add();
-          }
-          if (sampler_) sampler_->count_shrink();
+          emit({.kind = Kind::kShrink, .job = &shrunk.job, .nodes = target,
+                .previous_nodes = current});
           invoke_scheduler(stats::JournalCause::kShrinkComplete);
         });
   }
@@ -476,19 +334,10 @@ void BatchSystem::apply_resize(Managed& job, int target) {
 void BatchSystem::handle_completion(JobId id) {
   Managed& job = managed(id);
   assert(job.state == JobState::kRunning || job.state == JobState::kAtBoundary);
-  if (job.walltime_event != sim::kInvalidEventId) {
-    engine_->cancel(job.walltime_event);
-    job.walltime_event = sim::kInvalidEventId;
-  }
   job.state = JobState::kFinished;
-  if (flight_) flight_->note_job_state(engine_->now(), FlightJobState::kFinished, id);
-  release_all_nodes(job);
-  running_order_.erase(std::find(running_order_.begin(), running_order_.end(), id));
+  stop_running(job);
   recorder_->on_finish(id, engine_->now(), /*killed=*/false);
-  trace(stats::TraceEvent::kFinish, id);
-  ++finished_;
-  --unfinished_;
-  ELSIM_DEBUG("t={} finish job {}", engine_->now(), id);
+  emit({.kind = Kind::kFinish, .job = &job.job});
   resolve_dependents(id, /*succeeded=*/true);
   invoke_scheduler(stats::JournalCause::kFinish);
 }
@@ -496,46 +345,34 @@ void BatchSystem::handle_completion(JobId id) {
 void BatchSystem::handle_walltime(JobId id) {
   Managed& job = managed(id);
   if (job.state != JobState::kRunning && job.state != JobState::kAtBoundary) return;
-  ELSIM_INFO("t={} walltime kill job {}", engine_->now(), id);
-  job.walltime_event = sim::kInvalidEventId;
+  job.walltime_event = sim::kInvalidEventId;  // firing right now
   job.execution->abort();
-  job.state = JobState::kKilled;
-  if (flight_) flight_->note_job_state(engine_->now(), FlightJobState::kKilled, id);
-  release_all_nodes(job);
-  running_order_.erase(std::find(running_order_.begin(), running_order_.end(), id));
-  recorder_->on_finish(id, engine_->now(), /*killed=*/true);
-  std::string cause = util::fmt("walltime limit {}s exceeded", job.job.walltime_limit);
-  const std::uint64_t kill_seq = trace(stats::TraceEvent::kWalltimeKill, id, cause);
-  journal_verdict(id, stats::VerdictAction::kKilled, stats::HoldReason::kNone, 0, kill_seq,
-                  std::move(cause));
-  if (chrome_) chrome_->instant(util::fmt("job {} walltime kill", id), engine_->now());
-  ++killed_;
-  --unfinished_;
-  resolve_dependents(id, /*succeeded=*/false);
+  stop_running(job);
+  kill_job(job, stats::KillCause::kWalltime, 0);
   invoke_scheduler(stats::JournalCause::kWalltime);
 }
 
 void BatchSystem::return_node(platform::NodeId node) {
-  if (chrome_) chrome_->end_node_slice(node, engine_->now());
-  if (telemetry::enabled()) {
-    ensure_telemetry();
-    nodes_released_->add();
-  }
-  if (failed_nodes_.count(node)) return;  // stays out until repaired
-  if (drain_pending_.erase(node) > 0) {
+  // A failed node stays out until repaired; a drain-pending one drains now.
+  const bool in_service = failed_nodes_.count(node) == 0;
+  const bool drains = in_service && drain_pending_.erase(node) > 0;
+  if (drains) {
     drained_nodes_.insert(node);
     ELSIM_INFO("t={} node {} drained", engine_->now(), node);
-    return;
+  } else if (in_service) {
+    free_nodes_.insert(node);
   }
-  free_nodes_.insert(node);
-  if (telemetry::enabled()) {
-    free_gauge_->set(engine_->now(), static_cast<double>(free_nodes_.size()));
-  }
+  emit({.kind = Kind::kRelease, .node = node, .freed = in_service && !drains});
 }
 
-void BatchSystem::release_all_nodes(Managed& job) {
+void BatchSystem::stop_running(Managed& job) {
+  if (job.walltime_event != sim::kInvalidEventId) {
+    engine_->cancel(job.walltime_event);
+    job.walltime_event = sim::kInvalidEventId;
+  }
   for (platform::NodeId node : job.nodes) return_node(node);
   job.nodes.clear();
+  running_order_.erase(std::find(running_order_.begin(), running_order_.end(), job.job.id));
 }
 
 // ---------------------------------------------------------------------------
@@ -585,9 +422,7 @@ void BatchSystem::fail_node(platform::NodeId node, double repair_time) {
     drain_on_repair_.insert(node);
   }
   ELSIM_INFO("t={} node {} failed", engine_->now(), node);
-  if (flight_) flight_->note_fault(engine_->now(), FlightFault::kNodeFail, node);
-  trace(stats::TraceEvent::kNodeFail, 0, util::fmt("node {}", node));
-  if (chrome_) chrome_->instant(util::fmt("node {} failed", node), engine_->now());
+  emit({.kind = Kind::kNodeFail, .node = node});
   if (free_nodes_.erase(node) > 0) {
     invoke_scheduler(stats::JournalCause::kFailure);  // capacity shrank
     return;
@@ -612,9 +447,7 @@ void BatchSystem::restore_node(platform::NodeId node) {
   if (failed_nodes_.erase(node) == 0) return;
   repair_until_.erase(node);
   ELSIM_INFO("t={} node {} restored", engine_->now(), node);
-  if (flight_) flight_->note_fault(engine_->now(), FlightFault::kNodeRepair, node);
-  trace(stats::TraceEvent::kNodeRestore, 0, util::fmt("node {}", node));
-  if (chrome_) chrome_->instant(util::fmt("node {} restored", node), engine_->now());
+  emit({.kind = Kind::kNodeRestore, .node = node});
   if (drain_on_repair_.erase(node) > 0) {
     drained_nodes_.insert(node);
     ELSIM_INFO("t={} node {} repaired into drain", engine_->now(), node);
@@ -637,7 +470,7 @@ void BatchSystem::drain_node(platform::NodeId node, double when, double until) {
 void BatchSystem::start_drain(platform::NodeId node) {
   ELSIM_PROFILE_SCOPE(stats::profiler::Phase::kFault);
   if (drained_nodes_.count(node) || drain_pending_.count(node)) return;
-  if (flight_) flight_->note_fault(engine_->now(), FlightFault::kNodeDrain, node);
+  emit({.kind = Kind::kNodeDrain, .node = node});
   if (free_nodes_.erase(node) > 0) {
     drained_nodes_.insert(node);
     ELSIM_INFO("t={} node {} drained (was idle)", engine_->now(), node);
@@ -653,25 +486,20 @@ void BatchSystem::undrain_node(platform::NodeId node) {
   if (drain_pending_.erase(node) > 0) return;  // never left service
   if (drain_on_repair_.erase(node) > 0) return;  // still failed; repair frees it
   if (drained_nodes_.erase(node) == 0) return;
-  if (flight_) flight_->note_fault(engine_->now(), FlightFault::kNodeUndrain, node);
+  emit({.kind = Kind::kNodeUndrain, .node = node});
   free_nodes_.insert(node);
   ELSIM_INFO("t={} node {} back in service", engine_->now(), node);
   invoke_scheduler(stats::JournalCause::kMaintenance);
 }
 
-void BatchSystem::kill_evicted_job(Managed& job, const std::string& reason,
-                                   stats::HoldReason journal_reason) {
-  const JobId id = job.job.id;
-  ELSIM_INFO("t={} job {} killed ({})", engine_->now(), id, reason);
+void BatchSystem::kill_job(Managed& job, stats::KillCause cause, platform::NodeId failed_node) {
+  const stats::BatchEvent killed{.kind = Kind::kKill, .job = &job.job, .node = failed_node,
+                                 .kill_cause = cause};
+  ELSIM_INFO("t={} job {} killed ({})", engine_->now(), job.job.id, killed);
   job.state = JobState::kKilled;
-  if (flight_) flight_->note_job_state(engine_->now(), FlightJobState::kKilled, id);
-  recorder_->on_finish(id, engine_->now(), /*killed=*/true);
-  const std::uint64_t kill_seq = trace(stats::TraceEvent::kWalltimeKill, id, reason);
-  journal_verdict(id, stats::VerdictAction::kKilled, journal_reason, 0, kill_seq, reason);
-  if (chrome_) chrome_->instant(util::fmt("job {} killed: {}", id, reason), engine_->now());
-  ++killed_;
-  --unfinished_;
-  resolve_dependents(id, /*succeeded=*/false);
+  recorder_->on_finish(job.job.id, engine_->now(), /*killed=*/true);
+  emit(killed);
+  resolve_dependents(job.job.id, /*succeeded=*/false);
 }
 
 void BatchSystem::evict_job(Managed& job, platform::NodeId failed_node) {
@@ -688,56 +516,30 @@ void BatchSystem::evict_job(Managed& job, platform::NodeId failed_node) {
   const double lost_node_seconds = lost_seconds * allocation;
   if (restartable) job.checkpoint = job.execution->durable_progress();
   job.execution->abort();
-  if (job.walltime_event != sim::kInvalidEventId) {
-    engine_->cancel(job.walltime_event);
-    job.walltime_event = sim::kInvalidEventId;
-  }
-  release_all_nodes(job);
+  stop_running(job);
+  job.execution.reset();
   job.pending_target = -1;
   job.boundary_delta = 0;
-  running_order_.erase(std::find(running_order_.begin(), running_order_.end(), id));
   if (config_.failure_policy == FailurePolicy::kKill) {
-    job.execution.reset();
-    kill_evicted_job(job, util::fmt("node {} failed", failed_node),
-                     stats::HoldReason::kNone);
+    kill_job(job, stats::KillCause::kNodeFailure, failed_node);
     return;
   }
   ++job.requeue_count;
   if (config_.max_requeues > 0 && job.requeue_count > config_.max_requeues) {
-    job.execution.reset();
-    kill_evicted_job(job,
-                     util::fmt("max requeues exceeded (node {} failed)", failed_node),
-                     stats::HoldReason::kMaxRequeuesReached);
+    kill_job(job, stats::KillCause::kMaxRequeues, failed_node);
     return;
   }
   ELSIM_INFO("t={} job {} requeued after node failure ({} node-seconds lost)", now, id,
              lost_node_seconds);
   job.state = JobState::kQueued;
-  if (flight_) {
-    flight_->note_job_state(now, FlightJobState::kRequeued, id,
-                            static_cast<std::uint32_t>(allocation));
-  }
-  job.execution.reset();
   job.start_time = -1.0;
   recorder_->on_requeue(id, now, lost_node_seconds, lost_seconds);
-  std::string cause =
-      util::fmt("node {} failed, lost {} node-seconds{}", failed_node, lost_node_seconds,
-                restartable && !job.checkpoint.at_origin()
-                    ? util::fmt(", checkpoint phase {} iter {}", job.checkpoint.phase,
-                                job.checkpoint.iteration)
-                    : std::string());
-  const std::uint64_t requeue_seq = trace(stats::TraceEvent::kRequeue, id, cause);
-  journal_verdict(id, stats::VerdictAction::kRequeued, stats::HoldReason::kNone, 0,
-                  requeue_seq, std::move(cause));
-  if (chrome_) chrome_->instant(util::fmt("job {} requeued", id), now);
-  if (telemetry::enabled()) {
-    ensure_telemetry();
-    jobs_requeued_->add();
-    lost_node_seconds_hist_->record(lost_node_seconds);
-  }
-  if (sampler_) sampler_->count_requeue(lost_node_seconds);
+  emit({.kind = Kind::kRequeue, .job = &job.job, .previous_nodes = allocation,
+        .node = failed_node, .lost_node_seconds = lost_node_seconds,
+        .from_checkpoint = restartable && !job.checkpoint.at_origin(),
+        .checkpoint_phase = job.checkpoint.phase,
+        .checkpoint_iteration = job.checkpoint.iteration});
   queue_order_.push_back(id);
-  ++requeues_;
 }
 
 // ---------------------------------------------------------------------------
@@ -751,23 +553,8 @@ void BatchSystem::invoke_scheduler(stats::JournalCause cause) {
     return;
   }
   in_scheduler_ = true;
-  // The begin hook snapshots the queue counts before the journal record is
-  // opened, so the checker can cross-check the committed record against what
-  // the scheduler actually saw.
-  if (checker_) checker_->on_scheduling_point_begin(*this);
-  const bool telemetry_on = telemetry::enabled();
-  double wall_begin = 0.0;
-  if (telemetry_on) {
-    ensure_telemetry();
-    queue_gauge_->set(engine_->now(), static_cast<double>(queue_order_.size()));
-    wall_begin = telemetry::wall_now();
-  }
-  if (journal_) {
-    journal_->begin(engine_->now(), cause, static_cast<int>(queue_order_.size()),
-                    static_cast<int>(running_order_.size()), free_nodes(), total_nodes());
-  }
-  int rounds = 0;
-  const std::uint64_t starts_before = starts_total_;
+  emit({.kind = Kind::kSchedulingBegin, .cause = cause});
+  std::uint32_t rounds = 0;
   {
     ELSIM_PROFILE_SCOPE(stats::profiler::Phase::kScheduler);
     do {
@@ -786,49 +573,12 @@ void BatchSystem::invoke_scheduler(stats::JournalCause cause) {
     } while (rerun_scheduler_);
   }
   ++scheduler_invocations_;
-  scheduler_rounds_ += static_cast<std::uint64_t>(rounds);
-  if (flight_) {
-    const std::uint64_t started = starts_total_ - starts_before;
-    flight_->note_scheduler_invoke(engine_->now(),
-                                   static_cast<std::uint16_t>(cause),
-                                   static_cast<std::uint32_t>(queue_order_.size()),
-                                   static_cast<std::uint32_t>(rounds),
-                                   static_cast<std::uint32_t>(started));
-    FlightSnapshot snapshot;
-    snapshot.sim_time = engine_->now();
-    snapshot.events = engine_->events_processed();
-    snapshot.pending_events = engine_->pending_events();
-    snapshot.jobs_queued = static_cast<std::uint32_t>(queue_order_.size());
-    snapshot.jobs_running = static_cast<std::uint32_t>(running_order_.size());
-    snapshot.nodes_free = static_cast<std::uint32_t>(free_nodes_.size());
-    snapshot.nodes_failed = static_cast<std::uint32_t>(failed_nodes_.size());
-    snapshot.nodes_drained = static_cast<std::uint32_t>(drained_nodes_.size());
-    snapshot.nodes_total = static_cast<std::uint32_t>(total_nodes());
-    flight_->set_snapshot(snapshot);
-  }
+  scheduler_rounds_ += rounds;
   {
     ELSIM_PROFILE_SCOPE(stats::profiler::Phase::kSinks);
-    if (journal_) {
-      // Guarantee a verdict for every job left in the queue: schedulers that
-      // never call explain() (custom policies) still yield a non-empty reason.
-      for (JobId id : queue_order_) {
-        if (!journal_->has_held_verdict(id)) {
-          journal_->add({id, stats::VerdictAction::kHeld,
-                         // elsim-lint: allow(hot-alloc) -- journal-gated path; an empty std::string never allocates
-                         stats::HoldReason::kNotConsidered, 0, 0, std::string()});
-        }
-      }
-      journal_->commit();
-    }
-    chrome_counters();
-    if (sampler_) sample_state();
+    emit({.kind = Kind::kSchedulingEnd, .cause = cause, .rounds = rounds, .queue = queue_order_,
+          .count = engine_->events_processed(), .pending_events = engine_->pending_events()});
   }
-  if (telemetry_on) {
-    decision_hist_->record(telemetry::wall_now() - wall_begin);
-    invocations_->add();
-    rounds_->add(static_cast<std::uint64_t>(rounds));
-  }
-  if (checker_) checker_->on_scheduling_point_end(*this);
   in_scheduler_ = false;
 }
 
@@ -861,88 +611,55 @@ void BatchSystem::rebuild_views() {
   }
 }
 
-std::uint64_t BatchSystem::trace(stats::TraceEvent event, workload::JobId job,
-                                 std::string detail) {
-  if (!trace_) return 0;
-  return trace_->record(engine_->now(), event, job, std::move(detail));
-}
-
-void BatchSystem::journal_verdict(workload::JobId job, stats::VerdictAction action,
-                                  stats::HoldReason reason, int nodes,
-                                  std::uint64_t trace_seq, std::string detail) {
-  if (!journal_) return;
-  journal_->add({job, action, reason, nodes, trace_seq, std::move(detail)});
-}
-
 void BatchSystem::explain(workload::JobId id, stats::HoldReason reason, std::string detail) {
-  if (!journal_) return;
-  journal_->add({id, stats::VerdictAction::kHeld, reason, 0, 0, std::move(detail)});
+  if (!explaining_) return;
+  emit({.kind = Kind::kExplain, .job = &managed(id).job, .reason = reason, .text = detail});
 }
 
-void BatchSystem::ensure_telemetry() {
-  if (decision_hist_) return;
-  auto& registry = telemetry::Registry::global();
-  decision_hist_ = &registry.histogram("scheduler.decision_seconds");
-  invocations_ = &registry.counter("scheduler.invocations");
-  rounds_ = &registry.counter("scheduler.rounds");
-  queue_gauge_ = &registry.gauge("batch.queue_depth");
-  free_gauge_ = &registry.gauge("cluster.free_nodes");
-  nodes_allocated_ = &registry.counter("cluster.nodes_allocated");
-  nodes_released_ = &registry.counter("cluster.nodes_released");
-  jobs_started_ = &registry.counter("batch.jobs_started");
-  jobs_requeued_ = &registry.counter("batch.requeues");
-  checkpoint_restarts_ = &registry.counter("batch.checkpoint_restarts");
-  lost_node_seconds_hist_ = &registry.histogram("batch.lost_node_seconds");
-  expansions_ = &registry.counter("batch.expansions");
-  shrinks_ = &registry.counter("batch.shrinks");
-}
-
-void BatchSystem::chrome_occupy(const Managed& job,
-                                const std::vector<platform::NodeId>& nodes) {
-  if (!chrome_) return;
-  const std::string label =
-      job.job.name.empty() ? util::fmt("job {}", job.job.id) : job.job.name;
-  for (platform::NodeId node : nodes) {
-    chrome_->begin_node_slice(node, job.job.id, label, engine_->now());
+void BatchSystem::emit(stats::BatchEvent event) {
+  switch (event.kind) {
+    case Kind::kFinish: ++tallies_.finished; break;
+    case Kind::kKill: ++tallies_.killed; break;
+    case Kind::kCancel: ++tallies_.cancelled; break;
+    case Kind::kExpand: ++tallies_.expansions; break;
+    case Kind::kShrink: ++tallies_.shrinks; break;
+    case Kind::kEvolvingRequest:
+      if (event.granted) ++tallies_.evolving_grants;
+      break;
+    case Kind::kRestart: ++tallies_.checkpoint_restarts; break;
+    case Kind::kRequeue:
+      ++tallies_.requeues;
+      tallies_.lost_node_seconds += event.lost_node_seconds;
+      break;
+    default: break;
   }
+  if (subscribers_.empty()) return;
+  event.time = engine_->now();
+  event.state = {static_cast<int>(queue_order_.size()),
+                 static_cast<int>(running_order_.size()),
+                 static_cast<int>(free_nodes_.size()),
+                 static_cast<int>(failed_nodes_.size()),
+                 static_cast<int>(drained_nodes_.size()),
+                 static_cast<int>(cluster_->node_count()),
+                 tallies_};
+  // elsim-lint: allow(hot-virtual-loop) -- the virtual call IS the subscriber API; one dispatch per subscriber per event
+  for (stats::BatchSubscriber* subscriber : subscribers_) subscriber->on_event(event);
 }
 
-void BatchSystem::chrome_counters() {
-  if (!chrome_) return;
-  const double now = engine_->now();
-  chrome_->counter("queue depth", now, static_cast<double>(queue_order_.size()));
-  chrome_->counter("running jobs", now, static_cast<double>(running_order_.size()));
-  chrome_->counter("free nodes", now, static_cast<double>(free_nodes_.size()));
+void BatchSystem::arm_timers() {
+  arm_periodic(config_.scheduling_interval, timer_armed_,
+               [this] { invoke_scheduler(stats::JournalCause::kTimer); });
+  arm_periodic(sample_interval_, sample_timer_armed_, [this] { emit({.kind = Kind::kSample}); });
 }
 
-void BatchSystem::sample_state() {
-  sampler_->sample(engine_->now(), static_cast<int>(queue_order_.size()),
-                   static_cast<int>(running_order_.size()),
-                   static_cast<int>(free_nodes_.size()),
-                   static_cast<int>(failed_nodes_.size()),
-                   static_cast<int>(drained_nodes_.size()),
-                   static_cast<int>(cluster_->node_count()));
-}
-
-void BatchSystem::arm_sample_timer() {
-  if (!sampler_ || sampler_->interval() <= 0.0 || sample_timer_armed_) return;
-  sample_timer_armed_ = true;
-  engine_->schedule_in(sampler_->interval(), [this] {
-    sample_timer_armed_ = false;
-    if (unfinished_ == 0 || !sampler_) return;  // let the simulation drain
-    sample_state();
-    arm_sample_timer();
-  });
-}
-
-void BatchSystem::arm_timer() {
-  if (config_.scheduling_interval <= 0.0 || timer_armed_) return;
-  timer_armed_ = true;
-  engine_->schedule_in(config_.scheduling_interval, [this] {
-    timer_armed_ = false;
-    if (unfinished_ == 0) return;  // let the simulation drain
-    invoke_scheduler(stats::JournalCause::kTimer);
-    arm_timer();
+void BatchSystem::arm_periodic(double interval, bool& armed, std::function<void()> tick) {
+  if (interval <= 0.0 || armed) return;
+  armed = true;
+  engine_->schedule_in(interval, [this, interval, &armed, tick] {
+    armed = false;
+    if (unfinished() == 0) return;  // let the simulation drain
+    tick();
+    arm_periodic(interval, armed, tick);
   });
 }
 

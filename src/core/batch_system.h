@@ -15,8 +15,17 @@
 // limited by the nodes free at that moment. Expansion occupies the new nodes
 // when redistribution starts; shrunk-away nodes are released only after the
 // redistribution transfer completes.
+//
+// Observability: every lifecycle site emits one stats::BatchEvent to the
+// subscribers attached with subscribe() — event trace, decision journal,
+// state sampler, Chrome trace, telemetry, flight recorder, invariant
+// checker, or any other stats::BatchSubscriber. The batch system keeps only
+// the always-on counters (scheduler invocations/rounds/jobs scanned, job
+// outcomes, the BatchTallies) and formats nothing itself; a new sink needs
+// no change here.
 #pragma once
 
+#include <functional>
 #include <limits>
 #include <memory>
 #include <optional>
@@ -24,44 +33,22 @@
 #include <string>
 #include <string_view>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "core/job_execution.h"
+#include "core/placement.h"
 #include "core/scheduler.h"
 #include "platform/cluster.h"
 #include "sim/engine.h"
+#include "stats/batch_event.h"
 #include "stats/journal.h"
 #include "stats/metrics.h"
-#include "stats/trace.h"
 #include "workload/job.h"
-
-namespace elastisim::telemetry {
-class ChromeTraceBuilder;
-class Counter;
-class Gauge;
-class Histogram;
-}  // namespace elastisim::telemetry
-
-namespace elastisim::stats {
-class StateSampler;
-}  // namespace elastisim::stats
 
 namespace elastisim::core {
 
 class FlightRecorder;
-class InvariantChecker;
-
-/// How the batch system maps a node-count decision onto concrete nodes.
-enum class PlacementPolicy {
-  /// Lowest free node ids (simple, deterministic baseline).
-  kLowestId,
-  /// Fill the emptiest pods first, keeping each job in as few pods as
-  /// possible (minimizes pod-uplink traffic for intra-job communication).
-  kCompact,
-  /// Round-robin across pods (maximizes per-job injection/pod bandwidth at
-  /// the price of more inter-pod traffic).
-  kSpread,
-};
 
 /// What happens to a job whose node fails underneath it.
 enum class FailurePolicy {
@@ -111,40 +98,21 @@ class BatchSystem final : public SchedulerContext {
   bool submit(workload::Job job);
   std::size_t submit_all(std::vector<workload::Job> jobs);
 
-  /// Attaches an event trace (not owned; must outlive the batch system).
-  /// Pass nullptr to detach.
-  void set_event_trace(stats::EventTrace* trace) { trace_ = trace; }
+  /// Attaches a subscriber to the event stream (not owned; must outlive the
+  /// batch system). Subscribers receive every event in subscription order,
+  /// so subscribe an EventTrace before a DecisionJournal that should link to
+  /// it, and an InvariantChecker (via InvariantChecker::attach) last. nullptr
+  /// is ignored.
+  void subscribe(stats::BatchSubscriber* subscriber);
 
-  /// Attaches a decision journal (not owned; must outlive the batch system):
-  /// every scheduler invocation commits one record with its cause, a
-  /// queue/cluster snapshot, and a verdict per considered job. Pass nullptr
-  /// to detach; absent, instrumentation costs one branch per site.
-  void set_journal(stats::DecisionJournal* journal) { journal_ = journal; }
+  /// subscribe() for the always-on flight recorder.
+  void set_flight_recorder(FlightRecorder* recorder);
 
-  /// Attaches a Chrome trace builder (not owned; must outlive the batch
-  /// system): job lifecycles are rendered as per-node slices, plus counter
-  /// tracks and instant markers. Pass nullptr to detach.
-  void set_chrome_trace(telemetry::ChromeTraceBuilder* chrome) { chrome_ = chrome; }
-
-  /// Attaches a simulation-state sampler (not owned; must outlive the batch
-  /// system): one StateSample per scheduling point, plus the sampler's fixed
-  /// cadence when it has one. Pass nullptr to detach; absent, instrumentation
-  /// costs one branch per scheduling point.
-  void set_state_sampler(stats::StateSampler* sampler) { sampler_ = sampler; }
-
-  /// Attaches a runtime invariant checker (not owned; must outlive the batch
-  /// system): every scheduling point re-validates node-allocation
-  /// conservation, queue/state agreement, and sink monotonicity, throwing
-  /// InvariantViolation on the first breach. Pass nullptr to detach; absent,
-  /// the cost is one branch per scheduling point. See docs/ANALYSIS.md.
-  void set_invariant_checker(InvariantChecker* checker) { checker_ = checker; }
-
-  /// Attaches the flight recorder (not owned; must outlive the batch
-  /// system): job state transitions, fault-injector actions, and one record
-  /// per scheduling point land on the black box, and the recorder's
-  /// queue/cluster snapshot is refreshed at every scheduling point. Pass
-  /// nullptr to detach; absent, each site costs one branch.
-  void set_flight_recorder(FlightRecorder* recorder) { flight_ = recorder; }
+  /// Brackets the event loop for subscribers with kRunBegin (jobs accepted)
+  /// and kRunEnd (events processed, cancel reason); core::run_scenario calls
+  /// them around Engine::run().
+  void begin_run();
+  void end_run();
 
   /// Test-only corruption hook: re-inserts the first node allocated to `job`
   /// into the free pool, deliberately breaking allocation conservation so
@@ -171,20 +139,18 @@ class BatchSystem final : public SchedulerContext {
                   double until = std::numeric_limits<double>::infinity());
 
   /// Post-run introspection.
-  std::size_t finished_jobs() const { return finished_; }
-  std::size_t killed_jobs() const { return killed_; }
-  std::size_t cancelled_jobs() const { return cancelled_; }
+  std::size_t finished_jobs() const { return tallies_.finished; }
+  std::size_t killed_jobs() const { return tallies_.killed; }
+  std::size_t cancelled_jobs() const { return tallies_.cancelled; }
   std::size_t held_jobs() const { return held_; }
-  std::size_t requeued_jobs() const { return requeues_; }
+  std::size_t requeued_jobs() const { return tallies_.requeues; }
   std::size_t failed_nodes_now() const { return failed_nodes_.size(); }
   std::size_t drained_nodes_now() const { return drained_nodes_.size(); }
   std::size_t queued_jobs() const { return queue_order_.size(); }
   std::size_t running_jobs() const { return running_order_.size(); }
-  Scheduler& scheduler_algorithm() { return *scheduler_; }
 
-  /// Scheduling points executed and scheduler passes inside them (the
-  /// "resolve count per scheduling point" profiler metric; always counted,
-  /// telemetry on or off).
+  /// Scheduling points executed and scheduler passes inside them (always
+  /// counted).
   std::uint64_t scheduler_invocations() const { return scheduler_invocations_; }
   std::uint64_t scheduler_rounds() const { return scheduler_rounds_; }
 
@@ -193,29 +159,42 @@ class BatchSystem final : public SchedulerContext {
   /// workloads. Always counted, like the invocation/round counters.
   std::uint64_t scheduler_jobs_scanned() const { return scheduler_jobs_scanned_; }
 
+  /// Cumulative job outcomes, expansions, shrinks, evolving grants,
+  /// requeues, checkpoint restarts and lost node-seconds, in event order
+  /// (also carried by every event's state).
+  const stats::BatchTallies& tallies() const { return tallies_; }
+
   /// Concrete nodes a job currently occupies (empty when not running).
-  std::vector<platform::NodeId> nodes_of(workload::JobId id) const;
+  std::vector<platform::NodeId> nodes_of(workload::JobId id) const { return managed(id).nodes; }
 
   /// Ids of jobs still queued or running — the "stuck" population when the
   /// event queue drains with work left over (queue order, then run order).
   std::vector<workload::JobId> unfinished_job_ids() const;
 
   // --- SchedulerContext ----------------------------------------------------
-  double now() const override;
-  int total_nodes() const override;
-  int free_nodes() const override;
+  double now() const override { return engine_->now(); }
+  /// Nodes in service: failures and drains shrink the machine (drain-pending
+  /// nodes still count; their jobs are still running).
+  int total_nodes() const override {
+    return static_cast<int>(cluster_->node_count() - failed_nodes_.size() - drained_nodes_.size());
+  }
+  int free_nodes() const override { return static_cast<int>(free_nodes_.size()); }
   const std::vector<QueuedJob>& queue() const override { return queue_view_; }
   const std::vector<RunningJob>& running() const override { return running_view_; }
-  double user_usage(const std::string& user) const override;
+  double user_usage(const std::string& user) const override {
+    const auto usage = recorder_->node_seconds_by_user(engine_->now());
+    const auto it = usage.find(user);
+    return it != usage.end() ? it->second : 0.0;
+  }
   void start_job(workload::JobId id, int nodes) override;
   void set_target(workload::JobId id, int nodes) override;
-  bool explaining() const override { return journal_ != nullptr; }
+  bool explaining() const override { return explaining_; }
   void explain(workload::JobId id, stats::HoldReason reason,
                std::string detail = std::string()) override;
 
  private:
   /// The checker reads the private pools/orders directly so validation needs
-  /// no public surface area beyond the attach call.
+  /// no public surface area beyond subscribe().
   friend class InvariantChecker;
 
   enum class JobState {
@@ -249,8 +228,14 @@ class BatchSystem final : public SchedulerContext {
     std::set<workload::JobId> outstanding_deps;
   };
 
-  Managed& managed(workload::JobId id);
   const Managed& managed(workload::JobId id) const;
+  /// Accepted jobs not yet finished, killed or cancelled; timers stop at 0.
+  std::size_t unfinished() const {
+    return jobs_.size() - tallies_.finished - tallies_.killed - tallies_.cancelled;
+  }
+  Managed& managed(workload::JobId id) {
+    return const_cast<Managed&>(std::as_const(*this).managed(id));
+  }
 
   void enter_queue(workload::JobId id);
   /// Dependency bookkeeping: release or cancel the dependents of `id`.
@@ -258,75 +243,51 @@ class BatchSystem final : public SchedulerContext {
   void cancel_job(Managed& job);
   void fail_node(platform::NodeId node, double repair_time);
   void restore_node(platform::NodeId node);
-  /// Terminal kill shared by the kKill policy and the max_requeues guard.
-  void kill_evicted_job(Managed& job, const std::string& reason,
-                        stats::HoldReason journal_reason);
+  /// Terminal kill of a job whose allocation is already gone (walltime, the
+  /// kKill failure policy, the max_requeues guard).
+  void kill_job(Managed& job, stats::KillCause cause, platform::NodeId failed_node);
   void start_drain(platform::NodeId node);
   void undrain_node(platform::NodeId node);
   /// Returns a node to service after a job releases it, honoring failure
   /// and drain state.
   void return_node(platform::NodeId node);
   /// Evicts the victim of `failed_node`'s failure (requeue or kill per the
-  /// failure policy); the node id is threaded into the trace and journal so
-  /// the requeue cause is attributable.
+  /// failure policy); the node id rides on the event so the requeue cause is
+  /// attributable.
   void evict_job(Managed& job, platform::NodeId failed_node);
-  void handle_boundary(workload::JobId id, int evolving_delta);
   void process_boundary(workload::JobId id);
   void apply_resize(Managed& job, int target);
   void handle_completion(workload::JobId id);
   void handle_walltime(workload::JobId id);
-  void release_all_nodes(Managed& job);
-  std::vector<platform::NodeId> take_free_nodes(int count);
+  /// Takes a job off its allocation: cancels its walltime event, returns its
+  /// nodes and drops it from the run order.
+  void stop_running(Managed& job);
 
   /// Runs the scheduler to quiescence; `cause` is what triggered the
   /// scheduling point (recorded as the journal record's cause).
   void invoke_scheduler(stats::JournalCause cause);
   void rebuild_views();
-  void arm_timer();
-  /// Records into the event trace, returning the entry's sequence number so
-  /// journal verdicts can link to it (0 when no trace is attached).
-  std::uint64_t trace(stats::TraceEvent event, workload::JobId job, std::string detail = "");
-  /// Appends a journal verdict when a journal is attached.
-  void journal_verdict(workload::JobId job, stats::VerdictAction action,
-                       stats::HoldReason reason, int nodes, std::uint64_t trace_seq,
-                       std::string detail = "");
-  /// Caches global-registry handles (first call with telemetry enabled).
-  void ensure_telemetry();
-  /// Opens Chrome-trace slices for `job` on `nodes`.
-  void chrome_occupy(const Managed& job, const std::vector<platform::NodeId>& nodes);
-  /// Samples the queue/free/running counter tracks into the Chrome trace.
-  void chrome_counters();
-  /// Records one StateSample of the current queue/node state (sampler_ set).
-  void sample_state();
-  /// Periodic cadence for the state sampler (interval > 0 only).
-  void arm_sample_timer();
+  /// Arms the periodic scheduler timer and the kSample cadence, each only
+  /// when configured and not already pending.
+  void arm_timers();
+  /// Runs `tick` every `interval` simulated seconds while jobs are pending;
+  /// `armed` marks a tick in flight.
+  void arm_periodic(double interval, bool& armed, std::function<void()> tick);
+  /// Updates the tallies and hands `event`, stamped with the current time
+  /// and state, to every subscriber.
+  void emit(stats::BatchEvent event);
 
   sim::Engine* engine_;
   const platform::Cluster* cluster_;
   std::unique_ptr<Scheduler> scheduler_;
   stats::Recorder* recorder_;
-  stats::EventTrace* trace_ = nullptr;
-  stats::DecisionJournal* journal_ = nullptr;
-  stats::StateSampler* sampler_ = nullptr;
-  telemetry::ChromeTraceBuilder* chrome_ = nullptr;
-  InvariantChecker* checker_ = nullptr;
-  FlightRecorder* flight_ = nullptr;
   BatchConfig config_;
-
-  // Telemetry handles (cached by ensure_telemetry; null while disabled).
-  telemetry::Histogram* decision_hist_ = nullptr;
-  telemetry::Counter* invocations_ = nullptr;
-  telemetry::Counter* rounds_ = nullptr;
-  telemetry::Gauge* queue_gauge_ = nullptr;
-  telemetry::Gauge* free_gauge_ = nullptr;
-  telemetry::Counter* nodes_allocated_ = nullptr;
-  telemetry::Counter* nodes_released_ = nullptr;
-  telemetry::Counter* jobs_started_ = nullptr;
-  telemetry::Counter* jobs_requeued_ = nullptr;
-  telemetry::Counter* checkpoint_restarts_ = nullptr;
-  telemetry::Histogram* lost_node_seconds_hist_ = nullptr;
-  telemetry::Counter* expansions_ = nullptr;
-  telemetry::Counter* shrinks_ = nullptr;
+  std::vector<stats::BatchSubscriber*> subscribers_;
+  /// Smallest positive sample interval any subscriber asked for (0 = none).
+  double sample_interval_ = 0.0;
+  /// Some subscriber records the scheduler's hold explanations.
+  bool explaining_ = false;
+  stats::BatchTallies tallies_;
 
   std::unordered_map<workload::JobId, std::unique_ptr<Managed>> jobs_;
   std::unordered_map<workload::JobId, std::vector<workload::JobId>> dependents_;
@@ -346,18 +307,10 @@ class BatchSystem final : public SchedulerContext {
   std::vector<QueuedJob> queue_view_;
   std::vector<RunningJob> running_view_;
 
-  std::size_t finished_ = 0;
-  std::size_t killed_ = 0;
-  std::size_t cancelled_ = 0;
   std::size_t held_ = 0;
-  std::size_t requeues_ = 0;
   std::uint64_t scheduler_invocations_ = 0;
   std::uint64_t scheduler_rounds_ = 0;
   std::uint64_t scheduler_jobs_scanned_ = 0;
-  /// Lifetime job starts (always counted); invoke_scheduler diffs it across
-  /// one scheduling point to get the flight record's started-count payload.
-  std::uint64_t starts_total_ = 0;
-  std::size_t unfinished_ = 0;  // queued + running; timer stops at zero
 
   bool in_scheduler_ = false;
   bool rerun_scheduler_ = false;

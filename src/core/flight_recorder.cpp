@@ -123,6 +123,43 @@ void FlightRecorder::reset() {
   window_start_wall_ = wall_now();
 }
 
+void FlightRecorder::on_event(const stats::BatchEvent& event) {
+  using K = stats::BatchEventKind;
+  using S = FlightJobState;
+  const double t = event.time;
+  const std::uint64_t job = event.job_id();
+  const stats::BatchState& state = event.state;
+  const auto u32 = [](int value) { return static_cast<std::uint32_t>(value); };
+  switch (event.kind) {
+    case K::kHeld: return note_job_state(t, S::kHeld, job);
+    case K::kQueued: return note_job_state(t, S::kQueued, job);
+    case K::kCancel: return note_job_state(t, S::kCancelled, job);
+    case K::kStart:
+      ++started_in_point_;
+      return note_job_state(t, S::kRunning, job, u32(event.nodes));
+    case K::kBoundary: return note_job_state(t, S::kBoundary, job, u32(event.nodes));
+    case K::kFinish: return note_job_state(t, S::kFinished, job);
+    case K::kKill: return note_job_state(t, S::kKilled, job);
+    case K::kRequeue: return note_job_state(t, S::kRequeued, job, u32(event.previous_nodes));
+    case K::kNodeFail: return note_fault(t, FlightFault::kNodeFail, event.node);
+    case K::kNodeRestore: return note_fault(t, FlightFault::kNodeRepair, event.node);
+    case K::kNodeDrain: return note_fault(t, FlightFault::kNodeDrain, event.node);
+    case K::kNodeUndrain: return note_fault(t, FlightFault::kNodeUndrain, event.node);
+    case K::kSchedulingBegin: started_in_point_ = 0; return;
+    case K::kSchedulingEnd:
+      note_scheduler_invoke(t, static_cast<std::uint16_t>(event.cause), u32(state.queued),
+                            event.rounds, started_in_point_);
+      return set_snapshot({t, event.count, event.pending_events, u32(state.queued),
+                           u32(state.running), u32(state.free_nodes), u32(state.failed),
+                           u32(state.drained), u32(state.in_service())});
+    case K::kRunBegin: return note_mark(t, FlightMark::kRunBegin, event.count);
+    case K::kRunEnd:
+      if (event.cancel_reason != 0) return note_cancel(t, event.cancel_reason, event.count);
+      return note_mark(t, FlightMark::kRunEnd, event.count);
+    default: return;
+  }
+}
+
 namespace {
 void phase_tap_trampoline(void* ctx, stats::profiler::Phase phase, bool enter) {
   static_cast<FlightRecorder*>(ctx)->on_phase(phase, enter);

@@ -36,6 +36,7 @@
 #include <vector>
 
 #include "json/json.h"
+#include "stats/batch_event.h"
 #include "stats/profiler.h"
 
 namespace elastisim::core {
@@ -132,7 +133,7 @@ struct FlightSnapshot {
   std::uint32_t nodes_total = 0;
 };
 
-class FlightRecorder {
+class FlightRecorder final : public stats::BatchSubscriber {
  public:
   static constexpr std::size_t kDefaultCapacity = 4096;
   static constexpr int kMaxPhaseDepth = 16;
@@ -202,6 +203,11 @@ class FlightRecorder {
   void note_mark(double sim_time, FlightMark mark, std::uint64_t value) noexcept {
     note(FlightKind::kMark, sim_time, static_cast<std::uint16_t>(mark), 0, value);
   }
+
+  /// Batch event stream: job state transitions, node faults, one record per
+  /// scheduling point (which also refreshes the snapshot), and the run
+  /// begin/end marks.
+  void on_event(const stats::BatchEvent& event) override;
 
   // --- phase tap ----------------------------------------------------------
 
@@ -283,6 +289,8 @@ class FlightRecorder {
   double window_start_wall_ = 0.0;
 
   std::vector<std::pair<std::string, std::string>> context_;
+  /// Jobs started since the current scheduling point began.
+  std::uint32_t started_in_point_ = 0;
 };
 
 }  // namespace elastisim::core

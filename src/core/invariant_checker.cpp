@@ -35,9 +35,37 @@ const char* state_name(int state) {
 
 }  // namespace
 
-void InvariantChecker::attach_engine(sim::Engine& engine) {
+void InvariantChecker::attach(BatchSystem& batch) {
+  sim::Engine& engine = *batch.engine_;
   engine.set_event_validator(
       [this, &engine](sim::SimTime now) { on_engine_event(engine, now); });
+  for (stats::BatchSubscriber* subscriber : batch.subscribers_) {
+    if (auto* trace = dynamic_cast<const stats::EventTrace*>(subscriber)) trace_ = trace;
+    if (auto* journal = dynamic_cast<const stats::DecisionJournal*>(subscriber)) {
+      journal_ = journal;
+    }
+    if (auto* sampler = dynamic_cast<const stats::StateSampler*>(subscriber)) {
+      sampler_ = sampler;
+    }
+  }
+  batch_ = &batch;
+  batch.subscribe(this);
+}
+
+void InvariantChecker::on_event(const stats::BatchEvent& event) {
+  if (event.kind == stats::BatchEventKind::kSchedulingBegin) {
+    begin_seen_ = true;
+    begin_queued_ = static_cast<int>(batch_->queue_order_.size());
+    begin_running_ = static_cast<int>(batch_->running_order_.size());
+    begin_free_ = static_cast<int>(batch_->free_nodes_.size());
+    begin_total_ = batch_->total_nodes();
+    begin_journal_size_ = journal_ ? journal_->size() : 0;
+  } else if (event.kind == stats::BatchEventKind::kSchedulingEnd) {
+    ++checks_;
+    check_batch_state(*batch_);
+    check_sinks(*batch_);
+    begin_seen_ = false;
+  }
 }
 
 void InvariantChecker::on_engine_event(sim::Engine& engine, double now) {
@@ -51,22 +79,6 @@ void InvariantChecker::on_engine_event(sim::Engine& engine, double now) {
     events_since_fluid_check_ = 0;
     if (auto error = engine.fluid().check_invariants()) fail(nullptr, now, *error);
   }
-}
-
-void InvariantChecker::on_scheduling_point_begin(const BatchSystem& batch) {
-  begin_seen_ = true;
-  begin_queued_ = static_cast<int>(batch.queue_order_.size());
-  begin_running_ = static_cast<int>(batch.running_order_.size());
-  begin_free_ = static_cast<int>(batch.free_nodes_.size());
-  begin_total_ = batch.total_nodes();
-  begin_journal_size_ = batch.journal_ ? batch.journal_->size() : 0;
-}
-
-void InvariantChecker::on_scheduling_point_end(const BatchSystem& batch) {
-  ++checks_;
-  check_batch_state(batch);
-  check_sinks(batch);
-  begin_seen_ = false;
 }
 
 void InvariantChecker::check_batch_state(const BatchSystem& batch) {
@@ -136,12 +148,7 @@ bool InvariantChecker::quick_state_ok(const BatchSystem& batch) {
 }
 
 bool InvariantChecker::batch_state_ok(const BatchSystem& batch) {
-  const std::size_t total = batch.cluster_->node_count();
   using JobState = BatchSystem::JobState;
-  constexpr std::uint64_t kNoOwner = ~std::uint64_t{0};
-
-  owner_scratch_.assign(total, kNoOwner);
-  std::size_t allocated = 0;
   std::size_t pending = 0, held = 0, queued = 0, running = 0, at_boundary = 0;
   // elsim-lint: allow(unordered-iteration) -- detection only; order-independent
   for (const auto& entry : batch.jobs_) {
@@ -159,51 +166,15 @@ bool InvariantChecker::batch_state_ok(const BatchSystem& batch) {
     const bool holds_allocation =
         job.state == JobState::kRunning || job.state == JobState::kAtBoundary;
     if (holds_allocation == job.nodes.empty()) return false;
-    if (!holds_allocation) continue;
-    for (platform::NodeId node : job.nodes) {
-      if (node >= total) return false;
-      if (owner_scratch_[node] != kNoOwner) return false;
-      owner_scratch_[node] = entry.first;
-      ++allocated;
-      if (batch.free_nodes_.count(node) != 0 || batch.failed_nodes_.count(node) != 0 ||
-          batch.drained_nodes_.count(node) != 0) {
-        return false;
-      }
-    }
   }
-
-  for (platform::NodeId node : batch.free_nodes_) {
-    if (node >= total || batch.failed_nodes_.count(node) != 0 ||
-        batch.drained_nodes_.count(node) != 0) {
-      return false;
-    }
-  }
-  for (platform::NodeId node : batch.failed_nodes_) {
-    if (node >= total || batch.drained_nodes_.count(node) != 0) return false;
-  }
-  for (platform::NodeId node : batch.drained_nodes_) {
-    if (node >= total) return false;
-  }
-  if (allocated + batch.free_nodes_.size() + batch.failed_nodes_.size() +
-          batch.drained_nodes_.size() !=
-      total) {
-    return false;
-  }
-
   if (batch.queue_order_.size() != queued) return false;
   for (workload::JobId id : batch.queue_order_) {
     const auto it = batch.jobs_.find(id);
     if (it == batch.jobs_.end() || it->second->state != JobState::kQueued) return false;
   }
+  // quick_state_ok() already saw each run-order entry exactly once, running.
   if (batch.running_order_.size() != running + at_boundary) return false;
-  for (workload::JobId id : batch.running_order_) {
-    const auto it = batch.jobs_.find(id);
-    if (it == batch.jobs_.end() || (it->second->state != JobState::kRunning &&
-                                    it->second->state != JobState::kAtBoundary)) {
-      return false;
-    }
-  }
-  return batch.unfinished_ == pending + held + queued + running + at_boundary;
+  return batch.unfinished() == pending + held + queued + running + at_boundary;
 }
 
 void InvariantChecker::check_batch_state_detailed(const BatchSystem& batch) {
@@ -328,17 +299,17 @@ void InvariantChecker::check_batch_state_detailed(const BatchSystem& batch) {
     }
   }
   const std::size_t unfinished = pending + held + queued + running + at_boundary;
-  if (batch.unfinished_ != unfinished) {
+  if (batch.unfinished() != unfinished) {
     fail(&batch, now, util::fmt("unfinished counter is {} but {} jobs are unfinished",
-                                batch.unfinished_, unfinished));
+                                batch.unfinished(), unfinished));
   }
 }
 
 void InvariantChecker::check_sinks(const BatchSystem& batch) {
   const double now = batch.engine_->now();
 
-  if (batch.trace_ != nullptr) {
-    const auto& entries = batch.trace_->entries();
+  if (trace_ != nullptr) {
+    const auto& entries = trace_->entries();
     for (std::size_t i = last_trace_checked_; i < entries.size(); ++i) {
       const stats::TraceEntry& entry = entries[i];
       if (entry.seq <= last_trace_seq_) {
@@ -355,11 +326,10 @@ void InvariantChecker::check_sinks(const BatchSystem& batch) {
     last_trace_checked_ = entries.size();
   }
 
-  if (batch.journal_ != nullptr && begin_seen_ &&
-      batch.journal_->size() > begin_journal_size_) {
+  if (journal_ != nullptr && begin_seen_ && journal_->size() > begin_journal_size_) {
     // The record this scheduling point committed must carry the snapshot the
     // scheduler actually saw (captured by the begin hook).
-    const stats::JournalRecord& record = batch.journal_->records()[begin_journal_size_];
+    const stats::JournalRecord& record = journal_->records()[begin_journal_size_];
     if (record.seq <= last_journal_seq_) {
       fail(&batch, now, util::fmt("journal seq not monotonic: seq {} after seq {}",
                                   record.seq, last_journal_seq_));
@@ -377,8 +347,8 @@ void InvariantChecker::check_sinks(const BatchSystem& batch) {
     }
   }
 
-  if (batch.sampler_ != nullptr && !batch.sampler_->samples().empty()) {
-    const stats::StateSample& sample = batch.sampler_->samples().back();
+  if (sampler_ != nullptr && !sampler_->samples().empty()) {
+    const stats::StateSample& sample = sampler_->samples().back();
     const int queued = static_cast<int>(batch.queue_order_.size());
     const int running = static_cast<int>(batch.running_order_.size());
     const int free_nodes = static_cast<int>(batch.free_nodes_.size());
@@ -402,8 +372,8 @@ void InvariantChecker::check_sinks(const BatchSystem& batch) {
 void InvariantChecker::fail(const BatchSystem* batch, double now,
                             const std::string& what) const {
   std::uint64_t seq = 0;
-  if (batch != nullptr && batch->journal_ != nullptr && !batch->journal_->records().empty()) {
-    seq = batch->journal_->records().back().seq;
+  if (batch != nullptr && journal_ != nullptr && !journal_->records().empty()) {
+    seq = journal_->records().back().seq;
   }
   throw InvariantViolation(
       util::fmt("invariant violation at t={}: {} (last journal seq {})", now, what, seq));

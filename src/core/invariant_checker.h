@@ -9,12 +9,14 @@
 // this; the InvariantChecker re-verifies the whole state machine in release
 // builds, at every scheduling point and (cheaply) at every engine event.
 //
-// Wire-up: construct one checker per run, call attach_engine() for the
-// per-event clock/fluid checks and BatchSystem::set_invariant_checker() for
-// the scheduling-point checks. A broken invariant throws InvariantViolation
-// with a diagnostic naming the offending job/node and the last committed
-// journal sequence number. Overhead is a few percent (set-walks at
-// scheduling points, one branch per engine event); see docs/ANALYSIS.md.
+// Wire-up: construct one checker per run and attach() it to the batch system
+// after the sinks it should cross-check: it validates the clock and fluid
+// model at every engine event and, as the last subscriber on the batch event
+// stream, the whole batch state plus the trace, journal and sampler at every
+// scheduling point. A broken invariant throws InvariantViolation with a
+// diagnostic naming the offending job/node and the last committed journal
+// sequence number. Overhead is a few percent (set-walks at scheduling
+// points, one branch per engine event); see docs/ANALYSIS.md.
 #pragma once
 
 #include <cstdint>
@@ -22,9 +24,17 @@
 #include <string>
 #include <vector>
 
+#include "stats/batch_event.h"
+
 namespace elastisim::sim {
 class Engine;
 }  // namespace elastisim::sim
+
+namespace elastisim::stats {
+class DecisionJournal;
+class EventTrace;
+class StateSampler;
+}  // namespace elastisim::stats
 
 namespace elastisim::core {
 
@@ -37,7 +47,7 @@ class InvariantViolation : public std::runtime_error {
   explicit InvariantViolation(const std::string& what) : std::runtime_error(what) {}
 };
 
-class InvariantChecker {
+class InvariantChecker final : public stats::BatchSubscriber {
  public:
   /// `fluid_stride`: run the full fluid-model validation every N engine
   /// events (the per-event hook otherwise only checks clock monotonicity,
@@ -51,16 +61,16 @@ class InvariantChecker {
       : fluid_stride_(fluid_stride == 0 ? 1 : fluid_stride),
         full_state_stride_(full_state_stride == 0 ? 1 : full_state_stride) {}
 
-  /// Installs the per-event validation hook on `engine`. The checker must
-  /// outlive the engine's run.
-  void attach_engine(sim::Engine& engine);
+  /// Installs the per-event hook on the batch system's engine and subscribes
+  /// to its event stream, picking up the EventTrace, DecisionJournal and
+  /// StateSampler subscribed so far for the sink cross-checks. The checker
+  /// must outlive the run.
+  void attach(BatchSystem& batch);
 
-  /// BatchSystem call sites (installed via set_invariant_checker): the begin
-  /// hook snapshots the queue counts the scheduler is about to see, the end
-  /// hook re-validates the whole batch state and cross-checks the journal
-  /// record and state sample emitted by this scheduling point.
-  void on_scheduling_point_begin(const BatchSystem& batch);
-  void on_scheduling_point_end(const BatchSystem& batch);
+  /// kSchedulingBegin snapshots the queue counts the scheduler is about to
+  /// see; kSchedulingEnd re-validates the whole batch state and cross-checks
+  /// the journal record and state sample this scheduling point emitted.
+  void on_event(const stats::BatchEvent& event) override;
 
   /// Number of full scheduling-point validations performed.
   std::uint64_t scheduling_point_checks() const { return checks_; }
@@ -74,15 +84,21 @@ class InvariantChecker {
   /// allocation ownership, pool disjointness, and conservation. Returns
   /// false on the first anomaly without composing a message.
   bool quick_state_ok(const BatchSystem& batch);
-  /// Allocation-free single pass over ALL jobs (state counts, queue/run
-  /// order agreement, unfinished counter); returns false on the first
-  /// anomaly without composing a message.
+  /// Allocation-free single pass over ALL jobs (state counts, allocation vs
+  /// state, queue/run order agreement, unfinished counter), run only after
+  /// quick_state_ok() passed; returns false on the first anomaly without
+  /// composing a message.
   bool batch_state_ok(const BatchSystem& batch);
   /// Sorted re-walk taken only after batch_state_ok() failed, so the thrown
   /// diagnostic is identical across runs regardless of hash order.
   void check_batch_state_detailed(const BatchSystem& batch);
   void check_sinks(const BatchSystem& batch);
   void on_engine_event(sim::Engine& engine, double now);
+
+  const BatchSystem* batch_ = nullptr;
+  const stats::EventTrace* trace_ = nullptr;
+  const stats::DecisionJournal* journal_ = nullptr;
+  const stats::StateSampler* sampler_ = nullptr;
 
   std::uint32_t fluid_stride_;
   std::uint32_t full_state_stride_;
@@ -108,7 +124,7 @@ class InvariantChecker {
   int begin_total_ = 0;
   std::size_t begin_journal_size_ = 0;
 
-  // Node-to-owning-job scratch for batch_state_ok, kept across checks so the
+  // Node-to-owning-job scratch for quick_state_ok, kept across checks so the
   // hot path performs no allocations (entries are re-assigned every pass).
   std::vector<std::uint64_t> owner_scratch_;
 };

@@ -70,17 +70,17 @@ class SchedulerContext {
   /// the job's range. Passing its current size clears any pending target.
   virtual void set_target(workload::JobId id, int nodes) = 0;
 
-  /// True when a decision journal is attached and held jobs should be
-  /// explained. Schedulers test this once per pass and skip building
-  /// explanations entirely otherwise, so a run without a journal pays one
-  /// virtual call per pass.
+  /// True when a subscriber (a decision journal) records hold explanations.
+  /// Schedulers test this once per pass and skip building explanations
+  /// entirely otherwise, so a run without a journal pays one virtual call
+  /// per pass.
   virtual bool explaining() const { return false; }
 
   /// Records why queued job `id` cannot start at this scheduling point
   /// (journal verdict "held" with a machine-readable reason code). Within one
   /// scheduling point a later explain() for the same job replaces the earlier
-  /// one — refining passes win — and starting the job erases it. No-op when
-  /// no journal is attached.
+  /// one — refining passes win — and starting the job erases it. No-op while
+  /// explaining() is false.
   virtual void explain(workload::JobId id, stats::HoldReason reason,
                        std::string detail = std::string()) {
     (void)id;

@@ -11,6 +11,7 @@
 #include "core/invariant_checker.h"
 #include "sim/cancellation.h"
 #include "stats/profiler.h"
+#include "stats/telemetry_sink.h"
 #include "util/fmt.h"
 
 namespace elastisim::core {
@@ -48,22 +49,16 @@ SimulationResult run_impl(const platform::ClusterConfig& platform,
   sim::Engine engine;
   platform::Cluster cluster(engine, platform);
   BatchSystem batch(engine, cluster, std::move(scheduler), result.recorder, config.batch);
-  if (config.trace) batch.set_event_trace(config.trace);
-  if (config.journal) batch.set_journal(config.journal);
-  if (config.sampler) batch.set_state_sampler(config.sampler);
+  for (stats::BatchSubscriber* subscriber : config.subscribers) batch.subscribe(subscriber);
+  std::optional<stats::TelemetrySink> telemetry_sink;
+  if (telemetry::enabled()) batch.subscribe(&telemetry_sink.emplace());
   if (config.cancel) engine.set_cancellation(config.cancel);
-  std::optional<InvariantChecker> checker;
-  if (config.validate || validate_env_enabled()) {
-    checker.emplace();
-    checker->attach_engine(engine);
-    batch.set_invariant_checker(&*checker);
-  }
   if (config.failures) FaultInjector::apply(batch, *config.failures);
 
   // Always-on black box: this thread's flight recorder rides the engine's
-  // per-event hook, the batch system's transition sites, and the profiler
-  // phase tap for the duration of the run. Purely observational — nothing
-  // feeds back into the simulation, so determinism is untouched.
+  // per-event hook, the batch event stream, and the profiler phase tap for
+  // the duration of the run. Purely observational — nothing feeds back into
+  // the simulation, so determinism is untouched.
   FlightRecorder* flight =
       FlightRecorder::enabled() ? &FlightRecorder::thread_current() : nullptr;
   std::optional<ScopedPhaseTap> phase_tap;
@@ -73,29 +68,22 @@ SimulationResult run_impl(const platform::ClusterConfig& platform,
     phase_tap.emplace(*flight);
     flight->set_context("scheduler", config.scheduler);
   }
+  // Last subscriber, so it cross-checks what the sinks wrote at each point.
+  std::optional<InvariantChecker> checker;
+  if (config.validate || validate_env_enabled()) checker.emplace().attach(batch);
 
   result.submitted = batch.submit_all(std::move(jobs));
-  if (flight != nullptr) {
-    flight->note_mark(engine.now(), FlightMark::kRunBegin, result.submitted);
-  }
-
+  batch.begin_run();
   const auto wall_begin = std::chrono::steady_clock::now();
   engine.run();
   const auto wall_end = std::chrono::steady_clock::now();
-
-  if (flight != nullptr) {
-    if (config.cancel != nullptr && config.cancel->cancelled()) {
-      flight->note_cancel(engine.now(), static_cast<int>(config.cancel->reason()),
-                          engine.events_processed());
-    } else {
-      flight->note_mark(engine.now(), FlightMark::kRunEnd, engine.events_processed());
-    }
-  }
+  batch.end_run();
 
   result.cancelled = engine.cancel_requested();
   result.finished = batch.finished_jobs();
   result.killed = batch.killed_jobs();
   result.stuck = batch.queued_jobs() + batch.running_jobs();
+  result.stuck_ids = batch.unfinished_job_ids();
   result.makespan = result.recorder.makespan();
   result.wall_seconds = std::chrono::duration<double>(wall_end - wall_begin).count();
   result.events_processed = engine.events_processed();
@@ -109,6 +97,10 @@ SimulationResult run_impl(const platform::ClusterConfig& platform,
   result.scheduler_rounds = batch.scheduler_rounds();
   result.scheduler_jobs_scanned = batch.scheduler_jobs_scanned();
   result.peak_rss_bytes = stats::profiler::peak_rss_bytes();
+  if (checker) {
+    result.validated_points = checker->scheduling_point_checks();
+    result.validated_events = checker->events_checked();
+  }
   return result;
 }
 

@@ -33,13 +33,15 @@ struct RunConfig {
   BatchConfig batch;
   /// A make_scheduler() name.
   std::string scheduler = "fcfs";
-  /// Optional sinks attached to the batch system for the run (not owned;
-  /// must outlive the run). All default off.
-  stats::EventTrace* trace = nullptr;
-  stats::DecisionJournal* journal = nullptr;
-  stats::StateSampler* sampler = nullptr;
+  /// Sinks subscribed to the batch event stream for the run, in this order
+  /// (not owned; must outlive the run): an EventTrace goes before a
+  /// DecisionJournal that should link to it. The run adds a telemetry sink
+  /// while telemetry::enabled(), the flight recorder while it is enabled,
+  /// and the invariant checker last.
+  std::vector<stats::BatchSubscriber*> subscribers;
   /// Runs a core::InvariantChecker for the whole run: every scheduling point
-  /// and engine event re-validates the state machine, throwing
+  /// and engine event re-validates the state machine and cross-checks the
+  /// trace, journal and sampler among `subscribers`, throwing
   /// InvariantViolation on the first breach. Also enabled by setting the
   /// ELSIM_VALIDATE environment variable to anything but "0", so examples
   /// and benches pick it up without code changes.
@@ -67,6 +69,8 @@ struct SimulationResult {
   /// Jobs still queued or running when the event queue drained (starvation /
   /// misconfiguration indicator; 0 in a healthy run).
   std::size_t stuck = 0;
+  /// Their ids: queue order, then run order.
+  std::vector<workload::JobId> stuck_ids;
   double makespan = 0.0;
   /// Host-side cost of the simulation, for the performance experiments.
   double wall_seconds = 0.0;
@@ -93,6 +97,10 @@ struct SimulationResult {
   /// True when an attached CancellationToken stopped the run early; the
   /// metrics above then describe a *partial* run (events up to the stop).
   bool cancelled = false;
+  /// Under RunConfig::validate: scheduling points and engine events the
+  /// invariant checker validated.
+  std::uint64_t validated_points = 0;
+  std::uint64_t validated_events = 0;
 };
 
 /// Runs `jobs` on the configured platform under the configured scheduler.

@@ -278,23 +278,7 @@ SweepSpec parse_sweep_spec(const json::Value& value) {
 }
 
 SweepSpec load_sweep_spec(const std::string& path) {
-  json::Value value;
-  try {
-    value = json::parse_file(path);
-  } catch (const json::ParseError& error) {
-    throw LoadError(path, "$", "valid JSON",
-                    util::fmt("parse error at line {} column {}: {}", error.line(),
-                              error.column(), error.what()));
-  } catch (const LoadError&) {
-    throw;
-  } catch (const std::exception& error) {
-    throw LoadError(path, "", "", error.what());
-  }
-  try {
-    return parse_sweep_spec(value);
-  } catch (const LoadError& error) {
-    throw error.with_file(path);
-  }
+  return json::load_file(path, parse_sweep_spec);
 }
 
 std::size_t SweepResult::count(CellStatus status) const {

@@ -530,6 +530,18 @@ Value parse_file(const std::string& path) {
   return parse(buffer.str());
 }
 
+Value load_file(const std::string& path) {
+  try {
+    return parse_file(path);
+  } catch (const ParseError& error) {
+    throw util::LoadError(path, "$", "valid JSON",
+                          util::fmt("parse error at line {} column {}: {}", error.line(),
+                                    error.column(), error.what()));
+  } catch (const std::exception& error) {
+    throw util::LoadError(path, "", "", error.what());
+  }
+}
+
 void write_file(const std::string& path, const Value& value) {
   std::ofstream out(path, std::ios::binary);
   if (!out) throw std::runtime_error("cannot open file for writing: " + path);

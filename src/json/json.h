@@ -17,6 +17,8 @@
 #include <variant>
 #include <vector>
 
+#include "util/load_error.h"
+
 namespace elastisim::json {
 
 class Value;
@@ -135,6 +137,20 @@ std::string dump_pretty(const Value& value);
 
 /// Reads and parses a file; throws std::runtime_error if unreadable.
 Value parse_file(const std::string& path);
+
+/// Reads a user input file and hands it to `parse`. An unreadable file, a
+/// syntax error and a util::LoadError from `parse` all surface as a
+/// util::LoadError naming the file.
+Value load_file(const std::string& path);
+template <typename Parse>
+auto load_file(const std::string& path, Parse&& parse) {
+  const Value value = load_file(path);
+  try {
+    return parse(value);
+  } catch (const util::LoadError& error) {
+    throw error.with_file(path);
+  }
+}
 
 /// Writes value to a file (pretty-printed); throws on I/O failure.
 void write_file(const std::string& path, const Value& value);

@@ -90,23 +90,7 @@ ClusterConfig parse_cluster_config(const json::Value& value) {
 }
 
 ClusterConfig load_cluster_config(const std::string& path) {
-  json::Value value;
-  try {
-    value = json::parse_file(path);
-  } catch (const json::ParseError& error) {
-    throw LoadError(path, "$", "valid JSON",
-                    util::fmt("parse error at line {} column {}: {}", error.line(),
-                              error.column(), error.what()));
-  } catch (const LoadError&) {
-    throw;
-  } catch (const std::exception& error) {
-    throw LoadError(path, "", "", error.what());
-  }
-  try {
-    return parse_cluster_config(value);
-  } catch (const LoadError& error) {
-    throw error.with_file(path);
-  }
+  return json::load_file(path, parse_cluster_config);
 }
 
 json::Value cluster_config_to_json(const ClusterConfig& config) {

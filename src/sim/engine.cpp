@@ -3,7 +3,6 @@
 #include <cassert>
 
 #include "stats/profiler.h"
-#include "stats/telemetry.h"
 
 namespace elastisim::sim {
 
@@ -21,7 +20,6 @@ EventId Engine::schedule_in(SimTime delay, EventQueue::Callback callback) {
 
 bool Engine::step() {
   if (queue_.empty()) return false;
-  if (telemetry::enabled()) return step_timed();
   auto [time, callback] = queue_.pop();
   assert(time + kTimeEpsilon >= now_ && "event queue returned an event in the past");
   if (time > now_) now_ = time;
@@ -30,38 +28,6 @@ bool Engine::step() {
   callback();
   if (validator_) validator_(now_);
   return true;
-}
-
-bool Engine::step_timed() {
-  if (!pop_hist_) {
-    auto& registry = telemetry::Registry::global();
-    pop_hist_ = &registry.histogram("engine.pop_seconds");
-    dispatch_hist_ = &registry.histogram("engine.dispatch_seconds");
-  }
-  const double wall_pop = telemetry::wall_now();
-  if (batch_start_wall_ < 0.0) batch_start_wall_ = wall_pop;
-  auto [time, callback] = queue_.pop();
-  const double wall_dispatch = telemetry::wall_now();
-  assert(time + kTimeEpsilon >= now_ && "event queue returned an event in the past");
-  if (time > now_) now_ = time;
-  ++events_processed_;
-  if (event_hook_ != nullptr) event_hook_(event_hook_ctx_, now_, events_processed_);
-  callback();
-  if (validator_) validator_(now_);
-  const double wall_done = telemetry::wall_now();
-  pop_hist_->record(wall_dispatch - wall_pop);
-  dispatch_hist_->record(wall_done - wall_dispatch);
-  if (++batch_events_ >= kDispatchBatch || queue_.empty()) {
-    flush_dispatch_batch(wall_done);
-  }
-  return true;
-}
-
-void Engine::flush_dispatch_batch(double wall_end) {
-  telemetry::Registry::global().spans().add("engine.dispatch", batch_start_wall_,
-                                            wall_end - batch_start_wall_, batch_events_);
-  batch_start_wall_ = -1.0;
-  batch_events_ = 0;
 }
 
 // elsim-hot: the per-event dispatch loop; everything here runs once per event.

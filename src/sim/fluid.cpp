@@ -6,7 +6,7 @@
 
 #include "sim/engine.h"
 #include "stats/profiler.h"
-#include "stats/telemetry.h"
+#include "util/check.h"
 #include "util/fmt.h"
 #include "util/log.h"
 
@@ -53,8 +53,9 @@ double FluidModel::consumption(ResourceId resource) const {
 
 ActivityId FluidModel::start(ActivitySpec spec, std::function<void()> on_complete) {
   for (const Demand& demand : spec.demands) {
-    assert(demand.resource < resources_.size() && "demand references unknown resource");
-    assert(demand.weight > 0.0 && "demand weight must be positive");
+    ELSIM_CHECK(demand.resource < resources_.size(), "demand references unknown resource {}",
+                demand.resource);
+    ELSIM_CHECK(demand.weight > 0.0, "demand weight must be positive, got {}", demand.weight);
   }
   assert((!spec.demands.empty() || std::isfinite(spec.rate_cap)) &&
          "an activity without demands needs a finite rate cap");
@@ -166,11 +167,6 @@ void FluidModel::rebalance() {
   ELSIM_PROFILE_SCOPE(stats::profiler::Phase::kFluidSolve);
   ++rebalance_count_;
   activities_touched_ += order_.size();
-  if (telemetry::enabled() && !rebalance_hist_) {
-    rebalance_hist_ = &telemetry::Registry::global().histogram("fluid.rebalance_seconds");
-  }
-  telemetry::ScopedTimer timer(telemetry::enabled() ? rebalance_hist_ : nullptr);
-
   // Working state for progressive filling, kept in member scratch buffers so
   // steady-state solves do not allocate.
   std::vector<double>& avail = scratch_avail_;

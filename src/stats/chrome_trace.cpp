@@ -5,6 +5,8 @@
 #include <ostream>
 #include <stdexcept>
 
+#include "util/fmt.h"
+
 namespace elastisim::telemetry {
 
 namespace {
@@ -25,6 +27,36 @@ json::Value metadata(const char* kind, int pid, std::uint32_t tid, std::string n
 }
 
 }  // namespace
+
+void ChromeTraceBuilder::on_event(const stats::BatchEvent& event) {
+  using K = stats::BatchEventKind;
+  const double now = event.time;
+  const std::uint64_t id = event.job_id();
+  switch (event.kind) {
+    case K::kStart:
+    case K::kExpand: {
+      const std::string label = event.job->name.empty() ? util::fmt("job {}", id) : event.job->name;
+      for (std::uint32_t node : event.node_list) begin_node_slice(node, id, label, now);
+      return;
+    }
+    case K::kRelease: return end_node_slice(event.node, now);
+    case K::kRestart: return instant(util::fmt("job {} restarts from checkpoint", id), now);
+    case K::kKill:
+      return instant(event.kill_cause == stats::KillCause::kWalltime
+                         ? util::fmt("job {} walltime kill", id)
+                         : util::fmt("job {} killed: {}", id, stats::event_detail(event)),
+                     now);
+    case K::kRequeue: return instant(util::fmt("job {} requeued", id), now);
+    case K::kNodeFail: return instant(util::fmt("node {} failed", event.node), now);
+    case K::kNodeRestore: return instant(util::fmt("node {} restored", event.node), now);
+    case K::kSchedulingEnd:
+      counter("queue depth", now, static_cast<double>(event.state.queued));
+      counter("running jobs", now, static_cast<double>(event.state.running));
+      return counter("free nodes", now, static_cast<double>(event.state.free_nodes));
+    case K::kRunEnd: return close_open_slices(now);
+    default: return;
+  }
+}
 
 void ChromeTraceBuilder::begin_node_slice(std::uint32_t node, std::uint64_t job,
                                           std::string label, double sim_time) {

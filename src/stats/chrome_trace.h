@@ -6,14 +6,13 @@
 //         counter tracks (queue depth, free nodes, running jobs), and
 //         instant events for failures/kills/requeues. Timestamps are
 //         simulated seconds mapped to trace microseconds.
-//   pid 2 "engine (wall clock)" — wall-clock slices (engine dispatch
-//         batches, CLI phases) fed from a telemetry::SpanLog.
+//   pid 2 "engine (wall clock)" — wall-clock slices a caller adds with
+//         wall_slice(); the simulator adds none (--profile times phases).
 // The two clocks are unrelated; keeping them in separate processes makes
 // each track internally consistent in the viewer.
 //
-// The builder is an event collector like stats::EventTrace: the batch system
-// pushes node occupancy transitions as they happen, the CLI appends the
-// wall-clock spans and writes the file at the end of the run.
+// The builder subscribes to the batch event stream like stats::EventTrace;
+// kRunEnd closes the slices of jobs still running.
 #pragma once
 
 #include <cstdint>
@@ -23,12 +22,15 @@
 #include <vector>
 
 #include "json/json.h"
+#include "stats/batch_event.h"
 #include "stats/telemetry.h"
 
 namespace elastisim::telemetry {
 
-class ChromeTraceBuilder {
+class ChromeTraceBuilder final : public stats::BatchSubscriber {
  public:
+  void on_event(const stats::BatchEvent& event) override;
+
   /// Opens a job slice on `node`'s track at simulated time `sim_time`. If a
   /// slice is already open on the node (should not happen), it is closed at
   /// the same instant first.

@@ -85,6 +85,47 @@ std::optional<HoldReason> hold_reason_from_string(std::string_view name) {
   return std::nullopt;
 }
 
+void DecisionJournal::on_event(const BatchEvent& event) {
+  using K = BatchEventKind;
+  const workload::JobId job = event.job_id();
+  const auto verdict = [&](VerdictAction action, HoldReason reason, int nodes,
+                           std::uint64_t trace_seq) {
+    add({job, action, reason, nodes, trace_seq, event_detail(event)});
+  };
+  switch (event.kind) {
+    case K::kSchedulingBegin:
+      return begin(event.time, event.cause, event.state.queued, event.state.running,
+                   event.state.free_nodes, event.state.in_service());
+    case K::kSchedulingEnd:
+      // Guarantee a verdict for every job left in the queue: schedulers that
+      // never call explain() (custom policies) still yield a non-empty reason.
+      for (workload::JobId id : event.queue) {
+        if (!has_held_verdict(id)) add({id, VerdictAction::kHeld, HoldReason::kNotConsidered});
+      }
+      return commit();
+    case K::kStart:
+      return add({job, VerdictAction::kStarted, HoldReason::kNone, event.nodes, event.trace_seq});
+    case K::kTarget:
+      return verdict(event.nodes > event.previous_nodes ? VerdictAction::kExpandTarget
+                                                        : VerdictAction::kShrinkTarget,
+                     HoldReason::kNone, event.nodes, 0);
+    case K::kEvolvingRequest:
+      return verdict(event.granted ? VerdictAction::kEvolvingGranted
+                                   : VerdictAction::kEvolvingDenied,
+                     HoldReason::kNone, event.nodes, event.trace_seq);
+    case K::kKill:
+      return verdict(VerdictAction::kKilled,
+                     event.kill_cause == KillCause::kMaxRequeues ? HoldReason::kMaxRequeuesReached
+                                                                 : HoldReason::kNone,
+                     0, event.trace_seq);
+    case K::kRequeue:
+      return verdict(VerdictAction::kRequeued, HoldReason::kNone, 0, event.trace_seq);
+    case K::kExplain:
+      return add({job, VerdictAction::kHeld, event.reason, 0, 0, std::string(event.text)});
+    default: return;
+  }
+}
+
 void DecisionJournal::begin(double time, JournalCause cause, int queued, int running,
                             int free_nodes, int total_nodes) {
   assert(!open_ && "begin() with a record already open");
@@ -305,19 +346,22 @@ std::optional<JournalDivergence> first_divergence(const std::vector<JournalRecor
   return std::nullopt;
 }
 
+std::string describe_verdict(const JournalRecord& record, const JournalVerdict& verdict) {
+  std::string line = util::fmt("t={} #{} [{}] {}", record.time, record.seq,
+                               to_string(record.cause), to_string(verdict.action));
+  if (verdict.reason != HoldReason::kNone) line += ": " + to_string(verdict.reason);
+  if (verdict.nodes != 0) line += util::fmt(" ({} nodes)", verdict.nodes);
+  if (!verdict.detail.empty()) line += " — " + verdict.detail;
+  if (verdict.trace_seq != 0) line += util::fmt(" [trace #{}]", verdict.trace_seq);
+  return line;
+}
+
 std::vector<std::string> job_timeline(const std::vector<JournalRecord>& records,
                                       workload::JobId job) {
   std::vector<std::string> lines;
   for (const JournalRecord& record : records) {
     for (const JournalVerdict& verdict : record.verdicts) {
-      if (verdict.job != job) continue;
-      std::string line = util::fmt("t={} #{} [{}] {}", record.time, record.seq,
-                                   to_string(record.cause), to_string(verdict.action));
-      if (verdict.reason != HoldReason::kNone) line += ": " + to_string(verdict.reason);
-      if (verdict.nodes != 0) line += util::fmt(" ({} nodes)", verdict.nodes);
-      if (!verdict.detail.empty()) line += " — " + verdict.detail;
-      if (verdict.trace_seq != 0) line += util::fmt(" [trace #{}]", verdict.trace_seq);
-      lines.push_back(std::move(line));
+      if (verdict.job == job) lines.push_back(describe_verdict(record, verdict));
     }
   }
   return lines;

@@ -13,8 +13,9 @@
 //
 // The journal serializes as JSONL (one record per line, docs/FORMATS.md) and
 // round-trips through read_jsonl(); `elastisim inspect` builds job timelines
-// and run diffs on top. Attached to a BatchSystem via set_journal(); costs
-// one branch per instrumentation site when absent, like the event trace.
+// and run diffs on top. A subscriber on the batch event stream
+// (BatchSystem::subscribe); it links verdicts to the EventTrace entries of
+// the same events when a trace is subscribed before it.
 #pragma once
 
 #include <cstdint>
@@ -24,6 +25,7 @@
 #include <string_view>
 #include <vector>
 
+#include "stats/batch_event.h"
 #include "workload/job.h"
 
 namespace elastisim::stats {
@@ -94,7 +96,7 @@ struct JournalVerdict {
   /// (no trace attached, or a decision without a trace event).
   std::uint64_t trace_seq = 0;
   /// Free-form human-readable context ("needs 16 nodes, 3 free").
-  std::string detail;
+  std::string detail{};
 
   bool operator==(const JournalVerdict&) const = default;
 };
@@ -126,8 +128,13 @@ struct JournalRecord {
 ///     verdict for the same job (later passes refine the reason), and a
 ///     non-held verdict erases any held verdict for that job (the job
 ///     started after all in a later scheduler round).
-class DecisionJournal {
+class DecisionJournal final : public BatchSubscriber {
  public:
+  /// Scheduling points open and seal records; lifecycle events and the
+  /// scheduler's explanations become verdicts (kNotConsidered by default).
+  void on_event(const BatchEvent& event) override;
+  bool wants_explanations() const override { return true; }
+
   void begin(double time, JournalCause cause, int queued, int running, int free_nodes,
              int total_nodes);
   void add(JournalVerdict verdict);
@@ -170,6 +177,10 @@ struct JournalDivergence {
 /// the same seed must satisfy.
 std::optional<JournalDivergence> first_divergence(const std::vector<JournalRecord>& a,
                                                   const std::vector<JournalRecord>& b);
+
+/// One verdict as a timeline line: "t=... #seq [cause] action: reason (N
+/// nodes) — detail [trace #seq]".
+std::string describe_verdict(const JournalRecord& record, const JournalVerdict& verdict);
 
 /// Human-readable "why did this job wait" timeline: one line per verdict
 /// concerning `job`, in record order (`elastisim inspect --job`).

@@ -144,6 +144,14 @@ double mean_over_completed(const std::vector<JobRecord>& records, Fn&& value) {
   }
   return count ? sum / static_cast<double>(count) : 0.0;
 }
+
+/// A per-job field summed over every record, in record order.
+template <typename T>
+T sum_over(const std::vector<JobRecord>& records, T JobRecord::*field) {
+  T total{};
+  for (const JobRecord& record : records) total += record.*field;
+  return total;
+}
 }  // namespace
 
 double Recorder::mean_wait() const {
@@ -190,42 +198,22 @@ double Recorder::mean_bounded_slowdown(double tau) const {
                             [tau](const JobRecord& r) { return r.bounded_slowdown(tau); });
 }
 
-int Recorder::total_expansions() const {
-  int total = 0;
-  for (const JobRecord& record : records_) total += record.expansions;
-  return total;
-}
-
-int Recorder::total_shrinks() const {
-  int total = 0;
-  for (const JobRecord& record : records_) total += record.shrinks;
-  return total;
-}
-
-int Recorder::total_requeues() const {
-  int total = 0;
-  for (const JobRecord& record : records_) total += record.requeues;
-  return total;
-}
+int Recorder::total_expansions() const { return sum_over(records_, &JobRecord::expansions); }
+int Recorder::total_shrinks() const { return sum_over(records_, &JobRecord::shrinks); }
+int Recorder::total_requeues() const { return sum_over(records_, &JobRecord::requeues); }
 
 double Recorder::total_lost_node_seconds() const {
-  double total = 0.0;
-  for (const JobRecord& record : records_) total += record.lost_node_seconds;
-  return total;
+  return sum_over(records_, &JobRecord::lost_node_seconds);
 }
 
 double Recorder::total_redone_seconds() const {
-  double total = 0.0;
-  for (const JobRecord& record : records_) total += record.redone_seconds;
-  return total;
+  return sum_over(records_, &JobRecord::redone_seconds);
 }
 
 double Recorder::average_utilization() const {
   const double span = makespan();
   if (span <= 0.0 || total_nodes_ <= 0) return 0.0;
-  double node_seconds = 0.0;
-  for (const JobRecord& record : records_) node_seconds += record.node_seconds;
-  return node_seconds / (span * total_nodes_);
+  return sum_over(records_, &JobRecord::node_seconds) / (span * total_nodes_);
 }
 
 std::vector<double> Recorder::utilization_buckets(double bucket_seconds) const {

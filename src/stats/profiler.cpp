@@ -1,7 +1,8 @@
 #include "stats/profiler.h"
 
 #include <cassert>
-#include <chrono>
+
+#include "stats/telemetry.h"
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <sys/resource.h>
@@ -10,12 +11,6 @@
 namespace elastisim::stats::profiler {
 
 namespace {
-
-double prof_wall_now() noexcept {
-  using clock = std::chrono::steady_clock;
-  static const clock::time_point origin = clock::now();
-  return std::chrono::duration<double>(clock::now() - origin).count();
-}
 
 using detail::tick_now;
 
@@ -99,7 +94,7 @@ json::Value build_info_json() {
 }
 
 double Profiler::ticks_per_second() const noexcept {
-  const double wall = prof_wall_now() - window_start_wall_;
+  const double wall = telemetry::wall_now() - window_start_wall_;
   const double ticks = static_cast<double>(tick_now() - window_start_ticks_);
   // Sub-microsecond windows cannot calibrate; report raw ticks as if they
   // were nanoseconds rather than divide by noise.
@@ -138,11 +133,11 @@ void Profiler::reset() noexcept {
   parent_t_ = {};
   stack_.clear();
   counters_.clear();
-  window_start_wall_ = prof_wall_now();
+  window_start_wall_ = telemetry::wall_now();
   window_start_ticks_ = tick_now();
 }
 
-double Profiler::window_s() const noexcept { return prof_wall_now() - window_start_wall_; }
+double Profiler::window_s() const noexcept { return telemetry::wall_now() - window_start_wall_; }
 
 json::Value Profiler::report() const {
   json::Object out;

@@ -155,22 +155,6 @@ std::size_t count_failure_events(const std::string& path) {
 // Formatting helpers
 // --------------------------------------------------------------------------
 
-std::string html_escape(std::string_view text) {
-  std::string out;
-  out.reserve(text.size());
-  for (char c : text) {
-    switch (c) {
-      case '&': out += "&amp;"; break;
-      case '<': out += "&lt;"; break;
-      case '>': out += "&gt;"; break;
-      case '"': out += "&quot;"; break;
-      case '\'': out += "&#39;"; break;
-      default: out += c;
-    }
-  }
-  return out;
-}
-
 /// Fixed two-decimal coordinate (SVG paths stay compact and deterministic).
 std::string xy(double v) {
   char buffer[32];
@@ -546,13 +530,7 @@ std::string journal_section(const std::vector<JournalRecord>& records,
   std::map<long long, std::vector<std::string>> timelines;
   for (const JournalRecord& record : records) {
     for (const JournalVerdict& verdict : record.verdicts) {
-      std::string line = util::fmt("t={} #{} [{}] {}", record.time, record.seq,
-                                   to_string(record.cause), to_string(verdict.action));
-      if (verdict.reason != HoldReason::kNone) line += ": " + to_string(verdict.reason);
-      if (verdict.nodes != 0) line += util::fmt(" ({} nodes)", verdict.nodes);
-      if (!verdict.detail.empty()) line += " — " + verdict.detail;
-      if (verdict.trace_seq != 0) line += util::fmt(" [trace #{}]", verdict.trace_seq);
-      timelines[static_cast<long long>(verdict.job)].push_back(std::move(line));
+      timelines[static_cast<long long>(verdict.job)].push_back(describe_verdict(record, verdict));
     }
   }
   html += util::fmt(
@@ -609,6 +587,22 @@ const char* kStyle = R"css(
 )css";
 
 }  // namespace
+
+std::string html_escape(std::string_view text) {
+  std::string out;
+  out.reserve(text.size());
+  for (char c : text) {
+    switch (c) {
+      case '&': out += "&amp;"; break;
+      case '<': out += "&lt;"; break;
+      case '>': out += "&gt;"; break;
+      case '"': out += "&quot;"; break;
+      case '\'': out += "&#39;"; break;
+      default: out += c;
+    }
+  }
+  return out;
+}
 
 std::string render_run_report(const ReportInputs& inputs, ReportResult* result) {
   namespace fs = std::filesystem;

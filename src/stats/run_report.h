@@ -19,6 +19,7 @@
 
 #include <cstddef>
 #include <string>
+#include <string_view>
 
 namespace elastisim::stats {
 
@@ -45,6 +46,10 @@ struct ReportResult {
 /// jobs.csv is missing or malformed; every other input degrades gracefully
 /// (the report notes what was absent instead of failing).
 std::string render_run_report(const ReportInputs& inputs, ReportResult* result = nullptr);
+
+/// Escapes the five HTML-significant characters of user-controlled text
+/// (shared by the run and sweep reports).
+std::string html_escape(std::string_view text);
 
 /// render_run_report() + write to `html_path`. Throws on I/O failure.
 ReportResult write_run_report(const ReportInputs& inputs, const std::string& html_path);

@@ -11,8 +11,17 @@
 
 namespace elastisim::stats {
 
+void StateSampler::on_event(const BatchEvent& event) {
+  if (event.kind != BatchEventKind::kSchedulingEnd && event.kind != BatchEventKind::kSample) {
+    return;
+  }
+  const BatchState& state = event.state;
+  sample(event.time, state.queued, state.running, state.free_nodes, state.failed,
+         state.drained, state.cluster_nodes, state.tallies);
+}
+
 void StateSampler::sample(double time, int queued, int running, int free_nodes,
-                          int failed, int drained, int total) {
+                          int failed, int drained, int total, const BatchTallies& tallies) {
   StateSample s;
   s.time = time;
   s.queued = queued;
@@ -23,47 +32,19 @@ void StateSampler::sample(double time, int queued, int running, int free_nodes,
   s.allocated = total - free_nodes - s.down;
   if (s.allocated < 0) s.allocated = 0;  // defensive; the books should balance
   s.utilization = total > 0 ? static_cast<double>(s.allocated) / total : 0.0;
-  s.expansions = expansions_;
-  s.shrinks = shrinks_;
-  s.evolving_grants = evolving_grants_;
-  s.requeues = requeues_;
-  s.checkpoint_restarts = checkpoint_restarts_;
-  s.lost_node_seconds = lost_node_seconds_;
-  record(s);
-}
-
-void StateSampler::record(const StateSample& sample) {
+  s.expansions = tallies.expansions;
+  s.shrinks = tallies.shrinks;
+  s.evolving_grants = tallies.evolving_grants;
+  s.requeues = tallies.requeues;
+  s.checkpoint_restarts = tallies.checkpoint_restarts;
+  s.lost_node_seconds = tallies.lost_node_seconds;
   // Same-instant scheduling points collapse into one sample (last wins), so
   // the series stays a step function with unique timestamps.
   // elsim-lint: allow(float-equality) -- same-instant samples coalesce exactly
-  if (!samples_.empty() && samples_.back().time == sample.time) {
-    samples_.back() = sample;
-    return;
-  }
-  const bool on_stride = (updates_++ % stride_ == 0);
-  if (tail_provisional_) {
-    samples_.back() = sample;
-    tail_provisional_ = !on_stride;
-  } else if (on_stride) {
-    samples_.push_back(sample);
+  if (!samples().empty() && samples().back().time == time) {
+    samples_.replace_last(s);
   } else {
-    // Off-stride: keep the timeline's tail at the latest observation anyway;
-    // the next sample overwrites this slot.
-    samples_.push_back(sample);
-    tail_provisional_ = true;
-  }
-  if (samples_.size() >= kMaxSamples) {
-    // Thin to every other sample and double the stride — but never lose the
-    // newest observation: if the tail sat at an odd index, re-append it.
-    const StateSample last = samples_.back();
-    const bool last_dropped = (samples_.size() - 1) % 2 == 1;
-    std::size_t write = 0;
-    for (std::size_t read = 0; read < samples_.size(); read += 2) {
-      samples_[write++] = samples_[read];
-    }
-    samples_.resize(write);
-    if (last_dropped) samples_.push_back(last);
-    stride_ *= 2;
+    samples_.append(s);
   }
 }
 
@@ -73,7 +54,7 @@ void StateSampler::write_csv(std::ostream& out) const {
                 "down_nodes", "total_nodes", "utilization", "expansions", "shrinks",
                 "evolving_grants", "requeues", "checkpoint_restarts",
                 "lost_node_seconds");
-  for (const StateSample& s : samples_) {
+  for (const StateSample& s : samples()) {
     csv.typed_row(s.time, s.queued, s.running, s.allocated, s.free_nodes, s.down,
                   s.total, s.utilization, static_cast<unsigned long long>(s.expansions),
                   static_cast<unsigned long long>(s.shrinks),

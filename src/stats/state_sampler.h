@@ -5,17 +5,16 @@
 //
 // Where telemetry answers "where does the wall-clock go" and the decision
 // journal answers "why did the scheduler do that", the sampler answers "what
-// did the cluster look like at time t". The batch system records one
-// StateSample at every scheduling point (and, optionally, on a fixed
-// simulated-time cadence); each sample carries the instantaneous queue and
-// node occupancy plus cumulative reconfiguration/resilience tallies.
+// did the cluster look like at time t". Subscribed to the batch event stream,
+// it records one StateSample at every scheduling point (and, optionally, on
+// a fixed simulated-time cadence); each sample carries the instantaneous
+// queue and node occupancy plus the batch system's cumulative
+// reconfiguration/resilience tallies.
 //
 // The timeline is bounded by the same stride-doubling thinning as
-// telemetry::Gauge: when kMaxSamples is reached, every other retained sample
-// is dropped and the recording stride doubles, so arbitrarily long runs keep
-// an evenly thinned timeline whose final sample is always the most recent
-// observation. Attached to a BatchSystem via set_state_sampler(); costs one
-// branch per scheduling point when absent, like the trace and the journal.
+// telemetry::Gauge (util::ThinnedSeries), so arbitrarily long runs keep an
+// evenly thinned timeline whose final sample is always the most recent
+// observation.
 // Serialized as <out-dir>/timeseries.csv (docs/FORMATS.md); byte-identical
 // across runs with identical inputs.
 #pragma once
@@ -24,6 +23,9 @@
 #include <iosfwd>
 #include <string>
 #include <vector>
+
+#include "stats/batch_event.h"
+#include "util/thinned_series.h"
 
 namespace elastisim::stats {
 
@@ -49,23 +51,17 @@ struct StateSample {
   bool operator==(const StateSample&) const = default;
 };
 
-class StateSampler {
+class StateSampler final : public BatchSubscriber {
  public:
   /// `interval` > 0 additionally samples every `interval` simulated seconds
-  /// (the batch system arms the timer); 0 = scheduling points only.
+  /// (the batch system's kSample ticks); 0 = scheduling points only.
   explicit StateSampler(double interval = 0.0) : interval_(interval) {}
 
   double interval() const { return interval_; }
 
-  // --- Cumulative tallies (batch system call sites) ------------------------
-  void count_expansion() { ++expansions_; }
-  void count_shrink() { ++shrinks_; }
-  void count_evolving_grant() { ++evolving_grants_; }
-  void count_checkpoint_restart() { ++checkpoint_restarts_; }
-  void count_requeue(double lost_node_seconds) {
-    ++requeues_;
-    lost_node_seconds_ += lost_node_seconds;
-  }
+  /// Samples the state carried by kSchedulingEnd and kSample events.
+  void on_event(const BatchEvent& event) override;
+  double sample_interval() const override { return interval_; }
 
   /// Records one observation. `failed` and `drained` are folded into the
   /// sample's `down`; `allocated` is derived as total - free - failed -
@@ -73,12 +69,12 @@ class StateSampler {
   /// (scheduling points often pile up on one timestamp), keeping the series
   /// a clean step function.
   void sample(double time, int queued, int running, int free_nodes, int failed,
-              int drained, int total);
+              int drained, int total, const BatchTallies& tallies = {});
 
-  const std::vector<StateSample>& samples() const { return samples_; }
+  const std::vector<StateSample>& samples() const { return samples_.items(); }
   /// Observations offered to the timeline (same-time replacements excluded);
   /// exceeds samples().size() once thinning has kicked in.
-  std::uint64_t updates() const { return updates_; }
+  std::uint64_t updates() const { return samples_.appended(); }
 
   // --- CSV (de)serialization: the timeseries.csv schema --------------------
   void write_csv(std::ostream& out) const;
@@ -91,23 +87,8 @@ class StateSampler {
   static constexpr std::size_t kMaxSamples = 65536;
 
  private:
-  void record(const StateSample& sample);
-
   double interval_;
-  std::uint64_t expansions_ = 0;
-  std::uint64_t shrinks_ = 0;
-  std::uint64_t evolving_grants_ = 0;
-  std::uint64_t requeues_ = 0;
-  std::uint64_t checkpoint_restarts_ = 0;
-  double lost_node_seconds_ = 0.0;
-
-  std::uint64_t updates_ = 0;
-  std::uint64_t stride_ = 1;
-  /// True while samples_.back() is an off-stride observation kept only so the
-  /// timeline always ends at the latest state; the next observation replaces
-  /// it instead of appending.
-  bool tail_provisional_ = false;
-  std::vector<StateSample> samples_;
+  util::ThinnedSeries<StateSample, kMaxSamples> samples_;
 };
 
 }  // namespace elastisim::stats

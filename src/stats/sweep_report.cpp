@@ -8,6 +8,7 @@
 #include <stdexcept>
 #include <vector>
 
+#include "stats/run_report.h"
 #include "util/fmt.h"
 
 namespace elastisim::stats {
@@ -18,22 +19,6 @@ namespace {
 // Formatting helpers (the run-report idiom: fixed-precision strings keep the
 // HTML deterministic; everything user-controlled is escaped)
 // --------------------------------------------------------------------------
-
-std::string html_escape(std::string_view text) {
-  std::string out;
-  out.reserve(text.size());
-  for (char c : text) {
-    switch (c) {
-      case '&': out += "&amp;"; break;
-      case '<': out += "&lt;"; break;
-      case '>': out += "&gt;"; break;
-      case '"': out += "&quot;"; break;
-      case '\'': out += "&#39;"; break;
-      default: out += c;
-    }
-  }
-  return out;
-}
 
 /// Fixed-precision number (deterministic, compact).
 std::string num(double v, int precision = 2) {

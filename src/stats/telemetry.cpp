@@ -19,37 +19,13 @@ double wall_now() noexcept {
 
 void Gauge::set(double sim_time, double value) {
   value_ = value;
-  if (updates_ == 0) {
+  if (samples_.appended() == 0) {
     min_ = max_ = value;
   } else {
     if (value < min_) min_ = value;
     if (value > max_) max_ = value;
   }
-  // Thinning: only every stride_-th update lands in the timeline; when the
-  // timeline fills up, halve it and double the stride. Off-stride updates
-  // still refresh a provisional tail sample, so the timeline always ends at
-  // the latest observation instead of dropping the series' final value.
-  const bool on_stride = (updates_++ % stride_ == 0);
-  if (tail_provisional_) {
-    samples_.back() = {sim_time, value};
-    tail_provisional_ = !on_stride;
-  } else if (on_stride) {
-    samples_.push_back({sim_time, value});
-  } else {
-    samples_.push_back({sim_time, value});
-    tail_provisional_ = true;
-  }
-  if (samples_.size() >= kMaxSamples) {
-    const GaugeSample last = samples_.back();
-    const bool last_dropped = (samples_.size() - 1) % 2 == 1;
-    std::size_t write = 0;
-    for (std::size_t read = 0; read < samples_.size(); read += 2) {
-      samples_[write++] = samples_[read];
-    }
-    samples_.resize(write);
-    if (last_dropped) samples_.push_back(last);
-    stride_ *= 2;
-  }
+  samples_.append({sim_time, value});
 }
 
 // ---------------------------------------------------------------------------

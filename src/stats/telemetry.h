@@ -1,9 +1,9 @@
 // Telemetry: named counters, gauges with sampled timelines, log-bucketed
-// histograms, RAII wall-clock timers, and a span log for trace export.
+// histograms, and a span log for trace export. Phase wall times are the
+// self-profiler's job (stats/profiler.h, --profile).
 //
-// The registry answers "where does the wall-clock go and how do simulator
-// internals evolve during a run" — the companion to the Recorder's
-// end-of-run aggregates. Collection follows the logger's pattern: a
+// The registry answers "how do simulator internals evolve during a run" —
+// the companion to the Recorder's end-of-run aggregates. Collection follows the logger's pattern: a
 // process-wide enabled flag, off by default, and instrumented hot paths pay
 // only a branch when it is off. Handles returned by the registry are stable
 // until clear(); instrumented components cache them, so clear the global
@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "json/json.h"
+#include "util/thinned_series.h"
 
 namespace elastisim::telemetry {
 
@@ -35,7 +36,7 @@ inline bool enabled() noexcept { return detail::g_enabled; }
 inline void set_enabled(bool on) noexcept { detail::g_enabled = on; }
 
 /// Monotonic wall-clock seconds since the first telemetry clock query in
-/// this process. All spans and timers share this origin.
+/// this process. Spans and the self-profiler's window share this origin.
 double wall_now() noexcept;
 
 /// Monotonically increasing event tally.
@@ -53,21 +54,18 @@ struct GaugeSample {
   double value;
 };
 
-/// Point-in-time value plus a bounded timeline of samples. When the timeline
-/// reaches kMaxSamples, every other retained sample is dropped and the
-/// recording stride doubles, so long runs keep an evenly thinned timeline
-/// instead of growing without bound (or truncating the tail). The final
-/// sample is always the most recent update: off-stride updates refresh a
-/// provisional tail entry instead of vanishing.
+/// Point-in-time value plus a bounded timeline of samples, thinned by
+/// util::ThinnedSeries: long runs keep an evenly thinned timeline whose final
+/// sample is always the most recent update.
 class Gauge {
  public:
   void set(double sim_time, double value);
 
   double value() const noexcept { return value_; }
-  double min() const noexcept { return updates_ ? min_ : 0.0; }
-  double max() const noexcept { return updates_ ? max_ : 0.0; }
-  std::uint64_t updates() const noexcept { return updates_; }
-  const std::vector<GaugeSample>& samples() const noexcept { return samples_; }
+  double min() const noexcept { return updates() ? min_ : 0.0; }
+  double max() const noexcept { return updates() ? max_ : 0.0; }
+  std::uint64_t updates() const noexcept { return samples_.appended(); }
+  const std::vector<GaugeSample>& samples() const noexcept { return samples_.items(); }
 
   static constexpr std::size_t kMaxSamples = 65536;
 
@@ -75,11 +73,7 @@ class Gauge {
   double value_ = 0.0;
   double min_ = 0.0;
   double max_ = 0.0;
-  std::uint64_t updates_ = 0;
-  std::uint64_t stride_ = 1;
-  /// samples_.back() is an off-stride refresh awaiting replacement.
-  bool tail_provisional_ = false;
-  std::vector<GaugeSample> samples_;
+  util::ThinnedSeries<GaugeSample, kMaxSamples> samples_;
 };
 
 /// Log-bucketed histogram of positive values (power-of-two buckets spanning
@@ -113,32 +107,6 @@ class Histogram {
   double sum_ = 0.0;
   double min_ = 0.0;
   double max_ = 0.0;
-};
-
-/// RAII wall-clock scope. A null sink disables the timer entirely — no clock
-/// call on either end — which is how disabled-mode stays free.
-class ScopedTimer {
- public:
-  explicit ScopedTimer(Histogram* sink) : sink_(sink) {
-    if (sink_) start_ = wall_now();
-  }
-  ScopedTimer(const ScopedTimer&) = delete;
-  ScopedTimer& operator=(const ScopedTimer&) = delete;
-  ~ScopedTimer() { stop(); }
-
-  /// Records once; further calls are no-ops. Returns the elapsed seconds
-  /// (0 when disabled).
-  double stop() {
-    if (!sink_) return 0.0;
-    const double elapsed = wall_now() - start_;
-    sink_->record(elapsed);
-    sink_ = nullptr;
-    return elapsed;
-  }
-
- private:
-  Histogram* sink_;
-  double start_ = 0.0;
 };
 
 /// One named wall-clock slice (e.g. a batch of engine dispatches or a CLI
@@ -202,11 +170,5 @@ class Registry {
   std::map<std::string, Histogram> histograms_;
   SpanLog spans_;
 };
-
-/// Times into the global registry when telemetry is enabled; free otherwise.
-/// Usage: auto timer = telemetry::timed("phase.name");
-inline ScopedTimer timed(const std::string& name) {
-  return ScopedTimer(enabled() ? &Registry::global().histogram(name) : nullptr);
-}
 
 }  // namespace elastisim::telemetry

@@ -23,6 +23,27 @@ std::string to_string(TraceEvent event) {
   return "?";
 }
 
+void EventTrace::on_event(const BatchEvent& event) {
+  using K = BatchEventKind;
+  TraceEvent row;
+  switch (event.kind) {
+    case K::kSubmit: row = TraceEvent::kSubmit; break;
+    case K::kStart:
+    case K::kRestart: row = TraceEvent::kStart; break;
+    case K::kExpand: row = TraceEvent::kExpand; break;
+    case K::kShrink: row = TraceEvent::kShrink; break;
+    case K::kEvolvingRequest: row = TraceEvent::kEvolvingRequest; break;
+    case K::kFinish: row = TraceEvent::kFinish; break;
+    case K::kKill: row = TraceEvent::kWalltimeKill; break;
+    case K::kRequeue: row = TraceEvent::kRequeue; break;
+    case K::kCancel: row = TraceEvent::kCancel; break;
+    case K::kNodeFail: row = TraceEvent::kNodeFail; break;
+    case K::kNodeRestore: row = TraceEvent::kNodeRestore; break;
+    default: return;
+  }
+  event.trace_seq = record(event.time, row, event.job_id(), event_detail(event));
+}
+
 std::uint64_t EventTrace::record(double time, TraceEvent event, workload::JobId job,
                                  std::string detail) {
   const std::uint64_t seq = next_seq_++;

@@ -3,8 +3,8 @@
 // Where the Recorder keeps aggregated per-job records, the EventTrace keeps
 // the raw sequence of batch-system events — the artifact you diff when two
 // runs diverge, feed to external visualizers, or grep while debugging a
-// scheduling policy. Attached to a BatchSystem via set_event_trace(); has no
-// cost when absent.
+// scheduling policy. A subscriber on the batch event stream
+// (BatchSystem::subscribe); has no cost when absent.
 #pragma once
 
 #include <cstdint>
@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "stats/batch_event.h"
 #include "workload/job.h"
 
 namespace elastisim::stats {
@@ -46,8 +47,12 @@ struct TraceEntry {
   std::string detail;
 };
 
-class EventTrace {
+class EventTrace final : public BatchSubscriber {
  public:
+  /// Records the lifecycle and node events as rows and stamps each row's
+  /// sequence number into the event (BatchEvent::trace_seq).
+  void on_event(const BatchEvent& event) override;
+
   /// Appends an entry and returns its sequence number.
   std::uint64_t record(double time, TraceEvent event, workload::JobId job,
                        std::string detail = "");

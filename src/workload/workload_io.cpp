@@ -182,7 +182,7 @@ json::Value job_to_json(const Job& job) {
   if (job.memory_bytes_per_node > 0.0) out["memory_per_node"] = job.memory_bytes_per_node;
   if (!job.dependencies.empty()) {
     json::Array deps;
-    for (JobId dep : job.dependencies) deps.push_back(static_cast<std::int64_t>(dep));
+    for (JobId dep : job.dependencies) deps.emplace_back(static_cast<std::int64_t>(dep));
     out["dependencies"] = json::Value(std::move(deps));
   }
   json::Object app;
@@ -265,23 +265,7 @@ std::vector<Job> workload_from_json(const json::Value& value) {
 }
 
 std::vector<Job> load_workload(const std::string& path) {
-  json::Value value;
-  try {
-    value = json::parse_file(path);
-  } catch (const json::ParseError& error) {
-    throw LoadError(path, "$", "valid JSON",
-                    util::fmt("parse error at line {} column {}: {}", error.line(),
-                              error.column(), error.what()));
-  } catch (const LoadError&) {
-    throw;
-  } catch (const std::exception& error) {
-    throw LoadError(path, "", "", error.what());
-  }
-  try {
-    return workload_from_json(value);
-  } catch (const LoadError& error) {
-    throw error.with_file(path);
-  }
+  return json::load_file(path, workload_from_json);
 }
 
 void save_workload(const std::string& path, const std::vector<Job>& jobs) {

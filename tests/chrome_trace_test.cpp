@@ -149,7 +149,7 @@ TEST(ChromeTrace, BatchRunProducesCoherentTrace) {
     platform::Cluster cluster(engine, tiny_platform(4));
     BatchSystem batch(engine, cluster, make_scheduler("easy"), recorder);
     ChromeTraceBuilder builder;
-    batch.set_chrome_trace(&builder);
+    batch.subscribe(&builder);
     for (int i = 1; i <= 5; ++i) {
       batch.submit(rigid_job(i, 2, 10.0, static_cast<double>(i)));
     }

@@ -23,8 +23,7 @@ struct Harness {
   explicit Harness(std::size_t nodes)
       : cluster(engine, tiny_platform(nodes)),
         batch(engine, cluster, make_scheduler("fcfs"), recorder) {
-    checker.attach_engine(engine);
-    batch.set_invariant_checker(&checker);
+    checker.attach(batch);
   }
 
   sim::Engine engine;

@@ -111,7 +111,9 @@ TEST(FaultInjector, EventsSortedAndWithinHorizon) {
   for (std::size_t i = 0; i < events.size(); ++i) {
     EXPECT_LT(events[i].fail_time, config.horizon);
     EXPECT_GE(events[i].repair_time, events[i].fail_time);
-    if (i > 0) EXPECT_LE(events[i - 1].fail_time, events[i].fail_time);
+    if (i > 0) {
+      EXPECT_LE(events[i - 1].fail_time, events[i].fail_time);
+    }
   }
 }
 

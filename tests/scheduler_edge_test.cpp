@@ -175,7 +175,7 @@ TEST(SchedulerEdge, BackfillingNeverStartsJobLargerThanFree) {
   generator.max_nodes = 8;
   generator.mean_interarrival = 15.0;
   generator.flops_per_node = 1e9;
-  for (const std::string& scheduler : {"easy", "conservative", "priority"}) {
+  for (const char* scheduler : {"easy", "conservative", "priority"}) {
     SimulationConfig config;
     config.platform = tiny_platform(8);
     config.scheduler = scheduler;

@@ -54,15 +54,17 @@ TEST(StateSampler, SameTimestampCollapsesToLastObservation) {
 
 TEST(StateSampler, CumulativeTalliesSnapshotIntoSamples) {
   StateSampler sampler;
-  sampler.count_expansion();
-  sampler.count_expansion();
-  sampler.count_shrink();
-  sampler.count_evolving_grant();
-  sampler.count_checkpoint_restart();
-  sampler.count_requeue(120.0);
-  sampler.sample(1.0, 0, 1, 3, 0, 0, 4);
-  sampler.count_requeue(30.0);
-  sampler.sample(2.0, 0, 1, 3, 0, 0, 4);
+  BatchTallies tallies;
+  tallies.expansions = 2;
+  tallies.shrinks = 1;
+  tallies.evolving_grants = 1;
+  tallies.checkpoint_restarts = 1;
+  tallies.requeues = 1;
+  tallies.lost_node_seconds = 120.0;
+  sampler.sample(1.0, 0, 1, 3, 0, 0, 4, tallies);
+  ++tallies.requeues;
+  tallies.lost_node_seconds += 30.0;
+  sampler.sample(2.0, 0, 1, 3, 0, 0, 4, tallies);
   ASSERT_EQ(sampler.samples().size(), 2u);
   EXPECT_EQ(sampler.samples()[0].expansions, 2u);
   EXPECT_EQ(sampler.samples()[0].shrinks, 1u);
@@ -95,9 +97,11 @@ TEST(StateSampler, ThinningBoundsTimelineAndKeepsFinalSample) {
 
 TEST(StateSampler, CsvRoundTripsExactly) {
   StateSampler sampler;
-  sampler.count_expansion();
-  sampler.count_requeue(0.125);
-  sampler.sample(0.0, 5, 0, 8, 0, 0, 8);
+  BatchTallies tallies;
+  tallies.expansions = 1;
+  tallies.requeues = 1;
+  tallies.lost_node_seconds = 0.125;
+  sampler.sample(0.0, 5, 0, 8, 0, 0, 8, tallies);
   sampler.sample(1.5, 3, 2, 4, 1, 1, 8);
   sampler.sample(1e9 + 0.25, 0, 4, 0, 0, 0, 8);
   std::stringstream stream;
@@ -132,7 +136,7 @@ TEST(StateSampler, RecordsBatchSystemRunEndToEnd) {
   Recorder recorder;
   core::BatchSystem batch(engine, cluster, core::make_scheduler("fcfs"), recorder, {});
   StateSampler sampler;
-  batch.set_state_sampler(&sampler);
+  batch.subscribe(&sampler);
   batch.submit_all({test::rigid_job(1, 2, 10.0), test::rigid_job(2, 2, 10.0)});
   engine.run();
   ASSERT_EQ(batch.finished_jobs(), 2u);
@@ -162,7 +166,7 @@ TEST(StateSampler, FixedCadenceAddsSamplesBetweenSchedulingPoints) {
     Recorder recorder;
     core::BatchSystem batch(engine, cluster, core::make_scheduler("fcfs"), recorder, {});
     StateSampler sampler(interval);
-    batch.set_state_sampler(&sampler);
+    batch.subscribe(&sampler);
     batch.submit_all({test::rigid_job(1, 2, 100.0)});
     engine.run();
     return sampler.samples().size();

@@ -45,13 +45,13 @@ endif()
 if(engine_events LESS_EQUAL 0)
   message(FATAL_ERROR "telemetry_smoke: engine.events is ${engine_events}, expected > 0")
 endif()
-string(JSON decision_count ERROR_VARIABLE parse_error
-       GET "${telemetry_text}" histograms scheduler.decision_seconds count)
+string(JSON invocations ERROR_VARIABLE parse_error
+       GET "${telemetry_text}" counters scheduler.invocations)
 if(parse_error)
-  message(FATAL_ERROR "telemetry_smoke: no scheduler.decision_seconds histogram: ${parse_error}")
+  message(FATAL_ERROR "telemetry_smoke: counters lacks scheduler.invocations: ${parse_error}")
 endif()
-if(decision_count LESS_EQUAL 0)
-  message(FATAL_ERROR "telemetry_smoke: scheduler.decision_seconds is empty")
+if(invocations LESS_EQUAL 0)
+  message(FATAL_ERROR "telemetry_smoke: scheduler.invocations is ${invocations}, expected > 0")
 endif()
 
 # --- chrome trace -----------------------------------------------------------

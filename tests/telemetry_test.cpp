@@ -8,6 +8,7 @@
 #include "core/batch_system.h"
 #include "core/scheduler.h"
 #include "stats/telemetry.h"
+#include "stats/telemetry_sink.h"
 #include "test_support.h"
 
 namespace elastisim::telemetry {
@@ -171,22 +172,6 @@ TEST(TelemetryHistogram, ExtremeMagnitudesStayInRange) {
   EXPECT_DOUBLE_EQ(histogram.percentile(1.0), 1e15);
 }
 
-TEST(TelemetryScopedTimer, RecordsElapsedOnce) {
-  Histogram histogram;
-  {
-    ScopedTimer timer(&histogram);
-    const double first = timer.stop();
-    EXPECT_GE(first, 0.0);
-    EXPECT_DOUBLE_EQ(timer.stop(), 0.0);  // second stop is a no-op
-  }
-  EXPECT_EQ(histogram.count(), 1u);
-}
-
-TEST(TelemetryScopedTimer, NullSinkIsNoop) {
-  ScopedTimer timer(nullptr);
-  EXPECT_DOUBLE_EQ(timer.stop(), 0.0);
-}
-
 TEST(TelemetrySpanLog, CapsAndCountsDropped) {
   SpanLog spans;
   for (std::size_t i = 0; i < SpanLog::kMaxSpans + 10; ++i) {
@@ -246,27 +231,13 @@ TEST(TelemetryRegistry, ToJsonMatchesDocumentedSchema) {
   EXPECT_EQ(member(member(parsed, "spans"), "dropped").as_int(), 0);
 }
 
-TEST(TelemetryTimed, DisabledModeSkipsRegistry) {
-  set_enabled(false);
-  Registry::global().clear();
-  {
-    auto timer = timed("should.not.exist");
-  }
-  EXPECT_TRUE(Registry::global().histograms().empty());
-}
-
-TEST_F(GlobalTelemetry, TimedRecordsIntoGlobalRegistry) {
-  {
-    auto timer = timed("scope.test");
-  }
-  EXPECT_EQ(Registry::global().histogram("scope.test").count(), 1u);
-}
-
 TEST_F(GlobalTelemetry, SimulationPopulatesEngineAndSchedulerMetrics) {
   sim::Engine engine;
   stats::Recorder recorder;
   platform::Cluster cluster(engine, test::tiny_platform(4));
   core::BatchSystem batch(engine, cluster, core::make_scheduler("easy"), recorder);
+  stats::TelemetrySink sink;
+  batch.subscribe(&sink);
   for (int i = 1; i <= 4; ++i) {
     batch.submit(test::rigid_job(i, 2, 10.0, static_cast<double>(i)));
   }
@@ -276,16 +247,10 @@ TEST_F(GlobalTelemetry, SimulationPopulatesEngineAndSchedulerMetrics) {
   EXPECT_EQ(registry.counter("cluster.nodes_allocated").value(), 8u);
   EXPECT_EQ(registry.counter("cluster.nodes_released").value(), 8u);
   EXPECT_GT(registry.counter("scheduler.invocations").value(), 0u);
-  EXPECT_GT(registry.histogram("scheduler.decision_seconds").count(), 0u);
-  EXPECT_GT(registry.histogram("engine.pop_seconds").count(), 0u);
-  EXPECT_GT(registry.histogram("engine.dispatch_seconds").count(), 0u);
-  EXPECT_GT(registry.histogram("fluid.rebalance_seconds").count(), 0u);
   EXPECT_DOUBLE_EQ(registry.gauge("cluster.nodes").value(), 4.0);
   // Queue depth was sampled at every scheduling point and ended at zero.
   EXPECT_GT(registry.gauge("batch.queue_depth").updates(), 0u);
   EXPECT_DOUBLE_EQ(registry.gauge("batch.queue_depth").value(), 0.0);
-  // All engine dispatch work landed in spans.
-  EXPECT_FALSE(registry.spans().spans().empty());
 }
 
 TEST(TelemetryDisabled, SimulationLeavesGlobalRegistryEmpty) {

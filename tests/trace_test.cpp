@@ -109,7 +109,7 @@ struct Harness {
                    BatchConfig config = {})
       : cluster(engine, tiny_platform(nodes)),
         batch(engine, cluster, make_scheduler(scheduler), recorder, config) {
-    batch.set_event_trace(&trace);
+    batch.subscribe(&trace);
   }
 
   sim::Engine engine;
