@@ -1,7 +1,7 @@
 # Golden sink digests, run as a CTest script:
 #   cmake -DELASTISIM=<binary> -DPLATFORM=<json> -DGOLDEN_DIR=<tests/golden>
 #         -DOUT_DIR=<dir> [-DBLESS=1] -P golden_sinks.cmake
-# Runs the CLI on two fixed scenarios and compares the SHA-256 of every sink
+# Runs the CLI on three fixed scenarios and compares the SHA-256 of every sink
 # file plus the exact `counters` object of telemetry.json against the values
 # committed in ${GOLDEN_DIR}/expected.txt. Unlike cli_determinism_smoke (run
 # vs run), this pins the output itself, so a refactor that changes what a
@@ -11,6 +11,9 @@
 #      malleable + evolving + checkpointing jobs, a periodic scheduler timer
 #      and a fixed-cadence state sampler; every sink attached.
 #   b  --journal without --trace: verdicts must carry trace_seq 0.
+#   c  fair-share under plain requeue and the same MTBF failure model, so
+#      per-user usage accrues mid-run (finishes, requeues, evolving resizes)
+#      and every ranking pass reads it.
 #
 # Re-blessing is deliberate: pass -DBLESS=1 to rewrite expected.txt from the
 # current binary, and say why in CHANGES.md.
@@ -33,6 +36,10 @@ set(args_a --scheduler easy-malleable
 set(files_a jobs.csv trace.csv timeseries.csv journal.jsonl)
 set(args_b --scheduler conservative --telemetry --journal ${OUT_DIR}/b/journal.jsonl)
 set(files_b jobs.csv journal.jsonl)
+set(args_c --scheduler fair-share --failure-policy requeue
+           --mtbf 3h --repair 20m --failure-seed 5
+           --trace --telemetry --journal ${OUT_DIR}/c/journal.jsonl)
+set(files_c jobs.csv trace.csv journal.jsonl)
 
 # "name=value" pairs of telemetry.json's counters object, in file order.
 function(counters_line telemetry_file out_var)
@@ -52,7 +59,7 @@ function(counters_line telemetry_file out_var)
 endfunction()
 
 set(actual)
-foreach(scenario IN ITEMS a b)
+foreach(scenario IN ITEMS a b c)
   set(run_dir "${OUT_DIR}/${scenario}")
   file(REMOVE_RECURSE ${run_dir})
   file(MAKE_DIRECTORY ${run_dir})
