@@ -182,9 +182,7 @@ class BatchSystem final : public SchedulerContext {
   const std::vector<QueuedJob>& queue() const override { return queue_view_; }
   const std::vector<RunningJob>& running() const override { return running_view_; }
   double user_usage(const std::string& user) const override {
-    const auto usage = recorder_->node_seconds_by_user(engine_->now());
-    const auto it = usage.find(user);
-    return it != usage.end() ? it->second : 0.0;
+    return recorder_->user_node_seconds(user, engine_->now());
   }
   void start_job(workload::JobId id, int nodes) override;
   void set_target(workload::JobId id, int nodes) override;

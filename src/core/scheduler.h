@@ -58,7 +58,9 @@ class SchedulerContext {
   /// Running jobs in start order.
   virtual const std::vector<RunningJob>& running() const = 0;
   /// Node-seconds the user has consumed so far (finished + accrued running);
-  /// the signal fair-share policies rank by. Unknown users report 0.
+  /// the signal fair-share policies rank by. Unknown users report 0. Costs
+  /// O(running jobs), plus one refold of the user's job records after one of
+  /// that user's jobs accrued (finished, resized or was requeued).
   virtual double user_usage(const std::string& user) const = 0;
 
   /// Starts a queued job on `nodes` nodes. Requires nodes in the job's

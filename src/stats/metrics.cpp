@@ -1,10 +1,10 @@
 #include "stats/metrics.h"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 #include <ostream>
 
+#include "util/check.h"
 #include "util/csv.h"
 
 namespace elastisim::stats {
@@ -17,12 +17,12 @@ double JobRecord::bounded_slowdown(double tau) const {
 
 JobRecord& Recorder::record_for(workload::JobId id) {
   auto it = index_.find(id);
-  assert(it != index_.end() && "job event for unknown job (missed on_submit)");
+  ELSIM_CHECK(it != index_.end(), "job event for unknown job {} (missed on_submit)", id);
   return records_[it->second];
 }
 
 void Recorder::on_submit(const workload::Job& job, double time) {
-  assert(!index_.count(job.id) && "duplicate submit");
+  ELSIM_CHECK(!index_.count(job.id), "duplicate submit of job {}", job.id);
   JobRecord record;
   record.id = job.id;
   record.type = job.type;
@@ -30,12 +30,16 @@ void Recorder::on_submit(const workload::Job& job, double time) {
   record.user = job.user;
   record.submit_time = time;
   index_[job.id] = records_.size();
+  const auto slot = user_slot_.try_emplace(job.user, users_.size()).first->second;
+  if (slot == users_.size()) users_.emplace_back();
+  users_[slot].records.push_back(records_.size());
   records_.push_back(std::move(record));
 }
 
 void Recorder::change_allocation(double time, int delta) {
   allocated_now_ += delta;
-  assert(allocated_now_ >= 0);
+  ELSIM_CHECK(allocated_now_ >= 0, "negative allocation ({} nodes) at t={}", allocated_now_,
+              time);
   // elsim-lint: allow(float-equality) -- same-instant samples coalesce exactly
   if (!timeline_.empty() && timeline_.back().time == time) {
     timeline_.back().allocated_nodes = allocated_now_;
@@ -46,20 +50,21 @@ void Recorder::change_allocation(double time, int delta) {
 
 void Recorder::accrue(workload::JobId id, double time) {
   auto it = running_.find(id);
-  assert(it != running_.end());
+  ELSIM_CHECK(it != running_.end(), "accrue on job {}, which is not running", id);
   record_for(id).node_seconds += it->second.nodes * (time - it->second.since);
   it->second.since = time;
+  users_[it->second.user].stale = true;
 }
 
 void Recorder::on_start(workload::JobId id, double time, int nodes) {
   JobRecord& record = record_for(id);
-  assert(!running_.count(id) && "job started while already running");
+  ELSIM_CHECK(!running_.count(id), "job {} started while already running", id);
   if (!record.started()) {
     record.start_time = time;
     record.initial_nodes = nodes;
   }
   record.final_nodes = nodes;
-  running_[id] = Running{nodes, time};
+  running_[id] = Running{nodes, time, user_slot_.at(record.user)};
   change_allocation(time, nodes);
 }
 
@@ -105,7 +110,7 @@ void Recorder::on_finish(workload::JobId id, double time, bool killed) {
 
 void Recorder::on_cancel(workload::JobId id, double time) {
   JobRecord& record = record_for(id);
-  assert(!running_.count(id) && "cancel on a running job (use on_finish)");
+  ELSIM_CHECK(!running_.count(id), "cancel on running job {} (use on_finish)", id);
   record.end_time = time;
   record.cancelled = true;
 }
@@ -250,6 +255,24 @@ std::map<std::string, double> Recorder::node_seconds_by_user(double now) const {
     usage[record.user] += running.nodes * (now - running.since);
   }
   return usage;
+}
+
+double Recorder::user_node_seconds(const std::string& user, double now) const {
+  const auto slot = user_slot_.find(user);
+  if (slot == user_slot_.end()) return 0.0;
+  const UserUsage& usage = users_[slot->second];
+  if (usage.stale) {
+    double settled = 0.0;
+    for (std::size_t index : usage.records) settled += records_[index].node_seconds;
+    usage.settled = settled;
+    usage.stale = false;
+  }
+  // Running terms in job-id order, as node_seconds_by_user() adds them.
+  double total = usage.settled;
+  for (const auto& [id, running] : running_) {
+    if (running.user == slot->second) total += running.nodes * (now - running.since);
+  }
+  return total;
 }
 
 void Recorder::write_jobs_csv(std::ostream& out) const {

@@ -1,9 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <sstream>
 
 #include "stats/metrics.h"
+#include "util/check.h"
 #include "util/csv.h"
+#include "util/rng.h"
 
 namespace elastisim::stats {
 namespace {
@@ -307,6 +311,128 @@ TEST(Recorder, EmptyRecorderAggregatesAreZero) {
   EXPECT_DOUBLE_EQ(recorder.mean_bounded_slowdown(), 0.0);
   EXPECT_DOUBLE_EQ(recorder.average_utilization(), 0.0);
   EXPECT_TRUE(recorder.utilization_buckets(10.0).empty());
+}
+
+// The preconditions below hold in release builds: a violation throws instead
+// of dereferencing end() or corrupting the per-user index.
+TEST(Recorder, EventForUnknownJobThrows) {
+  Recorder recorder;
+  EXPECT_THROW(recorder.on_start(42, 0.0, 1), util::CheckError);
+}
+
+TEST(Recorder, DuplicateSubmitThrows) {
+  Recorder recorder;
+  recorder.on_submit(job_with_id(1), 0.0);
+  EXPECT_THROW(recorder.on_submit(job_with_id(1), 1.0), util::CheckError);
+}
+
+TEST(Recorder, AccrueOnJobThatIsNotRunningThrows) {
+  Recorder recorder;
+  recorder.on_submit(job_with_id(1), 0.0);
+  EXPECT_THROW(recorder.on_finish(1, 5.0, false), util::CheckError);
+}
+
+TEST(Recorder, StartWhileRunningThrows) {
+  Recorder recorder;
+  recorder.on_submit(job_with_id(1), 0.0);
+  recorder.on_start(1, 1.0, 2);
+  EXPECT_THROW(recorder.on_start(1, 2.0, 2), util::CheckError);
+}
+
+TEST(Recorder, CancelWhileRunningThrows) {
+  Recorder recorder;
+  recorder.on_submit(job_with_id(1), 0.0);
+  recorder.on_start(1, 1.0, 2);
+  EXPECT_THROW(recorder.on_cancel(1, 2.0), util::CheckError);
+}
+
+TEST(Recorder, NegativeAllocationThrows) {
+  Recorder recorder;
+  recorder.on_submit(job_with_id(1), 0.0);
+  EXPECT_THROW(recorder.on_start(1, 1.0, -1), util::CheckError);
+}
+
+// Differential oracle: user_node_seconds() against the whole-table reference
+// node_seconds_by_user() after every operation of randomized lifecycles.
+// The fast path must perform the same additions in the same order, so the
+// results are compared bit for bit (EXPECT_DOUBLE_EQ would allow 4 ULPs).
+TEST(Recorder, UserNodeSecondsMatchesReferenceBitForBit) {
+  // Five users submit; the sixth never does and must report 0.
+  const std::vector<std::string> users = {"ann", "bo", "cy", "di", "ed", "nobody"};
+  enum class State { kQueued, kRunning, kDone };
+  for (std::uint64_t seed = 1; seed <= 25; ++seed) {
+    util::Rng rng(seed);
+    Recorder recorder;
+    std::map<workload::JobId, State> jobs;
+    double now = 0.0;
+    // A random job in `state`, or 0 when there is none.
+    auto pick = [&](State state) -> workload::JobId {
+      std::vector<workload::JobId> ids;
+      for (const auto& [id, s] : jobs) {
+        if (s == state) ids.push_back(id);
+      }
+      if (ids.empty()) return 0;
+      return ids[static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(ids.size()) - 1))];
+    };
+    auto nodes = [&] { return static_cast<int>(rng.uniform_int(1, 64)); };
+    for (int step = 0; step < 300; ++step) {
+      // Instants repeat about a third of the time and otherwise advance by
+      // irregular amounts, so the order of additions shows in the rounding.
+      if (rng.uniform() > 0.35) now += rng.uniform(0.0, 700.0);
+      const workload::JobId queued = pick(State::kQueued);
+      const workload::JobId running = pick(State::kRunning);
+      switch (rng.uniform_int(0, 7)) {
+        case 0:
+        case 1: {
+          // Ids are drawn out of order, so job-id order differs from record
+          // order and from start order.
+          workload::JobId id = 0;
+          while (id == 0 || jobs.count(id)) id = rng.uniform_int(1, 100000);
+          workload::Job job = job_with_id(id);
+          job.user = users[static_cast<std::size_t>(rng.uniform_int(0, 4))];
+          recorder.on_submit(job, now);
+          jobs[id] = State::kQueued;
+          break;
+        }
+        case 2:
+        case 3:
+          if (queued) {
+            recorder.on_start(queued, now, nodes());
+            jobs[queued] = State::kRunning;
+          }
+          break;
+        case 4:
+          if (running) recorder.on_resize(running, now, nodes());
+          break;
+        case 5:
+          if (running) {
+            recorder.on_requeue(running, now, rng.uniform(0.0, 50.0), rng.uniform(0.0, 5.0));
+            jobs[running] = State::kQueued;
+          }
+          break;
+        case 6:
+          if (running) {
+            recorder.on_finish(running, now, /*killed=*/rng.uniform() < 0.3);
+            jobs[running] = State::kDone;
+          }
+          break;
+        case 7:
+          if (queued) {
+            recorder.on_cancel(queued, now);
+            jobs[queued] = State::kDone;
+          }
+          break;
+      }
+      auto reference = recorder.node_seconds_by_user(now);
+      for (const std::string& user : users) {
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(recorder.user_node_seconds(user, now)),
+                  std::bit_cast<std::uint64_t>(reference[user]))
+            << "seed " << seed << " step " << step << " user " << user << ": "
+            << recorder.user_node_seconds(user, now) << " vs " << reference[user];
+      }
+    }
+  }
 }
 
 }  // namespace
