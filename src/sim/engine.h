@@ -36,6 +36,14 @@ class Engine {
   /// Cancels a pending event; no-op if it already fired.
   bool cancel(EventId id) { return queue_.cancel(id); }
 
+  /// Moves a pending event to absolute time `when` (clamped to now, as in
+  /// schedule_at) with a fresh FIFO sequence number, so it fires exactly where
+  /// cancel + schedule_at would put it. Returns false if it already fired or
+  /// was cancelled.
+  bool reschedule(EventId id, SimTime when) {
+    return queue_.reschedule(id, when < now_ ? now_ : when);
+  }
+
   /// Runs until no events remain. Returns the final simulated time.
   SimTime run();
 

@@ -1,6 +1,7 @@
 #include "sim/fluid.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cmath>
 
@@ -20,11 +21,16 @@ constexpr double kRelEps = 1e-9;
 constexpr double kAbsEps = 1e-12;
 
 bool leq_tol(double a, double b) { return a <= b * (1.0 + kRelEps) + kAbsEps; }
+
+constexpr std::size_t kWordBits = 64;
 }  // namespace
 
 ResourceId FluidModel::add_resource(std::string name, double capacity) {
   assert(capacity >= 0.0 && "resource capacity must be non-negative");
-  resources_.push_back(Resource{std::move(name), capacity, 0.0});
+  resources_.push_back(Resource{std::move(name), capacity});
+  avail_.push_back(0.0);
+  weight_sum_.push_back(0.0);
+  demanded_.resize((resources_.size() + kWordBits - 1) / kWordBits, 0);
   return static_cast<ResourceId>(resources_.size() - 1);
 }
 
@@ -48,7 +54,14 @@ const std::string& FluidModel::resource_name(ResourceId resource) const {
 
 double FluidModel::consumption(ResourceId resource) const {
   assert(resource < resources_.size());
-  return resources_[resource].consumption;
+  double total = 0.0;
+  for (std::uint32_t slot : order_) {
+    const Activity& activity = activities_[slot];
+    for (const Demand& demand : activity.spec.demands) {
+      if (demand.resource == resource) total += demand.weight * activity.rate;
+    }
+  }
+  return total;
 }
 
 ActivityId FluidModel::start(ActivitySpec spec, std::function<void()> on_complete) {
@@ -63,57 +76,74 @@ ActivityId FluidModel::start(ActivitySpec spec, std::function<void()> on_complet
 
   settle();
   const ActivityId id = next_activity_id_++;
-  Activity activity;
+  std::uint32_t slot;
+  if (free_slots_.empty()) {
+    slot = static_cast<std::uint32_t>(activities_.size());
+    activities_.emplace_back();
+  } else {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+  }
+  Activity& activity = activities_[slot];
+  activity.id = id;
   activity.remaining = std::max(spec.work, 0.0);
   activity.spec = std::move(spec);
   activity.on_complete = std::move(on_complete);
-  activities_.emplace(id, std::move(activity));
-  order_.push_back(id);
+  slot_of_.emplace(id, slot);
+  order_.push_back(slot);
   rebalance();
   return id;
 }
 
 bool FluidModel::cancel(ActivityId id) {
-  auto it = activities_.find(id);
-  if (it == activities_.end()) return false;
+  const auto it = slot_of_.find(id);
+  if (it == slot_of_.end()) return false;
+  const std::uint32_t slot = it->second;
   settle();
-  if (it->second.completion_event != kInvalidEventId) {
-    engine_->cancel(it->second.completion_event);
-  }
-  activities_.erase(it);
-  order_.erase(std::find(order_.begin(), order_.end(), id));
+  const EventId completion = activities_[slot].completion_event;
+  if (completion != kInvalidEventId) engine_->cancel(completion);
+  remove(id, slot);
   rebalance();
   return true;
 }
 
-bool FluidModel::is_active(ActivityId id) const { return activities_.count(id) > 0; }
+const FluidModel::Activity* FluidModel::find(ActivityId id) const {
+  const auto it = slot_of_.find(id);
+  return it == slot_of_.end() ? nullptr : &activities_[it->second];
+}
+
+void FluidModel::remove(ActivityId id, std::uint32_t slot) {
+  slot_of_.erase(id);
+  order_.erase(std::find(order_.begin(), order_.end(), slot));
+  activities_[slot] = Activity{};
+  free_slots_.push_back(slot);
+}
+
+bool FluidModel::is_active(ActivityId id) const { return slot_of_.count(id) > 0; }
 
 double FluidModel::remaining_work(ActivityId id) const {
-  auto it = activities_.find(id);
-  if (it == activities_.end()) return 0.0;  // completed, cancelled, or unknown
-  const Activity& activity = it->second;
+  const Activity* activity = find(id);
+  if (activity == nullptr) return 0.0;  // completed, cancelled, or unknown
   const double elapsed = engine_->now() - last_settle_;
-  return std::max(0.0, activity.remaining - activity.rate * elapsed);
+  return std::max(0.0, activity->remaining - activity->rate * elapsed);
 }
 
 double FluidModel::rate(ActivityId id) const {
-  auto it = activities_.find(id);
-  if (it == activities_.end()) return 0.0;  // completed, cancelled, or unknown
-  return it->second.rate;
+  const Activity* activity = find(id);
+  return activity == nullptr ? 0.0 : activity->rate;  // 0 when completed/cancelled/unknown
 }
 
 std::optional<std::string> FluidModel::check_invariants() const {
-  if (order_.size() != activities_.size()) {
+  if (order_.size() != slot_of_.size()) {
     return util::fmt("fluid model: {} activities in insertion order but {} in the table",
-                     order_.size(), activities_.size());
+                     order_.size(), slot_of_.size());
   }
-  for (ActivityId id : order_) {
-    const auto it = activities_.find(id);
-    if (it == activities_.end()) {
+  for (std::uint32_t slot : order_) {
+    const Activity& activity = activities_[slot];
+    if (find(activity.id) != &activity) {
       return util::fmt("fluid model: activity {} in insertion order but not in the table",
-                       id);
+                       activity.id);
     }
-    const Activity& activity = it->second;
     const char* label =
         activity.spec.label.empty() ? "<unnamed>" : activity.spec.label.c_str();
     if (!(activity.remaining >= 0.0)) {
@@ -134,11 +164,19 @@ std::optional<std::string> FluidModel::check_invariants() const {
                        activity.rate, activity.spec.rate_cap);
     }
   }
+  // The same sums as consumption(), for every resource in one pass.
+  std::vector<double> consumption(resources_.size(), 0.0);
+  for (std::uint32_t slot : order_) {
+    const Activity& activity = activities_[slot];
+    for (const Demand& demand : activity.spec.demands) {
+      consumption[demand.resource] += demand.weight * activity.rate;
+    }
+  }
   for (std::size_t r = 0; r < resources_.size(); ++r) {
     const Resource& resource = resources_[r];
-    if (!leq_tol(resource.consumption, resource.capacity)) {
+    if (!leq_tol(consumption[r], resource.capacity)) {
       return util::fmt("fluid resource '{}' oversubscribed: consumption {} > capacity {}",
-                       resource.name, resource.consumption, resource.capacity);
+                       resource.name, consumption[r], resource.capacity);
     }
   }
   return std::nullopt;
@@ -154,8 +192,8 @@ void FluidModel::settle() {
   const SimTime now = engine_->now();
   const double elapsed = now - last_settle_;
   if (elapsed > 0.0) {
-    for (ActivityId id : order_) {
-      Activity& activity = activities_.at(id);
+    for (std::uint32_t slot : order_) {
+      Activity& activity = activities_[slot];
       activity.remaining = std::max(0.0, activity.remaining - activity.rate * elapsed);
     }
   }
@@ -167,58 +205,69 @@ void FluidModel::rebalance() {
   ELSIM_PROFILE_SCOPE(stats::profiler::Phase::kFluidSolve);
   ++rebalance_count_;
   activities_touched_ += order_.size();
-  // Working state for progressive filling, kept in member scratch buffers so
-  // steady-state solves do not allocate.
-  std::vector<double>& avail = scratch_avail_;
-  std::vector<double>& weight_sum = scratch_weight_sum_;
-  avail.assign(resources_.size(), 0.0);
-  weight_sum.assign(resources_.size(), 0.0);
-  for (std::size_t r = 0; r < resources_.size(); ++r) {
-    avail[r] = resources_[r].capacity;
-    resources_[r].consumption = 0.0;
-  }
-
-  std::vector<ActivityId>& unfrozen = scratch_unfrozen_;
+  // Working state for progressive filling, kept in member buffers so
+  // steady-state solves do not allocate. A resource's pools are reset at the
+  // first demand on it in this solve, which also sets its demanded_ bit.
+  std::vector<double>& avail = avail_;
+  std::vector<double>& weight_sum = weight_sum_;
+  std::vector<std::uint32_t>& unfrozen = scratch_unfrozen_;
   unfrozen.clear();
   unfrozen.reserve(order_.size());
-  for (ActivityId id : order_) {
-    Activity& activity = activities_.at(id);
+  for (std::uint32_t slot : order_) {
+    Activity& activity = activities_[slot];
     if (activity.spec.demands.empty()) {
       // No shared resources: runs at its cap unconditionally.
       activity.rate = activity.spec.rate_cap;
       continue;
     }
-    unfrozen.push_back(id);
+    unfrozen.push_back(slot);
     for (const Demand& demand : activity.spec.demands) {
-      weight_sum[demand.resource] += demand.weight;
+      const ResourceId r = demand.resource;
+      std::uint64_t& word = demanded_[r / kWordBits];
+      const std::uint64_t bit = std::uint64_t{1} << (r % kWordBits);
+      if ((word & bit) == 0) {
+        word |= bit;
+        avail[r] = resources_[r].capacity;
+        weight_sum[r] = 0.0;
+      }
+      weight_sum[r] += demand.weight;
     }
   }
 
   // Progressive filling: raise a common water level; freeze activities at
   // their cap or when a resource they use saturates.
   while (!unfrozen.empty()) {
+    // The resource-limited level, over the demanded resources in ascending
+    // id: the operands, in the order, of a scan over every resource (an
+    // undemanded one has a zero weight sum and would be skipped). The order
+    // is part of the result: std::min keeps its first operand when the two
+    // are unordered (a NaN pool, from an infinite pool minus an infinite
+    // rate) or equal (0.0 against -0.0).
     double lambda_res = kTimeInfinity;
-    for (std::size_t r = 0; r < resources_.size(); ++r) {
-      if (weight_sum[r] > kAbsEps) {
-        lambda_res = std::min(lambda_res, std::max(avail[r], 0.0) / weight_sum[r]);
+    for (std::size_t w = 0; w < demanded_.size(); ++w) {
+      for (std::uint64_t bits = demanded_[w]; bits != 0; bits &= bits - 1) {
+        const std::size_t r = w * kWordBits + static_cast<std::size_t>(std::countr_zero(bits));
+        if (weight_sum[r] > kAbsEps) {
+          lambda_res = std::min(lambda_res, std::max(avail[r], 0.0) / weight_sum[r]);
+        }
       }
     }
     double lambda_cap = kTimeInfinity;
-    for (ActivityId id : unfrozen) {
-      lambda_cap = std::min(lambda_cap, activities_.at(id).spec.rate_cap);
+    for (std::uint32_t slot : unfrozen) {
+      lambda_cap = std::min(lambda_cap, activities_[slot].spec.rate_cap);
     }
     const double lambda = std::min(lambda_res, lambda_cap);
 
     // Identify the freeze set at this level; subtract each frozen activity's
     // consumption from the pools as it freezes (single pass, no membership
     // lookups).
-    std::vector<ActivityId>& still_unfrozen = scratch_next_unfrozen_;
+    std::vector<std::uint32_t>& still_unfrozen = scratch_next_unfrozen_;
     still_unfrozen.clear();
     still_unfrozen.reserve(unfrozen.size());
     std::size_t frozen_this_round = 0;
     const bool cap_binding = lambda_cap <= lambda_res;
-    for (ActivityId id : unfrozen) {
-      Activity& activity = activities_.at(id);
+    for (std::uint32_t slot : unfrozen) {
+      Activity& activity = activities_[slot];
       bool freeze = false;
       if (cap_binding) {
         freeze = leq_tol(activity.spec.rate_cap, lambda);
@@ -240,55 +289,57 @@ void FluidModel::rebalance() {
         }
         ++frozen_this_round;
       } else {
-        still_unfrozen.push_back(id);
+        still_unfrozen.push_back(slot);
       }
     }
     if (frozen_this_round == 0) {
       // Numerical corner: make progress by freezing everything at lambda.
-      for (ActivityId id : still_unfrozen) {
-        Activity& activity = activities_.at(id);
+      for (std::uint32_t slot : still_unfrozen) {
+        Activity& activity = activities_[slot];
         activity.rate = std::min(lambda, activity.spec.rate_cap);
       }
       break;
     }
     unfrozen.swap(still_unfrozen);  // ping-pong the scratch buffers, no realloc
   }
+  std::fill(demanded_.begin(), demanded_.end(), 0);
 
-  // Refresh per-resource consumption and reschedule completion events.
-  for (ActivityId id : order_) {
-    Activity& activity = activities_.at(id);
-    for (const Demand& demand : activity.spec.demands) {
-      resources_[demand.resource].consumption += demand.weight * activity.rate;
-    }
-    schedule_completion(id, activity);
-  }
+  for (std::uint32_t slot : order_) schedule_completion(activities_[slot]);
 }
 
-void FluidModel::schedule_completion(ActivityId id, Activity& activity) {
-  if (activity.completion_event != kInvalidEventId) {
-    engine_->cancel(activity.completion_event);
-    activity.completion_event = kInvalidEventId;
-  }
+void FluidModel::schedule_completion(Activity& activity) {
   SimTime finish;
   if (activity.remaining <= kWorkEpsilon) {
     finish = engine_->now();
   } else if (activity.rate > 0.0) {
     finish = engine_->now() + activity.remaining / activity.rate;
   } else {
-    return;  // stalled: no completion until a rebalance grants a rate
+    // Stalled: no completion until a rebalance grants a rate.
+    if (activity.completion_event != kInvalidEventId) {
+      engine_->cancel(activity.completion_event);
+      activity.completion_event = kInvalidEventId;
+    }
+    return;
   }
+  // Move the pending event in place; it takes a fresh FIFO sequence number,
+  // exactly as cancel + push would.
+  if (activity.completion_event != kInvalidEventId &&
+      engine_->reschedule(activity.completion_event, finish)) {
+    return;
+  }
+  const ActivityId id = activity.id;
   activity.completion_event =
       engine_->schedule_at(finish, [this, id] { on_activity_complete(id); });
 }
 
 void FluidModel::on_activity_complete(ActivityId id) {
-  auto it = activities_.find(id);
-  if (it == activities_.end()) return;  // raced with cancel (should not happen)
+  const auto it = slot_of_.find(id);
+  if (it == slot_of_.end()) return;  // raced with cancel (should not happen)
+  const std::uint32_t slot = it->second;
   settle();
-  ELSIM_TRACE("activity '{}' complete at t={}", it->second.spec.label, engine_->now());
-  std::function<void()> callback = std::move(it->second.on_complete);
-  activities_.erase(it);
-  order_.erase(std::find(order_.begin(), order_.end(), id));
+  ELSIM_TRACE("activity '{}' complete at t={}", activities_[slot].spec.label, engine_->now());
+  std::function<void()> callback = std::move(activities_[slot].on_complete);
+  remove(id, slot);
   rebalance();
   if (callback) callback();
 }

@@ -9,9 +9,16 @@
 // it) or an activity reaches its rate cap.
 //
 // Whenever the active set changes, the model settles accrued progress,
-// recomputes all rates, and reschedules each activity's completion event on
-// the engine. This reproduces the contention-aware completion times that the
-// original system obtains from SimGrid's fluid models.
+// recomputes all rates, and moves each activity's completion event on the
+// engine in place (Engine::reschedule). This reproduces the contention-aware
+// completion times that the original system obtains from SimGrid's fluid
+// models.
+//
+// Activities live in a dense slot vector; the solve and settle() walk the
+// live slots in insertion order and never hash. The solve touches only the
+// resources some activity demands. Per-resource consumption is not stored:
+// consumption() and check_invariants() sum weight * rate over the live
+// activities when asked.
 #pragma once
 
 #include <cstdint>
@@ -71,7 +78,9 @@ class FluidModel {
   const std::string& resource_name(ResourceId resource) const;
   std::size_t resource_count() const { return resources_.size(); }
 
-  /// Total consumption currently placed on a resource (<= capacity + eps).
+  /// Total consumption currently placed on a resource (<= capacity + eps):
+  /// weight * rate summed over the live activities in insertion order, when
+  /// called.
   double consumption(ResourceId resource) const;
 
   /// Starts an activity; `on_complete` fires from the engine loop when the
@@ -118,10 +127,10 @@ class FluidModel {
   struct Resource {
     std::string name;
     double capacity = 0.0;
-    double consumption = 0.0;  // refreshed by rebalance()
   };
 
   struct Activity {
+    ActivityId id = kInvalidActivityId;
     ActivitySpec spec;
     double remaining = 0.0;
     double rate = 0.0;
@@ -133,25 +142,36 @@ class FluidModel {
   void settle();
   /// Recomputes all rates (progressive filling) and reschedules completions.
   void rebalance();
-  void schedule_completion(ActivityId id, Activity& activity);
+  void schedule_completion(Activity& activity);
   void on_activity_complete(ActivityId id);
+  /// The live slot of `id`, or nullptr for completed/cancelled/unknown ids.
+  const Activity* find(ActivityId id) const;
+  /// Takes a live activity out of the model and frees its slot.
+  void remove(ActivityId id, std::uint32_t slot);
 
   Engine* engine_;
   std::vector<Resource> resources_;
-  std::unordered_map<ActivityId, Activity> activities_;
-  std::vector<ActivityId> order_;  // insertion order for deterministic filling
+  /// Dense activity slots; a freed slot goes on free_slots_ for reuse.
+  std::vector<Activity> activities_;
+  std::vector<std::uint32_t> free_slots_;
+  /// Live slots in insertion order, for deterministic filling.
+  std::vector<std::uint32_t> order_;
+  /// Serves the by-id calls only; the solve and settle() never consult it.
+  std::unordered_map<ActivityId, std::uint32_t> slot_of_;
   ActivityId next_activity_id_ = 1;
   SimTime last_settle_ = 0.0;
   std::uint64_t rebalance_count_ = 0;
   std::uint64_t activities_touched_ = 0;
-  /// Scratch buffers for rebalance(). The solve runs on every share change,
-  /// so its working vectors live here and are reused across calls instead of
-  /// being reallocated per solve; rebalance() never recurses, which makes the
-  /// reuse safe.
-  std::vector<double> scratch_avail_;
-  std::vector<double> scratch_weight_sum_;
-  std::vector<ActivityId> scratch_unfrozen_;
-  std::vector<ActivityId> scratch_next_unfrozen_;
+  /// Working state for rebalance(), reused across calls instead of being
+  /// reallocated per solve; rebalance() never recurses, which makes the reuse
+  /// safe. `demanded_` has one bit per resource, set while some activity in
+  /// the current solve demands it; `avail_` and `weight_sum_` hold meaningful
+  /// values only for those resources.
+  std::vector<std::uint64_t> demanded_;
+  std::vector<double> avail_;
+  std::vector<double> weight_sum_;
+  std::vector<std::uint32_t> scratch_unfrozen_;
+  std::vector<std::uint32_t> scratch_next_unfrozen_;
 };
 
 }  // namespace elastisim::sim

@@ -2,7 +2,13 @@
 // parameterized property sweeps of the progressive-filling solver.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <functional>
+#include <iterator>
+#include <memory>
 #include <vector>
 
 #include "sim/engine.h"
@@ -208,6 +214,31 @@ TEST_F(FluidTest, CapFreesShareForOthers) {
   EXPECT_NEAR(fluid().rate(b), 8.0, 1e-9);
 }
 
+TEST_F(FluidTest, FinishedIdsStayDeadAfterSlotReuse) {
+  const ResourceId cpu = fluid().add_resource("cpu", 10.0);
+  const ActivityId completed = fluid().start({10.0, {{cpu, 1.0}}, kTimeInfinity, "a"}, [] {});
+  engine.run();
+  // The next start takes the slot the completed activity freed.
+  int fired = 0;
+  const ActivityId cancelled =
+      fluid().start({100.0, {{cpu, 1.0}}, kTimeInfinity, "b"}, [&] { fired += 1; });
+  EXPECT_NE(cancelled, completed);
+  EXPECT_TRUE(fluid().cancel(cancelled));
+  const ActivityId live =
+      fluid().start({100.0, {{cpu, 1.0}}, kTimeInfinity, "c"}, [&] { fired += 10; });
+  for (const ActivityId dead : {completed, cancelled}) {
+    EXPECT_FALSE(fluid().is_active(dead));
+    EXPECT_EQ(fluid().rate(dead), 0.0);
+    EXPECT_EQ(fluid().remaining_work(dead), 0.0);
+    EXPECT_FALSE(fluid().cancel(dead));
+  }
+  EXPECT_TRUE(fluid().is_active(live));
+  EXPECT_DOUBLE_EQ(fluid().rate(live), 10.0);
+  engine.run();
+  EXPECT_EQ(fired, 10);
+  EXPECT_DOUBLE_EQ(engine.now(), 11.0);
+}
+
 TEST_F(FluidTest, SimultaneousCompletionsBothFire) {
   const ResourceId cpu = fluid().add_resource("cpu", 10.0);
   int completions = 0;
@@ -348,6 +379,197 @@ TEST_P(FluidConservation, TotalWorkConserved) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Counts, FluidConservation, testing::Values(1, 2, 3, 5, 8, 13, 21, 34));
+
+// ---------------------------------------------------------------------------
+// Differential oracle: the solve against a full-scan reference
+// ---------------------------------------------------------------------------
+
+// Progressive filling as a scan over every resource per filling round, with
+// per-resource consumption recomputed from scratch: the solve FluidModel ran
+// before it walked only the demanded resources. The operations and their
+// order are the same, so the model must match it bit for bit.
+struct ReferenceSolution {
+  std::vector<double> rate;         // per live activity, in insertion order
+  std::vector<double> consumption;  // per resource
+};
+
+ReferenceSolution reference_solve(const std::vector<double>& capacity,
+                                  const std::vector<const ActivitySpec*>& live) {
+  constexpr double kRelEps = 1e-9;
+  constexpr double kAbsEps = 1e-12;
+  const auto leq_tol = [](double a, double b) { return a <= b * (1.0 + kRelEps) + kAbsEps; };
+  ReferenceSolution out{std::vector<double>(live.size(), 0.0),
+                        std::vector<double>(capacity.size(), 0.0)};
+  std::vector<double> avail = capacity;
+  std::vector<double> weight_sum(capacity.size(), 0.0);
+  std::vector<std::size_t> unfrozen;
+  for (std::size_t i = 0; i < live.size(); ++i) {
+    if (live[i]->demands.empty()) {
+      out.rate[i] = live[i]->rate_cap;
+      continue;
+    }
+    unfrozen.push_back(i);
+    for (const Demand& d : live[i]->demands) weight_sum[d.resource] += d.weight;
+  }
+  while (!unfrozen.empty()) {
+    double lambda_res = kTimeInfinity;
+    for (std::size_t r = 0; r < capacity.size(); ++r) {
+      if (weight_sum[r] > kAbsEps) {
+        lambda_res = std::min(lambda_res, std::max(avail[r], 0.0) / weight_sum[r]);
+      }
+    }
+    double lambda_cap = kTimeInfinity;
+    for (std::size_t i : unfrozen) lambda_cap = std::min(lambda_cap, live[i]->rate_cap);
+    const double lambda = std::min(lambda_res, lambda_cap);
+    const bool cap_binding = lambda_cap <= lambda_res;
+    std::vector<std::size_t> still_unfrozen;
+    for (std::size_t i : unfrozen) {
+      bool freeze = false;
+      if (cap_binding) {
+        freeze = leq_tol(live[i]->rate_cap, lambda);
+      } else {
+        for (const Demand& d : live[i]->demands) {
+          const double share =
+              std::max(avail[d.resource], 0.0) / std::max(weight_sum[d.resource], kAbsEps);
+          if (leq_tol(share, lambda)) {
+            freeze = true;
+            break;
+          }
+        }
+      }
+      if (!freeze) {
+        still_unfrozen.push_back(i);
+        continue;
+      }
+      out.rate[i] = std::min(lambda, live[i]->rate_cap);
+      for (const Demand& d : live[i]->demands) {
+        avail[d.resource] -= d.weight * out.rate[i];
+        weight_sum[d.resource] -= d.weight;
+      }
+    }
+    if (still_unfrozen.size() == unfrozen.size()) {
+      for (std::size_t i : still_unfrozen) out.rate[i] = std::min(lambda, live[i]->rate_cap);
+      break;
+    }
+    unfrozen.swap(still_unfrozen);
+  }
+  for (std::size_t i = 0; i < live.size(); ++i) {
+    for (const Demand& d : live[i]->demands) out.consumption[d.resource] += d.weight * out.rate[i];
+  }
+  return out;
+}
+
+std::uint64_t bits(double value) { return std::bit_cast<std::uint64_t>(value); }
+
+TEST(FluidOracle, SolveMatchesFullScanReferenceBitForBit) {
+  // Zero, equal, very different and infinite capacities; weights other than
+  // 1; caps that bind and caps that do not.
+  constexpr double kCapacities[] = {0.0, 1.0, 2.5, 10.0, 10.0, 1e3, kTimeInfinity};
+  constexpr double kWeights[] = {1.0, 1.0, 0.5, 2.0, 3.7};
+  constexpr double kRateCaps[] = {kTimeInfinity, kTimeInfinity, 0.3, 1.0, 5.0, 1e6};
+  constexpr double kWorks[] = {0.0, 1.0, 5.0, 20.0, 100.0};
+  constexpr double kSteps[] = {0.0, 0.05, 0.5, 2.0, 10.0};
+
+  for (std::uint64_t seed = 1; seed <= 25; ++seed) {
+    SCOPED_TRACE(seed);
+    util::Rng rng(seed);
+    const auto pick = [&rng](const auto& values) {
+      return values[static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(std::size(values)) - 1))];
+    };
+    Engine engine;
+    FluidModel& fluid = engine.fluid();
+    std::vector<double> capacity;
+    const auto add_resource = [&](double cap) {
+      capacity.push_back(cap);
+      return fluid.add_resource("r", cap);
+    };
+    const int shared = static_cast<int>(rng.uniform_int(1, 6));
+    for (int r = 0; r < shared; ++r) add_resource(pick(kCapacities));
+    // Resources nobody demands, which also move the private resources below
+    // into later 64-bit words of the model's demanded-resource set.
+    const auto idle = rng.uniform_int(0, 100);
+    for (std::int64_t r = 0; r < idle; ++r) add_resource(pick(kCapacities));
+
+    struct Live {
+      ActivityId id;
+      ActivitySpec spec;
+    };
+    std::vector<Live> live;  // insertion order, as the model keeps it
+    std::vector<ActivityId> started;
+    int follow_ups = 40;
+
+    std::function<void()> start = [&] {
+      ActivitySpec spec;
+      spec.work = pick(kWorks);
+      spec.rate_cap = pick(kRateCaps);
+      if (rng.bernoulli(0.1)) {
+        spec.rate_cap = rng.bernoulli(0.5) ? 0.5 : 2.0;  // no demands: needs a finite cap
+      } else {
+        const int uses = static_cast<int>(rng.uniform_int(1, std::min(3, shared)));
+        for (int u = 0; u < uses; ++u) {
+          const auto r = static_cast<ResourceId>(rng.uniform_int(0, shared - 1));
+          const bool taken = std::any_of(spec.demands.begin(), spec.demands.end(),
+                                         [r](const Demand& d) { return d.resource == r; });
+          if (!taken) spec.demands.push_back({r, pick(kWeights)});
+        }
+        if (rng.bernoulli(0.4)) {  // a private resource
+          spec.demands.push_back({add_resource(pick(kCapacities)), pick(kWeights)});
+        }
+      }
+      auto self = std::make_shared<ActivityId>(kInvalidActivityId);
+      const ActivityId id = fluid.start(spec, [&, self] {
+        live.erase(std::find_if(live.begin(), live.end(),
+                                [&](const Live& l) { return l.id == *self; }));
+        if (follow_ups > 0 && rng.bernoulli(0.3)) {
+          --follow_ups;
+          start();
+        }
+      });
+      *self = id;
+      live.push_back({id, std::move(spec)});
+      started.push_back(id);
+    };
+
+    for (int step = 0; step < 250; ++step) {
+      const double roll = rng.uniform();
+      if (roll < 0.35 || started.empty()) {
+        start();
+      } else if (roll < 0.5) {
+        const ActivityId id = pick(started);
+        const bool was_live = std::any_of(live.begin(), live.end(),
+                                          [id](const Live& l) { return l.id == id; });
+        ASSERT_EQ(fluid.cancel(id), was_live);
+        if (was_live) {
+          live.erase(std::find_if(live.begin(), live.end(),
+                                  [id](const Live& l) { return l.id == id; }));
+        }
+      } else if (roll < 0.85) {
+        engine.run_until(engine.now() + pick(kSteps));
+      } else {
+        const auto r = static_cast<ResourceId>(
+            rng.uniform_int(0, static_cast<std::int64_t>(capacity.size()) - 1));
+        capacity[r] = pick(kCapacities);
+        fluid.set_capacity(r, capacity[r]);
+      }
+
+      std::vector<const ActivitySpec*> specs;
+      for (const Live& l : live) specs.push_back(&l.spec);
+      const ReferenceSolution reference = reference_solve(capacity, specs);
+      ASSERT_EQ(fluid.active_count(), live.size()) << "step " << step;
+      for (std::size_t i = 0; i < live.size(); ++i) {
+        ASSERT_TRUE(fluid.is_active(live[i].id));
+        ASSERT_EQ(bits(fluid.rate(live[i].id)), bits(reference.rate[i]))
+            << "step " << step << ", activity " << live[i].id;
+      }
+      for (std::size_t r = 0; r < capacity.size(); ++r) {
+        ASSERT_EQ(bits(fluid.consumption(static_cast<ResourceId>(r))),
+                  bits(reference.consumption[r]))
+            << "step " << step << ", resource " << r;
+      }
+    }
+  }
+}
 
 }  // namespace
 }  // namespace elastisim::sim
