@@ -76,6 +76,9 @@ BENCHMARK(BM_EventQueueChurn)->Arg(1000)->Arg(10000)->Arg(100000);
 void BM_FluidRebalance(benchmark::State& state) {
   // Cost of one add/remove cycle with `n` concurrent multi-resource
   // activities: the dominant kernel operation during busy simulations.
+  // cancel() and start() only mark a solve pending, and nothing outside the
+  // event loop would run it, so each iteration reads one rate: that read
+  // runs one solve for the pair (the solve-per-change model ran two).
   const auto n = static_cast<std::size_t>(state.range(0));
   sim::Engine engine;
   std::vector<sim::ResourceId> resources;
@@ -98,6 +101,7 @@ void BM_FluidRebalance(benchmark::State& state) {
     active[cursor] = engine.fluid().start(
         {1e18, {{resources[cursor % resources.size()], 1.0}}, sim::kTimeInfinity, "swap"},
         [] {});
+    benchmark::DoNotOptimize(engine.fluid().rate(active[cursor]));
     cursor = (cursor + 1) % active.size();
   }
   state.SetLabel(std::to_string(n) + " active");

@@ -32,6 +32,18 @@ double quantity(const json::Value& object, std::string_view path, std::string_vi
                   json::type_name(*member));
 }
 
+/// Reads a bandwidth member: a quantity() that must not be negative (zero is
+/// legal; flows through a zero-bandwidth link stall).
+double bandwidth(const json::Value& object, std::string_view path, std::string_view key,
+                 double fallback) {
+  const double value = quantity(object, path, key, fallback, parse_bandwidth);
+  if (!(value >= 0.0)) {
+    throw LoadError("", util::fmt("{}.{}", path, key), "a non-negative bandwidth",
+                    util::fmt("{}", value));
+  }
+  return value;
+}
+
 /// Reads a member that must be a positive integer when present.
 std::int64_t positive_int(const json::Value& object, std::string_view key,
                           std::int64_t fallback) {
@@ -71,20 +83,16 @@ ClusterConfig parse_cluster_config(const json::Value& value) {
   }
   config.flops_per_gpu = quantity(value, "$", "flops_per_gpu", 0.0, parse_flops);
   config.memory_bytes = quantity(value, "$", "memory", 0.0, parse_bytes);
-  config.link_bandwidth = quantity(value, "$", "link_bandwidth", 12.5e9, parse_bandwidth);
+  config.link_bandwidth = bandwidth(value, "$", "link_bandwidth", 12.5e9);
   config.link_latency = quantity(value, "$", "link_latency", 0.0, util::parse_duration);
-  config.backbone_bandwidth =
-      quantity(value, "$", "backbone_bandwidth", 0.0, parse_bandwidth);
+  config.backbone_bandwidth = bandwidth(value, "$", "backbone_bandwidth", 0.0);
   config.pod_size = static_cast<std::size_t>(positive_int(value, "pod_size", 16));
-  config.pod_bandwidth = quantity(value, "$", "pod_bandwidth", 50e9, parse_bandwidth);
-  config.burst_buffer_bandwidth =
-      quantity(value, "$", "burst_buffer_bandwidth", 0.0, parse_bandwidth);
+  config.pod_bandwidth = bandwidth(value, "$", "pod_bandwidth", 50e9);
+  config.burst_buffer_bandwidth = bandwidth(value, "$", "burst_buffer_bandwidth", 0.0);
 
   if (const json::Value* pfs = value.find("pfs")) {
-    config.pfs.read_bandwidth =
-        quantity(*pfs, "$.pfs", "read_bandwidth", 0.0, parse_bandwidth);
-    config.pfs.write_bandwidth =
-        quantity(*pfs, "$.pfs", "write_bandwidth", 0.0, parse_bandwidth);
+    config.pfs.read_bandwidth = bandwidth(*pfs, "$.pfs", "read_bandwidth", 0.0);
+    config.pfs.write_bandwidth = bandwidth(*pfs, "$.pfs", "write_bandwidth", 0.0);
   }
   return config;
 }

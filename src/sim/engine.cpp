@@ -9,6 +9,7 @@ namespace elastisim::sim {
 Engine::Engine() : fluid_(std::make_unique<FluidModel>(*this)) {}
 
 EventId Engine::schedule_at(SimTime when, EventQueue::Callback callback) {
+  fluid_->solve_if_pending();
   if (when < now_) when = now_;
   return queue_.push(when, std::move(callback));
 }
@@ -19,6 +20,7 @@ EventId Engine::schedule_in(SimTime delay, EventQueue::Callback callback) {
 }
 
 bool Engine::step() {
+  fluid_->solve_if_pending();
   if (queue_.empty()) return false;
   auto [time, callback] = queue_.pop();
   assert(time + kTimeEpsilon >= now_ && "event queue returned an event in the past");
@@ -55,7 +57,10 @@ SimTime Engine::run() {
 // elsim-hot: bounded variant of the dispatch loop.
 SimTime Engine::run_until(SimTime deadline) {
   ELSIM_PROFILE_SCOPE(stats::profiler::Phase::kEngineDispatch);
-  while (!queue_.empty() && queue_.next_time() <= deadline) {
+  for (;;) {
+    // A pending solve places the fluid completion before next_time() is read.
+    fluid_->solve_if_pending();
+    if (queue_.empty() || !(queue_.next_time() <= deadline)) break;
     if (cancel_ != nullptr && cancel_->cancelled()) return now_;
     step();
     if (cancel_ != nullptr) cancel_->note_progress(events_processed_, now_);

@@ -3,6 +3,14 @@
 // Single-threaded and deterministic: events at equal times fire in the order
 // they were scheduled. The engine owns the FluidModel; activity completions
 // are ordinary events, so user callbacks observe a consistent clock.
+//
+// The fluid model defers its solve until a batch of changes is over. The
+// engine runs a pending solve before it draws a sequence number for any
+// event (schedule_at, schedule_in, reschedule), before it tests or pops its
+// queue (step, run, run_until), and before it reports pending_events(). The
+// solve's own completion event therefore takes its sequence number after
+// every event pushed before the last change and before every event pushed
+// after it, and the clock never moves while a solve is pending.
 #pragma once
 
 #include <cstdint>
@@ -41,6 +49,7 @@ class Engine {
   /// cancel + schedule_at would put it. Returns false if it already fired or
   /// was cancelled.
   bool reschedule(EventId id, SimTime when) {
+    fluid_->solve_if_pending();
     return queue_.reschedule(id, when < now_ ? now_ : when);
   }
 
@@ -73,8 +82,12 @@ class Engine {
   /// Number of events processed so far (for performance benches).
   std::uint64_t events_processed() const { return events_processed_; }
 
-  /// Number of live pending events.
-  std::size_t pending_events() const { return queue_.size(); }
+  /// Number of live pending events, after any pending fluid solve has placed
+  /// the fluid model's one completion event.
+  std::size_t pending_events() {
+    fluid_->solve_if_pending();
+    return queue_.size();
+  }
 
   /// Read access to the queue's lifetime tallies (pushes/pops/peak size) for
   /// the profiler and the perf-trajectory benches.

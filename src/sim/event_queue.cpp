@@ -47,7 +47,7 @@ bool EventQueue::cancel(EventId id) {
   return true;
 }
 
-// elsim-hot: every fluid solve moves each running activity's completion here.
+// elsim-hot: every fluid solve moves the fluid model's completion event here.
 bool EventQueue::reschedule(EventId id, SimTime when) {
   const std::uint32_t slot = live_slot(id);
   if (slot == kNoSlot) return false;

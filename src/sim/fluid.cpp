@@ -26,7 +26,8 @@ constexpr std::size_t kWordBits = 64;
 }  // namespace
 
 ResourceId FluidModel::add_resource(std::string name, double capacity) {
-  assert(capacity >= 0.0 && "resource capacity must be non-negative");
+  ELSIM_CHECK(capacity >= 0.0, "resource '{}' capacity must be non-negative, got {}", name,
+              capacity);
   resources_.push_back(Resource{std::move(name), capacity});
   avail_.push_back(0.0);
   weight_sum_.push_back(0.0);
@@ -36,10 +37,11 @@ ResourceId FluidModel::add_resource(std::string name, double capacity) {
 
 void FluidModel::set_capacity(ResourceId resource, double capacity) {
   assert(resource < resources_.size());
-  assert(capacity >= 0.0);
+  ELSIM_CHECK(capacity >= 0.0, "resource '{}' capacity must be non-negative, got {}",
+              resources_[resource].name, capacity);
   settle();
   resources_[resource].capacity = capacity;
-  rebalance();
+  solve_pending_ = true;
 }
 
 double FluidModel::capacity(ResourceId resource) const {
@@ -52,8 +54,9 @@ const std::string& FluidModel::resource_name(ResourceId resource) const {
   return resources_[resource].name;
 }
 
-double FluidModel::consumption(ResourceId resource) const {
+double FluidModel::consumption(ResourceId resource) {
   assert(resource < resources_.size());
+  solve_if_pending();
   double total = 0.0;
   for (std::uint32_t slot : order_) {
     const Activity& activity = activities_[slot];
@@ -70,9 +73,11 @@ ActivityId FluidModel::start(ActivitySpec spec, std::function<void()> on_complet
                 demand.resource);
     ELSIM_CHECK(demand.weight > 0.0, "demand weight must be positive, got {}", demand.weight);
   }
-  assert((!spec.demands.empty() || std::isfinite(spec.rate_cap)) &&
-         "an activity without demands needs a finite rate cap");
-  assert(spec.rate_cap > 0.0 && "rate cap must be positive");
+  ELSIM_CHECK(spec.rate_cap > 0.0, "activity '{}' rate cap must be positive, got {}",
+              spec.label, spec.rate_cap);
+  ELSIM_CHECK(!spec.demands.empty() || std::isfinite(spec.rate_cap),
+              "activity '{}' has no demands, so it needs a finite rate cap", spec.label);
+  ELSIM_CHECK(!std::isnan(spec.work), "activity '{}' work is NaN", spec.label);
 
   settle();
   const ActivityId id = next_activity_id_++;
@@ -91,7 +96,7 @@ ActivityId FluidModel::start(ActivitySpec spec, std::function<void()> on_complet
   activity.on_complete = std::move(on_complete);
   slot_of_.emplace(id, slot);
   order_.push_back(slot);
-  rebalance();
+  solve_pending_ = true;
   return id;
 }
 
@@ -100,10 +105,8 @@ bool FluidModel::cancel(ActivityId id) {
   if (it == slot_of_.end()) return false;
   const std::uint32_t slot = it->second;
   settle();
-  const EventId completion = activities_[slot].completion_event;
-  if (completion != kInvalidEventId) engine_->cancel(completion);
   remove(id, slot);
-  rebalance();
+  solve_pending_ = true;
   return true;
 }
 
@@ -121,19 +124,22 @@ void FluidModel::remove(ActivityId id, std::uint32_t slot) {
 
 bool FluidModel::is_active(ActivityId id) const { return slot_of_.count(id) > 0; }
 
-double FluidModel::remaining_work(ActivityId id) const {
+double FluidModel::remaining_work(ActivityId id) {
+  solve_if_pending();
   const Activity* activity = find(id);
   if (activity == nullptr) return 0.0;  // completed, cancelled, or unknown
   const double elapsed = engine_->now() - last_settle_;
   return std::max(0.0, activity->remaining - activity->rate * elapsed);
 }
 
-double FluidModel::rate(ActivityId id) const {
+double FluidModel::rate(ActivityId id) {
+  solve_if_pending();
   const Activity* activity = find(id);
   return activity == nullptr ? 0.0 : activity->rate;  // 0 when completed/cancelled/unknown
 }
 
-std::optional<std::string> FluidModel::check_invariants() const {
+std::optional<std::string> FluidModel::check_invariants() {
+  solve_if_pending();
   if (order_.size() != slot_of_.size()) {
     return util::fmt("fluid model: {} activities in insertion order but {} in the table",
                      order_.size(), slot_of_.size());
@@ -192,6 +198,9 @@ void FluidModel::settle() {
   const SimTime now = engine_->now();
   const double elapsed = now - last_settle_;
   if (elapsed > 0.0) {
+    // The rates below must be the solved ones for the interval that ends now.
+    ELSIM_CHECK(!solve_pending_, "simulated time advanced from {} to {} over a pending fluid solve",
+                last_settle_, now);
     for (std::uint32_t slot : order_) {
       Activity& activity = activities_[slot];
       activity.remaining = std::max(0.0, activity.remaining - activity.rate * elapsed);
@@ -200,9 +209,10 @@ void FluidModel::settle() {
   last_settle_ = now;
 }
 
-// elsim-hot: the progressive-filling solve; reruns on every share change.
-void FluidModel::rebalance() {
+// elsim-hot: the progressive-filling solve; runs once per batch of changes.
+void FluidModel::solve() {
   ELSIM_PROFILE_SCOPE(stats::profiler::Phase::kFluidSolve);
+  solve_pending_ = false;
   ++rebalance_count_;
   activities_touched_ += order_.size();
   // Working state for progressive filling, kept in member buffers so
@@ -213,6 +223,9 @@ void FluidModel::rebalance() {
   std::vector<std::uint32_t>& unfrozen = scratch_unfrozen_;
   unfrozen.clear();
   unfrozen.reserve(order_.size());
+  // The lowest rate cap among `unfrozen`, folded in list order as the list is
+  // built.
+  double lambda_cap = kTimeInfinity;
   for (std::uint32_t slot : order_) {
     Activity& activity = activities_[slot];
     if (activity.spec.demands.empty()) {
@@ -221,6 +234,7 @@ void FluidModel::rebalance() {
       continue;
     }
     unfrozen.push_back(slot);
+    lambda_cap = std::min(lambda_cap, activity.spec.rate_cap);
     for (const Demand& demand : activity.spec.demands) {
       const ResourceId r = demand.resource;
       std::uint64_t& word = demanded_[r / kWordBits];
@@ -236,6 +250,10 @@ void FluidModel::rebalance() {
 
   // Progressive filling: raise a common water level; freeze activities at
   // their cap or when a resource they use saturates.
+  std::vector<std::uint32_t>& still_unfrozen = scratch_next_unfrozen_;
+  std::vector<std::uint32_t>& frozen = scratch_frozen_;
+  still_unfrozen.reserve(order_.size());
+  frozen.reserve(order_.size());
   while (!unfrozen.empty()) {
     // The resource-limited level, over the demanded resources in ascending
     // id: the operands, in the order, of a scan over every resource (an
@@ -252,26 +270,47 @@ void FluidModel::rebalance() {
         }
       }
     }
-    double lambda_cap = kTimeInfinity;
-    for (std::uint32_t slot : unfrozen) {
-      lambda_cap = std::min(lambda_cap, activities_[slot].spec.rate_cap);
-    }
     const double lambda = std::min(lambda_res, lambda_cap);
 
-    // Identify the freeze set at this level; subtract each frozen activity's
-    // consumption from the pools as it freezes (single pass, no membership
-    // lookups).
-    std::vector<std::uint32_t>& still_unfrozen = scratch_next_unfrozen_;
+    // Split the round's list into the activities that freeze at this level
+    // and the rest, folding the next round's lambda_cap over the rest.
     still_unfrozen.clear();
-    still_unfrozen.reserve(unfrozen.size());
+    double next_lambda_cap = kTimeInfinity;
     std::size_t frozen_this_round = 0;
-    const bool cap_binding = lambda_cap <= lambda_res;
-    for (std::uint32_t slot : unfrozen) {
-      Activity& activity = activities_[slot];
-      bool freeze = false;
-      if (cap_binding) {
-        freeze = leq_tol(activity.spec.rate_cap, lambda);
-      } else {
+    if (lambda_cap <= lambda_res) {
+      // Cap-binding: the freezes depend on the caps alone, so decide them all
+      // before touching the pools. A round that freezes every remaining
+      // activity is the last one, and nothing reads the pools after it.
+      frozen.clear();
+      for (std::uint32_t slot : unfrozen) {
+        Activity& activity = activities_[slot];
+        if (leq_tol(activity.spec.rate_cap, lambda)) {
+          activity.rate = std::min(lambda, activity.spec.rate_cap);
+          frozen.push_back(slot);
+        } else {
+          still_unfrozen.push_back(slot);
+          next_lambda_cap = std::min(next_lambda_cap, activity.spec.rate_cap);
+        }
+      }
+      if (still_unfrozen.empty()) break;
+      // The pool updates in the order the frozen activities were listed, as
+      // freezing them one at a time would apply them.
+      for (std::uint32_t slot : frozen) {
+        const Activity& activity = activities_[slot];
+        for (const Demand& demand : activity.spec.demands) {
+          avail[demand.resource] -= demand.weight * activity.rate;
+          weight_sum[demand.resource] -= demand.weight;
+        }
+      }
+      frozen_this_round = frozen.size();
+    } else {
+      // Resource-binding: an activity freezes when one of its resources is
+      // saturated at this level, which each freeze before it can change, so
+      // decide and subtract one activity at a time (single pass, no
+      // membership lookups).
+      for (std::uint32_t slot : unfrozen) {
+        Activity& activity = activities_[slot];
+        bool freeze = false;
         for (const Demand& demand : activity.spec.demands) {
           const double share = std::max(avail[demand.resource], 0.0) /
                                std::max(weight_sum[demand.resource], kAbsEps);
@@ -280,16 +319,17 @@ void FluidModel::rebalance() {
             break;
           }
         }
-      }
-      if (freeze) {
-        activity.rate = std::min(lambda, activity.spec.rate_cap);
-        for (const Demand& demand : activity.spec.demands) {
-          avail[demand.resource] -= demand.weight * activity.rate;
-          weight_sum[demand.resource] -= demand.weight;
+        if (freeze) {
+          activity.rate = std::min(lambda, activity.spec.rate_cap);
+          for (const Demand& demand : activity.spec.demands) {
+            avail[demand.resource] -= demand.weight * activity.rate;
+            weight_sum[demand.resource] -= demand.weight;
+          }
+          ++frozen_this_round;
+        } else {
+          still_unfrozen.push_back(slot);
+          next_lambda_cap = std::min(next_lambda_cap, activity.spec.rate_cap);
         }
-        ++frozen_this_round;
-      } else {
-        still_unfrozen.push_back(slot);
       }
     }
     if (frozen_this_round == 0) {
@@ -301,46 +341,58 @@ void FluidModel::rebalance() {
       break;
     }
     unfrozen.swap(still_unfrozen);  // ping-pong the scratch buffers, no realloc
+    lambda_cap = next_lambda_cap;
   }
   std::fill(demanded_.begin(), demanded_.end(), 0);
 
-  for (std::uint32_t slot : order_) schedule_completion(activities_[slot]);
-}
-
-void FluidModel::schedule_completion(Activity& activity) {
-  SimTime finish;
-  if (activity.remaining <= kWorkEpsilon) {
-    finish = engine_->now();
-  } else if (activity.rate > 0.0) {
-    finish = engine_->now() + activity.remaining / activity.rate;
-  } else {
-    // Stalled: no completion until a rebalance grants a rate.
-    if (activity.completion_event != kInvalidEventId) {
-      engine_->cancel(activity.completion_event);
-      activity.completion_event = kInvalidEventId;
+  // The earliest finish, computed per activity as one completion event per
+  // activity would be timed; an equal time keeps the activity inserted first,
+  // which is the one whose event would have drawn the lower sequence number.
+  const SimTime now = engine_->now();
+  SimTime first_finish = kTimeInfinity;
+  next_slot_ = kNoSlot;
+  for (std::uint32_t slot : order_) {
+    const Activity& activity = activities_[slot];
+    SimTime finish;
+    if (activity.remaining <= kWorkEpsilon) {
+      finish = now;
+    } else if (activity.rate > 0.0) {
+      finish = now + activity.remaining / activity.rate;
+    } else {
+      continue;  // stalled: no completion until a solve grants a rate
+    }
+    if (next_slot_ == kNoSlot || finish < first_finish) {
+      first_finish = finish;
+      next_slot_ = slot;
+    }
+  }
+  if (next_slot_ == kNoSlot) {
+    if (completion_event_ != kInvalidEventId) {
+      engine_->cancel(completion_event_);
+      completion_event_ = kInvalidEventId;
     }
     return;
   }
   // Move the pending event in place; it takes a fresh FIFO sequence number,
   // exactly as cancel + push would.
-  if (activity.completion_event != kInvalidEventId &&
-      engine_->reschedule(activity.completion_event, finish)) {
+  if (completion_event_ != kInvalidEventId &&
+      engine_->reschedule(completion_event_, first_finish)) {
     return;
   }
-  const ActivityId id = activity.id;
-  activity.completion_event =
-      engine_->schedule_at(finish, [this, id] { on_activity_complete(id); });
+  completion_event_ = engine_->schedule_at(first_finish, [this] { complete_next(); });
 }
 
-void FluidModel::on_activity_complete(ActivityId id) {
-  const auto it = slot_of_.find(id);
-  if (it == slot_of_.end()) return;  // raced with cancel (should not happen)
-  const std::uint32_t slot = it->second;
+void FluidModel::complete_next() {
+  // The engine solves before every pop, so next_slot_ is current.
+  assert(!solve_pending_ && next_slot_ != kNoSlot);
+  completion_event_ = kInvalidEventId;  // this event has been popped
+  const std::uint32_t slot = next_slot_;
   settle();
   ELSIM_TRACE("activity '{}' complete at t={}", activities_[slot].spec.label, engine_->now());
+  // elsim-lint: allow(hot-alloc) -- moves the slot's callback out; a move never allocates
   std::function<void()> callback = std::move(activities_[slot].on_complete);
-  remove(id, slot);
-  rebalance();
+  remove(activities_[slot].id, slot);
+  solve_pending_ = true;
   if (callback) callback();
 }
 

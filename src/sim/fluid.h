@@ -8,11 +8,23 @@
 // rises until either a resource saturates (freezing the activities through
 // it) or an activity reaches its rate cap.
 //
-// Whenever the active set changes, the model settles accrued progress,
-// recomputes all rates, and moves each activity's completion event on the
-// engine in place (Engine::reschedule). This reproduces the contention-aware
-// completion times that the original system obtains from SimGrid's fluid
-// models.
+// Whenever the active set or a capacity changes, the model settles accrued
+// progress and marks a solve pending; it does not solve yet. The pending
+// solve runs once for the whole batch of changes, just before the engine
+// next draws a FIFO sequence number (schedule_at, schedule_in, reschedule),
+// tests or pops its queue, or reports pending_events(), and whenever a rate
+// is read (rate, remaining_work, consumption, check_invariants). Simulated
+// time never advances over a pending solve; settle() checks it. Within one
+// instant a solve depends only on the live activities, in insertion order,
+// and the capacities, so solving once after the last change gives the rates
+// a solve after every change would end with.
+//
+// The model owns one engine event for all of its completions. Each solve
+// moves it (Engine::reschedule) to the earliest finish time, ties going to
+// the activity inserted first, and it fires exactly where the first of one
+// event per activity, all rescheduled in insertion order by the same solve,
+// would have fired. This reproduces the contention-aware completion times
+// that the original system obtains from SimGrid's fluid models.
 //
 // Activities live in a dense slot vector; the solve and settle() walk the
 // live slots in insertion order and never hash. The solve touches only the
@@ -68,10 +80,12 @@ class FluidModel {
   FluidModel& operator=(const FluidModel&) = delete;
 
   /// Registers a resource with the given capacity (units/s). Capacity zero is
-  /// legal (activities through it stall).
+  /// legal (activities through it stall); a negative or NaN capacity throws
+  /// util::CheckError.
   ResourceId add_resource(std::string name, double capacity);
 
-  /// Adjusts capacity at runtime (e.g. throttled node); triggers rebalance.
+  /// Adjusts capacity at runtime (e.g. throttled node) and marks a solve
+  /// pending. Same capacity rules as add_resource().
   void set_capacity(ResourceId resource, double capacity);
 
   double capacity(ResourceId resource) const;
@@ -80,12 +94,14 @@ class FluidModel {
 
   /// Total consumption currently placed on a resource (<= capacity + eps):
   /// weight * rate summed over the live activities in insertion order, when
-  /// called.
-  double consumption(ResourceId resource) const;
+  /// called. Runs a pending solve first.
+  double consumption(ResourceId resource);
 
   /// Starts an activity; `on_complete` fires from the engine loop when the
   /// work is exhausted. Work <= 0 completes at the current time (the callback
-  /// still fires asynchronously, never inside start()).
+  /// still fires asynchronously, never inside start()). A NaN work, a rate
+  /// cap that is not positive, or an infinite cap on an activity without
+  /// demands throws util::CheckError.
   ActivityId start(ActivitySpec spec, std::function<void()> on_complete);
 
   /// Aborts an activity; its completion callback will not fire.
@@ -96,19 +112,27 @@ class FluidModel {
   bool is_active(ActivityId activity) const;
 
   /// Remaining work of a running activity (settled to the current instant);
-  /// 0 for completed/cancelled/unknown ids.
-  double remaining_work(ActivityId activity) const;
+  /// 0 for completed/cancelled/unknown ids. Runs a pending solve first.
+  double remaining_work(ActivityId activity);
 
   /// Current fair-share rate of a running activity; 0 for completed/
-  /// cancelled/unknown ids.
-  double rate(ActivityId activity) const;
+  /// cancelled/unknown ids. Runs a pending solve first.
+  double rate(ActivityId activity);
 
   std::size_t active_count() const { return order_.size(); }
 
-  /// Number of rate recomputations performed (for performance benches).
+  /// Runs the pending solve, if any. The engine calls this before every
+  /// sequence-number draw and every pop.
+  // elsim-hot: the pending-solve check, one branch per push, reschedule and pop.
+  void solve_if_pending() {
+    if (solve_pending_) solve();
+  }
+
+  /// Number of solves performed, one per batch of changes (for performance
+  /// benches).
   std::uint64_t rebalance_count() const { return rebalance_count_; }
 
-  /// Cumulative activities examined across all rebalances — the work metric
+  /// Cumulative activities examined across all solves — the work metric
   /// behind the "make the solve incremental" optimization: divide by
   /// rebalance_count() for the mean activities touched per solve.
   std::uint64_t activities_touched() const { return activities_touched_; }
@@ -120,8 +144,9 @@ class FluidModel {
   /// [0, total work] (progress in [0, 1]), rates non-negative, finite, and
   /// within their caps, and per-resource consumption within capacity.
   /// Returns a description of the first broken invariant, or nullopt when
-  /// all hold (core::InvariantChecker under --validate).
-  std::optional<std::string> check_invariants() const;
+  /// all hold (core::InvariantChecker under --validate). Runs a pending solve
+  /// first, so it checks solved rates.
+  std::optional<std::string> check_invariants();
 
  private:
   struct Resource {
@@ -135,15 +160,18 @@ class FluidModel {
     double remaining = 0.0;
     double rate = 0.0;
     std::function<void()> on_complete;
-    EventId completion_event = kInvalidEventId;
   };
+
+  static constexpr std::uint32_t kNoSlot = 0xffffffffU;
 
   /// Accrues progress since the last settle instant.
   void settle();
-  /// Recomputes all rates (progressive filling) and reschedules completions.
-  void rebalance();
-  void schedule_completion(Activity& activity);
-  void on_activity_complete(ActivityId id);
+  /// Recomputes all rates (progressive filling) and moves the completion
+  /// event to the earliest finish.
+  void solve();
+  /// The completion event's callback: completes the activity the last solve
+  /// chose.
+  void complete_next();
   /// The live slot of `id`, or nullptr for completed/cancelled/unknown ids.
   const Activity* find(ActivityId id) const;
   /// Takes a live activity out of the model and frees its slot.
@@ -160,10 +188,17 @@ class FluidModel {
   std::unordered_map<ActivityId, std::uint32_t> slot_of_;
   ActivityId next_activity_id_ = 1;
   SimTime last_settle_ = 0.0;
+  /// Set by every change, cleared by solve().
+  bool solve_pending_ = false;
+  /// The one pending completion event, or kInvalidEventId while every live
+  /// activity is stalled (or none is live).
+  EventId completion_event_ = kInvalidEventId;
+  /// The slot whose activity completion_event_ completes.
+  std::uint32_t next_slot_ = kNoSlot;
   std::uint64_t rebalance_count_ = 0;
   std::uint64_t activities_touched_ = 0;
-  /// Working state for rebalance(), reused across calls instead of being
-  /// reallocated per solve; rebalance() never recurses, which makes the reuse
+  /// Working state for solve(), reused across calls instead of being
+  /// reallocated per solve; solve() never recurses, which makes the reuse
   /// safe. `demanded_` has one bit per resource, set while some activity in
   /// the current solve demands it; `avail_` and `weight_sum_` hold meaningful
   /// values only for those resources.
@@ -172,6 +207,7 @@ class FluidModel {
   std::vector<double> weight_sum_;
   std::vector<std::uint32_t> scratch_unfrozen_;
   std::vector<std::uint32_t> scratch_next_unfrozen_;
+  std::vector<std::uint32_t> scratch_frozen_;
 };
 
 }  // namespace elastisim::sim

@@ -1,9 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
 
 #include "platform/cluster.h"
 #include "platform/loader.h"
+#include "util/load_error.h"
 
 namespace elastisim::platform {
 namespace {
@@ -213,6 +215,39 @@ TEST(PlatformLoader, RejectsMalformedQuantity) {
 
 TEST(PlatformLoader, RejectsZeroNodes) {
   EXPECT_THROW(parse_cluster_config(json::parse(R"({"nodes": 0})")), std::runtime_error);
+}
+
+// A negative bandwidth would stall every flow through the link at rate 0
+// instead of failing; the loader rejects it and names the member.
+TEST(PlatformLoader, RejectsNegativeBandwidth) {
+  const struct {
+    const char* json;
+    const char* path;
+  } cases[] = {
+      {R"({"link_bandwidth": -1})", "$.link_bandwidth"},
+      {R"({"backbone_bandwidth": -1e9})", "$.backbone_bandwidth"},
+      {R"({"pod_bandwidth": -5})", "$.pod_bandwidth"},
+      {R"({"pod_bandwidth": "-5 GB/s"})", "$.pod_bandwidth"},
+      {R"({"burst_buffer_bandwidth": -2})", "$.burst_buffer_bandwidth"},
+      {R"({"pfs": {"read_bandwidth": -3}})", "$.pfs.read_bandwidth"},
+      {R"({"pfs": {"write_bandwidth": -4}})", "$.pfs.write_bandwidth"},
+  };
+  for (const auto& c : cases) {
+    try {
+      parse_cluster_config(json::parse(c.json));
+      ADD_FAILURE() << "expected LoadError for " << c.json;
+    } catch (const util::LoadError& error) {
+      EXPECT_EQ(error.json_path(), c.path) << c.json;
+    }
+  }
+}
+
+TEST(PlatformLoader, AcceptsZeroBandwidth) {
+  const auto config = parse_cluster_config(json::parse(
+      R"({"pod_bandwidth": 0, "backbone_bandwidth": 0, "pfs": {"read_bandwidth": 0}})"));
+  EXPECT_EQ(config.pod_bandwidth, 0.0);
+  EXPECT_EQ(config.backbone_bandwidth, 0.0);
+  EXPECT_EQ(config.pfs.read_bandwidth, 0.0);
 }
 
 TEST(PlatformLoader, RejectsNonObject) {

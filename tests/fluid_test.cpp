@@ -8,11 +8,13 @@
 #include <cstdint>
 #include <functional>
 #include <iterator>
+#include <limits>
 #include <memory>
 #include <vector>
 
 #include "sim/engine.h"
 #include "sim/fluid.h"
+#include "util/check.h"
 #include "util/rng.h"
 
 namespace elastisim::sim {
@@ -110,6 +112,48 @@ TEST_F(FluidTest, CancelPreventsCompletion) {
 
 TEST_F(FluidTest, CancelUnknownReturnsFalse) {
   EXPECT_FALSE(fluid().cancel(1234567));
+}
+
+// ---------------------------------------------------------------------------
+// Contract checks: malformed capacities and specs throw in every build
+// ---------------------------------------------------------------------------
+
+constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+
+TEST_F(FluidTest, AddResourceRejectsNegativeOrNaNCapacity) {
+  EXPECT_THROW(fluid().add_resource("neg", -5.0), util::CheckError);
+  EXPECT_THROW(fluid().add_resource("nan", kNaN), util::CheckError);
+  EXPECT_EQ(fluid().resource_count(), 0u);
+  EXPECT_NO_THROW(fluid().add_resource("zero", 0.0));
+}
+
+TEST_F(FluidTest, SetCapacityRejectsNegativeOrNaNCapacity) {
+  const ResourceId cpu = fluid().add_resource("cpu", 10.0);
+  EXPECT_THROW(fluid().set_capacity(cpu, -1.0), util::CheckError);
+  EXPECT_THROW(fluid().set_capacity(cpu, kNaN), util::CheckError);
+  EXPECT_DOUBLE_EQ(fluid().capacity(cpu), 10.0);
+  EXPECT_NO_THROW(fluid().set_capacity(cpu, 0.0));
+}
+
+TEST_F(FluidTest, StartRejectsNonPositiveRateCap) {
+  const ResourceId cpu = fluid().add_resource("cpu", 10.0);
+  for (const double cap : {0.0, -1.0, kNaN}) {
+    EXPECT_THROW(fluid().start({10.0, {{cpu, 1.0}}, cap, "bad cap"}, [] {}), util::CheckError)
+        << cap;
+  }
+  EXPECT_EQ(fluid().active_count(), 0u);
+}
+
+TEST_F(FluidTest, StartRejectsInfiniteCapWithoutDemands) {
+  EXPECT_THROW(fluid().start({10.0, {}, kTimeInfinity, "unbounded"}, [] {}), util::CheckError);
+  EXPECT_EQ(fluid().active_count(), 0u);
+}
+
+TEST_F(FluidTest, StartRejectsNaNWork) {
+  const ResourceId cpu = fluid().add_resource("cpu", 10.0);
+  EXPECT_THROW(fluid().start({kNaN, {{cpu, 1.0}}, kTimeInfinity, "nan work"}, [] {}),
+               util::CheckError);
+  EXPECT_EQ(fluid().active_count(), 0u);
 }
 
 TEST_F(FluidTest, CancelSpeedsUpSurvivor) {
@@ -566,6 +610,313 @@ TEST(FluidOracle, SolveMatchesFullScanReferenceBitForBit) {
         ASSERT_EQ(bits(fluid.consumption(static_cast<ResourceId>(r))),
                   bits(reference.consumption[r]))
             << "step " << step << ", resource " << r;
+      }
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Differential oracle: completion order against eager per-activity events
+// ---------------------------------------------------------------------------
+
+// The fluid model as it ran before solves were deferred, kept as the
+// reference for when and in which order completions fire: one solve per
+// change (reference_solve), and one completion event per activity, which
+// every solve reschedules in insertion order with a fresh sequence number.
+// It runs on a clock and a sim::EventQueue of its own, with the engine's
+// clamping and dispatch rules.
+class EagerReference {
+ public:
+  SimTime now() const { return now_; }
+
+  ResourceId add_resource(double capacity) {
+    capacity_.push_back(capacity);
+    return static_cast<ResourceId>(capacity_.size() - 1);
+  }
+
+  void set_capacity(ResourceId resource, double capacity) {
+    settle();
+    capacity_[resource] = capacity;
+    solve();
+  }
+
+  ActivityId start(ActivitySpec spec, std::function<void()> on_complete) {
+    settle();
+    const ActivityId id = next_id_++;
+    const double remaining = std::max(spec.work, 0.0);
+    live_.push_back(
+        {id, std::move(spec), remaining, 0.0, std::move(on_complete), kInvalidEventId});
+    solve();
+    return id;
+  }
+
+  bool cancel(ActivityId id) {
+    const auto it = find(id);
+    if (it == live_.end()) return false;
+    settle();
+    if (it->event != kInvalidEventId) queue_.cancel(it->event);
+    live_.erase(it);
+    solve();
+    return true;
+  }
+
+  bool is_active(ActivityId id) { return find(id) != live_.end(); }
+
+  double rate(ActivityId id) {
+    const auto it = find(id);
+    return it == live_.end() ? 0.0 : it->rate;
+  }
+
+  double remaining_work(ActivityId id) {
+    const auto it = find(id);
+    if (it == live_.end()) return 0.0;
+    return std::max(0.0, it->remaining - it->rate * (now_ - last_settle_));
+  }
+
+  EventId schedule_in(SimTime delay, std::function<void()> callback) {
+    return schedule_at(now_ + delay, std::move(callback));
+  }
+
+  bool step() {
+    if (queue_.empty()) return false;
+    auto [time, callback] = queue_.pop();
+    if (time > now_) now_ = time;
+    callback();
+    return true;
+  }
+
+ private:
+  struct Activity {
+    ActivityId id;
+    ActivitySpec spec;
+    double remaining;
+    double rate;
+    std::function<void()> on_complete;
+    EventId event;
+  };
+
+  std::vector<Activity>::iterator find(ActivityId id) {
+    return std::find_if(live_.begin(), live_.end(),
+                        [id](const Activity& a) { return a.id == id; });
+  }
+
+  // Engine's rule: an event can never be placed in the past.
+  SimTime clamp(SimTime when) const { return when < now_ ? now_ : when; }
+
+  EventId schedule_at(SimTime when, std::function<void()> callback) {
+    return queue_.push(clamp(when), std::move(callback));
+  }
+
+  void settle() {
+    const double elapsed = now_ - last_settle_;
+    if (elapsed > 0.0) {
+      for (Activity& a : live_) a.remaining = std::max(0.0, a.remaining - a.rate * elapsed);
+    }
+    last_settle_ = now_;
+  }
+
+  void solve() {
+    std::vector<const ActivitySpec*> specs;
+    for (const Activity& a : live_) specs.push_back(&a.spec);
+    const ReferenceSolution solution = reference_solve(capacity_, specs);
+    for (std::size_t i = 0; i < live_.size(); ++i) live_[i].rate = solution.rate[i];
+    for (Activity& a : live_) schedule_completion(a);
+  }
+
+  void schedule_completion(Activity& a) {
+    SimTime finish;
+    if (a.remaining <= kWorkEpsilon) {
+      finish = now_;
+    } else if (a.rate > 0.0) {
+      finish = now_ + a.remaining / a.rate;
+    } else {
+      if (a.event != kInvalidEventId) queue_.cancel(a.event);
+      a.event = kInvalidEventId;
+      return;
+    }
+    if (a.event != kInvalidEventId && queue_.reschedule(a.event, clamp(finish))) return;
+    const ActivityId id = a.id;
+    a.event = schedule_at(finish, [this, id] { complete(id); });
+  }
+
+  void complete(ActivityId id) {
+    const auto it = find(id);
+    settle();
+    std::function<void()> callback = std::move(it->on_complete);
+    live_.erase(it);
+    solve();
+    if (callback) callback();
+  }
+
+  SimTime now_ = 0.0;
+  SimTime last_settle_ = 0.0;
+  EventQueue queue_;
+  std::vector<double> capacity_;
+  std::vector<Activity> live_;
+  ActivityId next_id_ = 1;
+};
+
+// The engine and fluid model under test, behind the reference's interface.
+class EngineUnderTest {
+ public:
+  SimTime now() const { return engine_.now(); }
+  ResourceId add_resource(double capacity) { return fluid().add_resource("r", capacity); }
+  void set_capacity(ResourceId resource, double capacity) {
+    fluid().set_capacity(resource, capacity);
+  }
+  ActivityId start(ActivitySpec spec, std::function<void()> on_complete) {
+    return fluid().start(std::move(spec), std::move(on_complete));
+  }
+  bool cancel(ActivityId id) { return fluid().cancel(id); }
+  bool is_active(ActivityId id) { return fluid().is_active(id); }
+  double rate(ActivityId id) { return fluid().rate(id); }
+  double remaining_work(ActivityId id) { return fluid().remaining_work(id); }
+  EventId schedule_in(SimTime delay, std::function<void()> callback) {
+    return engine_.schedule_in(delay, std::move(callback));
+  }
+  bool step() { return engine_.step(); }
+
+ private:
+  FluidModel& fluid() { return engine_.fluid(); }
+  Engine engine_;
+};
+
+// One randomized script of starts, cancels, capacity changes and foreign
+// events, run against either side. Every decision is drawn from the script's
+// own generator, from inside the dispatched callbacks, so two sides that
+// dispatch the same events in the same order make the same decisions. Works,
+// capacities and delays come from small sets of round values, so equal
+// finish times, and completions at the instant of a foreign event, are
+// common.
+template <typename Side>
+class OracleScript {
+ public:
+  static constexpr double kCapacities[] = {0.0, 1.0, 2.0, 2.0, 4.0, kTimeInfinity};
+  static constexpr double kWorks[] = {0.0, 1.0, 2.0, 2.0, 4.0, 8.0};
+  static constexpr double kWeights[] = {1.0, 1.0, 2.0};
+  static constexpr double kRateCaps[] = {kTimeInfinity, kTimeInfinity, 1.0, 2.0};
+  static constexpr double kDelays[] = {0.0, 0.5, 1.0, 2.0, 4.0};
+
+  explicit OracleScript(std::uint64_t seed) : rng_(seed) {
+    resources_ = rng_.uniform_int(1, 4);
+    for (std::int64_t r = 0; r < resources_; ++r) side.add_resource(pick(kCapacities));
+    for (int i = 0; i < 3; ++i) start();
+    side.schedule_in(0.0, [this] { script_event(); });
+  }
+
+  OracleScript(const OracleScript&) = delete;
+  OracleScript& operator=(const OracleScript&) = delete;
+
+  Side side;
+  /// Tag of the last dispatched callback: the start index of a completed
+  /// activity, or -1 - n for the n-th foreign event.
+  std::int64_t fired = 0;
+  /// Every activity id in start order.
+  std::vector<ActivityId> started;
+  /// Cancels that found a live activity.
+  std::int64_t cancels_hit = 0;
+
+ private:
+  template <std::size_t N>
+  double pick(const double (&values)[N]) {
+    return values[static_cast<std::size_t>(rng_.uniform_int(0, std::int64_t{N} - 1))];
+  }
+
+  void start() {
+    ActivitySpec spec;
+    spec.work = pick(kWorks);
+    spec.rate_cap = pick(kRateCaps);
+    if (rng_.bernoulli(0.15)) {
+      spec.rate_cap = rng_.bernoulli(0.5) ? 1.0 : 2.0;  // no demands: needs a finite cap
+    } else {
+      const auto uses = rng_.uniform_int(1, std::min<std::int64_t>(2, resources_));
+      for (std::int64_t u = 0; u < uses; ++u) {
+        const auto r = static_cast<ResourceId>(rng_.uniform_int(0, resources_ - 1));
+        const bool taken = std::any_of(spec.demands.begin(), spec.demands.end(),
+                                       [r](const Demand& d) { return d.resource == r; });
+        if (!taken) spec.demands.push_back({r, pick(kWeights)});
+      }
+    }
+    const auto tag = static_cast<std::int64_t>(started.size());
+    started.push_back(side.start(std::move(spec), [this, tag] {
+      fired = tag;
+      on_completion();
+    }));
+  }
+
+  // A completion callback changes the model and the queue while it is being
+  // dispatched: each of a follow-up start, a zero-delay event, a cancel of
+  // another activity and a second follow-up happens with some probability.
+  void on_completion() {
+    if (follow_ups_ > 0 && rng_.bernoulli(0.5)) {
+      --follow_ups_;
+      start();
+    }
+    if (rng_.bernoulli(0.3)) push(0.0);
+    if (rng_.bernoulli(0.2)) cancel_one();
+    if (follow_ups_ > 0 && rng_.bernoulli(0.2)) {
+      --follow_ups_;
+      start();
+    }
+  }
+
+  void script_event() {
+    if (--budget_ > 0) side.schedule_in(pick(kDelays), [this] { script_event(); });
+    const auto actions = rng_.uniform_int(1, 3);
+    for (std::int64_t a = 0; a < actions; ++a) {
+      const double roll = rng_.uniform();
+      if (roll < 0.45) {
+        start();
+      } else if (roll < 0.6) {
+        cancel_one();
+      } else if (roll < 0.8) {
+        side.set_capacity(static_cast<ResourceId>(rng_.uniform_int(0, resources_ - 1)),
+                          pick(kCapacities));
+      } else {
+        push(pick(kDelays));
+      }
+    }
+  }
+
+  void cancel_one() {
+    if (started.empty()) return;
+    const auto i = static_cast<std::size_t>(
+        rng_.uniform_int(0, static_cast<std::int64_t>(started.size()) - 1));
+    if (side.cancel(started[i])) ++cancels_hit;
+  }
+
+  void push(SimTime delay) {
+    const std::int64_t tag = -1 - foreign_++;
+    side.schedule_in(delay, [this, tag] { fired = tag; });
+  }
+
+  util::Rng rng_;
+  std::int64_t resources_ = 0;
+  int budget_ = 60;
+  int follow_ups_ = 80;
+  std::int64_t foreign_ = 0;
+};
+
+TEST(FluidOracle, EngineFiresCompletionsAsEagerPerActivityEventsBitForBit) {
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    SCOPED_TRACE(seed);
+    OracleScript<EngineUnderTest> real(seed);
+    OracleScript<EagerReference> eager(seed);
+    for (int step = 0;; ++step) {
+      const bool stepped = real.side.step();
+      ASSERT_EQ(stepped, eager.side.step()) << "step " << step;
+      if (!stepped) break;
+      ASSERT_EQ(real.fired, eager.fired) << "step " << step;
+      ASSERT_EQ(bits(real.side.now()), bits(eager.side.now())) << "step " << step;
+      ASSERT_EQ(real.started, eager.started) << "step " << step;
+      ASSERT_EQ(real.cancels_hit, eager.cancels_hit) << "step " << step;
+      for (const ActivityId id : real.started) {
+        ASSERT_EQ(real.side.is_active(id), eager.side.is_active(id))
+            << "step " << step << ", activity " << id;
+        ASSERT_EQ(bits(real.side.rate(id)), bits(eager.side.rate(id)))
+            << "step " << step << ", activity " << id;
+        ASSERT_EQ(bits(real.side.remaining_work(id)), bits(eager.side.remaining_work(id)))
+            << "step " << step << ", activity " << id;
       }
     }
   }

@@ -125,12 +125,39 @@ TEST_F(KernelEdge, RemainingWorkNeverNegative) {
   EXPECT_GE(fluid().remaining_work(id), 0.0);
 }
 
+// One solve per batch of changes: changes only mark a solve pending, and the
+// next rate read or engine step runs it once for the whole batch.
 TEST_F(KernelEdge, RebalanceCountAdvancesWithChurn) {
   const ResourceId cpu = fluid().add_resource("cpu", 10.0);
   const auto before = fluid().rebalance_count();
-  const ActivityId id = fluid().start({10.0, {{cpu, 1.0}}, kTimeInfinity, "a"}, [] {});
-  fluid().cancel(id);
-  EXPECT_GE(fluid().rebalance_count(), before + 2);
+
+  // A start and a cancel with no read in between run no solve.
+  const ActivityId a = fluid().start({10.0, {{cpu, 1.0}}, kTimeInfinity, "a"}, [] {});
+  fluid().cancel(a);
+  EXPECT_EQ(fluid().rebalance_count(), before);
+
+  // A rate read runs exactly one; a second read finds nothing pending.
+  EXPECT_EQ(fluid().rate(a), 0.0);
+  EXPECT_EQ(fluid().rebalance_count(), before + 1);
+  EXPECT_EQ(fluid().rate(a), 0.0);
+  EXPECT_EQ(fluid().rebalance_count(), before + 1);
+
+  // An engine step runs exactly one: the solve that times b's completion.
+  bool c_done = false;
+  fluid().start({10.0, {{cpu, 1.0}}, kTimeInfinity, "b"}, [&] {
+    fluid().start({10.0, {{cpu, 1.0}}, kTimeInfinity, "c"}, [&] { c_done = true; });
+  });
+  EXPECT_EQ(fluid().rebalance_count(), before + 1);
+  ASSERT_TRUE(engine.step());  // b completes at t=1 and starts c
+  EXPECT_DOUBLE_EQ(engine.now(), 1.0);
+  EXPECT_EQ(fluid().rebalance_count(), before + 2);
+
+  // b's completion and the follow-up its callback started share one solve.
+  EXPECT_EQ(engine.pending_events(), 1u);
+  EXPECT_EQ(fluid().rebalance_count(), before + 3);
+  engine.run();
+  EXPECT_TRUE(c_done);
+  EXPECT_DOUBLE_EQ(engine.now(), 2.0);
 }
 
 TEST_F(KernelEdge, ResourceMetadataAccessors) {
