@@ -1,7 +1,7 @@
 # Golden sink digests, run as a CTest script:
 #   cmake -DELASTISIM=<binary> -DPLATFORM=<json> -DGOLDEN_DIR=<tests/golden>
 #         -DOUT_DIR=<dir> [-DBLESS=1] -P golden_sinks.cmake
-# Runs the CLI on three fixed scenarios and compares the SHA-256 of every sink
+# Runs the CLI on eight fixed scenarios and compares the SHA-256 of every sink
 # file plus the exact `counters` object of telemetry.json against the values
 # committed in ${GOLDEN_DIR}/expected.txt. Unlike cli_determinism_smoke (run
 # vs run), this pins the output itself, so a refactor that changes what a
@@ -14,6 +14,8 @@
 #   c  fair-share under plain requeue and the same MTBF failure model, so
 #      per-user usage accrues mid-run (finishes, requeues, evolving resizes)
 #      and every ranking pass reads it.
+#   d-h  fcfs, easy, fcfs-malleable, equal-share and priority under scenario
+#      c's failure model, so every built-in policy has a pinned schedule.
 #
 # Re-blessing is deliberate: pass -DBLESS=1 to rewrite expected.txt from the
 # current binary, and say why in CHANGES.md.
@@ -40,6 +42,17 @@ set(args_c --scheduler fair-share --failure-policy requeue
            --mtbf 3h --repair 20m --failure-seed 5
            --trace --telemetry --journal ${OUT_DIR}/c/journal.jsonl)
 set(files_c jobs.csv trace.csv journal.jsonl)
+set(policy_d fcfs)
+set(policy_e easy)
+set(policy_f fcfs-malleable)
+set(policy_g equal-share)
+set(policy_h priority)
+foreach(scenario IN ITEMS d e f g h)
+  set(args_${scenario} --scheduler ${policy_${scenario}} --failure-policy requeue
+                       --mtbf 3h --repair 20m --failure-seed 5
+                       --telemetry --journal ${OUT_DIR}/${scenario}/journal.jsonl)
+  set(files_${scenario} jobs.csv journal.jsonl)
+endforeach()
 
 # "name=value" pairs of telemetry.json's counters object, in file order.
 function(counters_line telemetry_file out_var)
@@ -59,7 +72,7 @@ function(counters_line telemetry_file out_var)
 endfunction()
 
 set(actual)
-foreach(scenario IN ITEMS a b c)
+foreach(scenario IN ITEMS a b c d e f g h)
   set(run_dir "${OUT_DIR}/${scenario}")
   file(REMOVE_RECURSE ${run_dir})
   file(MAKE_DIRECTORY ${run_dir})
