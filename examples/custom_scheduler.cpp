@@ -40,14 +40,15 @@ class SjfMalleableScheduler final : public core::Scheduler {
       const workload::Job* best = nullptr;
       int best_size = -1;
       double best_key = 0.0;
-      for (const core::QueuedJob& queued : ctx.queue()) {
-        const int size = core::passes::feasible_start_size(*queued.job, ctx.free_nodes());
+      for (const workload::Job* queued : ctx.queue()) {
+        const int size = core::passes::feasible_start_size(*queued, ctx.free_nodes());
         if (size < 0) continue;
-        const bool aged = queued.waiting_for > max_age_;
+        const double waiting_seconds = ctx.now() - queued->submit_time;
+        const bool aged = waiting_seconds > max_age_;
         // Walltime is the only runtime signal a real batch system has.
-        const double key = aged ? -queued.waiting_for : queued.job->walltime_limit;
+        const double key = aged ? -waiting_seconds : queued->walltime_limit;
         if (!best || key < best_key) {
-          best = queued.job;
+          best = queued;
           best_size = size;
           best_key = key;
         }

@@ -6,6 +6,7 @@
 
 #include "core/flight_recorder.h"
 #include "stats/profiler.h"
+#include "util/check.h"
 #include "util/log.h"
 
 namespace elastisim::core {
@@ -65,7 +66,7 @@ void BatchSystem::end_run() {
 
 const BatchSystem::Managed& BatchSystem::managed(JobId id) const {
   auto it = jobs_.find(id);
-  assert(it != jobs_.end() && "unknown job id");
+  ELSIM_CHECK(it != jobs_.end(), "managed(job {}): unknown job id", id);
   return *it->second;
 }
 
@@ -136,7 +137,7 @@ void BatchSystem::enter_queue(JobId id) {
     return;
   }
   job.state = JobState::kQueued;
-  queue_order_.push_back(id);
+  queue_.push_back(&job.job);
   emit({.kind = Kind::kQueued, .job = &job.job});
   arm_timers();
   invoke_scheduler(stats::JournalCause::kSubmit);
@@ -157,7 +158,7 @@ void BatchSystem::resolve_dependents(JobId id, bool succeeded) {
     if (child.outstanding_deps.empty()) {
       --held_;
       child.state = JobState::kQueued;
-      queue_order_.push_back(child_id);
+      queue_.push_back(&child.job);
       emit({.kind = Kind::kQueued, .job = &child.job});
       arm_timers();
     }
@@ -168,9 +169,7 @@ void BatchSystem::cancel_job(Managed& job) {
   const JobId id = job.job.id;
   assert(job.state == JobState::kPending || job.state == JobState::kHeld ||
          job.state == JobState::kQueued);
-  if (job.state == JobState::kQueued) {
-    queue_order_.erase(std::find(queue_order_.begin(), queue_order_.end(), id));
-  }
+  if (job.state == JobState::kQueued) std::erase(queue_, &job.job);
   job.state = JobState::kCancelled;
   recorder_->on_cancel(id, engine_->now());
   emit({.kind = Kind::kCancel, .job = &job.job});
@@ -184,27 +183,34 @@ void BatchSystem::cancel_job(Managed& job) {
 // ---------------------------------------------------------------------------
 
 std::vector<JobId> BatchSystem::unfinished_job_ids() const {
-  std::vector<JobId> ids = queue_order_;
-  ids.insert(ids.end(), running_order_.begin(), running_order_.end());
+  std::vector<JobId> ids;
+  ids.reserve(queue_.size() + running_.size());
+  for (QueuedJob queued : queue_) ids.push_back(queued->id);
+  for (const RunningJob& running : running_) ids.push_back(running.job->id);
   return ids;
 }
 
 void BatchSystem::start_job(JobId id, int nodes) {
   Managed& job = managed(id);
-  assert(job.state == JobState::kQueued && "start_job on a non-queued job");
+  ELSIM_CHECK(job.state == JobState::kQueued, "start_job(job {}, {} nodes): the job is not queued",
+              id, nodes);
   if (job.job.type == workload::JobType::kRigid) {
-    assert(nodes == job.job.requested_nodes && "rigid jobs start at their requested size");
+    ELSIM_CHECK(nodes == job.job.requested_nodes,
+                "start_job(job {}, {} nodes): a rigid job starts at its requested {} nodes", id,
+                nodes, job.job.requested_nodes);
   } else {
-    assert(nodes >= job.job.min_nodes && nodes <= job.job.max_nodes &&
-           "start size outside the job's range");
+    ELSIM_CHECK(nodes >= job.job.min_nodes && nodes <= job.job.max_nodes,
+                "start_job(job {}, {} nodes): size outside the job's range [{}, {}]", id, nodes,
+                job.job.min_nodes, job.job.max_nodes);
   }
-  assert(nodes <= free_nodes() && "not enough free nodes");
+  ELSIM_CHECK(nodes <= free_nodes(), "start_job(job {}, {} nodes): only {} nodes are free", id,
+              nodes, free_nodes());
 
-  queue_order_.erase(std::find(queue_order_.begin(), queue_order_.end(), id));
+  std::erase(queue_, &job.job);
   job.state = JobState::kRunning;
   job.start_time = engine_->now();
   job.nodes = take_nodes(config_.placement, *cluster_, free_nodes_, nodes);
-  running_order_.push_back(id);
+  running_.push_back({&job.job, job.start_time, nodes, nodes});
   recorder_->on_start(id, engine_->now(), nodes);
   emit({.kind = Kind::kStart, .job = &job.job, .nodes = nodes, .node_list = job.nodes});
 
@@ -231,22 +237,22 @@ void BatchSystem::start_job(JobId id, int nodes) {
   } else {
     job.execution->start();
   }
-  rebuild_views();
 }
 
 void BatchSystem::set_target(JobId id, int nodes) {
   Managed& job = managed(id);
-  assert((job.state == JobState::kRunning || job.state == JobState::kAtBoundary) &&
-         "set_target on a job that is not running");
-  assert(job.job.can_resize_at_runtime() && "set_target on a non-resizable job");
+  ELSIM_CHECK(job.state == JobState::kRunning || job.state == JobState::kAtBoundary,
+              "set_target(job {}, {} nodes): the job is not running", id, nodes);
+  ELSIM_CHECK(job.job.can_resize_at_runtime(),
+              "set_target(job {}, {} nodes): the job cannot resize at runtime", id, nodes);
   const int current = static_cast<int>(job.nodes.size());
   const int clamped = job.job.clamp_nodes(nodes);
   const int previous_target = job.pending_target;
   job.pending_target = clamped == current ? -1 : clamped;
+  refresh_running(job);
   if (clamped != current && clamped != previous_target) {
     emit({.kind = Kind::kTarget, .job = &job.job, .nodes = clamped, .previous_nodes = current});
   }
-  rebuild_views();
 }
 
 // ---------------------------------------------------------------------------
@@ -262,13 +268,15 @@ void BatchSystem::process_boundary(JobId id) {
     const int current = static_cast<int>(job.nodes.size());
     const int desired = job.job.clamp_nodes(current + job.boundary_delta);
     if (desired != current) {
-      rebuild_views();
       const bool granted =
           scheduler_->on_evolving_request(*this, id, desired - current);
       recorder_->on_evolving_request(id, granted);
       emit({.kind = Kind::kEvolvingRequest, .job = &job.job, .nodes = desired,
             .previous_nodes = current, .granted = granted});
-      if (granted) job.pending_target = desired;
+      if (granted) {
+        job.pending_target = desired;
+        refresh_running(job);
+      }
     }
     job.boundary_delta = 0;
   }
@@ -280,6 +288,7 @@ void BatchSystem::process_boundary(JobId id) {
   int target = job.pending_target >= 0 ? job.pending_target
                                        : static_cast<int>(job.nodes.size());
   job.pending_target = -1;
+  refresh_running(job);
   const int current = static_cast<int>(job.nodes.size());
   if (target > current) {
     // Growth is bounded by what is free right now.
@@ -307,6 +316,7 @@ void BatchSystem::apply_resize(Managed& job, int target) {
     std::vector<platform::NodeId> grown = job.nodes;
     for (platform::NodeId node : added) grown.push_back(node);
     job.nodes = grown;
+    refresh_running(job);
     recorder_->on_resize(id, engine_->now(), target);
     emit({.kind = Kind::kExpand, .job = &job.job, .nodes = target, .previous_nodes = current,
           .node_list = added});
@@ -321,6 +331,7 @@ void BatchSystem::apply_resize(Managed& job, int target) {
         [this, id, kept, removed, current, target] {
           Managed& shrunk = managed(id);
           shrunk.nodes = kept;
+          refresh_running(shrunk);
           for (platform::NodeId node : removed) return_node(node);
           recorder_->on_resize(id, engine_->now(), target);
           emit({.kind = Kind::kShrink, .job = &shrunk.job, .nodes = target,
@@ -328,7 +339,6 @@ void BatchSystem::apply_resize(Managed& job, int target) {
           invoke_scheduler(stats::JournalCause::kShrinkComplete);
         });
   }
-  rebuild_views();
 }
 
 void BatchSystem::handle_completion(JobId id) {
@@ -372,7 +382,14 @@ void BatchSystem::stop_running(Managed& job) {
   }
   for (platform::NodeId node : job.nodes) return_node(node);
   job.nodes.clear();
-  running_order_.erase(std::find(running_order_.begin(), running_order_.end(), job.job.id));
+  std::erase_if(running_, [&job](const RunningJob& running) { return running.job == &job.job; });
+}
+
+void BatchSystem::refresh_running(const Managed& job) {
+  const int nodes = static_cast<int>(job.nodes.size());
+  *std::find_if(running_.begin(), running_.end(), [&job](const RunningJob& running) {
+    return running.job == &job.job;
+  }) = {&job.job, job.start_time, nodes, job.pending_target >= 0 ? job.pending_target : nodes};
 }
 
 // ---------------------------------------------------------------------------
@@ -428,10 +445,10 @@ void BatchSystem::fail_node(platform::NodeId node, double repair_time) {
     return;
   }
   // Find the victim job (if any — the node may be mid-release).
-  for (JobId id : running_order_) {
-    Managed& job = managed(id);
+  for (const RunningJob& running : running_) {
+    Managed& job = managed(running.job->id);
     if (std::find(job.nodes.begin(), job.nodes.end(), node) != job.nodes.end()) {
-      evict_job(job, node);
+      evict_job(job, node);  // erases `running`; leave the loop at once
       break;
     }
   }
@@ -539,7 +556,7 @@ void BatchSystem::evict_job(Managed& job, platform::NodeId failed_node) {
         .from_checkpoint = restartable && !job.checkpoint.at_origin(),
         .checkpoint_phase = job.checkpoint.phase,
         .checkpoint_iteration = job.checkpoint.iteration});
-  queue_order_.push_back(id);
+  queue_.push_back(&job.job);
 }
 
 // ---------------------------------------------------------------------------
@@ -559,9 +576,7 @@ void BatchSystem::invoke_scheduler(stats::JournalCause cause) {
     ELSIM_PROFILE_SCOPE(stats::profiler::Phase::kScheduler);
     do {
       rerun_scheduler_ = false;
-      rebuild_views();
-      scheduler_jobs_scanned_ +=
-          static_cast<std::uint64_t>(queue_view_.size() + running_view_.size());
+      scheduler_jobs_scanned_ += static_cast<std::uint64_t>(queue_.size() + running_.size());
       // elsim-lint: allow(hot-virtual-loop) -- the virtual call IS the scheduler plugin API; one dispatch per convergence round, not per job
       scheduler_->schedule(*this);
       if (++rounds > 1000) {
@@ -576,7 +591,7 @@ void BatchSystem::invoke_scheduler(stats::JournalCause cause) {
   scheduler_rounds_ += rounds;
   {
     ELSIM_PROFILE_SCOPE(stats::profiler::Phase::kSinks);
-    emit({.kind = Kind::kSchedulingEnd, .cause = cause, .rounds = rounds, .queue = queue_order_,
+    emit({.kind = Kind::kSchedulingEnd, .cause = cause, .rounds = rounds, .queue = queue_,
           .count = engine_->events_processed(), .pending_events = engine_->pending_events()});
   }
   in_scheduler_ = false;
@@ -587,28 +602,6 @@ bool BatchSystem::test_corrupt_double_allocation(workload::JobId id) {
   if (job.nodes.empty()) return false;
   free_nodes_.insert(job.nodes.front());
   return true;
-}
-
-void BatchSystem::rebuild_views() {
-  const sim::SimTime now = engine_->now();  // hoisted: one clock read per rebuild
-  queue_view_.clear();
-  queue_view_.reserve(queue_order_.size());
-  for (JobId id : queue_order_) {
-    const Managed& job = managed(id);
-    queue_view_.push_back(QueuedJob{&job.job, now - job.job.submit_time});
-  }
-  running_view_.clear();
-  running_view_.reserve(running_order_.size());
-  for (JobId id : running_order_) {
-    const Managed& job = managed(id);
-    double remaining = sim::kTimeInfinity;
-    if (std::isfinite(job.job.walltime_limit)) {
-      remaining = std::max(0.0, job.start_time + job.job.walltime_limit - now);
-    }
-    const int nodes = static_cast<int>(job.nodes.size());
-    running_view_.push_back(RunningJob{&job.job, job.start_time, nodes, remaining,
-                                       job.pending_target >= 0 ? job.pending_target : nodes});
-  }
 }
 
 void BatchSystem::explain(workload::JobId id, stats::HoldReason reason, std::string detail) {
@@ -635,8 +628,8 @@ void BatchSystem::emit(stats::BatchEvent event) {
   }
   if (subscribers_.empty()) return;
   event.time = engine_->now();
-  event.state = {static_cast<int>(queue_order_.size()),
-                 static_cast<int>(running_order_.size()),
+  event.state = {static_cast<int>(queue_.size()),
+                 static_cast<int>(running_.size()),
                  static_cast<int>(free_nodes_.size()),
                  static_cast<int>(failed_nodes_.size()),
                  static_cast<int>(drained_nodes_.size()),

@@ -146,8 +146,8 @@ class BatchSystem final : public SchedulerContext {
   std::size_t requeued_jobs() const { return tallies_.requeues; }
   std::size_t failed_nodes_now() const { return failed_nodes_.size(); }
   std::size_t drained_nodes_now() const { return drained_nodes_.size(); }
-  std::size_t queued_jobs() const { return queue_order_.size(); }
-  std::size_t running_jobs() const { return running_order_.size(); }
+  std::size_t queued_jobs() const { return queue_.size(); }
+  std::size_t running_jobs() const { return running_.size(); }
 
   /// Scheduling points executed and scheduler passes inside them (always
   /// counted).
@@ -155,7 +155,7 @@ class BatchSystem final : public SchedulerContext {
   std::uint64_t scheduler_rounds() const { return scheduler_rounds_; }
 
   /// Jobs presented to the scheduler summed over every round (queued +
-  /// running views); the per-invocation rescan cost that dominates large
+  /// running lists); the per-invocation rescan cost that dominates large
   /// workloads. Always counted, like the invocation/round counters.
   std::uint64_t scheduler_jobs_scanned() const { return scheduler_jobs_scanned_; }
 
@@ -179,8 +179,8 @@ class BatchSystem final : public SchedulerContext {
     return static_cast<int>(cluster_->node_count() - failed_nodes_.size() - drained_nodes_.size());
   }
   int free_nodes() const override { return static_cast<int>(free_nodes_.size()); }
-  const std::vector<QueuedJob>& queue() const override { return queue_view_; }
-  const std::vector<RunningJob>& running() const override { return running_view_; }
+  const std::vector<QueuedJob>& queue() const override { return queue_; }
+  const std::vector<RunningJob>& running() const override { return running_; }
   double user_usage(const std::string& user) const override {
     return recorder_->user_node_seconds(user, engine_->now());
   }
@@ -191,7 +191,7 @@ class BatchSystem final : public SchedulerContext {
                std::string detail = std::string()) override;
 
  private:
-  /// The checker reads the private pools/orders directly so validation needs
+  /// The checker reads the private pools/lists directly so validation needs
   /// no public surface area beyond subscribe().
   friend class InvariantChecker;
 
@@ -258,13 +258,16 @@ class BatchSystem final : public SchedulerContext {
   void handle_completion(workload::JobId id);
   void handle_walltime(workload::JobId id);
   /// Takes a job off its allocation: cancels its walltime event, returns its
-  /// nodes and drops it from the run order.
+  /// nodes and drops it from running_.
   void stop_running(Managed& job);
+  /// Rewrites `job`'s running_ entry after its nodes or pending target
+  /// changed: {&job, start_time, nodes.size(), pending_target, or the size
+  /// when none is pending}.
+  void refresh_running(const Managed& job);
 
   /// Runs the scheduler to quiescence; `cause` is what triggered the
   /// scheduling point (recorded as the journal record's cause).
   void invoke_scheduler(stats::JournalCause cause);
-  void rebuild_views();
   /// Arms the periodic scheduler timer and the kSample cadence, each only
   /// when configured and not already pending.
   void arm_timers();
@@ -289,8 +292,11 @@ class BatchSystem final : public SchedulerContext {
 
   std::unordered_map<workload::JobId, std::unique_ptr<Managed>> jobs_;
   std::unordered_map<workload::JobId, std::vector<workload::JobId>> dependents_;
-  std::vector<workload::JobId> queue_order_;
-  std::vector<workload::JobId> running_order_;
+  /// The scheduler's views, one list per job state: queued jobs in queue
+  /// order, running jobs in start order. Updated wherever a job enters a
+  /// list, leaves it or changes.
+  std::vector<QueuedJob> queue_;
+  std::vector<RunningJob> running_;
   std::set<platform::NodeId> free_nodes_;
   std::set<platform::NodeId> failed_nodes_;
   std::set<platform::NodeId> drained_nodes_;      // out of service, intact
@@ -301,9 +307,6 @@ class BatchSystem final : public SchedulerContext {
   /// Latest scheduled repair per currently failed node; a repair event only
   /// restores the node once no later outage window covers it.
   std::unordered_map<platform::NodeId, double> repair_until_;
-
-  std::vector<QueuedJob> queue_view_;
-  std::vector<RunningJob> running_view_;
 
   std::size_t held_ = 0;
   std::uint64_t scheduler_invocations_ = 0;

@@ -1,6 +1,7 @@
 #include "core/invariant_checker.h"
 
 #include <algorithm>
+#include <bit>
 #include <map>
 #include <vector>
 
@@ -33,6 +34,19 @@ const char* state_name(int state) {
   return "?";
 }
 
+/// Whether the running-list entry matches its job's record: the record's
+/// job, start time (bit for bit), allocation size, and pending target (the
+/// size itself when none is pending).
+bool entry_matches(const RunningJob& entry, const workload::Job& job, double start_time,
+                   std::size_t nodes, int pending_target) {
+  const int size = static_cast<int>(nodes);
+  return entry.job == &job &&
+         std::bit_cast<std::uint64_t>(entry.start_time) ==
+             std::bit_cast<std::uint64_t>(start_time) &&
+         entry.nodes == size &&
+         entry.pending_target == (pending_target >= 0 ? pending_target : size);
+}
+
 }  // namespace
 
 void InvariantChecker::attach(BatchSystem& batch) {
@@ -55,8 +69,8 @@ void InvariantChecker::attach(BatchSystem& batch) {
 void InvariantChecker::on_event(const stats::BatchEvent& event) {
   if (event.kind == stats::BatchEventKind::kSchedulingBegin) {
     begin_seen_ = true;
-    begin_queued_ = static_cast<int>(batch_->queue_order_.size());
-    begin_running_ = static_cast<int>(batch_->running_order_.size());
+    begin_queued_ = static_cast<int>(batch_->queue_.size());
+    begin_running_ = static_cast<int>(batch_->running_.size());
     begin_free_ = static_cast<int>(batch_->free_nodes_.size());
     begin_total_ = batch_->total_nodes();
     begin_journal_size_ = journal_ ? journal_->size() : 0;
@@ -113,12 +127,16 @@ bool InvariantChecker::quick_state_ok(const BatchSystem& batch) {
 
   owner_scratch_.assign(total, kNoOwner);
   std::size_t allocated = 0;
-  for (workload::JobId id : batch.running_order_) {
+  for (const RunningJob& entry : batch.running_) {
+    const workload::JobId id = entry.job->id;
     const auto it = batch.jobs_.find(id);
     if (it == batch.jobs_.end()) return false;
     const BatchSystem::Managed& job = *it->second;
     if (job.state != JobState::kRunning && job.state != JobState::kAtBoundary) return false;
     if (job.nodes.empty()) return false;
+    if (!entry_matches(entry, job.job, job.start_time, job.nodes.size(), job.pending_target)) {
+      return false;
+    }
     for (platform::NodeId node : job.nodes) {
       if (node >= total) return false;
       if (owner_scratch_[node] != kNoOwner) return false;
@@ -167,13 +185,16 @@ bool InvariantChecker::batch_state_ok(const BatchSystem& batch) {
         job.state == JobState::kRunning || job.state == JobState::kAtBoundary;
     if (holds_allocation == job.nodes.empty()) return false;
   }
-  if (batch.queue_order_.size() != queued) return false;
-  for (workload::JobId id : batch.queue_order_) {
-    const auto it = batch.jobs_.find(id);
-    if (it == batch.jobs_.end() || it->second->state != JobState::kQueued) return false;
+  if (batch.queue_.size() != queued) return false;
+  for (QueuedJob entry : batch.queue_) {
+    const auto it = batch.jobs_.find(entry->id);
+    if (it == batch.jobs_.end() || &it->second->job != entry ||
+        it->second->state != JobState::kQueued) {
+      return false;
+    }
   }
-  // quick_state_ok() already saw each run-order entry exactly once, running.
-  if (batch.running_order_.size() != running + at_boundary) return false;
+  // quick_state_ok() already saw each running entry exactly once, running.
+  if (batch.running_.size() != running + at_boundary) return false;
   return batch.unfinished() == pending + held + queued + running + at_boundary;
 }
 
@@ -276,26 +297,49 @@ void InvariantChecker::check_batch_state_detailed(const BatchSystem& batch) {
                    batch.drained_nodes_.size(), total));
   }
 
-  // Queue/running orders must agree with the per-job states.
-  if (batch.queue_order_.size() != queued) {
-    fail(&batch, now, util::fmt("queue order lists {} jobs but {} jobs are queued",
-                                batch.queue_order_.size(), queued));
+  // The queue and running lists must agree with the per-job states, and
+  // each running entry with its job's record.
+  if (batch.queue_.size() != queued) {
+    fail(&batch, now, util::fmt("queue lists {} jobs but {} jobs are queued",
+                                batch.queue_.size(), queued));
   }
-  for (JobId id : batch.queue_order_) {
-    const auto it = batch.jobs_.find(id);
-    if (it == batch.jobs_.end() || it->second->state != JobState::kQueued) {
-      fail(&batch, now, util::fmt("queue order lists job {} which is not queued", id));
+  for (QueuedJob entry : batch.queue_) {
+    const auto it = batch.jobs_.find(entry->id);
+    if (it == batch.jobs_.end() || &it->second->job != entry ||
+        it->second->state != JobState::kQueued) {
+      fail(&batch, now, util::fmt("queue lists job {} which is not queued", entry->id));
     }
   }
-  if (batch.running_order_.size() != running + at_boundary) {
-    fail(&batch, now, util::fmt("run order lists {} jobs but {} jobs hold allocations",
-                                batch.running_order_.size(), running + at_boundary));
+  if (batch.running_.size() != running + at_boundary) {
+    fail(&batch, now, util::fmt("running list holds {} jobs but {} jobs hold allocations",
+                                batch.running_.size(), running + at_boundary));
   }
-  for (JobId id : batch.running_order_) {
+  for (const RunningJob& entry : batch.running_) {
+    const JobId id = entry.job->id;
     const auto it = batch.jobs_.find(id);
     if (it == batch.jobs_.end() || (it->second->state != JobState::kRunning &&
                                     it->second->state != JobState::kAtBoundary)) {
-      fail(&batch, now, util::fmt("run order lists job {} which is not running", id));
+      fail(&batch, now, util::fmt("running list holds job {} which is not running", id));
+    }
+    const BatchSystem::Managed& job = *it->second;
+    const std::string view = util::fmt("running view of job {}: ", id);
+    const int nodes = static_cast<int>(job.nodes.size());
+    if (entry.job != &job.job) fail(&batch, now, view + "points at another job's record");
+    if (std::bit_cast<std::uint64_t>(entry.start_time) !=
+        std::bit_cast<std::uint64_t>(job.start_time)) {
+      fail(&batch, now, view + util::fmt("start_time {}, record has {}", entry.start_time,
+                                         job.start_time));
+    }
+    if (entry.nodes != nodes) {
+      fail(&batch, now, view + util::fmt("nodes {}, record holds {}", entry.nodes, nodes));
+    }
+    if (job.pending_target >= 0 && entry.pending_target != job.pending_target) {
+      fail(&batch, now, view + util::fmt("pending_target {}, record has {}",
+                                         entry.pending_target, job.pending_target));
+    }
+    if (job.pending_target < 0 && entry.pending_target != nodes) {
+      fail(&batch, now, view + util::fmt("pending_target {}, record has none ({} nodes)",
+                                         entry.pending_target, nodes));
     }
   }
   const std::size_t unfinished = pending + held + queued + running + at_boundary;
@@ -349,8 +393,8 @@ void InvariantChecker::check_sinks(const BatchSystem& batch) {
 
   if (sampler_ != nullptr && !sampler_->samples().empty()) {
     const stats::StateSample& sample = sampler_->samples().back();
-    const int queued = static_cast<int>(batch.queue_order_.size());
-    const int running = static_cast<int>(batch.running_order_.size());
+    const int queued = static_cast<int>(batch.queue_.size());
+    const int running = static_cast<int>(batch.running_.size());
     const int free_nodes = static_cast<int>(batch.free_nodes_.size());
     const int down = static_cast<int>(batch.failed_nodes_.size() +
                                       batch.drained_nodes_.size());

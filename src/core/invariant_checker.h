@@ -2,7 +2,8 @@
 //
 // The batch system's correctness rests on a handful of conservation laws:
 // every cluster node is in exactly one of {free, failed, drained, allocated
-// to one job}, the queue/running orders agree with the per-job states,
+// to one job}, the queue/running lists agree with the per-job states (each
+// running entry with its job's record: start time, size, pending target),
 // simulated time and trace sequence numbers only move forward, fluid-model
 // progress stays within [0, 1], and the journal/sampler snapshots agree with
 // the live queue. In debug builds scattered assert()s cover fragments of
@@ -80,12 +81,13 @@ class InvariantChecker final : public stats::BatchSubscriber {
  private:
   [[noreturn]] void fail(const BatchSystem* batch, double now, const std::string& what) const;
   void check_batch_state(const BatchSystem& batch);
-  /// O(running jobs + nodes) check run at every scheduling point: node
-  /// allocation ownership, pool disjointness, and conservation. Returns
-  /// false on the first anomaly without composing a message.
+  /// O(running jobs + nodes) check run at every scheduling point: each
+  /// running entry against its job's record, node allocation ownership,
+  /// pool disjointness, and conservation. Returns false on the first anomaly
+  /// without composing a message.
   bool quick_state_ok(const BatchSystem& batch);
   /// Allocation-free single pass over ALL jobs (state counts, allocation vs
-  /// state, queue/run order agreement, unfinished counter), run only after
+  /// state, queue/running list agreement, unfinished counter), run only after
   /// quick_state_ok() passed; returns false on the first anomaly without
   /// composing a message.
   bool batch_state_ok(const BatchSystem& batch);

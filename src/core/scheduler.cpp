@@ -1,8 +1,19 @@
 #include "core/scheduler.h"
 
+#include <algorithm>
+#include <cmath>
+#include <limits>
+
 #include "core/schedulers.h"
 
 namespace elastisim::core {
+
+double estimated_remaining(const RunningJob& running, double now) {
+  if (!std::isfinite(running.job->walltime_limit)) {
+    return std::numeric_limits<double>::infinity();
+  }
+  return std::max(0.0, running.start_time + running.job->walltime_limit - now);
+}
 
 bool Scheduler::on_evolving_request(SchedulerContext& ctx, workload::JobId id, int delta) {
   (void)id;

@@ -2,9 +2,9 @@
 //
 // The batch system invokes the scheduler at *scheduling points*: job
 // submission, job completion, applied reconfigurations, walltime kills,
-// evolving requests, and (optionally) a periodic timer. The scheduler sees a
-// read-only view of the queue and the running set and issues two kinds of
-// decisions:
+// evolving requests, and (optionally) a periodic timer. The scheduler reads
+// the batch system's own queue and running lists (no copies; every entry is
+// current at every read) and issues two kinds of decisions:
 //
 //   start(job, nodes)        — allocate and launch a queued job now.
 //   set_target(job, nodes)   — desired size for a running malleable job; the
@@ -24,28 +24,27 @@
 
 namespace elastisim::core {
 
-struct QueuedJob {
-  const workload::Job* job;
-  /// Seconds the job has been waiting.
-  double waiting_for;
-};
+/// A queued job; it has waited `now() - submit_time` seconds.
+using QueuedJob = const workload::Job*;
 
 struct RunningJob {
   const workload::Job* job;
   double start_time;
   /// Current allocation size (including a reconfiguration in progress).
   int nodes;
-  /// Walltime-based upper bound on the remaining runtime (the estimate
-  /// backfilling relies on); never negative.
-  double estimated_remaining;
   /// Pending resize target (equal to `nodes` when none).
   int pending_target;
 };
 
+/// Walltime-based upper bound on `running`'s remaining runtime at `now`
+/// (the estimate backfilling relies on): never negative, infinite without a
+/// walltime limit.
+double estimated_remaining(const RunningJob& running, double now);
+
 /// The read/decide surface handed to Scheduler::schedule(). Implemented by
-/// the batch system; decisions are validated there (starting a job twice,
-/// overallocating, or resizing a rigid job is a programming error that
-/// fails fast).
+/// the batch system; decisions are validated there in every build (starting
+/// a job twice, overallocating, or resizing a rigid job throws
+/// util::CheckError naming the call).
 class SchedulerContext {
  public:
   virtual ~SchedulerContext() = default;
@@ -53,9 +52,11 @@ class SchedulerContext {
   virtual double now() const = 0;
   virtual int total_nodes() const = 0;
   virtual int free_nodes() const = 0;
-  /// Queued jobs in submission order.
+  /// Queued jobs in queue order (submission, then release or requeue). The
+  /// batch system's own list, current at every read.
   virtual const std::vector<QueuedJob>& queue() const = 0;
-  /// Running jobs in start order.
+  /// Running jobs in start order. The batch system's own list, current at
+  /// every read.
   virtual const std::vector<RunningJob>& running() const = 0;
   /// Node-seconds the user has consumed so far (finished + accrued running);
   /// the signal fair-share policies rank by. Unknown users report 0. Costs
@@ -65,11 +66,13 @@ class SchedulerContext {
 
   /// Starts a queued job on `nodes` nodes. Requires nodes in the job's
   /// [min, max] range (exactly `requested` for rigid jobs) and
-  /// nodes <= free_nodes(). The view refreshes immediately.
+  /// nodes <= free_nodes(). Erases the job from queue() and appends it to
+  /// running(), which invalidates references into both.
   virtual void start_job(workload::JobId id, int nodes) = 0;
 
   /// Sets the desired size of a running malleable/evolving job. Clamped to
   /// the job's range. Passing its current size clears any pending target.
+  /// Rewrites the job's running() entry in place.
   virtual void set_target(workload::JobId id, int nodes) = 0;
 
   /// True when a subscriber (a decision journal) records hold explanations.

@@ -85,15 +85,13 @@ void ConservativeBackfillScheduler::schedule(SchedulerContext& ctx) {
     started = false;
     FreeProfile profile(ctx.now(), ctx.total_nodes());
     for (const RunningJob& running : ctx.running()) {
-      profile.reserve(ctx.now(),
-                      std::isfinite(running.estimated_remaining)
-                          ? running.estimated_remaining
-                          : FreeProfile::kForever,
+      const double remaining = estimated_remaining(running, ctx.now());
+      profile.reserve(ctx.now(), std::isfinite(remaining) ? remaining : FreeProfile::kForever,
                       running.nodes);
     }
     bool is_head = true;
-    for (const QueuedJob& queued : ctx.queue()) {
-      const workload::Job& job = *queued.job;
+    for (QueuedJob queued : ctx.queue()) {
+      const workload::Job& job = *queued;
       const int size = std::min(job.requested_nodes, ctx.total_nodes());
       const double duration =
           std::isfinite(job.walltime_limit) ? job.walltime_limit : FreeProfile::kForever;

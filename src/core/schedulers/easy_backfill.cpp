@@ -30,7 +30,7 @@ Reservation head_reservation(const SchedulerContext& ctx, int head_size) {
   std::vector<Release> releases;
   releases.reserve(ctx.running().size());
   for (const RunningJob& running : ctx.running()) {
-    releases.push_back({ctx.now() + running.estimated_remaining, running.nodes});
+    releases.push_back({ctx.now() + estimated_remaining(running, ctx.now()), running.nodes});
   }
   std::sort(releases.begin(), releases.end(),
             [](const Release& a, const Release& b) { return a.time < b.time; });
@@ -53,47 +53,47 @@ bool easy_backfill_round(SchedulerContext& ctx) {
   fcfs_start(ctx);
   if (ctx.queue().size() < 2) return false;
 
-  const QueuedJob& head = ctx.queue().front();
+  const workload::Job& head = *ctx.queue().front();
   // Reservations are made for the head's requested size (its preference);
   // fcfs_start() already failed to start it at any feasible size.
-  const int head_size = std::min(head.job->requested_nodes, ctx.total_nodes());
+  const int head_size = std::min(head.requested_nodes, ctx.total_nodes());
   const Reservation reservation = head_reservation(ctx, head_size);
 
   const bool explaining = ctx.explaining();
   for (std::size_t i = 1; i < ctx.queue().size(); ++i) {
-    const QueuedJob& candidate = ctx.queue()[i];
-    const int size = feasible_start_size(*candidate.job, ctx.free_nodes());
+    const workload::Job& candidate = *ctx.queue()[i];
+    const int size = feasible_start_size(candidate, ctx.free_nodes());
     if (size < 0) {
       if (explaining) {
-        ctx.explain(candidate.job->id, stats::HoldReason::kInsufficientNodes,
-                    util::fmt("needs {} nodes, {} free", minimum_start_size(*candidate.job),
+        ctx.explain(candidate.id, stats::HoldReason::kInsufficientNodes,
+                    util::fmt("needs {} nodes, {} free", minimum_start_size(candidate),
                               ctx.free_nodes()));
       }
       continue;
     }
-    const double completion = ctx.now() + candidate.job->walltime_limit;
+    const double completion = ctx.now() + candidate.walltime_limit;
     const bool fits_before_shadow = completion <= reservation.shadow_time;
     const bool fits_in_spare = size <= reservation.spare_nodes;
     if (fits_before_shadow || fits_in_spare) {
       if (telemetry::enabled()) {
         telemetry::Registry::global().counter("scheduler.backfills").add();
       }
-      ctx.start_job(candidate.job->id, size);
+      ctx.start_job(candidate.id, size);
       return true;  // views changed; caller restarts the scan
     }
     if (explaining) {
       // Both backfill routes failed: a finite walltime means the window
       // before the head's shadow time was the binding constraint; an
       // unbounded one can only ever ride the spare nodes.
-      if (std::isfinite(candidate.job->walltime_limit)) {
-        ctx.explain(candidate.job->id, stats::HoldReason::kBackfillWindowTooSmall,
+      if (std::isfinite(candidate.walltime_limit)) {
+        ctx.explain(candidate.id, stats::HoldReason::kBackfillWindowTooSmall,
                     util::fmt("walltime {}s runs past shadow t={}, {} spare nodes",
-                              candidate.job->walltime_limit, reservation.shadow_time,
+                              candidate.walltime_limit, reservation.shadow_time,
                               reservation.spare_nodes));
       } else {
-        ctx.explain(candidate.job->id, stats::HoldReason::kBlockedByReservation,
+        ctx.explain(candidate.id, stats::HoldReason::kBlockedByReservation,
                     util::fmt("would delay head job {} reserved at t={}",
-                              head.job->id, reservation.shadow_time));
+                              head.id, reservation.shadow_time));
       }
     }
   }

@@ -21,27 +21,27 @@ int minimum_start_size(const workload::Job& job) {
 
 void explain_blocked_head(SchedulerContext& ctx) {
   if (!ctx.explaining() || ctx.queue().empty()) return;
-  const workload::Job& head = *ctx.queue().front().job;
+  const workload::Job& head = *ctx.queue().front();
   ctx.explain(head.id, stats::HoldReason::kInsufficientNodes,
               util::fmt("needs {} nodes, {} free", minimum_start_size(head),
                         ctx.free_nodes()));
 }
 
 void fcfs_start(SchedulerContext& ctx) {
-  // The queue view refreshes after every start, so always look at index 0.
+  // A start erases the job from the queue, so always look at index 0.
   while (!ctx.queue().empty()) {
-    const QueuedJob& head = ctx.queue().front();
-    const int size = feasible_start_size(*head.job, ctx.free_nodes());
+    const workload::Job& head = *ctx.queue().front();
+    const int size = feasible_start_size(head, ctx.free_nodes());
     if (size < 0) break;
-    ctx.start_job(head.job->id, size);
+    ctx.start_job(head.id, size);
   }
   if (!ctx.explaining() || ctx.queue().empty()) return;
   // Strict FCFS holds everything behind its blocked head; backfilling
   // callers refine the non-head verdicts afterwards.
   explain_blocked_head(ctx);
-  const workload::JobId head_id = ctx.queue().front().job->id;
+  const workload::JobId head_id = ctx.queue().front()->id;
   for (std::size_t i = 1; i < ctx.queue().size(); ++i) {
-    ctx.explain(ctx.queue()[i].job->id, stats::HoldReason::kQueuedBehindHead,
+    ctx.explain(ctx.queue()[i]->id, stats::HoldReason::kQueuedBehindHead,
                 util::fmt("job {} blocks the queue", head_id));
   }
 }

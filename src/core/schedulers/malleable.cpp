@@ -64,7 +64,7 @@ void expand_into_idle(SchedulerContext& ctx) {
 
 void shrink_to_admit_head(SchedulerContext& ctx) {
   if (ctx.queue().empty()) return;
-  const workload::Job& head = *ctx.queue().front().job;
+  const workload::Job& head = *ctx.queue().front();
   const int needed_size = std::max(head.min_nodes, std::min(head.requested_nodes,
                                                             ctx.total_nodes()));
   // Count what is already free or already being shrunk away.
@@ -140,7 +140,7 @@ void EqualShareScheduler::schedule(SchedulerContext& ctx) {
   // the head's minimum otherwise (so shrinks admit it eventually).
   int reserved = 0;
   if (!ctx.queue().empty()) {
-    reserved = ctx.queue().front().job->min_nodes;
+    reserved = ctx.queue().front()->min_nodes;
   }
   const int pool = std::max(0, ctx.total_nodes() - rigid_nodes - reserved);
   const int share = std::max(1, pool / resizable);

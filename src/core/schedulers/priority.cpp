@@ -25,9 +25,7 @@ void ranked_backfill(SchedulerContext& ctx, const RankFn& rank) {
     };
     std::vector<Ranked> ranked;
     ranked.reserve(ctx.queue().size());
-    for (const QueuedJob& queued : ctx.queue()) {
-      ranked.push_back({queued.job, rank(queued)});
-    }
+    for (QueuedJob queued : ctx.queue()) ranked.push_back({queued, rank(queued)});
     std::stable_sort(ranked.begin(), ranked.end(),
                      [](const Ranked& a, const Ranked& b) { return a.key < b.key; });
     if (ranked.empty()) return;
@@ -55,7 +53,7 @@ void ranked_backfill(SchedulerContext& ctx, const RankFn& rank) {
     };
     std::vector<Release> releases;
     for (const RunningJob& running : ctx.running()) {
-      releases.push_back({ctx.now() + running.estimated_remaining, running.nodes});
+      releases.push_back({ctx.now() + estimated_remaining(running, ctx.now()), running.nodes});
     }
     std::sort(releases.begin(), releases.end(),
               [](const Release& a, const Release& b) { return a.time < b.time; });
@@ -115,10 +113,10 @@ void ranked_backfill(SchedulerContext& ctx, const RankFn& rank) {
 
 void PriorityScheduler::schedule(SchedulerContext& ctx) {
   const double aging = aging_seconds_;
-  passes::ranked_backfill(ctx, [aging](const QueuedJob& queued) {
-    const double aged = aging > 0.0 ? queued.waiting_for / aging : 0.0;
+  passes::ranked_backfill(ctx, [aging, now = ctx.now()](const QueuedJob& queued) {
+    const double aged = aging > 0.0 ? (now - queued->submit_time) / aging : 0.0;
     // Lower key = earlier; higher priority and longer waits sort first.
-    return -(static_cast<double>(queued.job->priority) + aged);
+    return -(static_cast<double>(queued->priority) + aged);
   });
 }
 
@@ -126,7 +124,7 @@ void FairShareScheduler::schedule(SchedulerContext& ctx) {
   passes::ranked_backfill(ctx, [&ctx](const QueuedJob& queued) {
     // Users who have consumed the least go first; ties resolve FCFS via the
     // stable sort over the submission-ordered queue.
-    return ctx.user_usage(queued.job->user);
+    return ctx.user_usage(queued->user);
   });
 }
 

@@ -115,7 +115,7 @@ struct BatchEvent {
   JournalCause cause{};
   /// kSchedulingEnd: scheduler passes run, and the queue after, in order.
   std::uint32_t rounds = 0;
-  std::span<const workload::JobId> queue{};
+  std::span<const workload::Job* const> queue{};
   /// kRunBegin: jobs accepted. kRunEnd, kSchedulingEnd: engine events so far.
   std::uint64_t count = 0;
   /// kSchedulingEnd: live engine events.

@@ -1,10 +1,14 @@
 // Parameterized property sweep: every scheduling algorithm x workload mix x
-// topology must satisfy the simulator's global invariants. Each combination
-// is its own test case so a regression pinpoints the exact configuration.
+// topology (x node failures) must satisfy the simulator's global invariants.
+// Each combination is its own test case so a regression pinpoints the exact
+// configuration. Every run is validated: the invariant checker re-verifies
+// the batch state, including each scheduler view entry against its job's
+// record, at every scheduling point.
 #include <gtest/gtest.h>
 
 #include <cmath>
 
+#include "core/fault_injector.h"
 #include "core/simulation.h"
 #include "test_support.h"
 #include "workload/generator.h"
@@ -16,6 +20,9 @@ struct SweepCase {
   std::string scheduler;
   double malleable_fraction;
   platform::TopologyKind topology;
+  /// Inject node failures (per-node MTBF 6 h) under requeue-restart, with
+  /// checkpointing jobs.
+  bool failures = false;
 };
 
 class SimulationProperties : public testing::TestWithParam<SweepCase> {
@@ -28,6 +35,7 @@ class SimulationProperties : public testing::TestWithParam<SweepCase> {
     config.platform.pod_size = 4;
     config.platform.pod_bandwidth = 1e12;
     config.scheduler = param.scheduler;
+    config.validate = true;
 
     workload::GeneratorConfig generator;
     generator.job_count = 30;
@@ -39,6 +47,19 @@ class SimulationProperties : public testing::TestWithParam<SweepCase> {
     generator.io_fraction = 0.25;
     generator.flops_per_node = 1e9;
     generator.max_priority = 3;
+
+    std::vector<core::FailureEvent> failures;
+    if (param.failures) {
+      config.batch.failure_policy = core::FailurePolicy::kRequeueRestart;
+      config.batch.restart_overhead = 30.0;
+      generator.checkpoint_fraction = 0.5;
+      core::FaultModelConfig model;
+      model.mtbf = 6.0 * 3600.0;
+      model.mean_repair = 1200.0;
+      model.seed = 5;
+      failures = core::FaultInjector(model).generate(config.platform.node_count);
+      config.failures = &failures;
+    }
     return core::run_simulation(config, workload::generate_workload(generator));
   }
 };
@@ -52,6 +73,10 @@ TEST_P(SimulationProperties, EveryJobCompletesExactlyOnce) {
     if (record.finished()) ++finished_records;
   }
   EXPECT_EQ(finished_records, result.finished + result.killed);
+  EXPECT_GT(result.validated_points, 0u);
+  if (GetParam().failures) {
+    EXPECT_GT(result.recorder.total_requeues(), 0);
+  }
 }
 
 TEST_P(SimulationProperties, TimesAreCausallyOrdered) {
@@ -115,6 +140,7 @@ std::vector<SweepCase> sweep_cases() {
       cases.push_back({scheduler, fraction, platform::TopologyKind::kFatTree});
     }
     cases.push_back({scheduler, 1.0, platform::TopologyKind::kTorus});
+    cases.push_back({scheduler, 0.5, platform::TopologyKind::kFatTree, /*failures=*/true});
   }
   return cases;
 }
@@ -126,6 +152,7 @@ INSTANTIATE_TEST_SUITE_P(SchedulerMixTopology, SimulationProperties,
                                               std::to_string(static_cast<int>(
                                                   info.param.malleable_fraction * 100)) +
                                               "_" + platform::to_string(info.param.topology);
+                           if (info.param.failures) name += "_failures";
                            for (char& c : name) {
                              if (c == '-') c = '_';
                            }

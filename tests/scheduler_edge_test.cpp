@@ -1,13 +1,18 @@
 // Scheduler edge cases the behavioral suites do not reach: infinite
 // walltimes under backfilling, adaptive jobs under conservative
 // reservations, interactions between priorities and dependencies, and
-// evolving-grant policy corners.
+// evolving-grant policy corners, and plugin decisions that break the
+// scheduler contract.
 #include <gtest/gtest.h>
+
+#include <functional>
+#include <utility>
 
 #include "core/batch_system.h"
 #include "core/schedulers.h"
 #include "core/simulation.h"
 #include "test_support.h"
+#include "util/check.h"
 #include "workload/generator.h"
 
 namespace elastisim::core {
@@ -218,6 +223,85 @@ TEST(SchedulerEdge, SchedulerSeesPendingTargetsInView) {
   batch.submit(std::move(job));
   engine.run();
   EXPECT_TRUE(probe_ptr->saw_pending);
+}
+
+/// A plugin that makes the decisions in `act` once, at the first scheduling
+/// point where all `jobs` submitted jobs are queued.
+class OneShot final : public Scheduler {
+ public:
+  OneShot(std::size_t jobs, std::function<void(SchedulerContext&)> act)
+      : jobs_(jobs), act_(std::move(act)) {}
+  std::string name() const override { return "one-shot"; }
+  void schedule(SchedulerContext& ctx) override {
+    if (act_ && ctx.queue().size() == jobs_) std::exchange(act_, nullptr)(ctx);
+  }
+
+ private:
+  std::size_t jobs_;
+  std::function<void(SchedulerContext&)> act_;
+};
+
+/// Runs `jobs` on a 4-node cluster under a OneShot plugin that acts once
+/// every job is queued; the contract checks throw out of the event loop.
+void run_one_shot(std::vector<workload::Job> jobs, std::function<void(SchedulerContext&)> act) {
+  sim::Engine engine;
+  stats::Recorder recorder;
+  platform::Cluster cluster(engine, tiny_platform(4));
+  BatchSystem batch(engine, cluster, std::make_unique<OneShot>(jobs.size(), std::move(act)),
+                    recorder);
+  batch.submit_all(std::move(jobs));
+  engine.run();
+}
+
+TEST(SchedulerContract, UnknownJobIdThrows) {
+  EXPECT_THROW(run_one_shot({rigid_job(1, 2, 10.0)},
+                            [](SchedulerContext& ctx) { ctx.start_job(99, 2); }),
+               util::CheckError);
+}
+
+TEST(SchedulerContract, StartingAJobTwiceThrows) {
+  EXPECT_THROW(run_one_shot({rigid_job(1, 2, 10.0)},
+                            [](SchedulerContext& ctx) {
+                              ctx.start_job(1, 2);
+                              ctx.start_job(1, 2);
+                            }),
+               util::CheckError);
+}
+
+TEST(SchedulerContract, RigidJobAtAnotherSizeThrows) {
+  EXPECT_THROW(run_one_shot({rigid_job(1, 2, 10.0)},
+                            [](SchedulerContext& ctx) { ctx.start_job(1, 1); }),
+               util::CheckError);
+}
+
+TEST(SchedulerContract, StartSizeOutsideRangeThrows) {
+  EXPECT_THROW(run_one_shot({compute_job(1, JobType::kMalleable, 2, 10.0, 2, 3)},
+                            [](SchedulerContext& ctx) { ctx.start_job(1, 4); }),
+               util::CheckError);
+}
+
+TEST(SchedulerContract, StartBeyondFreeNodesThrows) {
+  EXPECT_THROW(run_one_shot({rigid_job(1, 2, 10.0), rigid_job(2, 3, 10.0)},
+                            [](SchedulerContext& ctx) {
+                              ctx.start_job(1, 2);
+                              ctx.start_job(2, 3);
+                            }),
+               util::CheckError);
+}
+
+TEST(SchedulerContract, TargetForAQueuedJobThrows) {
+  EXPECT_THROW(run_one_shot({compute_job(1, JobType::kMalleable, 2, 10.0, 1, 4)},
+                            [](SchedulerContext& ctx) { ctx.set_target(1, 3); }),
+               util::CheckError);
+}
+
+TEST(SchedulerContract, TargetForARigidJobThrows) {
+  EXPECT_THROW(run_one_shot({rigid_job(1, 2, 10.0)},
+                            [](SchedulerContext& ctx) {
+                              ctx.start_job(1, 2);
+                              ctx.set_target(1, 3);
+                            }),
+               util::CheckError);
 }
 
 }  // namespace
