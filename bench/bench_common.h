@@ -147,8 +147,6 @@ inline core::SimulationResult run(const platform::ClusterConfig& platform,
     registry.counter("bench.runs").add();
     registry.counter("bench.events").add(result.events_processed);
     registry.histogram("bench.run_seconds").record(telemetry::wall_now() - wall_begin);
-    registry.spans().add("bench.run (" + scheduler + ")", wall_begin,
-                         telemetry::wall_now() - wall_begin, result.events_processed);
   }
   return result;
 }

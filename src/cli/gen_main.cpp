@@ -23,14 +23,12 @@ double quantity_flag(const util::Flags& flags, const std::string& name, double f
   const std::string raw = flags.get(name, std::string());
   if (raw.empty()) return fallback;
   if (auto parsed = parser(raw)) return *parsed;
-  std::fprintf(stderr, "warning: cannot parse --%s=%s, using default\n", name.c_str(),
-               raw.c_str());
-  return fallback;
+  throw util::FlagError(name, raw, "a number, or one with a unit (90s, 2GF, 64MiB)");
 }
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   util::Flags flags(argc, argv);
 
   workload::GeneratorConfig config;
@@ -110,4 +108,7 @@ int main(int argc, char** argv) {
   }
   std::printf("wrote %zu jobs to %s (%s)\n", jobs.size(), out.c_str(), format.c_str());
   return 0;
+} catch (const util::FlagError& error) {
+  std::fprintf(stderr, "error: %s\n", error.what());
+  return 2;
 }

@@ -57,9 +57,11 @@ int run_inspect(const util::Flags& flags) {
   // consumes the token after --job / --diff as that flag's value, so the
   // journal paths arrive as one flag value plus trailing positionals.
   const std::vector<std::string>& positional = flags.positional();
+  // Outside the try: a malformed --job is a usage error (exit 2), not a
+  // failed inspection.
+  const std::int64_t job = flags.get("job", std::int64_t{-1});
   try {
     if (flags.has("job")) {
-      const std::int64_t job = flags.get("job", std::int64_t{-1});
       if (job < 0 || positional.size() < 2) {
         inspect_usage(flags.program());
         return 2;

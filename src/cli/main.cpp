@@ -137,9 +137,7 @@ double duration_flag(const util::Flags& flags, const std::string& name, double f
   const std::string raw = flags.get(name, std::string());
   if (raw.empty()) return fallback;
   if (auto parsed = util::parse_duration(raw)) return *parsed;
-  std::fprintf(stderr, "warning: cannot parse --%s=%s, using default\n", name.c_str(),
-               raw.c_str());
-  return fallback;
+  throw util::FlagError(name, raw, "a duration (seconds, or with ms/s/m/h/d)");
 }
 
 /// Cooperative single-run interrupt: the SIGINT/SIGTERM handler cancels this
@@ -167,7 +165,7 @@ class SetupPhaseEnd final : public stats::BatchSubscriber {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   util::Flags flags(argc, argv);
   util::set_log_level(util::parse_log_level(flags.get("log", std::string("warn"))));
   for (const std::string& name : flags.duplicates()) {
@@ -235,10 +233,10 @@ int main(int argc, char** argv) {
   const std::string out_dir = flags.get("out-dir", std::string("results"));
   // Always-on black box (disable with ELSIM_FLIGHT=0): the ring of recent
   // engine/scheduler/job activity that postmortem.json decodes after an
-  // abnormal end. Armed before setup so config parsing is on record too.
+  // abnormal end. Created before setup, with this thread's phase tap armed,
+  // so config parsing is on record too.
   core::FlightRecorder* flight =
       core::FlightRecorder::enabled() ? &core::FlightRecorder::thread_current() : nullptr;
-  if (flight != nullptr) flight->arm_phase_tap();
 
   try {
     // Everything up to job submission bills to the "setup" phase; the scope
@@ -312,6 +310,10 @@ int main(int argc, char** argv) {
       }
       fault.repair_sigma = flags.get("repair-sigma", fault.repair_sigma);
       fault.pod_correlation = flags.get("pod-correlation", 0.0);
+      if (!(fault.pod_correlation >= 0.0 && fault.pod_correlation <= 1.0)) {
+        throw util::FlagError("pod-correlation", flags.get("pod-correlation", std::string()),
+                              "a probability in [0, 1]");
+      }
       double last_submit = 0.0;
       for (const workload::Job& job : jobs) {
         last_submit = std::max(last_submit, job.submit_time);
@@ -510,6 +512,8 @@ int main(int argc, char** argv) {
     // only echo the message back).
     std::fprintf(stderr, "error: %s\n", error.what());
     return 2;
+  } catch (const util::FlagError&) {
+    throw;  // a usage error: reported below, without a postmortem
   } catch (const core::InvariantViolation& error) {
     std::fprintf(stderr, "error: invariant violation: %s\n", error.what());
     if (flight != nullptr) {
@@ -533,4 +537,9 @@ int main(int argc, char** argv) {
     }
     return 1;
   }
+} catch (const util::FlagError& error) {
+  // Malformed numeric flags, here or in a subcommand: exit like any other
+  // usage error.
+  std::fprintf(stderr, "error: %s\n", error.what());
+  return 2;
 }

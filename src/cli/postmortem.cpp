@@ -29,23 +29,23 @@ std::string record_detail(const json::Value& entry) {
                   static_cast<long long>(entry.member_or("queued", std::int64_t{0})),
                   static_cast<long long>(entry.member_or("rounds", std::int64_t{0})),
                   static_cast<long long>(entry.member_or("started", std::int64_t{0})));
-  } else if (kind == "job-state") {
-    std::snprintf(buffer, sizeof(buffer), "job %lld -> %s (%lld nodes)",
-                  static_cast<long long>(entry.member_or("job", std::int64_t{0})),
-                  entry.member_or("state", "?").c_str(),
-                  static_cast<long long>(entry.member_or("nodes", std::int64_t{0})));
-  } else if (kind == "fault") {
-    std::snprintf(buffer, sizeof(buffer), "%s node %lld",
-                  entry.member_or("event", "?").c_str(),
-                  static_cast<long long>(entry.member_or("node", std::int64_t{0})));
+  } else if (kind == "batch-event") {
+    const std::string event = entry.member_or("event", "?");
+    if (entry.find("node") != nullptr) {
+      std::snprintf(buffer, sizeof(buffer), "%s node %lld", event.c_str(),
+                    static_cast<long long>(entry.member_or("node", std::int64_t{0})));
+    } else if (entry.find("count") != nullptr) {
+      std::snprintf(buffer, sizeof(buffer), "%s count=%lld", event.c_str(),
+                    static_cast<long long>(entry.member_or("count", std::int64_t{0})));
+    } else {
+      std::snprintf(buffer, sizeof(buffer), "%s job %lld (%lld nodes)", event.c_str(),
+                    static_cast<long long>(entry.member_or("job", std::int64_t{0})),
+                    static_cast<long long>(entry.member_or("nodes", std::int64_t{0})));
+    }
   } else if (kind == "cancel") {
     std::snprintf(buffer, sizeof(buffer), "reason=%s after %lld events",
                   entry.member_or("reason", "?").c_str(),
                   static_cast<long long>(entry.member_or("events", std::int64_t{0})));
-  } else if (kind == "mark") {
-    std::snprintf(buffer, sizeof(buffer), "%s value=%lld",
-                  entry.member_or("mark", "?").c_str(),
-                  static_cast<long long>(entry.member_or("value", std::int64_t{0})));
   } else {
     buffer[0] = '\0';
   }
@@ -77,11 +77,11 @@ int run_postmortem(const util::Flags& flags) {
     std::fprintf(stderr, "error: cannot read %s: %s\n", path.c_str(), error.what());
     return 1;
   }
+  constexpr const char* kSchema = "elastisim-postmortem-v2";
   const std::string schema = root.member_or("schema", "");
-  if (schema != "elastisim-postmortem-v1") {
-    std::fprintf(stderr,
-                 "error: %s: unexpected schema \"%s\" (want elastisim-postmortem-v1)\n",
-                 path.c_str(), schema.c_str());
+  if (schema != kSchema) {
+    std::fprintf(stderr, "error: %s: schema \"%s\" is not supported (this build reads %s)\n",
+                 path.c_str(), schema.c_str(), kSchema);
     return 1;
   }
   const json::Value* ring = root.find("ring");

@@ -55,7 +55,10 @@ void BatchSystem::subscribe(stats::BatchSubscriber* subscriber) {
   }
 }
 
-void BatchSystem::set_flight_recorder(FlightRecorder* recorder) { subscribe(recorder); }
+void BatchSystem::set_flight_recorder(FlightRecorder* recorder) {
+  if (recorder != nullptr) engine_->set_event_hook(&FlightRecorder::engine_event_hook, recorder);
+  subscribe(recorder);
+}
 
 void BatchSystem::begin_run() { emit({.kind = Kind::kRunBegin, .count = jobs_.size()}); }
 
@@ -87,7 +90,6 @@ bool BatchSystem::submit(workload::Job job) {
                job.memory_bytes_per_node, node_memory);
     return false;
   }
-  assert(!jobs_.count(job.id) && "duplicate job id");
   for (JobId dep : job.dependencies) {
     if (dep == job.id || !jobs_.count(dep)) {
       ELSIM_WARN("rejecting job {}: dependency {} not previously submitted", job.id, dep);
@@ -98,8 +100,12 @@ bool BatchSystem::submit(workload::Job job) {
   const double when = job.submit_time;
   auto entry = std::make_unique<Managed>();
   entry->job = std::move(job);
-  jobs_.emplace(id, std::move(entry));
-  for (JobId dep : jobs_.at(id)->job.dependencies) dependents_[dep].push_back(id);
+  const auto [slot, inserted] = jobs_.try_emplace(id, std::move(entry));
+  if (!inserted) {
+    ELSIM_ERROR("rejecting job {}: duplicate job id", id);
+    return false;
+  }
+  for (JobId dep : slot->second->job.dependencies) dependents_[dep].push_back(id);
   engine_->schedule_at(when, [this, id] { enter_queue(id); });
   return true;
 }

@@ -105,7 +105,8 @@ class BatchSystem final : public SchedulerContext {
   /// is ignored.
   void subscribe(stats::BatchSubscriber* subscriber);
 
-  /// subscribe() for the always-on flight recorder.
+  /// subscribe() for the always-on flight recorder; a non-null recorder
+  /// also takes the engine's per-event hook.
   void set_flight_recorder(FlightRecorder* recorder);
 
   /// Brackets the event loop for subscribers with kRunBegin (jobs accepted)

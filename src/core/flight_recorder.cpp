@@ -9,7 +9,9 @@
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <stdexcept>
 
+#include "json/json.h"
 #include "sim/cancellation.h"
 #include "stats/journal.h"
 
@@ -34,14 +36,11 @@ const char* phase_name_checked(std::uint16_t code) noexcept {
   return stats::profiler::phase_name(static_cast<stats::profiler::Phase>(code));
 }
 
-std::string journal_cause_name(std::uint16_t code) {
-  if (code > static_cast<std::uint16_t>(stats::JournalCause::kCancel)) return "unknown";
-  return stats::to_string(static_cast<stats::JournalCause>(code));
-}
-
-std::string cancel_reason_name(std::uint16_t code) {
-  if (code > static_cast<std::uint16_t>(sim::CancelReason::kInterrupted)) return "unknown";
-  return sim::to_string(static_cast<sim::CancelReason>(code));
+/// Build provenance, rendered by the first recorder of the process so the
+/// writer can print it without allocating.
+const char* rendered_build_info() {
+  static const std::string rendered = json::dump(stats::profiler::build_info_json());
+  return rendered.c_str();
 }
 
 }  // namespace
@@ -52,50 +51,24 @@ const char* to_string(FlightKind kind) noexcept {
     case FlightKind::kPhaseEnter: return "phase-enter";
     case FlightKind::kPhaseExit: return "phase-exit";
     case FlightKind::kSchedulerInvoke: return "scheduler-invoke";
-    case FlightKind::kJobState: return "job-state";
-    case FlightKind::kFault: return "fault";
+    case FlightKind::kBatchEvent: return "batch-event";
     case FlightKind::kCancel: return "cancel";
-    case FlightKind::kMark: return "mark";
-  }
-  return "unknown";
-}
-
-const char* to_string(FlightJobState state) noexcept {
-  switch (state) {
-    case FlightJobState::kQueued: return "queued";
-    case FlightJobState::kHeld: return "held";
-    case FlightJobState::kRunning: return "running";
-    case FlightJobState::kBoundary: return "boundary";
-    case FlightJobState::kFinished: return "finished";
-    case FlightJobState::kKilled: return "killed";
-    case FlightJobState::kRequeued: return "requeued";
-    case FlightJobState::kCancelled: return "cancelled";
-  }
-  return "unknown";
-}
-
-const char* to_string(FlightFault fault) noexcept {
-  switch (fault) {
-    case FlightFault::kNodeFail: return "node-fail";
-    case FlightFault::kNodeRepair: return "node-repair";
-    case FlightFault::kNodeDrain: return "node-drain";
-    case FlightFault::kNodeUndrain: return "node-undrain";
-  }
-  return "unknown";
-}
-
-const char* to_string(FlightMark mark) noexcept {
-  switch (mark) {
-    case FlightMark::kRunBegin: return "run-begin";
-    case FlightMark::kRunEnd: return "run-end";
   }
   return "unknown";
 }
 
 FlightRecorder::FlightRecorder(std::size_t capacity)
     : ring_(round_up_pow2(capacity)), mask_(ring_.size() - 1) {
+  rendered_build_info();
   window_start_ticks_ = stats::profiler::detail::tick_now();
   window_start_wall_ = wall_now();
+}
+
+FlightRecorder::~FlightRecorder() {
+  // A tap left on a dead recorder would crash the thread's next phase scope.
+  if (stats::profiler::detail::t_phase_ctx == this) {
+    stats::profiler::set_phase_hook(nullptr, nullptr);
+  }
 }
 
 bool FlightRecorder::enabled() noexcept {
@@ -108,6 +81,7 @@ bool FlightRecorder::enabled() noexcept {
 
 FlightRecorder& FlightRecorder::thread_current() {
   thread_local FlightRecorder recorder;
+  [[maybe_unused]] thread_local const bool tapped = (recorder.arm_phase_tap(), true);
   return recorder;
 }
 
@@ -125,26 +99,31 @@ void FlightRecorder::reset() {
 
 void FlightRecorder::on_event(const stats::BatchEvent& event) {
   using K = stats::BatchEventKind;
-  using S = FlightJobState;
   const double t = event.time;
-  const std::uint64_t job = event.job_id();
   const stats::BatchState& state = event.state;
   const auto u32 = [](int value) { return static_cast<std::uint32_t>(value); };
+  std::uint32_t nodes = 0;
+  std::uint64_t value = 0;  // job id, node id or count: see FlightKind::kBatchEvent
   switch (event.kind) {
-    case K::kHeld: return note_job_state(t, S::kHeld, job);
-    case K::kQueued: return note_job_state(t, S::kQueued, job);
-    case K::kCancel: return note_job_state(t, S::kCancelled, job);
-    case K::kStart:
-      ++started_in_point_;
-      return note_job_state(t, S::kRunning, job, u32(event.nodes));
-    case K::kBoundary: return note_job_state(t, S::kBoundary, job, u32(event.nodes));
-    case K::kFinish: return note_job_state(t, S::kFinished, job);
-    case K::kKill: return note_job_state(t, S::kKilled, job);
-    case K::kRequeue: return note_job_state(t, S::kRequeued, job, u32(event.previous_nodes));
-    case K::kNodeFail: return note_fault(t, FlightFault::kNodeFail, event.node);
-    case K::kNodeRestore: return note_fault(t, FlightFault::kNodeRepair, event.node);
-    case K::kNodeDrain: return note_fault(t, FlightFault::kNodeDrain, event.node);
-    case K::kNodeUndrain: return note_fault(t, FlightFault::kNodeUndrain, event.node);
+    case K::kStart: ++started_in_point_; [[fallthrough]];
+    case K::kBoundary: nodes = u32(event.nodes); [[fallthrough]];
+    case K::kHeld:
+    case K::kQueued:
+    case K::kCancel:
+    case K::kFinish:
+    case K::kKill: value = event.job_id(); break;
+    case K::kRequeue:
+      nodes = u32(event.previous_nodes);
+      value = event.job_id();
+      break;
+    case K::kNodeFail:
+    case K::kNodeRestore:
+    case K::kNodeDrain:
+    case K::kNodeUndrain: value = event.node; break;
+    case K::kRunEnd:
+      if (event.cancel_reason != 0) return note_cancel(t, event.cancel_reason, event.count);
+      [[fallthrough]];
+    case K::kRunBegin: value = event.count; break;
     case K::kSchedulingBegin: started_in_point_ = 0; return;
     case K::kSchedulingEnd:
       note_scheduler_invoke(t, static_cast<std::uint16_t>(event.cause), u32(state.queued),
@@ -152,12 +131,9 @@ void FlightRecorder::on_event(const stats::BatchEvent& event) {
       return set_snapshot({t, event.count, event.pending_events, u32(state.queued),
                            u32(state.running), u32(state.free_nodes), u32(state.failed),
                            u32(state.drained), u32(state.in_service())});
-    case K::kRunBegin: return note_mark(t, FlightMark::kRunBegin, event.count);
-    case K::kRunEnd:
-      if (event.cancel_reason != 0) return note_cancel(t, event.cancel_reason, event.count);
-      return note_mark(t, FlightMark::kRunEnd, event.count);
     default: return;
   }
+  note(FlightKind::kBatchEvent, t, static_cast<std::uint16_t>(event.kind), nodes, value);
 }
 
 namespace {
@@ -226,104 +202,7 @@ double FlightRecorder::ticks_per_second() const noexcept {
   return ticks / wall;
 }
 
-json::Value FlightRecorder::to_json(std::string_view cause,
-                                    std::string_view detail) const {
-  json::Object out;
-  out["schema"] = "elastisim-postmortem-v1";
-  out["cause"] = cause;
-  out["detail"] = detail;
-  out["build"] = stats::profiler::build_info_json();
-  json::Object context;
-  for (const auto& [key, value] : context_) context[key] = value;
-  out["context"] = json::Value(std::move(context));
-  out["peak_rss_bytes"] = stats::profiler::peak_rss_bytes();
-  out["sim_time"] = last_sim_time_;
-  if (cancel_reason_ != 0) {
-    out["cancel_reason"] = cancel_reason_name(static_cast<std::uint16_t>(cancel_reason_));
-  }
-  if (last_phase_ >= 0) {
-    out["last_phase"] = phase_name_checked(static_cast<std::uint16_t>(last_phase_));
-  }
-  json::Array stack;
-  for (const char* name : phase_stack()) stack.emplace_back(name);
-  out["phase_stack"] = json::Value(std::move(stack));
-  json::Object snapshot;
-  snapshot["sim_time"] = snapshot_.sim_time;
-  snapshot["events"] = snapshot_.events;
-  snapshot["pending_events"] = snapshot_.pending_events;
-  snapshot["jobs_queued"] = static_cast<std::uint64_t>(snapshot_.jobs_queued);
-  snapshot["jobs_running"] = static_cast<std::uint64_t>(snapshot_.jobs_running);
-  snapshot["nodes_free"] = static_cast<std::uint64_t>(snapshot_.nodes_free);
-  snapshot["nodes_failed"] = static_cast<std::uint64_t>(snapshot_.nodes_failed);
-  snapshot["nodes_drained"] = static_cast<std::uint64_t>(snapshot_.nodes_drained);
-  snapshot["nodes_total"] = static_cast<std::uint64_t>(snapshot_.nodes_total);
-  out["snapshot"] = json::Value(std::move(snapshot));
-
-  const double tps = ticks_per_second();
-  const std::vector<FlightRecord> records = decode();
-  json::Object ring;
-  ring["capacity"] = ring_.size();
-  ring["recorded"] = head_;
-  ring["dropped"] = head_ > ring_.size() ? head_ - ring_.size() : 0;
-  json::Array decoded;
-  const std::uint64_t first_seq = head_ - records.size();
-  for (std::size_t i = 0; i < records.size(); ++i) {
-    const FlightRecord& record = records[i];
-    json::Object entry;
-    entry["seq"] = first_seq + i;
-    const auto tick_delta =
-        static_cast<double>(static_cast<std::int64_t>(record.ticks - window_start_ticks_));
-    entry["wall_s"] = tps > 0.0 ? tick_delta / tps : 0.0;
-    entry["sim_time"] = record.sim_time;
-    const auto kind = static_cast<FlightKind>(record.kind);
-    entry["kind"] = to_string(kind);
-    switch (kind) {
-      case FlightKind::kEngineEvent:
-        entry["events"] = record.b;
-        break;
-      case FlightKind::kPhaseEnter:
-      case FlightKind::kPhaseExit:
-        entry["phase"] = phase_name_checked(record.code);
-        break;
-      case FlightKind::kSchedulerInvoke:
-        entry["cause"] = journal_cause_name(record.code);
-        entry["queued"] = static_cast<std::uint64_t>(record.a);
-        entry["rounds"] = static_cast<std::uint64_t>(record.b >> 32U);
-        entry["started"] = static_cast<std::uint64_t>(record.b & 0xffffffffULL);
-        break;
-      case FlightKind::kJobState:
-        entry["state"] = to_string(static_cast<FlightJobState>(record.code));
-        entry["job"] = record.b;
-        entry["nodes"] = static_cast<std::uint64_t>(record.a);
-        break;
-      case FlightKind::kFault:
-        entry["event"] = to_string(static_cast<FlightFault>(record.code));
-        entry["node"] = record.b;
-        break;
-      case FlightKind::kCancel:
-        entry["reason"] = cancel_reason_name(record.code);
-        entry["events"] = record.b;
-        break;
-      case FlightKind::kMark:
-        entry["mark"] = to_string(static_cast<FlightMark>(record.code));
-        entry["value"] = record.b;
-        break;
-    }
-    decoded.emplace_back(std::move(entry));
-  }
-  ring["records"] = json::Value(std::move(decoded));
-  out["ring"] = json::Value(std::move(ring));
-  return json::Value(std::move(out));
-}
-
-void FlightRecorder::write_postmortem(const std::string& path, std::string_view cause,
-                                      std::string_view detail) const {
-  const std::filesystem::path parent = std::filesystem::path(path).parent_path();
-  if (!parent.empty()) std::filesystem::create_directories(parent);
-  json::write_file(path, to_json(cause, detail));
-}
-
-// --- async-signal-safe dump -------------------------------------------------
+// --- the postmortem writer (async-signal-safe) -------------------------------
 
 namespace {
 
@@ -333,14 +212,14 @@ class FdWriter {
  public:
   explicit FdWriter(int fd) noexcept : fd_(fd) {}
 
-  void text(const char* s) noexcept {
-    while (*s != '\0') put(*s++);
+  void text(std::string_view s) noexcept {
+    for (const char c : s) put(c);
   }
 
-  void escaped(const char* s) noexcept {
+  void escaped(std::string_view s) noexcept {
     put('"');
-    for (; *s != '\0'; ++s) {
-      const unsigned char c = static_cast<unsigned char>(*s);
+    for (const char raw : s) {
+      const auto c = static_cast<unsigned char>(raw);
       if (c == '"' || c == '\\') {
         put('\\');
         put(static_cast<char>(c));
@@ -419,29 +298,92 @@ class FdWriter {
   bool failed_ = false;
 };
 
-/// Build provenance pre-rendered at handler-install time (building it live
-/// allocates, which a signal handler must not).
-// elsim-lint: allow(mutable-static) -- crash-handler scratch; written only at install time, read only inside the signal handler
-char g_crash_build_json[1024] = {0};
 // elsim-lint: allow(mutable-static) -- crash-handler scratch; written only at install time, read only inside the signal handler
 FlightRecorder* g_crash_recorder = nullptr;
 // elsim-lint: allow(mutable-static) -- crash-handler scratch; written only at install time, read only inside the signal handler
 char g_crash_path[512] = {0};
 
+/// One ring record as a JSON object: the members every record has, then
+/// the ones its kind adds.
+void write_record(FdWriter& out, const FlightRecord& record, std::uint64_t seq,
+                  double wall_s) noexcept {
+  out.text("{\"seq\":");
+  out.u64(seq);
+  out.text(",\"wall_s\":");
+  out.fixed(wall_s);
+  out.text(",\"sim_time\":");
+  out.fixed(record.sim_time);
+  const auto kind = static_cast<FlightKind>(record.kind);
+  out.text(",\"kind\":");
+  out.escaped(to_string(kind));
+  switch (kind) {
+    case FlightKind::kEngineEvent:
+      out.text(",\"events\":");
+      out.u64(record.b);
+      break;
+    case FlightKind::kPhaseEnter:
+    case FlightKind::kPhaseExit:
+      out.text(",\"phase\":");
+      out.escaped(phase_name_checked(record.code));
+      break;
+    case FlightKind::kSchedulerInvoke:
+      out.text(",\"cause\":");
+      out.escaped(stats::to_string(static_cast<stats::JournalCause>(record.code)));
+      out.text(",\"queued\":");
+      out.u64(record.a);
+      out.text(",\"rounds\":");
+      out.u64(record.b >> 32U);
+      out.text(",\"started\":");
+      out.u64(record.b & 0xffffffffULL);
+      break;
+    case FlightKind::kBatchEvent: {
+      using K = stats::BatchEventKind;
+      const auto event = static_cast<K>(record.code);
+      out.text(",\"event\":");
+      out.escaped(stats::to_string(event));
+      switch (event) {
+        case K::kNodeFail:
+        case K::kNodeRestore:
+        case K::kNodeDrain:
+        case K::kNodeUndrain: out.text(",\"node\":"); break;
+        case K::kRunBegin:
+        case K::kRunEnd: out.text(",\"count\":"); break;
+        default:
+          out.text(",\"nodes\":");
+          out.u64(record.a);
+          out.text(",\"job\":");
+          break;
+      }
+      out.u64(record.b);
+      break;
+    }
+    case FlightKind::kCancel:
+      out.text(",\"reason\":");
+      out.escaped(sim::to_string(static_cast<sim::CancelReason>(record.code)));
+      out.text(",\"events\":");
+      out.u64(record.b);
+      break;
+  }
+  out.text("}");
+}
+
 }  // namespace
 
-std::size_t FlightRecorder::write_postmortem_fd(int fd, const char* cause) const noexcept {
+std::size_t FlightRecorder::write_postmortem_fd(int fd, std::string_view cause,
+                                                std::string_view detail) const noexcept {
   FdWriter out(fd);
-  out.text("{\"schema\":\"elastisim-postmortem-v1\",\"cause\":");
+  out.text("{\"schema\":\"elastisim-postmortem-v2\",\"cause\":");
   out.escaped(cause);
-  out.text(",\"detail\":\"\",\"build\":");
-  out.text(g_crash_build_json[0] != '\0' ? g_crash_build_json : "{}");
+  out.text(",\"detail\":");
+  out.escaped(detail);
+  out.text(",\"build\":");
+  out.text(rendered_build_info());
   out.text(",\"context\":{");
   for (std::size_t i = 0; i < context_.size(); ++i) {
     if (i > 0) out.text(",");
-    out.escaped(context_[i].first.c_str());
+    out.escaped(context_[i].first);
     out.text(":");
-    out.escaped(context_[i].second.c_str());
+    out.escaped(context_[i].second);
   }
   out.text("},\"peak_rss_bytes\":");
   out.u64(stats::profiler::peak_rss_bytes());
@@ -449,7 +391,7 @@ std::size_t FlightRecorder::write_postmortem_fd(int fd, const char* cause) const
   out.fixed(last_sim_time_);
   if (cancel_reason_ != 0) {
     out.text(",\"cancel_reason\":");
-    out.escaped(cancel_reason_name(static_cast<std::uint16_t>(cancel_reason_)).c_str());
+    out.escaped(sim::to_string(static_cast<sim::CancelReason>(cancel_reason_)));
   }
   if (last_phase_ >= 0) {
     out.text(",\"last_phase\":");
@@ -491,69 +433,24 @@ std::size_t FlightRecorder::write_postmortem_fd(int fd, const char* cause) const
   const std::uint64_t first_seq = head_ - live;
   for (std::size_t i = 0; i < live; ++i) {
     const FlightRecord& record = ring_[(head_ - live + i) & mask_];
-    if (i > 0) out.text(",");
-    out.text("{\"seq\":");
-    out.u64(first_seq + i);
-    out.text(",\"wall_s\":");
     const auto tick_delta =
         static_cast<double>(static_cast<std::int64_t>(record.ticks - window_start_ticks_));
-    out.fixed(tps > 0.0 ? tick_delta / tps : 0.0);
-    out.text(",\"sim_time\":");
-    out.fixed(record.sim_time);
-    const auto kind = static_cast<FlightKind>(record.kind);
-    out.text(",\"kind\":");
-    out.escaped(to_string(kind));
-    switch (kind) {
-      case FlightKind::kEngineEvent:
-        out.text(",\"events\":");
-        out.u64(record.b);
-        break;
-      case FlightKind::kPhaseEnter:
-      case FlightKind::kPhaseExit:
-        out.text(",\"phase\":");
-        out.escaped(phase_name_checked(record.code));
-        break;
-      case FlightKind::kSchedulerInvoke:
-        out.text(",\"cause\":");
-        out.escaped(journal_cause_name(record.code).c_str());
-        out.text(",\"queued\":");
-        out.u64(record.a);
-        out.text(",\"rounds\":");
-        out.u64(record.b >> 32U);
-        out.text(",\"started\":");
-        out.u64(record.b & 0xffffffffULL);
-        break;
-      case FlightKind::kJobState:
-        out.text(",\"state\":");
-        out.escaped(to_string(static_cast<FlightJobState>(record.code)));
-        out.text(",\"job\":");
-        out.u64(record.b);
-        out.text(",\"nodes\":");
-        out.u64(record.a);
-        break;
-      case FlightKind::kFault:
-        out.text(",\"event\":");
-        out.escaped(to_string(static_cast<FlightFault>(record.code)));
-        out.text(",\"node\":");
-        out.u64(record.b);
-        break;
-      case FlightKind::kCancel:
-        out.text(",\"reason\":");
-        out.escaped(cancel_reason_name(record.code).c_str());
-        out.text(",\"events\":");
-        out.u64(record.b);
-        break;
-      case FlightKind::kMark:
-        out.text(",\"mark\":");
-        out.escaped(to_string(static_cast<FlightMark>(record.code)));
-        out.text(",\"value\":");
-        out.u64(record.b);
-        break;
-    }
-    out.text("}");
+    out.text(i > 0 ? ",\n" : "\n");
+    write_record(out, record, first_seq + i, tps > 0.0 ? tick_delta / tps : 0.0);
   }
-  out.text("]}}\n");
+  out.text("\n]}}\n");
   return out.finish();
+}
+
+void FlightRecorder::write_postmortem(const std::string& path, std::string_view cause,
+                                      std::string_view detail) const {
+  const std::filesystem::path parent = std::filesystem::path(path).parent_path();
+  if (!parent.empty()) std::filesystem::create_directories(parent);
+  const int fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
+  if (fd < 0) throw std::runtime_error("cannot write postmortem to " + path);
+  const std::size_t written = write_postmortem_fd(fd, cause, detail);
+  ::close(fd);
+  if (written == 0) throw std::runtime_error("cannot write postmortem to " + path);
 }
 
 namespace {
@@ -587,9 +484,6 @@ void FlightRecorder::install_crash_handler(FlightRecorder* recorder,
     std::signal(SIGABRT, SIG_DFL);
     return;
   }
-  const std::string build = json::dump(stats::profiler::build_info_json());
-  std::strncpy(g_crash_build_json, build.c_str(), sizeof(g_crash_build_json) - 1);
-  g_crash_build_json[sizeof(g_crash_build_json) - 1] = '\0';
   std::strncpy(g_crash_path, path.c_str(), sizeof(g_crash_path) - 1);
   g_crash_path[sizeof(g_crash_path) - 1] = '\0';
   g_crash_recorder = recorder;

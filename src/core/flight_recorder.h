@@ -2,13 +2,14 @@
 //
 // A fixed-capacity ring of compact 32-byte POD records continuously captures
 // the simulator's recent past — engine events, scheduler invocations with
-// verdict counts, fluid solves (via profiler phase taps), job state
-// transitions, fault-injector actions, and cancellation — so an abnormal end
-// (uncaught exception, InvariantChecker trip, watchdog timeout/stall, SIGINT,
-// or a fatal signal) can dump `postmortem.json` explaining what the run was
-// doing when it died, without re-running anything.
+// verdict counts, profiler phase transitions, batch events (job and node
+// transitions, run begin/end, named by stats::BatchEventKind), and
+// cancellation — so an abnormal end (uncaught exception, InvariantChecker
+// trip, watchdog timeout/stall, SIGINT, or a fatal signal) can dump
+// `postmortem.json` explaining what the run was doing when it died, without
+// re-running anything.
 //
-// Design constraints, in the PR-6 profiler style:
+// Design constraints, in the self-profiler's style:
 //   * Single-writer: one recorder per simulating thread (thread_current()),
 //     so the hot path is branch + array store, no atomics, no locks.
 //   * Bounded memory: power-of-two ring (default 4096 records = 128 KiB);
@@ -17,12 +18,14 @@
 //     calibrated against the wall clock only when a dump is rendered.
 //   * Determinism-neutral: the recorder observes, it never feeds anything
 //     back into the simulation, so sinks stay byte-identical with it on.
+//   * Self-wiring: thread_current() taps its thread's profiler phases, and
+//     BatchSystem::set_flight_recorder() hooks the engine's per-event tap.
 //
-// Dump paths: to_json()/write_postmortem() produce the full decoded
-// `elastisim-postmortem-v1` document (schema in docs/FORMATS.md);
-// write_postmortem_fd() is the best-effort async-signal-safe variant used by
-// the SIGSEGV/SIGABRT handler — no allocation, no locks, manual number
-// formatting straight into write(2).
+// One writer: write_postmortem_fd() renders the `elastisim-postmortem-v2`
+// document (schema in docs/FORMATS.md) async-signal-safely — no allocation,
+// no locks, manual number formatting straight into write(2). The
+// SIGSEGV/SIGABRT handler calls it directly; write_postmortem() opens a file
+// for it.
 //
 // Disable process-wide with ELSIM_FLIGHT=0 (the knob the ≤2% overhead budget
 // is measured against; see docs/OBSERVABILITY.md).
@@ -35,7 +38,6 @@
 #include <utility>
 #include <vector>
 
-#include "json/json.h"
 #include "stats/batch_event.h"
 #include "stats/profiler.h"
 
@@ -54,55 +56,19 @@ enum class FlightKind : std::uint16_t {
   /// One scheduling point completed; code = JournalCause, a = queue depth
   /// after, b packs (rounds << 32 | jobs started).
   kSchedulerInvoke,
-  /// A job changed state; code = FlightJobState, a = nodes involved,
-  /// b = job id.
-  kJobState,
-  /// Fault-injector action; code = FlightFault, b = node id.
-  kFault,
+  /// One batch event; code = stats::BatchEventKind, a = nodes involved,
+  /// b = the job id, the node id (node events) or the count (run begin/end).
+  kBatchEvent,
   /// Cooperative cancellation observed; code = sim::CancelReason, b = events
   /// processed at that point.
   kCancel,
-  /// Run lifecycle marker; code = FlightMark, b = marker-specific value.
-  kMark,
 };
 
 const char* to_string(FlightKind kind) noexcept;
 
-/// Compact job-state vocabulary for ring records (the batch system's richer
-/// state machine folds into these; postmortems need the trajectory, not the
-/// bookkeeping distinctions).
-enum class FlightJobState : std::uint16_t {
-  kQueued = 0,
-  kHeld,
-  kRunning,
-  kBoundary,
-  kFinished,
-  kKilled,
-  kRequeued,
-  kCancelled,
-};
-
-const char* to_string(FlightJobState state) noexcept;
-
-/// Fault-injector actions worth keeping on the black box.
-enum class FlightFault : std::uint16_t {
-  kNodeFail = 0,
-  kNodeRepair,
-  kNodeDrain,
-  kNodeUndrain,
-};
-
-const char* to_string(FlightFault fault) noexcept;
-
-/// Run lifecycle markers.
-enum class FlightMark : std::uint16_t {
-  /// Engine drain about to start; b = jobs submitted.
-  kRunBegin = 0,
-  /// Engine drain returned normally; b = events processed.
-  kRunEnd,
-};
-
-const char* to_string(FlightMark mark) noexcept;
+/// Run markers for callers that drive the engine themselves
+/// (kRunBegin, kRunEnd); note_mark() records them as batch events.
+using FlightMark = stats::BatchEventKind;
 
 /// One ring slot. POD on purpose: written on the hot path, read from a
 /// signal handler.
@@ -110,7 +76,7 @@ struct FlightRecord {
   std::uint64_t ticks = 0;   ///< profiler::detail::tick_now() at record time.
   double sim_time = 0.0;     ///< Simulated seconds (last known for wall-side records).
   std::uint16_t kind = 0;    ///< FlightKind.
-  std::uint16_t code = 0;    ///< Kind-specific discriminator (phase, state, cause...).
+  std::uint16_t code = 0;    ///< Kind-specific discriminator (phase, event, cause...).
   std::uint32_t a = 0;       ///< Kind-specific small payload.
   std::uint64_t b = 0;       ///< Kind-specific wide payload (job id, counters).
 };
@@ -141,6 +107,9 @@ class FlightRecorder final : public stats::BatchSubscriber {
   /// Capacity is rounded up to a power of two (minimum 2).
   explicit FlightRecorder(std::size_t capacity = kDefaultCapacity);
 
+  /// Disarms this thread's phase tap if it still points here.
+  ~FlightRecorder();
+
   FlightRecorder(const FlightRecorder&) = delete;
   FlightRecorder& operator=(const FlightRecorder&) = delete;
 
@@ -148,8 +117,9 @@ class FlightRecorder final : public stats::BatchSubscriber {
   /// overhead-measurement baseline). Default on.
   static bool enabled() noexcept;
 
-  /// This thread's recorder, created on first use. One per thread keeps the
-  /// writer single even under the sweep worker pool.
+  /// This thread's recorder, created on first use with the thread's phase
+  /// tap armed. One per thread keeps the writer single even under the sweep
+  /// worker pool.
   static FlightRecorder& thread_current();
 
   /// Drops all records, the phase stack, the snapshot, and context; restarts
@@ -186,34 +156,28 @@ class FlightRecorder final : public stats::BatchSubscriber {
          (static_cast<std::uint64_t>(rounds) << 32U) | started);
   }
 
-  void note_job_state(double sim_time, FlightJobState state, std::uint64_t job,
-                      std::uint32_t nodes = 0) noexcept {
-    note(FlightKind::kJobState, sim_time, static_cast<std::uint16_t>(state), nodes, job);
-  }
-
-  void note_fault(double sim_time, FlightFault fault, std::uint64_t node) noexcept {
-    note(FlightKind::kFault, sim_time, static_cast<std::uint16_t>(fault), 0, node);
-  }
-
   void note_cancel(double sim_time, int reason, std::uint64_t events) noexcept {
     cancel_reason_ = reason;
     note(FlightKind::kCancel, sim_time, static_cast<std::uint16_t>(reason), 0, events);
   }
 
+  /// Records a run marker as a batch event; `value` is what BatchSystem puts
+  /// in BatchEvent::count (jobs accepted, engine events).
   void note_mark(double sim_time, FlightMark mark, std::uint64_t value) noexcept {
-    note(FlightKind::kMark, sim_time, static_cast<std::uint16_t>(mark), 0, value);
+    note(FlightKind::kBatchEvent, sim_time, static_cast<std::uint16_t>(mark), 0, value);
   }
 
-  /// Batch event stream: job state transitions, node faults, one record per
-  /// scheduling point (which also refreshes the snapshot), and the run
-  /// begin/end marks.
+  /// Batch event stream: job and node transitions and the run begin/end as
+  /// kBatchEvent records, and one record per scheduling point (which also
+  /// refreshes the snapshot).
   void on_event(const stats::BatchEvent& event) override;
 
   // --- phase tap ----------------------------------------------------------
 
   /// Routes this thread's profiler phase transitions (ScopedPhase tap) into
   /// this recorder. Returns the previous hook so scopes can nest; pass the
-  /// result to stats::profiler::set_phase_hook to restore.
+  /// result to stats::profiler::set_phase_hook to restore. Re-arming the
+  /// recorder already tapped changes nothing.
   std::pair<stats::profiler::detail::PhaseHook, void*> arm_phase_tap() noexcept;
 
   /// Maintains the live phase stack and records the transition.
@@ -249,20 +213,19 @@ class FlightRecorder final : public stats::BatchSubscriber {
 
   // --- dumps --------------------------------------------------------------
 
-  /// The full postmortem document (schema "elastisim-postmortem-v1"):
-  /// cause/detail, build provenance, context, peak RSS, cancel reason, phase
-  /// stack, snapshot, and the decoded ring.
-  json::Value to_json(std::string_view cause, std::string_view detail) const;
+  /// The postmortem document (schema "elastisim-postmortem-v2") written to
+  /// `fd`: cause and detail, build provenance, context, peak RSS, cancel
+  /// reason, phase stack, snapshot, and the ring, one record per line. The
+  /// only postmortem writer, and async-signal-safe: no allocation, no locks,
+  /// numbers formatted by hand (six decimals) into write(2). Returns bytes
+  /// written (0 on failure).
+  std::size_t write_postmortem_fd(int fd, std::string_view cause,
+                                  std::string_view detail = {}) const noexcept;
 
-  /// to_json() pretty-printed to `path`, parent directories created.
+  /// write_postmortem_fd() into `path`, parent directories created. Throws
+  /// std::runtime_error when the file cannot be written.
   void write_postmortem(const std::string& path, std::string_view cause,
                         std::string_view detail) const;
-
-  /// Best-effort async-signal-safe dump: schema-compatible JSON with the
-  /// same members, hand-formatted into a stack buffer and write(2)-flushed.
-  /// Context strings and tick calibration are included from state captured
-  /// before the signal. Returns bytes written (0 on failure).
-  std::size_t write_postmortem_fd(int fd, const char* cause) const noexcept;
 
   /// Arms a process-wide SIGSEGV/SIGABRT handler that dumps `recorder` to
   /// `path` and re-raises with default disposition. Pass nullptr to disarm.

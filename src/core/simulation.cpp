@@ -23,21 +23,6 @@ bool validate_env_enabled() {
   return env != nullptr && *env != '\0' && std::string_view(env) != "0";
 }
 
-/// Routes this thread's profiler phase transitions into `recorder` for the
-/// lifetime of the scope, restoring whatever hook was installed before (the
-/// caller may hold a longer-lived tap, e.g. the CLI's process-wide one).
-class ScopedPhaseTap {
- public:
-  explicit ScopedPhaseTap(FlightRecorder& recorder)
-      : previous_(recorder.arm_phase_tap()) {}
-  ScopedPhaseTap(const ScopedPhaseTap&) = delete;
-  ScopedPhaseTap& operator=(const ScopedPhaseTap&) = delete;
-  ~ScopedPhaseTap() { stats::profiler::set_phase_hook(previous_.first, previous_.second); }
-
- private:
-  std::pair<stats::profiler::detail::PhaseHook, void*> previous_;
-};
-
 SimulationResult run_impl(const platform::ClusterConfig& platform,
                           std::vector<workload::Job> jobs, const RunConfig& config) {
   auto scheduler = make_scheduler(config.scheduler);
@@ -55,18 +40,14 @@ SimulationResult run_impl(const platform::ClusterConfig& platform,
   if (config.cancel) engine.set_cancellation(config.cancel);
   if (config.failures) FaultInjector::apply(batch, *config.failures);
 
-  // Always-on black box: this thread's flight recorder rides the engine's
-  // per-event hook, the batch event stream, and the profiler phase tap for
-  // the duration of the run. Purely observational — nothing feeds back into
-  // the simulation, so determinism is untouched.
-  FlightRecorder* flight =
-      FlightRecorder::enabled() ? &FlightRecorder::thread_current() : nullptr;
-  std::optional<ScopedPhaseTap> phase_tap;
-  if (flight != nullptr) {
-    engine.set_event_hook(&FlightRecorder::engine_event_hook, flight);
-    batch.set_flight_recorder(flight);
-    phase_tap.emplace(*flight);
-    flight->set_context("scheduler", config.scheduler);
+  // Always-on black box: this thread's flight recorder, which taps the
+  // thread's profiler phases, rides the engine's per-event hook and the
+  // batch event stream. Purely observational — nothing feeds back into the
+  // simulation, so determinism is untouched.
+  if (FlightRecorder::enabled()) {
+    FlightRecorder& flight = FlightRecorder::thread_current();
+    batch.set_flight_recorder(&flight);
+    flight.set_context("scheduler", config.scheduler);
   }
   // Last subscriber, so it cross-checks what the sinks wrote at each point.
   std::optional<InvariantChecker> checker;

@@ -421,7 +421,10 @@ CellOutcome SweepRunner::run_one(const SweepCell& cell, Slot& slot) {
     last_token = token;
     if (FlightRecorder::enabled()) {
       // Fresh black box per attempt: the ring then covers exactly the dying
-      // attempt, and the context names the cell it belonged to.
+      // attempt, and the context names the cell it belonged to. The
+      // recorder taps this worker's profiler phases, so a body that dies
+      // inside a phase scope (e.g. an injected crash) leaves the dying phase
+      // on the ring.
       FlightRecorder& recorder = FlightRecorder::thread_current();
       recorder.reset();
       recorder.set_context("cell", std::to_string(cell.index));
@@ -444,13 +447,6 @@ CellOutcome SweepRunner::run_one(const SweepCell& cell, Slot& slot) {
     std::string error;
     bool have_result = false;
     SimulationResult result;
-    // Route this worker's profiler phases into its recorder for the whole
-    // attempt, so a body that dies inside a phase scope (e.g. an injected
-    // crash) leaves the dying phase on the ring. run_impl arms its own
-    // nested tap for real cells and restores this one on exit.
-    std::pair<stats::profiler::detail::PhaseHook, void*> previous_tap{nullptr, nullptr};
-    const bool tapped = FlightRecorder::enabled();
-    if (tapped) previous_tap = FlightRecorder::thread_current().arm_phase_tap();
     try {
       result = body_(cell, *token);
       have_result = true;
@@ -460,7 +456,6 @@ CellOutcome SweepRunner::run_one(const SweepCell& cell, Slot& slot) {
     } catch (...) {
       error = "unknown exception";
     }
-    if (tapped) stats::profiler::set_phase_hook(previous_tap.first, previous_tap.second);
 
     {
       const std::lock_guard<std::mutex> lock(slot.mutex);

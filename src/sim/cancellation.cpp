@@ -2,7 +2,7 @@
 
 namespace elastisim::sim {
 
-std::string to_string(CancelReason reason) {
+const char* to_string(CancelReason reason) noexcept {
   switch (reason) {
     case CancelReason::kNone:
       return "none";

@@ -30,7 +30,8 @@ enum class CancelReason : int {
   kInterrupted,
 };
 
-std::string to_string(CancelReason reason);
+/// A static string, so the postmortem writer can print it from a signal handler.
+const char* to_string(CancelReason reason) noexcept;
 
 class CancellationToken {
  public:

@@ -6,6 +6,37 @@
 
 namespace elastisim::stats {
 
+const char* to_string(BatchEventKind kind) noexcept {
+  switch (kind) {
+    case BatchEventKind::kSubmit: return "submit";
+    case BatchEventKind::kHeld: return "held";
+    case BatchEventKind::kQueued: return "queued";
+    case BatchEventKind::kCancel: return "cancel";
+    case BatchEventKind::kStart: return "start";
+    case BatchEventKind::kRestart: return "restart";
+    case BatchEventKind::kBoundary: return "boundary";
+    case BatchEventKind::kEvolvingRequest: return "evolving-request";
+    case BatchEventKind::kTarget: return "target";
+    case BatchEventKind::kExpand: return "expand";
+    case BatchEventKind::kShrink: return "shrink";
+    case BatchEventKind::kRelease: return "release";
+    case BatchEventKind::kFinish: return "finish";
+    case BatchEventKind::kKill: return "kill";
+    case BatchEventKind::kRequeue: return "requeue";
+    case BatchEventKind::kExplain: return "explain";
+    case BatchEventKind::kNodeFail: return "node-fail";
+    case BatchEventKind::kNodeRestore: return "node-restore";
+    case BatchEventKind::kNodeDrain: return "node-drain";
+    case BatchEventKind::kNodeUndrain: return "node-undrain";
+    case BatchEventKind::kSchedulingBegin: return "scheduling-begin";
+    case BatchEventKind::kSchedulingEnd: return "scheduling-end";
+    case BatchEventKind::kSample: return "sample";
+    case BatchEventKind::kRunBegin: return "run-begin";
+    case BatchEventKind::kRunEnd: return "run-end";
+  }
+  return "unknown";
+}
+
 std::string event_detail(const BatchEvent& event) {
   switch (event.kind) {
     case BatchEventKind::kSubmit:

@@ -50,6 +50,11 @@ enum class BatchEventKind : std::uint8_t {
   kRunEnd,           ///< The event loop returned; `count` = engine events.
 };
 
+/// The event's name in trace.csv and postmortems ("start", "node-fail",
+/// "run-begin"): the one event vocabulary. A static string, so a signal
+/// handler can print it.
+const char* to_string(BatchEventKind kind) noexcept;
+
 /// Why a kKill ended a job: its walltime, `node` failing under
 /// FailurePolicy::kKill, or `node` failing once more than
 /// BatchConfig::max_requeues allows.

@@ -12,13 +12,12 @@ namespace elastisim::telemetry {
 namespace {
 
 constexpr int kClusterPid = 1;
-constexpr int kEnginePid = 2;
 
-json::Value metadata(const char* kind, int pid, std::uint32_t tid, std::string name) {
+json::Value metadata(const char* kind, std::uint32_t tid, std::string name) {
   json::Object event;
   event["name"] = kind;
   event["ph"] = "M";
-  event["pid"] = pid;
+  event["pid"] = kClusterPid;
   event["tid"] = static_cast<double>(tid);
   json::Object args;
   args["name"] = std::move(name);
@@ -91,11 +90,6 @@ void ChromeTraceBuilder::instant(std::string label, double sim_time) {
   instants_.push_back(Instant{std::move(label), to_us(sim_time)});
 }
 
-void ChromeTraceBuilder::wall_slice(std::string label, double wall_start_s, double dur_s,
-                                    std::uint64_t items) {
-  wall_.push_back(Span{std::move(label), wall_start_s, dur_s, items});
-}
-
 void ChromeTraceBuilder::close_open_slices(double sim_time) {
   // Close in ascending node order: draining the unordered map directly would
   // emit the final slices in hash order, breaking byte-identical traces.
@@ -108,21 +102,18 @@ void ChromeTraceBuilder::close_open_slices(double sim_time) {
 }
 
 std::size_t ChromeTraceBuilder::event_count() const {
-  return slices_.size() + open_.size() + counters_.size() + instants_.size() + wall_.size();
+  return slices_.size() + open_.size() + counters_.size() + instants_.size();
 }
 
 json::Value ChromeTraceBuilder::to_json() const {
   json::Array events;
 
-  events.push_back(metadata("process_name", kClusterPid, 0, "cluster (simulated time)"));
+  events.push_back(metadata("process_name", 0, "cluster (simulated time)"));
   if (any_node_) {
     for (std::uint32_t node = 0; node <= max_node_; ++node) {
-      events.push_back(
-          metadata("thread_name", kClusterPid, node, "node " + std::to_string(node)));
+      events.push_back(metadata("thread_name", node, "node " + std::to_string(node)));
     }
   }
-  events.push_back(metadata("process_name", kEnginePid, 0, "engine (wall clock)"));
-  events.push_back(metadata("thread_name", kEnginePid, 0, "engine"));
 
   for (const NodeSlice& slice : slices_) {
     json::Object event;
@@ -159,22 +150,6 @@ json::Value ChromeTraceBuilder::to_json() const {
     event["pid"] = kClusterPid;
     event["tid"] = 0;
     event["ts"] = mark.ts_us;
-    events.push_back(json::Value(std::move(event)));
-  }
-
-  for (const Span& span : wall_) {
-    json::Object event;
-    event["name"] = span.name;
-    event["ph"] = "X";
-    event["pid"] = kEnginePid;
-    event["tid"] = 0;
-    event["ts"] = to_us(span.wall_start_s);
-    event["dur"] = to_us(span.dur_s);
-    if (span.items > 0) {
-      json::Object args;
-      args["items"] = static_cast<double>(span.items);
-      event["args"] = std::move(args);
-    }
     events.push_back(json::Value(std::move(event)));
   }
 

@@ -1,15 +1,11 @@
 // Chrome trace_event JSON exporter (chrome://tracing / Perfetto).
 //
-// Renders a simulation as two processes in one trace file:
-//   pid 1 "cluster (simulated time)" — one thread per compute node, with a
-//         complete-event slice for every interval a job occupies the node,
-//         counter tracks (queue depth, free nodes, running jobs), and
-//         instant events for failures/kills/requeues. Timestamps are
-//         simulated seconds mapped to trace microseconds.
-//   pid 2 "engine (wall clock)" — wall-clock slices a caller adds with
-//         wall_slice(); the simulator adds none (--profile times phases).
-// The two clocks are unrelated; keeping them in separate processes makes
-// each track internally consistent in the viewer.
+// Renders a simulation as one process, pid 1 "cluster (simulated time)": one
+// thread per compute node, with a complete-event slice for every interval a
+// job occupies the node, counter tracks (queue depth, free nodes, running
+// jobs), and instant events for failures/kills/requeues. Timestamps are
+// simulated seconds mapped to trace microseconds; wall-clock phase times are
+// the self-profiler's (--profile).
 //
 // The builder subscribes to the batch event stream like stats::EventTrace;
 // kRunEnd closes the slices of jobs still running.
@@ -23,7 +19,6 @@
 
 #include "json/json.h"
 #include "stats/batch_event.h"
-#include "stats/telemetry.h"
 
 namespace elastisim::telemetry {
 
@@ -48,10 +43,6 @@ class ChromeTraceBuilder final : public stats::BatchSubscriber {
 
   /// Global instant marker ("node 3 failed", "job 7 walltime kill", ...).
   void instant(std::string label, double sim_time);
-
-  /// Wall-clock slice on the engine track (telemetry::Span shape).
-  void wall_slice(std::string label, double wall_start_s, double dur_s,
-                  std::uint64_t items = 0);
 
   /// Closes every still-open node slice (stuck jobs at the end of a run).
   void close_open_slices(double sim_time);
@@ -92,7 +83,6 @@ class ChromeTraceBuilder final : public stats::BatchSubscriber {
   std::vector<NodeSlice> slices_;
   std::vector<CounterSample> counters_;
   std::vector<Instant> instants_;
-  std::vector<Span> wall_;
   std::unordered_map<std::uint32_t, Open> open_;
   std::unordered_map<std::string, double> last_counter_;
   std::uint32_t max_node_ = 0;

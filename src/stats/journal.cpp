@@ -10,7 +10,7 @@
 
 namespace elastisim::stats {
 
-std::string to_string(JournalCause cause) {
+const char* to_string(JournalCause cause) noexcept {
   switch (cause) {
     case JournalCause::kSubmit: return "submit";
     case JournalCause::kFinish: return "finish";

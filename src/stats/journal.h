@@ -78,7 +78,8 @@ enum class HoldReason {
   kNotConsidered,
 };
 
-std::string to_string(JournalCause cause);
+/// A static string, so the postmortem writer can print it from a signal handler.
+const char* to_string(JournalCause cause) noexcept;
 std::string to_string(VerdictAction action);
 std::string to_string(HoldReason reason);
 std::optional<JournalCause> journal_cause_from_string(std::string_view name);

@@ -107,7 +107,7 @@ std::vector<JobRow> read_jobs_csv(const std::string& path) {
   return jobs;
 }
 
-/// Per-job event markers mined from trace.csv (requeues, walltime kills).
+/// Per-job event markers mined from trace.csv (requeues, kills).
 struct TraceMarkers {
   std::size_t entries = 0;
   std::map<long long, std::vector<double>> requeues;
@@ -127,7 +127,7 @@ TraceMarkers read_trace_markers(const std::string& path) {
     ++markers.entries;
     // seq,time,event,job,detail
     const std::string& event = fields[2];
-    if (event != "requeue" && event != "walltime-kill") continue;
+    if (event != "requeue" && event != "kill") continue;
     try {
       const double time = std::stod(fields[1]);
       const long long job = std::stoll(fields[3]);

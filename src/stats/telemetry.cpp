@@ -82,23 +82,6 @@ double Histogram::percentile(double p) const noexcept {
 }
 
 // ---------------------------------------------------------------------------
-// SpanLog
-// ---------------------------------------------------------------------------
-
-void SpanLog::add(std::string name, double wall_start_s, double dur_s, std::uint64_t items) {
-  if (spans_.size() >= kMaxSpans) {
-    ++dropped_;
-    return;
-  }
-  spans_.push_back(Span{std::move(name), wall_start_s, dur_s, items});
-}
-
-void SpanLog::clear() {
-  spans_.clear();
-  dropped_ = 0;
-}
-
-// ---------------------------------------------------------------------------
 // Registry
 // ---------------------------------------------------------------------------
 
@@ -106,7 +89,6 @@ void Registry::clear() {
   counters_.clear();
   gauges_.clear();
   histograms_.clear();
-  spans_.clear();
 }
 
 json::Value Registry::to_json() const {
@@ -144,10 +126,6 @@ json::Value Registry::to_json() const {
     histograms[name] = std::move(entry);
   }
 
-  json::Object spans;
-  spans["count"] = spans_.spans().size();
-  spans["dropped"] = static_cast<double>(spans_.dropped());
-
   json::Object out;
   // Same provenance header profile.json carries: compile-time values only,
   // so telemetry.json stays byte-identical across runs of one binary.
@@ -155,7 +133,6 @@ json::Value Registry::to_json() const {
   out["counters"] = std::move(counters);
   out["gauges"] = std::move(gauges);
   out["histograms"] = std::move(histograms);
-  out["spans"] = std::move(spans);
   return json::Value(std::move(out));
 }
 

@@ -1,6 +1,6 @@
-// Telemetry: named counters, gauges with sampled timelines, log-bucketed
-// histograms, and a span log for trace export. Phase wall times are the
-// self-profiler's job (stats/profiler.h, --profile).
+// Telemetry: named counters, gauges with sampled timelines, and log-bucketed
+// histograms. Phase wall times are the self-profiler's job
+// (stats/profiler.h, --profile).
 //
 // The registry answers "how do simulator internals evolve during a run" —
 // the companion to the Recorder's end-of-run aggregates. Collection follows the logger's pattern: a
@@ -36,7 +36,7 @@ inline bool enabled() noexcept { return detail::g_enabled; }
 inline void set_enabled(bool on) noexcept { detail::g_enabled = on; }
 
 /// Monotonic wall-clock seconds since the first telemetry clock query in
-/// this process. Spans and the self-profiler's window share this origin.
+/// this process. The self-profiler's window shares this origin.
 double wall_now() noexcept;
 
 /// Monotonically increasing event tally.
@@ -109,33 +109,6 @@ class Histogram {
   double max_ = 0.0;
 };
 
-/// One named wall-clock slice (e.g. a batch of engine dispatches or a CLI
-/// phase); rendered as the wall-clock track of the Chrome trace.
-struct Span {
-  std::string name;
-  double wall_start_s;
-  double dur_s;
-  /// Items covered by the slice (events dispatched, jobs written, ...).
-  std::uint64_t items;
-};
-
-/// Append-only span list, capped so runaway instrumentation cannot exhaust
-/// memory; spans beyond the cap are counted but dropped.
-class SpanLog {
- public:
-  void add(std::string name, double wall_start_s, double dur_s, std::uint64_t items = 0);
-
-  const std::vector<Span>& spans() const noexcept { return spans_; }
-  std::uint64_t dropped() const noexcept { return dropped_; }
-  void clear();
-
-  static constexpr std::size_t kMaxSpans = 65536;
-
- private:
-  std::vector<Span> spans_;
-  std::uint64_t dropped_ = 0;
-};
-
 /// Named metric store. Lookup creates on first use; references stay valid
 /// until clear(). std::map keeps export order deterministic.
 class Registry {
@@ -143,19 +116,17 @@ class Registry {
   Counter& counter(const std::string& name) { return counters_[name]; }
   Gauge& gauge(const std::string& name) { return gauges_[name]; }
   Histogram& histogram(const std::string& name) { return histograms_[name]; }
-  SpanLog& spans() noexcept { return spans_; }
-  const SpanLog& spans() const noexcept { return spans_; }
 
   const std::map<std::string, Counter>& counters() const noexcept { return counters_; }
   const std::map<std::string, Gauge>& gauges() const noexcept { return gauges_; }
   const std::map<std::string, Histogram>& histograms() const noexcept { return histograms_; }
 
-  /// Drops every metric and span. Invalidates cached handles — only safe
+  /// Drops every metric. Invalidates cached handles — only safe
   /// between simulations.
   void clear();
 
-  /// Flat dump: {"counters": {...}, "gauges": {...}, "histograms": {...},
-  /// "spans": {...}}. Histograms report count/sum/mean/min/max and
+  /// Flat dump: {"build": {...}, "counters": {...}, "gauges": {...},
+  /// "histograms": {...}}. Histograms report count/sum/mean/min/max and
   /// p50/p90/p99; gauges report value/min/max and the sampled timeline as
   /// [time, value] pairs. This is the telemetry.json schema
   /// (docs/OBSERVABILITY.md).
@@ -168,7 +139,6 @@ class Registry {
   std::map<std::string, Counter> counters_;
   std::map<std::string, Gauge> gauges_;
   std::map<std::string, Histogram> histograms_;
-  SpanLog spans_;
 };
 
 }  // namespace elastisim::telemetry

@@ -17,29 +17,13 @@
 
 namespace elastisim::stats {
 
-enum class TraceEvent {
-  kSubmit,
-  kStart,
-  kExpand,
-  kShrink,
-  kEvolvingRequest,
-  kFinish,
-  kWalltimeKill,
-  kRequeue,
-  kCancel,
-  kNodeFail,
-  kNodeRestore,
-};
-
-std::string to_string(TraceEvent event);
-
 struct TraceEntry {
   /// Monotonic 1-based sequence number: the stable tie-break for
   /// same-timestamp entries, so trace diffs are deterministic, and the key
   /// decision-journal verdicts link to.
   std::uint64_t seq;
   double time;
-  TraceEvent event;
+  BatchEventKind event;
   /// Job the event concerns; 0 for node-level events.
   workload::JobId job;
   /// Event-specific detail: node counts ("16->32"), request deltas ("+8
@@ -54,7 +38,7 @@ class EventTrace final : public BatchSubscriber {
   void on_event(const BatchEvent& event) override;
 
   /// Appends an entry and returns its sequence number.
-  std::uint64_t record(double time, TraceEvent event, workload::JobId job,
+  std::uint64_t record(double time, BatchEventKind event, workload::JobId job,
                        std::string detail = "");
 
   const std::vector<TraceEntry>& entries() const { return entries_; }
@@ -62,7 +46,7 @@ class EventTrace final : public BatchSubscriber {
   bool empty() const { return entries_.empty(); }
 
   /// Entries of one kind, in order.
-  std::vector<TraceEntry> filtered(TraceEvent event) const;
+  std::vector<TraceEntry> filtered(BatchEventKind event) const;
 
   /// "seq,time,event,job,detail" rows.
   void write_csv(std::ostream& out) const;

@@ -5,6 +5,23 @@
 
 namespace elastisim::util {
 
+namespace {
+
+template <typename T>
+T parse_in_full(const std::string& name, const std::string& value, const char* expected) {
+  T out{};
+  const char* end = value.data() + value.size();
+  const auto [ptr, ec] = std::from_chars(value.data(), end, out);
+  if (ec != std::errc{} || ptr != end) throw FlagError(name, value, expected);
+  return out;
+}
+
+}  // namespace
+
+FlagError::FlagError(const std::string& name, const std::string& value,
+                     const std::string& expected)
+    : std::runtime_error("--" + name + ": expected " + expected + ", got \"" + value + "\"") {}
+
 Flags::Flags(int argc, const char* const* argv) : Flags(argc, argv, {}) {}
 
 Flags::Flags(int argc, const char* const* argv, const std::set<std::string>& boolean_flags) {
@@ -52,21 +69,13 @@ std::string Flags::get(const std::string& name, const std::string& fallback) con
 }
 
 double Flags::get(const std::string& name, double fallback) const {
-  auto value = raw(name);
-  if (!value) return fallback;
-  double out = fallback;
-  auto [ptr, ec] = std::from_chars(value->data(), value->data() + value->size(), out);
-  (void)ptr;
-  return ec == std::errc{} ? out : fallback;
+  const auto value = raw(name);
+  return value ? parse_in_full<double>(name, *value, "a number") : fallback;
 }
 
 std::int64_t Flags::get(const std::string& name, std::int64_t fallback) const {
-  auto value = raw(name);
-  if (!value) return fallback;
-  std::int64_t out = fallback;
-  auto [ptr, ec] = std::from_chars(value->data(), value->data() + value->size(), out);
-  (void)ptr;
-  return ec == std::errc{} ? out : fallback;
+  const auto value = raw(name);
+  return value ? parse_in_full<std::int64_t>(name, *value, "an integer") : fallback;
 }
 
 bool Flags::get(const std::string& name, bool fallback) const {

@@ -4,6 +4,10 @@
 // arguments are collected in order. No registration step: callers query by
 // name with a default, which keeps example code short.
 //
+// A numeric getter throws FlagError when the value does not parse in full
+// ("--interval abc", "--interval 5x"): a typo never runs with a silent
+// default.
+//
 // Caveat of the registration-free design: "--name token" cannot tell a
 // boolean flag from a valued one, so a bare "--flag path" swallows the path
 // as the flag's value. Callers mixing boolean flags with positional
@@ -16,12 +20,20 @@
 #include <map>
 #include <optional>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <utility>
 #include <vector>
 
 namespace elastisim::util {
+
+/// A malformed flag value. what() reads "--<name>: expected <expected>, got
+/// \"<value>\"".
+class FlagError : public std::runtime_error {
+ public:
+  FlagError(const std::string& name, const std::string& value, const std::string& expected);
+};
 
 class Flags {
  public:

@@ -3,6 +3,7 @@
 #include <cmath>
 #include <limits>
 #include <stdexcept>
+#include <unordered_map>
 
 #include "util/fmt.h"
 #include "util/load_error.h"
@@ -257,9 +258,16 @@ std::vector<Job> workload_from_json(const json::Value& value) {
   const json::Array& job_array = jobs->as_array();
   std::vector<Job> out;
   out.reserve(job_array.size());
+  std::unordered_map<JobId, std::size_t> index_of;  // id -> first $.jobs index
   for (std::size_t i = 0; i < job_array.size(); ++i) {
     at_path(util::fmt("$.jobs[{}]", i),
             [&] { out.push_back(job_from_json(job_array[i])); });
+    const auto [first, inserted] = index_of.emplace(out.back().id, i);
+    if (!inserted) {
+      throw LoadError("", util::fmt("$.jobs[{}].id", i), "",
+                      util::fmt("duplicate job id {}, first used at $.jobs[{}]",
+                                out.back().id, first->second));
+    }
   }
   return out;
 }

@@ -92,6 +92,16 @@ TEST(BatchSystem, RejectsInvalidJob) {
   EXPECT_FALSE(h.batch.submit(std::move(bad)));
 }
 
+TEST(BatchSystem, RejectsDuplicateJobId) {
+  Harness h(4);
+  EXPECT_TRUE(h.batch.submit(rigid_job(1, 2, 10.0)));
+  EXPECT_FALSE(h.batch.submit(rigid_job(1, 2, 5.0, /*submit=*/3.0)));
+  h.engine.run();
+  EXPECT_EQ(h.batch.finished_jobs(), 1u);
+  ASSERT_EQ(h.recorder.records().size(), 1u);
+  EXPECT_DOUBLE_EQ(h.record(1).end_time, 10.0);
+}
+
 TEST(BatchSystem, MultiIterationJobRunsAllIterations) {
   Harness h(2);
   h.batch.submit(rigid_job(1, 2, 10.0, 0.0, /*iterations=*/5));

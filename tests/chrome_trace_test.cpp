@@ -7,6 +7,7 @@
 #include "core/batch_system.h"
 #include "core/scheduler.h"
 #include "stats/chrome_trace.h"
+#include "stats/telemetry.h"
 #include "test_support.h"
 
 namespace elastisim::telemetry {
@@ -98,26 +99,16 @@ TEST(ChromeTrace, CountersDedupAndEmitPerName) {
   EXPECT_DOUBLE_EQ(args->member_or("value", -1.0), 4.0);
 }
 
-TEST(ChromeTrace, InstantsAndWallSlicesLandOnTheirTracks) {
+TEST(ChromeTrace, InstantsLandOnTheClusterTrack) {
   ChromeTraceBuilder builder;
   builder.instant("node 2 failed", 30.0);
-  builder.wall_slice("engine.dispatch", 0.25, 0.5, 1234);
 
   ParsedTrace trace(builder);
   const json::Value* instant = trace.first_named("node 2 failed");
   ASSERT_NE(instant, nullptr);
   EXPECT_EQ(instant->member_or("ph", ""), "i");
   EXPECT_EQ(instant->member_or("pid", std::int64_t{0}), 1);
-
-  const json::Value* wall = trace.first_named("engine.dispatch");
-  ASSERT_NE(wall, nullptr);
-  EXPECT_EQ(wall->member_or("ph", ""), "X");
-  EXPECT_EQ(wall->member_or("pid", std::int64_t{0}), 2);
-  EXPECT_DOUBLE_EQ(wall->member_or("ts", 0.0), 0.25 * 1e6);
-  EXPECT_DOUBLE_EQ(wall->member_or("dur", 0.0), 0.5 * 1e6);
-  const json::Value* args = wall->find("args");
-  ASSERT_NE(args, nullptr);
-  EXPECT_EQ(args->member_or("items", std::int64_t{0}), 1234);
+  EXPECT_DOUBLE_EQ(instant->member_or("ts", 0.0), 30.0 * 1e6);
 }
 
 TEST(ChromeTrace, MetadataNamesProcessesAndNodeTracks) {
@@ -125,17 +116,17 @@ TEST(ChromeTrace, MetadataNamesProcessesAndNodeTracks) {
   builder.begin_node_slice(2, 1, "j", 0.0);
   builder.end_node_slice(2, 1.0);
   ParsedTrace trace(builder);
-  // process_name for both pids; thread_name for node tracks 0..2 plus the
-  // engine track.
+  // One process (the simulated cluster); thread_name for node tracks 0..2.
   std::size_t process_names = 0;
   std::size_t thread_names = 0;
   for (const json::Value& event : *trace.events) {
     if (event.member_or("ph", "") != "M") continue;
+    EXPECT_EQ(event.member_or("pid", std::int64_t{0}), 1);
     if (event.member_or("name", "") == "process_name") ++process_names;
     if (event.member_or("name", "") == "thread_name") ++thread_names;
   }
-  EXPECT_EQ(process_names, 2u);
-  EXPECT_EQ(thread_names, 4u);
+  EXPECT_EQ(process_names, 1u);
+  EXPECT_EQ(thread_names, 3u);
   EXPECT_EQ(trace.root.member_or("displayTimeUnit", ""), "ms");
 }
 

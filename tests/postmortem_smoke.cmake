@@ -6,10 +6,11 @@
 # --progress and asserts the crash-diagnostics contract end to end:
 #   - exit 3 and a "progress:" heartbeat on stderr,
 #   - both failed cells leave cells/NNN/postmortem.json with the
-#     elastisim-postmortem-v1 schema, referenced from sweep.json,
+#     elastisim-postmortem-v2 schema, referenced from sweep.json,
 #   - `elastisim postmortem` renders each, naming the dying phase and the
 #     cancel reason (for the stalled cell),
-#   - the renderer exits non-zero on missing and on wrong-schema input.
+#   - the renderer exits non-zero on missing and on wrong-schema input, and
+#     names both versions when handed a v1 dump.
 cmake_minimum_required(VERSION 3.19)
 
 foreach(var ELASTISIM PLATFORM WORKLOAD OUT_DIR)
@@ -63,7 +64,7 @@ foreach(cell IN ITEMS 0 1)
   endif()
   file(READ ${pm_file} pm_text)
   string(JSON pm_schema GET "${pm_text}" schema)
-  if(NOT pm_schema STREQUAL "elastisim-postmortem-v1")
+  if(NOT pm_schema STREQUAL "elastisim-postmortem-v2")
     message(FATAL_ERROR "postmortem_smoke: ${pm_file} schema is \"${pm_schema}\"")
   endif()
   string(JSON pm_cell GET "${pm_text}" context cell)
@@ -128,9 +129,20 @@ execute_process(
 if(exit_code EQUAL 0)
   message(FATAL_ERROR "postmortem_smoke: renderer accepted a wrong-schema file")
 endif()
-if(NOT stderr_text MATCHES "elastisim-postmortem-v1")
+if(NOT stderr_text MATCHES "elastisim-postmortem-v2")
   message(FATAL_ERROR "postmortem_smoke: wrong-schema diagnostic does not name the "
                       "expected schema:\n${stderr_text}")
+endif()
+
+file(WRITE ${OUT_DIR}/v1.json "{\"schema\": \"elastisim-postmortem-v1\", \"ring\": {\"records\": []}}")
+execute_process(
+  COMMAND ${ELASTISIM} postmortem ${OUT_DIR}/v1.json
+  RESULT_VARIABLE exit_code
+  OUTPUT_VARIABLE stdout_text ERROR_VARIABLE stderr_text)
+if(exit_code EQUAL 0 OR NOT stderr_text MATCHES "elastisim-postmortem-v1"
+   OR NOT stderr_text MATCHES "elastisim-postmortem-v2")
+  message(FATAL_ERROR "postmortem_smoke: a v1 dump must fail naming both versions "
+                      "(exit ${exit_code}):\n${stderr_text}")
 endif()
 
 # --- Single-run interrupt-free sanity: ELSIM_FLIGHT=0 disables dumps --------

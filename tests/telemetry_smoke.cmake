@@ -30,7 +30,7 @@ string(JSON ignored ERROR_VARIABLE parse_error GET "${telemetry_text}" counters)
 if(parse_error)
   message(FATAL_ERROR "telemetry_smoke: telemetry.json has no counters object: ${parse_error}")
 endif()
-foreach(member gauges histograms spans)
+foreach(member gauges histograms)
   string(JSON ignored ERROR_VARIABLE parse_error GET "${telemetry_text}" ${member})
   if(parse_error)
     message(FATAL_ERROR "telemetry_smoke: telemetry.json missing '${member}': ${parse_error}")

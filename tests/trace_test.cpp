@@ -23,11 +23,11 @@ using workload::JobType;
 
 TEST(EventTrace, RecordsInOrder) {
   EventTrace trace;
-  EXPECT_EQ(trace.record(1.0, TraceEvent::kSubmit, 1), 1u);
-  EXPECT_EQ(trace.record(2.0, TraceEvent::kStart, 1, "4 nodes"), 2u);
-  EXPECT_EQ(trace.record(5.0, TraceEvent::kFinish, 1), 3u);
+  EXPECT_EQ(trace.record(1.0, BatchEventKind::kSubmit, 1), 1u);
+  EXPECT_EQ(trace.record(2.0, BatchEventKind::kStart, 1, "4 nodes"), 2u);
+  EXPECT_EQ(trace.record(5.0, BatchEventKind::kFinish, 1), 3u);
   ASSERT_EQ(trace.size(), 3u);
-  EXPECT_EQ(trace.entries()[1].event, TraceEvent::kStart);
+  EXPECT_EQ(trace.entries()[1].event, BatchEventKind::kStart);
   EXPECT_EQ(trace.entries()[1].detail, "4 nodes");
   // Sequence numbers are 1-based and monotonic — the stable tie-break for
   // same-timestamp events and the key journal verdicts link to.
@@ -38,17 +38,17 @@ TEST(EventTrace, RecordsInOrder) {
 
 TEST(EventTrace, FilteredSelectsKind) {
   EventTrace trace;
-  trace.record(1.0, TraceEvent::kSubmit, 1);
-  trace.record(2.0, TraceEvent::kStart, 1);
-  trace.record(3.0, TraceEvent::kSubmit, 2);
-  const auto submits = trace.filtered(TraceEvent::kSubmit);
+  trace.record(1.0, BatchEventKind::kSubmit, 1);
+  trace.record(2.0, BatchEventKind::kStart, 1);
+  trace.record(3.0, BatchEventKind::kSubmit, 2);
+  const auto submits = trace.filtered(BatchEventKind::kSubmit);
   ASSERT_EQ(submits.size(), 2u);
   EXPECT_EQ(submits[1].job, 2u);
 }
 
 TEST(EventTrace, CsvHasHeaderAndRows) {
   EventTrace trace;
-  trace.record(1.5, TraceEvent::kNodeFail, 0, "node 3");
+  trace.record(1.5, BatchEventKind::kNodeFail, 0, "node 3");
   std::ostringstream out;
   trace.write_csv(out);
   std::istringstream in(out.str());
@@ -64,8 +64,8 @@ TEST(EventTrace, CsvHasHeaderAndRows) {
 
 TEST(EventTrace, CsvEscapesCommasAndQuotes) {
   EventTrace trace;
-  trace.record(1.0, TraceEvent::kStart, 7, "nodes 1,2,3");
-  trace.record(2.0, TraceEvent::kFinish, 7, "status \"ok\", clean");
+  trace.record(1.0, BatchEventKind::kStart, 7, "nodes 1,2,3");
+  trace.record(2.0, BatchEventKind::kFinish, 7, "status \"ok\", clean");
   std::ostringstream out;
   trace.write_csv(out);
   std::istringstream in(out.str());
@@ -86,7 +86,7 @@ TEST(EventTrace, CsvEscapesCommasAndQuotes) {
 
 TEST(EventTrace, FilteredOnEmptyTraceIsEmpty) {
   EventTrace trace;
-  EXPECT_TRUE(trace.filtered(TraceEvent::kStart).empty());
+  EXPECT_TRUE(trace.filtered(BatchEventKind::kStart).empty());
   std::ostringstream out;
   trace.write_csv(out);
   // Header only.
@@ -94,14 +94,15 @@ TEST(EventTrace, FilteredOnEmptyTraceIsEmpty) {
 }
 
 TEST(EventTrace, EventNamesAreUnique) {
+  // The one event vocabulary: trace.csv and postmortems both print these.
   std::set<std::string> names;
-  for (auto event : {TraceEvent::kSubmit, TraceEvent::kStart, TraceEvent::kExpand,
-                     TraceEvent::kShrink, TraceEvent::kEvolvingRequest, TraceEvent::kFinish,
-                     TraceEvent::kWalltimeKill, TraceEvent::kRequeue, TraceEvent::kCancel,
-                     TraceEvent::kNodeFail,
-                     TraceEvent::kNodeRestore}) {
-    EXPECT_TRUE(names.insert(to_string(event)).second) << to_string(event);
+  for (int kind = 0; kind <= static_cast<int>(BatchEventKind::kRunEnd); ++kind) {
+    const std::string name = to_string(static_cast<BatchEventKind>(kind));
+    EXPECT_NE(name, "unknown") << kind;
+    EXPECT_TRUE(names.insert(name).second) << name;
   }
+  EXPECT_STREQ(to_string(BatchEventKind::kNodeRestore), "node-restore");
+  EXPECT_STREQ(to_string(BatchEventKind::kKill), "kill");
 }
 
 struct Harness {
@@ -124,9 +125,9 @@ TEST(BatchTrace, LifecycleEventsEmitted) {
   h.batch.submit(rigid_job(1, 2, 10.0));
   h.engine.run();
   ASSERT_EQ(h.trace.size(), 3u);
-  EXPECT_EQ(h.trace.entries()[0].event, TraceEvent::kSubmit);
-  EXPECT_EQ(h.trace.entries()[1].event, TraceEvent::kStart);
-  EXPECT_EQ(h.trace.entries()[2].event, TraceEvent::kFinish);
+  EXPECT_EQ(h.trace.entries()[0].event, BatchEventKind::kSubmit);
+  EXPECT_EQ(h.trace.entries()[1].event, BatchEventKind::kStart);
+  EXPECT_EQ(h.trace.entries()[2].event, BatchEventKind::kFinish);
   EXPECT_DOUBLE_EQ(h.trace.entries()[2].time, 10.0);
 }
 
@@ -148,10 +149,10 @@ TEST(BatchTrace, ExpandShrinkDetailShowsTransition) {
   h.batch.submit(std::move(job));
   h.batch.submit(rigid_job(2, 2, 10.0, /*submit=*/15.0));
   h.engine.run();
-  const auto expands = h.trace.filtered(TraceEvent::kExpand);
+  const auto expands = h.trace.filtered(BatchEventKind::kExpand);
   ASSERT_FALSE(expands.empty());
   EXPECT_EQ(expands[0].detail, "2->4");
-  const auto shrinks = h.trace.filtered(TraceEvent::kShrink);
+  const auto shrinks = h.trace.filtered(BatchEventKind::kShrink);
   ASSERT_FALSE(shrinks.empty());
   EXPECT_EQ(shrinks[0].detail, "4->2");
 }
@@ -162,8 +163,8 @@ TEST(BatchTrace, WalltimeKillEmitted) {
   job.walltime_limit = 30.0;
   h.batch.submit(std::move(job));
   h.engine.run();
-  ASSERT_EQ(h.trace.filtered(TraceEvent::kWalltimeKill).size(), 1u);
-  EXPECT_TRUE(h.trace.filtered(TraceEvent::kFinish).empty());
+  ASSERT_EQ(h.trace.filtered(BatchEventKind::kKill).size(), 1u);
+  EXPECT_TRUE(h.trace.filtered(BatchEventKind::kFinish).empty());
 }
 
 TEST(BatchTrace, FailureAndRequeueEmitted) {
@@ -173,11 +174,34 @@ TEST(BatchTrace, FailureAndRequeueEmitted) {
   h.batch.submit(rigid_job(1, 2, 50.0));
   h.batch.inject_failure(0, 20.0, /*repair=*/30.0);
   h.engine.run();
-  EXPECT_EQ(h.trace.filtered(TraceEvent::kNodeFail).size(), 1u);
-  EXPECT_EQ(h.trace.filtered(TraceEvent::kNodeRestore).size(), 1u);
-  EXPECT_EQ(h.trace.filtered(TraceEvent::kRequeue).size(), 1u);
+  EXPECT_EQ(h.trace.filtered(BatchEventKind::kNodeFail).size(), 1u);
+  EXPECT_EQ(h.trace.filtered(BatchEventKind::kNodeRestore).size(), 1u);
+  EXPECT_EQ(h.trace.filtered(BatchEventKind::kRequeue).size(), 1u);
   // Restart emits a second start event.
-  EXPECT_EQ(h.trace.filtered(TraceEvent::kStart).size(), 2u);
+  EXPECT_EQ(h.trace.filtered(BatchEventKind::kStart).size(), 2u);
+}
+
+TEST(BatchTrace, CheckpointRestartRowReadsRestart) {
+  BatchConfig config;
+  config.failure_policy = core::FailurePolicy::kRequeueRestart;
+  Harness h(4, "fcfs", config);
+  // 5 iterations of 10 s, each ending in a checkpoint.
+  auto job = rigid_job(1, 2, 10.0, 0.0, 5);
+  job.application.phases[0].groups.push_back(
+      {workload::Task{"checkpoint",
+                      workload::IoTask{true, 0.0, workload::ScalingModel::kStrong,
+                                       workload::IoTarget::kPfs, /*checkpoint=*/true}}});
+  h.batch.submit(std::move(job));
+  h.batch.inject_failure(0, 25.0);
+  h.engine.run();
+  // The resumed start is its own row, after the requeue, naming the checkpoint.
+  const auto restarts = h.trace.filtered(BatchEventKind::kRestart);
+  ASSERT_EQ(restarts.size(), 1u);
+  EXPECT_EQ(restarts[0].detail, "restart from phase 0 iter 2");
+  EXPECT_EQ(h.trace.filtered(BatchEventKind::kStart).size(), 2u);
+  std::ostringstream csv;
+  h.trace.write_csv(csv);
+  EXPECT_NE(csv.str().find(",restart,1,restart from phase 0 iter 2"), std::string::npos);
 }
 
 TEST(BatchTrace, EvolvingRequestDetail) {
@@ -198,7 +222,7 @@ TEST(BatchTrace, EvolvingRequestDetail) {
   job.application.phases.push_back(second);
   h.batch.submit(std::move(job));
   h.engine.run();
-  const auto requests = h.trace.filtered(TraceEvent::kEvolvingRequest);
+  const auto requests = h.trace.filtered(BatchEventKind::kEvolvingRequest);
   ASSERT_EQ(requests.size(), 1u);
   EXPECT_EQ(requests[0].detail, "+2 granted");
 }

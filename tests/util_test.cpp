@@ -322,10 +322,23 @@ TEST(Flags, FallbacksWhenAbsent) {
   EXPECT_EQ(flags.get("name", std::string("dflt")), "dflt");
 }
 
-TEST(Flags, MalformedNumberFallsBack) {
-  const char* argv[] = {"prog", "--n=abc"};
-  Flags flags(2, argv);
-  EXPECT_EQ(flags.get("n", std::int64_t{7}), 7);
+TEST(Flags, MalformedNumberIsAnError) {
+  // A value must parse in full: no silent default, no silently dropped tail.
+  const char* argv[] = {"prog",       "--n=abc",  "--interval=5x", "--rate=",
+                        "--count=1.5", "--ok=2.5", "--bare"};
+  Flags flags(7, argv);
+  EXPECT_THROW(flags.get("n", std::int64_t{7}), FlagError);
+  EXPECT_THROW(flags.get("n", 7.0), FlagError);
+  EXPECT_THROW(flags.get("interval", 0.0), FlagError);
+  EXPECT_THROW(flags.get("rate", 1.0), FlagError);
+  EXPECT_THROW(flags.get("count", std::int64_t{0}), FlagError);
+  EXPECT_THROW(flags.get("bare", 0.0), FlagError);  // a valueless flag reads "true"
+  EXPECT_DOUBLE_EQ(flags.get("ok", 0.0), 2.5);
+  try {
+    flags.get("interval", 0.0);
+  } catch (const FlagError& error) {
+    EXPECT_STREQ(error.what(), "--interval: expected a number, got \"5x\"");
+  }
 }
 
 TEST(Flags, UnusedDetectsTypos) {

@@ -6,6 +6,7 @@
 #include <map>
 #include <sstream>
 
+#include "util/load_error.h"
 #include "workload/generator.h"
 #include "workload/job.h"
 #include "workload/swf.h"
@@ -501,6 +502,20 @@ TEST(WorkloadIo, RejectsInvalidJob) {
     "application": {"phases": [{"name": "p", "groups": []}]}
   })")),
                std::runtime_error);
+}
+
+TEST(WorkloadIo, RejectsDuplicateJobId) {
+  std::vector<Job> jobs = {minimal_job(), minimal_job(), minimal_job()};
+  jobs[0].id = 3;
+  jobs[1].id = 4;
+  jobs[2].id = 3;
+  try {
+    workload_from_json(workload_to_json(jobs));
+    FAIL() << "expected LoadError";
+  } catch (const util::LoadError& error) {
+    EXPECT_EQ(error.json_path(), "$.jobs[2].id");
+    EXPECT_EQ(error.found(), "duplicate job id 3, first used at $.jobs[0]");
+  }
 }
 
 TEST(WorkloadIo, FileRoundTrip) {
