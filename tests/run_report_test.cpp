@@ -10,6 +10,7 @@
 #include "stats/journal.h"
 #include "stats/run_report.h"
 #include "stats/state_sampler.h"
+#include "stats/trace.h"
 
 namespace elastisim::stats {
 namespace {
@@ -114,6 +115,23 @@ TEST_F(RunReportTest, RendersTimelinesAndJournalAnchors) {
   EXPECT_NE(html.find("downband"), std::string::npos);
   // Summary values flow through.
   EXPECT_NE(html.find("fcfs"), std::string::npos);
+}
+
+// The report reads trace.csv rows by the names EventTrace writes.
+TEST_F(RunReportTest, MarksRequeuesAndKillsFromTrace) {
+  write_jobs_csv("3,gamma,carol,rigid,0,5,30,2,2,0,0,0,true,false\n");
+  EventTrace trace;
+  trace.record(40.0, BatchEventKind::kRequeue, 2, "node 1 failed, lost 40 node-seconds");
+  trace.record(30.0, BatchEventKind::kKill, 3, "walltime limit 25s exceeded");
+  std::ofstream csv(dir() + "/trace.csv");
+  trace.write_csv(csv);
+  csv.close();
+
+  ReportInputs inputs;
+  inputs.dir = dir();
+  const std::string html = render_run_report(inputs);
+  EXPECT_NE(html.find("job 2 requeued at"), std::string::npos);
+  EXPECT_NE(html.find("job 3 killed at"), std::string::npos);
 }
 
 TEST_F(RunReportTest, EscapesHtmlInJobFields) {
