@@ -285,6 +285,14 @@ int main(int argc, char** argv) try {
     const double mtbf = duration_flag(flags, "mtbf", 0.0);
     if (!failure_trace_path.empty()) {
       failures = core::FaultInjector::load_trace(failure_trace_path);
+      for (std::size_t i = 0; i < failures.size(); ++i) {
+        if (failures[i].node >= config.platform.node_count) {
+          throw util::LoadError(
+              failure_trace_path, "$.failures[" + std::to_string(i) + "].node",
+              "a node id below " + std::to_string(config.platform.node_count),
+              std::to_string(failures[i].node));
+        }
+      }
       std::printf("loaded %zu failure events from %s\n", failures.size(),
                   failure_trace_path.c_str());
     } else if (mtbf > 0.0) {

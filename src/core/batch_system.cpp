@@ -37,7 +37,8 @@ BatchSystem::BatchSystem(sim::Engine& engine, const platform::Cluster& cluster,
       cluster_(&cluster),
       scheduler_(std::move(scheduler)),
       recorder_(&recorder),
-      config_(config) {
+      config_(config),
+      nodes_(cluster.node_count()) {
   assert(scheduler_ && "batch system needs a scheduler");
   for (const platform::Node& node : cluster.nodes()) free_nodes_.insert(node.id);
   recorder_->set_total_nodes(static_cast<int>(cluster.node_count()));
@@ -216,6 +217,7 @@ void BatchSystem::start_job(JobId id, int nodes) {
   job.state = JobState::kRunning;
   job.start_time = engine_->now();
   job.nodes = take_nodes(config_.placement, *cluster_, free_nodes_, nodes);
+  for (platform::NodeId node : job.nodes) nodes_[node].owner = &job;
   running_.push_back({&job.job, job.start_time, nodes, nodes});
   recorder_->on_start(id, engine_->now(), nodes);
   emit({.kind = Kind::kStart, .job = &job.job, .nodes = nodes, .node_list = job.nodes});
@@ -320,7 +322,10 @@ void BatchSystem::apply_resize(Managed& job, int target) {
     const std::vector<platform::NodeId> added =
         take_nodes(config_.placement, *cluster_, free_nodes_, target - current);
     std::vector<platform::NodeId> grown = job.nodes;
-    for (platform::NodeId node : added) grown.push_back(node);
+    for (platform::NodeId node : added) {
+      grown.push_back(node);
+      nodes_[node].owner = &job;
+    }
     job.nodes = grown;
     refresh_running(job);
     recorder_->on_resize(id, engine_->now(), target);
@@ -369,16 +374,17 @@ void BatchSystem::handle_walltime(JobId id) {
 }
 
 void BatchSystem::return_node(platform::NodeId node) {
-  // A failed node stays out until repaired; a drain-pending one drains now.
-  const bool in_service = failed_nodes_.count(node) == 0;
-  const bool drains = in_service && drain_pending_.erase(node) > 0;
-  if (drains) {
-    drained_nodes_.insert(node);
-    ELSIM_INFO("t={} node {} drained", engine_->now(), node);
-  } else if (in_service) {
+  // A failed node stays out until repaired; a draining one drains now.
+  NodeStatus& status = nodes_[node];
+  status.owner = nullptr;
+  const bool freed = !status.failed && !status.drain;
+  if (freed) {
     free_nodes_.insert(node);
+  } else if (!status.failed) {
+    ++drained_count_;
+    ELSIM_INFO("t={} node {} drained", engine_->now(), node);
   }
-  emit({.kind = Kind::kRelease, .node = node, .freed = in_service && !drains});
+  emit({.kind = Kind::kRelease, .node = node, .freed = freed});
 }
 
 void BatchSystem::stop_running(Managed& job) {
@@ -402,25 +408,30 @@ void BatchSystem::refresh_running(const Managed& job) {
 // Failure injection
 // ---------------------------------------------------------------------------
 
+bool BatchSystem::valid_window(const char* what, platform::NodeId node, double when,
+                               double until) const {
+  // Explicit validation (not just asserts): failure and drain schedules come
+  // from outside the simulator (trace files, embedders), so bad input must be
+  // rejected in release builds too.
+  if (node >= cluster_->node_count()) {
+    ELSIM_ERROR("rejecting {}: node {} outside cluster of {}", what, node, cluster_->node_count());
+    return false;
+  }
+  if (!std::isfinite(when) || when < 0.0) {
+    ELSIM_ERROR("rejecting {} for node {}: bad start time {}", what, node, when);
+    return false;
+  }
+  if (std::isnan(until) || until < when) {
+    ELSIM_ERROR("rejecting {} for node {}: end at {} precedes start at {}", what, node, until,
+                when);
+    return false;
+  }
+  return true;
+}
+
 bool BatchSystem::inject_failure(platform::NodeId node, double fail_time,
                                  double repair_time) {
-  // Explicit validation (not just asserts): failure schedules often come
-  // from user-supplied trace files, so bad input must be rejected in
-  // release builds too.
-  if (node >= cluster_->node_count()) {
-    ELSIM_ERROR("rejecting failure injection: node {} outside cluster of {}", node,
-                cluster_->node_count());
-    return false;
-  }
-  if (std::isnan(fail_time) || std::isinf(fail_time) || fail_time < 0.0) {
-    ELSIM_ERROR("rejecting failure injection for node {}: bad fail time {}", node, fail_time);
-    return false;
-  }
-  if (std::isnan(repair_time) || repair_time < fail_time) {
-    ELSIM_ERROR("rejecting failure injection for node {}: repair at {} precedes failure at {}",
-                node, repair_time, fail_time);
-    return false;
-  }
+  if (!valid_window("failure injection", node, fail_time, repair_time)) return false;
   engine_->schedule_at(fail_time, [this, node, repair_time] { fail_node(node, repair_time); });
   if (std::isfinite(repair_time)) {
     engine_->schedule_at(repair_time, [this, node] { restore_node(node); });
@@ -430,85 +441,78 @@ bool BatchSystem::inject_failure(platform::NodeId node, double fail_time,
 
 void BatchSystem::fail_node(platform::NodeId node, double repair_time) {
   ELSIM_PROFILE_SCOPE(stats::profiler::Phase::kFault);
-  if (failed_nodes_.count(node)) {
+  NodeStatus& status = nodes_[node];
+  if (status.failed) {
     // Double failure while a repair is pending: extend the outage window so
     // the earlier repair event cannot return a still-broken node to service.
-    auto& until = repair_until_[node];
-    until = std::max(until, repair_time);
+    status.repair_until = std::max(status.repair_until, repair_time);
     return;
   }
-  failed_nodes_.insert(node);
-  repair_until_[node] = repair_time;
-  // A drained (or drain-pending) node that fails must come back from repair
-  // still drained — the maintenance intent outlives the failure.
-  if (drained_nodes_.erase(node) > 0 || drain_pending_.erase(node) > 0) {
-    drain_on_repair_.insert(node);
-  }
+  // A drained node stops counting as drained; its drain flag outlives the
+  // failure, so the repair returns it to the drain, not to service.
+  if (status.drain && status.owner == nullptr) --drained_count_;
+  status.failed = true;
+  status.repair_until = repair_time;
+  ++failed_count_;
   ELSIM_INFO("t={} node {} failed", engine_->now(), node);
   emit({.kind = Kind::kNodeFail, .node = node});
-  if (free_nodes_.erase(node) > 0) {
-    invoke_scheduler(stats::JournalCause::kFailure);  // capacity shrank
-    return;
-  }
-  // Find the victim job (if any — the node may be mid-release).
-  for (const RunningJob& running : running_) {
-    Managed& job = managed(running.job->id);
-    if (std::find(job.nodes.begin(), job.nodes.end(), node) != job.nodes.end()) {
-      evict_job(job, node);  // erases `running`; leave the loop at once
-      break;
-    }
-  }
+  free_nodes_.erase(node);
+  if (status.owner != nullptr) evict_job(*status.owner, node);
   invoke_scheduler(stats::JournalCause::kFailure);
 }
 
 void BatchSystem::restore_node(platform::NodeId node) {
   ELSIM_PROFILE_SCOPE(stats::profiler::Phase::kFault);
-  auto repair_it = repair_until_.find(node);
-  if (repair_it != repair_until_.end() && engine_->now() < repair_it->second) {
-    return;  // a later-injected outage still covers this node
-  }
-  if (failed_nodes_.erase(node) == 0) return;
-  repair_until_.erase(node);
+  NodeStatus& status = nodes_[node];
+  // A later-injected outage may still cover this node.
+  if (!status.failed || engine_->now() < status.repair_until) return;
+  status.failed = false;
+  --failed_count_;
   ELSIM_INFO("t={} node {} restored", engine_->now(), node);
   emit({.kind = Kind::kNodeRestore, .node = node});
-  if (drain_on_repair_.erase(node) > 0) {
-    drained_nodes_.insert(node);
+  if (status.drain) {
+    ++drained_count_;
     ELSIM_INFO("t={} node {} repaired into drain", engine_->now(), node);
-    invoke_scheduler(stats::JournalCause::kRepair);
-    return;
+  } else {
+    free_nodes_.insert(node);
   }
-  free_nodes_.insert(node);
   invoke_scheduler(stats::JournalCause::kRepair);
 }
 
-void BatchSystem::drain_node(platform::NodeId node, double when, double until) {
-  assert(node < cluster_->node_count());
-  assert(until >= when);
+bool BatchSystem::drain_node(platform::NodeId node, double when, double until) {
+  if (!valid_window("drain", node, when, until)) return false;
   engine_->schedule_at(when, [this, node] { start_drain(node); });
   if (std::isfinite(until)) {
     engine_->schedule_at(until, [this, node] { undrain_node(node); });
   }
+  return true;
 }
 
 void BatchSystem::start_drain(platform::NodeId node) {
   ELSIM_PROFILE_SCOPE(stats::profiler::Phase::kFault);
-  if (drained_nodes_.count(node) || drain_pending_.count(node)) return;
+  NodeStatus& status = nodes_[node];
+  if (status.drain) return;
   emit({.kind = Kind::kNodeDrain, .node = node});
+  status.drain = true;
   if (free_nodes_.erase(node) > 0) {
-    drained_nodes_.insert(node);
+    ++drained_count_;
     ELSIM_INFO("t={} node {} drained (was idle)", engine_->now(), node);
   } else {
-    drain_pending_.insert(node);
-    ELSIM_INFO("t={} node {} drain pending (busy)", engine_->now(), node);
+    ELSIM_INFO("t={} node {} drain pending ({})", engine_->now(), node,
+               status.failed ? "down" : "busy");
   }
   invoke_scheduler(stats::JournalCause::kMaintenance);
 }
 
 void BatchSystem::undrain_node(platform::NodeId node) {
   ELSIM_PROFILE_SCOPE(stats::profiler::Phase::kFault);
-  if (drain_pending_.erase(node) > 0) return;  // never left service
-  if (drain_on_repair_.erase(node) > 0) return;  // still failed; repair frees it
-  if (drained_nodes_.erase(node) == 0) return;
+  NodeStatus& status = nodes_[node];
+  if (!status.drain) return;
+  status.drain = false;
+  // A busy or failed node never counted as drained; its release or repair
+  // frees it.
+  if (status.owner != nullptr || status.failed) return;
+  --drained_count_;
   emit({.kind = Kind::kNodeUndrain, .node = node});
   free_nodes_.insert(node);
   ELSIM_INFO("t={} node {} back in service", engine_->now(), node);
@@ -637,8 +641,8 @@ void BatchSystem::emit(stats::BatchEvent event) {
   event.state = {static_cast<int>(queue_.size()),
                  static_cast<int>(running_.size()),
                  static_cast<int>(free_nodes_.size()),
-                 static_cast<int>(failed_nodes_.size()),
-                 static_cast<int>(drained_nodes_.size()),
+                 static_cast<int>(failed_count_),
+                 static_cast<int>(drained_count_),
                  static_cast<int>(cluster_->node_count()),
                  tallies_};
   // elsim-lint: allow(hot-virtual-loop) -- the virtual call IS the subscriber API; one dispatch per subscriber per event
@@ -658,7 +662,11 @@ void BatchSystem::arm_periodic(double interval, bool& armed, std::function<void(
     armed = false;
     if (unfinished() == 0) return;  // let the simulation drain
     tick();
-    arm_periodic(interval, armed, tick);
+    // Re-arm only while another event can still change the state: with
+    // nothing but the periodic timers pending, the remaining jobs can never
+    // start, and re-arming would keep a frozen run alive forever.
+    const std::size_t timers = (timer_armed_ ? 1 : 0) + (sample_timer_armed_ ? 1 : 0);
+    if (engine_->pending_events() > timers) arm_periodic(interval, armed, tick);
   });
 }
 

@@ -134,9 +134,11 @@ class BatchSystem final : public SchedulerContext {
 
   /// Graceful maintenance drain: from `when`, the node accepts no new work;
   /// if busy, the running job finishes (or resizes away) normally and only
-  /// then does the node leave service. undrain at `until` (infinity = stay
-  /// drained).
-  void drain_node(platform::NodeId node, double when,
+  /// then does the node leave service; if down, it stays out after repair.
+  /// undrain at `until` (infinity = stay drained). Returns false (and
+  /// schedules nothing) for the input inject_failure rejects: a node outside
+  /// the cluster, a non-finite or negative start, or an end before it.
+  bool drain_node(platform::NodeId node, double when,
                   double until = std::numeric_limits<double>::infinity());
 
   /// Post-run introspection.
@@ -145,8 +147,8 @@ class BatchSystem final : public SchedulerContext {
   std::size_t cancelled_jobs() const { return tallies_.cancelled; }
   std::size_t held_jobs() const { return held_; }
   std::size_t requeued_jobs() const { return tallies_.requeues; }
-  std::size_t failed_nodes_now() const { return failed_nodes_.size(); }
-  std::size_t drained_nodes_now() const { return drained_nodes_.size(); }
+  std::size_t failed_nodes_now() const { return failed_count_; }
+  std::size_t drained_nodes_now() const { return drained_count_; }
   std::size_t queued_jobs() const { return queue_.size(); }
   std::size_t running_jobs() const { return running_.size(); }
 
@@ -177,7 +179,7 @@ class BatchSystem final : public SchedulerContext {
   /// Nodes in service: failures and drains shrink the machine (drain-pending
   /// nodes still count; their jobs are still running).
   int total_nodes() const override {
-    return static_cast<int>(cluster_->node_count() - failed_nodes_.size() - drained_nodes_.size());
+    return static_cast<int>(cluster_->node_count() - failed_count_ - drained_count_);
   }
   int free_nodes() const override { return static_cast<int>(free_nodes_.size()); }
   const std::vector<QueuedJob>& queue() const override { return queue_; }
@@ -192,8 +194,8 @@ class BatchSystem final : public SchedulerContext {
                std::string detail = std::string()) override;
 
  private:
-  /// The checker reads the private pools/lists directly so validation needs
-  /// no public surface area beyond subscribe().
+  /// The checker reads the private node table and lists directly so
+  /// validation needs no public surface area beyond subscribe().
   friend class InvariantChecker;
 
   enum class JobState {
@@ -227,6 +229,19 @@ class BatchSystem final : public SchedulerContext {
     std::set<workload::JobId> outstanding_deps;
   };
 
+  /// One cluster node. It is free (in free_nodes_) exactly when it has no
+  /// owner and is neither failed nor draining, and counts as drained when it
+  /// is draining, intact and unowned. The drain flag is independent of
+  /// failure, so a drain requested while the node is down holds at repair.
+  struct NodeStatus {
+    Managed* owner = nullptr;
+    bool failed = false;
+    bool drain = false;
+    /// Latest scheduled repair while failed: a repair event only restores
+    /// the node once no later outage window covers it.
+    double repair_until = 0.0;
+  };
+
   const Managed& managed(workload::JobId id) const;
   /// Accepted jobs not yet finished, killed or cancelled; timers stop at 0.
   std::size_t unfinished() const {
@@ -247,9 +262,12 @@ class BatchSystem final : public SchedulerContext {
   void kill_job(Managed& job, stats::KillCause cause, platform::NodeId failed_node);
   void start_drain(platform::NodeId node);
   void undrain_node(platform::NodeId node);
-  /// Returns a node to service after a job releases it, honoring failure
-  /// and drain state.
+  /// Takes a node off its owner after a job releases it; it is freed unless
+  /// failed or draining.
   void return_node(platform::NodeId node);
+  /// Whether an outage or drain of `node` over [when, until) is valid input;
+  /// logs an error naming `what` when it is not.
+  bool valid_window(const char* what, platform::NodeId node, double when, double until) const;
   /// Evicts the victim of `failed_node`'s failure (requeue or kill per the
   /// failure policy); the node id rides on the event so the requeue cause is
   /// attributable.
@@ -298,16 +316,12 @@ class BatchSystem final : public SchedulerContext {
   /// list, leaves it or changes.
   std::vector<QueuedJob> queue_;
   std::vector<RunningJob> running_;
+  /// Indexed by node id; free_nodes_ is the placement's view of its idle
+  /// nodes, and the two counters count its failed and drained ones.
+  std::vector<NodeStatus> nodes_;
   std::set<platform::NodeId> free_nodes_;
-  std::set<platform::NodeId> failed_nodes_;
-  std::set<platform::NodeId> drained_nodes_;      // out of service, intact
-  std::set<platform::NodeId> drain_pending_;      // busy; drain on release
-  /// Nodes that were drained (or drain-pending) when they failed: repair
-  /// returns them to the drain, not to service.
-  std::set<platform::NodeId> drain_on_repair_;
-  /// Latest scheduled repair per currently failed node; a repair event only
-  /// restores the node once no later outage window covers it.
-  std::unordered_map<platform::NodeId, double> repair_until_;
+  std::size_t failed_count_ = 0;
+  std::size_t drained_count_ = 0;
 
   std::size_t held_ = 0;
   std::uint64_t scheduler_invocations_ = 0;

@@ -7,7 +7,8 @@
 
 #include "core/batch_system.h"
 #include "util/check.h"
-#include "util/log.h"
+#include "util/fmt.h"
+#include "util/load_error.h"
 #include "util/rng.h"
 
 namespace elastisim::core {
@@ -128,7 +129,8 @@ json::Value FaultInjector::to_json(const std::vector<FailureEvent>& events) {
     json::Object entry;
     entry["node"] = static_cast<std::int64_t>(event.node);
     entry["fail"] = event.fail_time;
-    entry["repair"] = event.repair_time;
+    // Never repaired: leave the member out (JSON has no infinity).
+    if (std::isfinite(event.repair_time)) entry["repair"] = event.repair_time;
     list.push_back(json::Value(std::move(entry)));
   }
   json::Object root;
@@ -137,20 +139,46 @@ json::Value FaultInjector::to_json(const std::vector<FailureEvent>& events) {
 }
 
 std::vector<FailureEvent> FaultInjector::from_json(const json::Value& value) {
-  std::vector<FailureEvent> events;
+  using util::LoadError;
   const json::Value* list = value.find("failures");
   if (!list || !list->is_array()) {
-    ELSIM_WARN("failure trace has no \"failures\" array; nothing loaded");
-    return events;
+    throw LoadError("", "$.failures", "an array of failures",
+                    list ? json::type_name(*list)
+                         : (value.is_object() ? "nothing" : json::type_name(value)));
   }
-  events.reserve(list->as_array().size());
-  for (const json::Value& entry : list->as_array()) {
-    FailureEvent event;
-    event.node = static_cast<platform::NodeId>(entry.member_or("node", std::int64_t{0}));
-    event.fail_time = entry.member_or("fail", 0.0);
-    event.repair_time =
-        entry.member_or("repair", std::numeric_limits<double>::infinity());
-    events.push_back(event);
+  const json::Array& entries = list->as_array();
+  std::vector<FailureEvent> events;
+  events.reserve(entries.size());
+  for (std::size_t i = 0; i < entries.size(); ++i) {
+    const json::Value& entry = entries[i];
+    const std::string path = util::fmt("$.failures[{}]", i);
+    if (!entry.is_object()) {
+      throw LoadError("", path, "a failure object", json::type_name(entry));
+    }
+    const auto found = [](const json::Value* member) {
+      return member ? json::describe(*member) : std::string("nothing");
+    };
+    const json::Value* node = entry.find("node");
+    const double id = node && node->is_number() ? node->as_double() : -1.0;
+    const bool in_range = id >= 0.0 && id <= std::numeric_limits<platform::NodeId>::max();
+    // elsim-lint: allow(float-equality) -- an integrality test wants exactness
+    if (!in_range || id != std::floor(id)) {
+      throw LoadError("", path + ".node", "a non-negative integer node id", found(node));
+    }
+    const json::Value* fail = entry.find("fail");
+    const double fail_time = fail && fail->is_number() ? fail->as_double() : -1.0;
+    if (!std::isfinite(fail_time) || fail_time < 0.0) {
+      throw LoadError("", path + ".fail", "a finite, non-negative time", found(fail));
+    }
+    double repair_time = std::numeric_limits<double>::infinity();  // never repaired
+    if (const json::Value* repair = entry.find("repair")) {
+      if (!repair->is_number() || !(repair->as_double() >= fail_time)) {
+        throw LoadError("", path + ".repair", "a time no earlier than the failure",
+                        found(repair));
+      }
+      repair_time = repair->as_double();
+    }
+    events.push_back({static_cast<platform::NodeId>(id), fail_time, repair_time});
   }
   return events;
 }
@@ -161,7 +189,7 @@ void FaultInjector::save_trace(const std::string& path,
 }
 
 std::vector<FailureEvent> FaultInjector::load_trace(const std::string& path) {
-  return from_json(json::parse_file(path));
+  return json::load_file(path, &FaultInjector::from_json);
 }
 
 }  // namespace elastisim::core

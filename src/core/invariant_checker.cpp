@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <map>
 #include <vector>
 
 #include "core/batch_system.h"
@@ -34,19 +33,6 @@ const char* state_name(int state) {
   return "?";
 }
 
-/// Whether the running-list entry matches its job's record: the record's
-/// job, start time (bit for bit), allocation size, and pending target (the
-/// size itself when none is pending).
-bool entry_matches(const RunningJob& entry, const workload::Job& job, double start_time,
-                   std::size_t nodes, int pending_target) {
-  const int size = static_cast<int>(nodes);
-  return entry.job == &job &&
-         std::bit_cast<std::uint64_t>(entry.start_time) ==
-             std::bit_cast<std::uint64_t>(start_time) &&
-         entry.nodes == size &&
-         entry.pending_target == (pending_target >= 0 ? pending_target : size);
-}
-
 }  // namespace
 
 void InvariantChecker::attach(BatchSystem& batch) {
@@ -76,8 +62,19 @@ void InvariantChecker::on_event(const stats::BatchEvent& event) {
     begin_journal_size_ = journal_ ? journal_->size() : 0;
   } else if (event.kind == stats::BatchEventKind::kSchedulingEnd) {
     ++checks_;
-    check_batch_state(*batch_);
-    check_sinks(*batch_);
+    const BatchSystem& batch = *batch_;
+    const double now = batch.engine_->now();
+    if (now + sim::kTimeEpsilon < last_point_time_) {
+      fail(&batch, now,
+           util::fmt("scheduling point at {} after one at {}", now, last_point_time_));
+    }
+    last_point_time_ = std::max(last_point_time_, now);
+    check_allocations(batch, now);
+    if (++points_since_job_walk_ >= kJobWalkStride) {
+      points_since_job_walk_ = 0;
+      check_jobs(batch, now);
+    }
+    check_sinks(batch);
     begin_seen_ = false;
   }
 }
@@ -89,151 +86,44 @@ void InvariantChecker::on_engine_event(sim::Engine& engine, double now) {
          util::fmt("engine clock moved backwards: {} after {}", now, last_event_time_));
   }
   last_event_time_ = std::max(last_event_time_, now);
-  if (++events_since_fluid_check_ >= fluid_stride_) {
+  if (++events_since_fluid_check_ >= kFluidStride) {
     events_since_fluid_check_ = 0;
     if (auto error = engine.fluid().check_invariants()) fail(nullptr, now, *error);
   }
 }
 
-void InvariantChecker::check_batch_state(const BatchSystem& batch) {
-  const double now = batch.engine_->now();
-
-  if (now + sim::kTimeEpsilon < last_point_time_) {
-    fail(&batch, now,
-         util::fmt("scheduling point at {} after one at {}", now, last_point_time_));
-  }
-  last_point_time_ = std::max(last_point_time_, now);
-
-  // Fast allocation-free detection first; the sorted walk that composes a
-  // deterministic diagnostic runs only once something is actually broken.
-  // The O(active) check runs at every point, the O(all jobs) walk on a
-  // stride (violations are persistent, so it still catches them).
-  bool ok = quick_state_ok(batch);
-  if (ok && ++points_since_full_walk_ >= full_state_stride_) {
-    points_since_full_walk_ = 0;
-    ok = batch_state_ok(batch);
-  }
-  if (ok) return;
-  check_batch_state_detailed(batch);
-  // The detailed walk re-detects everything the fast passes can; reaching
-  // here means the passes disagree, which is itself a checker bug.
-  fail(&batch, now, "state anomaly detected but not attributable");
-}
-
-bool InvariantChecker::quick_state_ok(const BatchSystem& batch) {
-  const std::size_t total = batch.cluster_->node_count();
+void InvariantChecker::check_allocations(const BatchSystem& batch, double now) const {
   using JobState = BatchSystem::JobState;
-  constexpr std::uint64_t kNoOwner = ~std::uint64_t{0};
-
-  owner_scratch_.assign(total, kNoOwner);
-  std::size_t allocated = 0;
+  const auto running = [](const BatchSystem::Managed& job) {
+    return job.state == JobState::kRunning || job.state == JobState::kAtBoundary;
+  };
+  const std::size_t total = batch.nodes_.size();
+  std::size_t held = 0;
   for (const RunningJob& entry : batch.running_) {
-    const workload::JobId id = entry.job->id;
+    const JobId id = entry.job->id;
     const auto it = batch.jobs_.find(id);
-    if (it == batch.jobs_.end()) return false;
+    if (it == batch.jobs_.end() || !running(*it->second)) {
+      fail(&batch, now, util::fmt("running list holds job {} which is not running", id));
+    }
     const BatchSystem::Managed& job = *it->second;
-    if (job.state != JobState::kRunning && job.state != JobState::kAtBoundary) return false;
-    if (job.nodes.empty()) return false;
-    if (!entry_matches(entry, job.job, job.start_time, job.nodes.size(), job.pending_target)) {
-      return false;
+    const int nodes = static_cast<int>(job.nodes.size());
+    const auto view = [&](const std::string& what) {
+      fail(&batch, now, util::fmt("running view of job {}: {}", id, what));
+    };
+    if (entry.job != &job.job) view("points at another job's record");
+    if (std::bit_cast<std::uint64_t>(entry.start_time) !=
+        std::bit_cast<std::uint64_t>(job.start_time)) {
+      view(util::fmt("start_time {}, record has {}", entry.start_time, job.start_time));
     }
-    for (platform::NodeId node : job.nodes) {
-      if (node >= total) return false;
-      if (owner_scratch_[node] != kNoOwner) return false;
-      owner_scratch_[node] = id;
-      ++allocated;
-      if (batch.free_nodes_.count(node) != 0 || batch.failed_nodes_.count(node) != 0 ||
-          batch.drained_nodes_.count(node) != 0) {
-        return false;
-      }
+    if (entry.nodes != nodes) view(util::fmt("nodes {}, record holds {}", entry.nodes, nodes));
+    if (entry.pending_target != (job.pending_target >= 0 ? job.pending_target : nodes)) {
+      view(job.pending_target >= 0
+               ? util::fmt("pending_target {}, record has {}", entry.pending_target,
+                           job.pending_target)
+               : util::fmt("pending_target {}, record has none ({} nodes)",
+                           entry.pending_target, nodes));
     }
-  }
-  for (platform::NodeId node : batch.free_nodes_) {
-    if (node >= total || batch.failed_nodes_.count(node) != 0 ||
-        batch.drained_nodes_.count(node) != 0) {
-      return false;
-    }
-  }
-  for (platform::NodeId node : batch.failed_nodes_) {
-    if (node >= total || batch.drained_nodes_.count(node) != 0) return false;
-  }
-  for (platform::NodeId node : batch.drained_nodes_) {
-    if (node >= total) return false;
-  }
-  return allocated + batch.free_nodes_.size() + batch.failed_nodes_.size() +
-             batch.drained_nodes_.size() ==
-         total;
-}
-
-bool InvariantChecker::batch_state_ok(const BatchSystem& batch) {
-  using JobState = BatchSystem::JobState;
-  std::size_t pending = 0, held = 0, queued = 0, running = 0, at_boundary = 0;
-  // elsim-lint: allow(unordered-iteration) -- detection only; order-independent
-  for (const auto& entry : batch.jobs_) {
-    const BatchSystem::Managed& job = *entry.second;
-    switch (job.state) {
-      case JobState::kPending: ++pending; break;
-      case JobState::kHeld: ++held; break;
-      case JobState::kQueued: ++queued; break;
-      case JobState::kRunning: ++running; break;
-      case JobState::kAtBoundary: ++at_boundary; break;
-      case JobState::kFinished:
-      case JobState::kKilled:
-      case JobState::kCancelled: break;
-    }
-    const bool holds_allocation =
-        job.state == JobState::kRunning || job.state == JobState::kAtBoundary;
-    if (holds_allocation == job.nodes.empty()) return false;
-  }
-  if (batch.queue_.size() != queued) return false;
-  for (QueuedJob entry : batch.queue_) {
-    const auto it = batch.jobs_.find(entry->id);
-    if (it == batch.jobs_.end() || &it->second->job != entry ||
-        it->second->state != JobState::kQueued) {
-      return false;
-    }
-  }
-  // quick_state_ok() already saw each running entry exactly once, running.
-  if (batch.running_.size() != running + at_boundary) return false;
-  return batch.unfinished() == pending + held + queued + running + at_boundary;
-}
-
-void InvariantChecker::check_batch_state_detailed(const BatchSystem& batch) {
-  const double now = batch.engine_->now();
-  const std::size_t total = batch.cluster_->node_count();
-  using JobState = BatchSystem::JobState;
-
-  // Walk jobs in ascending id so the first violation reported is the same
-  // across runs regardless of hash order.
-  std::vector<JobId> ids;
-  ids.reserve(batch.jobs_.size());
-  // elsim-lint: allow(unordered-iteration) -- collected into a sorted vector
-  for (const auto& entry : batch.jobs_) ids.push_back(entry.first);
-  std::sort(ids.begin(), ids.end());
-
-  std::map<platform::NodeId, JobId> owner;
-  std::size_t pending = 0, held = 0, queued = 0, running = 0, at_boundary = 0;
-  for (JobId id : ids) {
-    const BatchSystem::Managed& job = *batch.jobs_.at(id);
-    switch (job.state) {
-      case JobState::kPending: ++pending; break;
-      case JobState::kHeld: ++held; break;
-      case JobState::kQueued: ++queued; break;
-      case JobState::kRunning: ++running; break;
-      case JobState::kAtBoundary: ++at_boundary; break;
-      case JobState::kFinished:
-      case JobState::kKilled:
-      case JobState::kCancelled: break;
-    }
-    const bool holds_allocation =
-        job.state == JobState::kRunning || job.state == JobState::kAtBoundary;
-    if (!holds_allocation && !job.nodes.empty()) {
-      fail(&batch, now,
-           util::fmt("job {} is {} but still holds {} nodes (first: node {})", id,
-                     state_name(static_cast<int>(job.state)), job.nodes.size(),
-                     job.nodes.front()));
-    }
-    if (holds_allocation && job.nodes.empty()) {
+    if (job.nodes.empty()) {
       fail(&batch, now, util::fmt("job {} is {} but holds no nodes", id,
                                   state_name(static_cast<int>(job.state))));
     }
@@ -242,63 +132,102 @@ void InvariantChecker::check_batch_state_detailed(const BatchSystem& batch) {
         fail(&batch, now,
              util::fmt("job {} holds node {} outside the {}-node cluster", id, node, total));
       }
-      const auto [it, inserted] = owner.emplace(node, id);
-      if (!inserted) {
-        fail(&batch, now, util::fmt("node {} allocated to both job {} and job {}", node,
-                                    it->second, id));
-      }
-      if (batch.free_nodes_.count(node) != 0) {
+      const BatchSystem::NodeStatus& status = batch.nodes_[node];
+      if (status.owner != &job) {
         fail(&batch, now,
-             util::fmt("node {} allocated to job {} is also in the free pool", node, id));
+             status.owner != nullptr
+                 ? util::fmt("node {} allocated to both job {} and job {}", node, id,
+                             status.owner->job.id)
+                 : util::fmt("node {} allocated to job {} has no owner in the node table",
+                             node, id));
       }
-      if (batch.failed_nodes_.count(node) != 0) {
-        fail(&batch, now, util::fmt("job {} occupies failed node {}", id, node));
-      }
-      if (batch.drained_nodes_.count(node) != 0) {
-        fail(&batch, now, util::fmt("job {} occupies drained node {}", id, node));
-      }
+      if (status.failed) fail(&batch, now, util::fmt("job {} occupies failed node {}", id, node));
     }
+    held += job.nodes.size();
   }
 
-  // The free/failed/drained pools must be pairwise disjoint and within
-  // bounds; together with the allocation map they must partition the
-  // cluster: allocated + free + down == total.
-  for (platform::NodeId node : batch.free_nodes_) {
-    if (node >= total) {
-      fail(&batch, now, util::fmt("free pool holds node {} outside the cluster", node));
+  // Walk the node table by id alongside the (sorted) free pool.
+  std::size_t owned = 0, failed = 0, drained = 0;
+  auto free_it = batch.free_nodes_.begin();
+  for (platform::NodeId node = 0; node < total; ++node) {
+    const BatchSystem::NodeStatus& status = batch.nodes_[node];
+    const bool listed_free = free_it != batch.free_nodes_.end() && *free_it == node;
+    if (listed_free) ++free_it;
+    const bool idle = status.owner == nullptr && !status.failed && !status.drain;
+    if (listed_free != idle) {
+      fail(&batch, now,
+           !listed_free ? util::fmt("idle node {} is missing from the free pool", node)
+           : status.owner != nullptr
+               ? util::fmt("node {} allocated to job {} is also in the free pool", node,
+                           status.owner->job.id)
+               : util::fmt("node {} is both free and {}", node,
+                           status.failed ? "failed" : "drained"));
     }
-    if (batch.failed_nodes_.count(node) != 0) {
-      fail(&batch, now, util::fmt("node {} is both free and failed", node));
+    if (status.owner != nullptr && !running(*status.owner)) {
+      fail(&batch, now, util::fmt("node {} is owned by job {}, which is {}", node,
+                                  status.owner->job.id,
+                                  state_name(static_cast<int>(status.owner->state))));
     }
-    if (batch.drained_nodes_.count(node) != 0) {
-      fail(&batch, now, util::fmt("node {} is both free and drained", node));
+    owned += status.owner != nullptr;
+    failed += status.failed;
+    drained += status.drain && !status.failed && status.owner == nullptr;
+  }
+  if (free_it != batch.free_nodes_.end()) {
+    fail(&batch, now, util::fmt("free pool holds node {} outside the cluster", *free_it));
+  }
+  // Each held node is owned by its holder and each owner is running, so a
+  // count mismatch means some owner holds its node other than once: name the
+  // lowest such node.
+  for (platform::NodeId node = 0; owned != held && node < total; ++node) {
+    const BatchSystem::Managed* owner = batch.nodes_[node].owner;
+    const auto copies =
+        owner ? std::count(owner->nodes.begin(), owner->nodes.end(), node) : std::ptrdiff_t{1};
+    if (copies != 1) {
+      fail(&batch, now, util::fmt("node {} is owned by job {}, which holds it {} times", node,
+                                  owner->job.id, copies));
     }
   }
-  for (platform::NodeId node : batch.failed_nodes_) {
-    if (node >= total) {
-      fail(&batch, now, util::fmt("failed pool holds node {} outside the cluster", node));
-    }
-    if (batch.drained_nodes_.count(node) != 0) {
-      fail(&batch, now, util::fmt("node {} is both failed and drained", node));
-    }
-  }
-  for (platform::NodeId node : batch.drained_nodes_) {
-    if (node >= total) {
-      fail(&batch, now, util::fmt("drained pool holds node {} outside the cluster", node));
-    }
-  }
-  const std::size_t accounted = owner.size() + batch.free_nodes_.size() +
-                                batch.failed_nodes_.size() + batch.drained_nodes_.size();
-  if (accounted != total) {
+  if (failed != batch.failed_count_ || drained != batch.drained_count_) {
     fail(&batch, now,
-         util::fmt("node conservation broken: {} allocated + {} free + {} failed + "
-                   "{} drained != {} total",
-                   owner.size(), batch.free_nodes_.size(), batch.failed_nodes_.size(),
-                   batch.drained_nodes_.size(), total));
+         util::fmt("node counters say {} failed and {} drained, the node table {} and {}",
+                   batch.failed_count_, batch.drained_count_, failed, drained));
   }
+}
 
-  // The queue and running lists must agree with the per-job states, and
-  // each running entry with its job's record.
+void InvariantChecker::check_jobs(const BatchSystem& batch, double now) const {
+  using JobState = BatchSystem::JobState;
+  std::size_t waiting = 0, queued = 0, running = 0;
+  bool stray_nodes = false;
+  // elsim-lint: allow(unordered-iteration) -- counts only; a stray holder is named in id order
+  for (const auto& [id, job] : batch.jobs_) {
+    switch (job->state) {
+      case JobState::kPending:
+      case JobState::kHeld: ++waiting; break;
+      case JobState::kQueued: ++queued; break;
+      case JobState::kRunning:
+      case JobState::kAtBoundary: ++running; continue;
+      case JobState::kFinished:
+      case JobState::kKilled:
+      case JobState::kCancelled: break;
+    }
+    stray_nodes = stray_nodes || !job->nodes.empty();
+  }
+  if (stray_nodes) {
+    std::vector<JobId> ids;
+    // elsim-lint: allow(unordered-iteration) -- collected into a sorted vector
+    for (const auto& [id, job] : batch.jobs_) ids.push_back(id);
+    std::sort(ids.begin(), ids.end());
+    for (JobId id : ids) {
+      const BatchSystem::Managed& job = *batch.jobs_.at(id);
+      if (job.state != JobState::kRunning && job.state != JobState::kAtBoundary &&
+          !job.nodes.empty()) {
+        fail(&batch, now,
+             util::fmt("job {} is {} but still holds {} nodes (first: node {})", id,
+                       state_name(static_cast<int>(job.state)), job.nodes.size(),
+                       job.nodes.front()));
+      }
+    }
+  }
   if (batch.queue_.size() != queued) {
     fail(&batch, now, util::fmt("queue lists {} jobs but {} jobs are queued",
                                 batch.queue_.size(), queued));
@@ -310,42 +239,13 @@ void InvariantChecker::check_batch_state_detailed(const BatchSystem& batch) {
       fail(&batch, now, util::fmt("queue lists job {} which is not queued", entry->id));
     }
   }
-  if (batch.running_.size() != running + at_boundary) {
+  if (batch.running_.size() != running) {
     fail(&batch, now, util::fmt("running list holds {} jobs but {} jobs hold allocations",
-                                batch.running_.size(), running + at_boundary));
+                                batch.running_.size(), running));
   }
-  for (const RunningJob& entry : batch.running_) {
-    const JobId id = entry.job->id;
-    const auto it = batch.jobs_.find(id);
-    if (it == batch.jobs_.end() || (it->second->state != JobState::kRunning &&
-                                    it->second->state != JobState::kAtBoundary)) {
-      fail(&batch, now, util::fmt("running list holds job {} which is not running", id));
-    }
-    const BatchSystem::Managed& job = *it->second;
-    const std::string view = util::fmt("running view of job {}: ", id);
-    const int nodes = static_cast<int>(job.nodes.size());
-    if (entry.job != &job.job) fail(&batch, now, view + "points at another job's record");
-    if (std::bit_cast<std::uint64_t>(entry.start_time) !=
-        std::bit_cast<std::uint64_t>(job.start_time)) {
-      fail(&batch, now, view + util::fmt("start_time {}, record has {}", entry.start_time,
-                                         job.start_time));
-    }
-    if (entry.nodes != nodes) {
-      fail(&batch, now, view + util::fmt("nodes {}, record holds {}", entry.nodes, nodes));
-    }
-    if (job.pending_target >= 0 && entry.pending_target != job.pending_target) {
-      fail(&batch, now, view + util::fmt("pending_target {}, record has {}",
-                                         entry.pending_target, job.pending_target));
-    }
-    if (job.pending_target < 0 && entry.pending_target != nodes) {
-      fail(&batch, now, view + util::fmt("pending_target {}, record has none ({} nodes)",
-                                         entry.pending_target, nodes));
-    }
-  }
-  const std::size_t unfinished = pending + held + queued + running + at_boundary;
-  if (batch.unfinished() != unfinished) {
+  if (batch.unfinished() != waiting + queued + running) {
     fail(&batch, now, util::fmt("unfinished counter is {} but {} jobs are unfinished",
-                                batch.unfinished(), unfinished));
+                                batch.unfinished(), waiting + queued + running));
   }
 }
 
@@ -396,8 +296,7 @@ void InvariantChecker::check_sinks(const BatchSystem& batch) {
     const int queued = static_cast<int>(batch.queue_.size());
     const int running = static_cast<int>(batch.running_.size());
     const int free_nodes = static_cast<int>(batch.free_nodes_.size());
-    const int down = static_cast<int>(batch.failed_nodes_.size() +
-                                      batch.drained_nodes_.size());
+    const int down = static_cast<int>(batch.failed_count_ + batch.drained_count_);
     const int total = static_cast<int>(batch.cluster_->node_count());
     if (sample.queued != queued || sample.running != running ||
         sample.free_nodes != free_nodes || sample.down != down || sample.total != total) {

@@ -9,6 +9,7 @@
 // the live queue. In debug builds scattered assert()s cover fragments of
 // this; the InvariantChecker re-verifies the whole state machine in release
 // builds, at every scheduling point and (cheaply) at every engine event.
+// Every check is written once and formats its message only when it fails.
 //
 // Wire-up: construct one checker per run and attach() it to the batch system
 // after the sinks it should cross-check: it validates the clock and fluid
@@ -16,14 +17,14 @@
 // stream, the whole batch state plus the trace, journal and sampler at every
 // scheduling point. A broken invariant throws InvariantViolation with a
 // diagnostic naming the offending job/node and the last committed journal
-// sequence number. Overhead is a few percent (set-walks at scheduling
-// points, one branch per engine event); see docs/ANALYSIS.md.
+// sequence number. Overhead: one walk over the running jobs and the node
+// table per scheduling point, one branch per engine event; see
+// docs/ANALYSIS.md.
 #pragma once
 
 #include <cstdint>
 #include <stdexcept>
 #include <string>
-#include <vector>
 
 #include "stats/batch_event.h"
 
@@ -50,18 +51,6 @@ class InvariantViolation : public std::runtime_error {
 
 class InvariantChecker final : public stats::BatchSubscriber {
  public:
-  /// `fluid_stride`: run the full fluid-model validation every N engine
-  /// events (the per-event hook otherwise only checks clock monotonicity,
-  /// keeping the hot path to one comparison). `full_state_stride`: every
-  /// scheduling point gets the O(active) allocation/conservation check; the
-  /// O(all jobs) queue-agreement walk runs every N points (violations are
-  /// persistent, so a strided walk still catches them — just a few points
-  /// later). Pass 1 to walk everything at every point.
-  explicit InvariantChecker(std::uint32_t fluid_stride = 64,
-                            std::uint32_t full_state_stride = 32)
-      : fluid_stride_(fluid_stride == 0 ? 1 : fluid_stride),
-        full_state_stride_(full_state_stride == 0 ? 1 : full_state_stride) {}
-
   /// Installs the per-event hook on the batch system's engine and subscribes
   /// to its event stream, picking up the EventTrace, DecisionJournal and
   /// StateSampler subscribed so far for the sink cross-checks. The checker
@@ -79,21 +68,26 @@ class InvariantChecker final : public stats::BatchSubscriber {
   std::uint64_t events_checked() const { return events_checked_; }
 
  private:
+  /// The per-event hook re-verifies the fluid model every kFluidStride engine
+  /// events and otherwise only checks clock monotonicity, keeping the hot
+  /// path to one comparison. The O(all jobs) walk runs every kJobWalkStride
+  /// scheduling points: violations are persistent, so a strided walk still
+  /// catches them, a few points later.
+  static constexpr std::uint32_t kFluidStride = 64;
+  static constexpr std::uint32_t kJobWalkStride = 32;
+
   [[noreturn]] void fail(const BatchSystem* batch, double now, const std::string& what) const;
-  void check_batch_state(const BatchSystem& batch);
-  /// O(running jobs + nodes) check run at every scheduling point: each
-  /// running entry against its job's record, node allocation ownership,
-  /// pool disjointness, and conservation. Returns false on the first anomaly
-  /// without composing a message.
-  bool quick_state_ok(const BatchSystem& batch);
-  /// Allocation-free single pass over ALL jobs (state counts, allocation vs
-  /// state, queue/running list agreement, unfinished counter), run only after
-  /// quick_state_ok() passed; returns false on the first anomaly without
-  /// composing a message.
-  bool batch_state_ok(const BatchSystem& batch);
-  /// Sorted re-walk taken only after batch_state_ok() failed, so the thrown
-  /// diagnostic is identical across runs regardless of hash order.
-  void check_batch_state_detailed(const BatchSystem& batch);
+  /// O(running jobs + nodes), at every scheduling point, in start order and
+  /// then by node id: each running entry against its job's record; each
+  /// node a running job holds owned by that job in the node table and not
+  /// failed; every owned node held by its owner; the free pool exactly the
+  /// idle nodes; the failed and drained counters equal to the table's.
+  /// Together these imply node conservation.
+  void check_allocations(const BatchSystem& batch, double now) const;
+  /// O(all jobs), every kJobWalkStride points: the per-state job counts
+  /// against the queue, the running list and the unfinished counter, and no
+  /// job that is not running holding nodes.
+  void check_jobs(const BatchSystem& batch, double now) const;
   void check_sinks(const BatchSystem& batch);
   void on_engine_event(sim::Engine& engine, double now);
 
@@ -102,10 +96,8 @@ class InvariantChecker final : public stats::BatchSubscriber {
   const stats::DecisionJournal* journal_ = nullptr;
   const stats::StateSampler* sampler_ = nullptr;
 
-  std::uint32_t fluid_stride_;
-  std::uint32_t full_state_stride_;
   std::uint32_t events_since_fluid_check_ = 0;
-  std::uint32_t points_since_full_walk_ = 0;
+  std::uint32_t points_since_job_walk_ = 0;
   std::uint64_t checks_ = 0;
   std::uint64_t events_checked_ = 0;
 
@@ -125,10 +117,6 @@ class InvariantChecker final : public stats::BatchSubscriber {
   int begin_free_ = 0;
   int begin_total_ = 0;
   std::size_t begin_journal_size_ = 0;
-
-  // Node-to-owning-job scratch for quick_state_ok, kept across checks so the
-  // hot path performs no allocations (entries are re-assigned every pass).
-  std::vector<std::uint64_t> owner_scratch_;
 };
 
 }  // namespace elastisim::core

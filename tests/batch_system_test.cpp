@@ -6,6 +6,7 @@
 #include "core/batch_system.h"
 #include "core/schedulers.h"
 #include "core/simulation.h"
+#include "stats/state_sampler.h"
 #include "test_support.h"
 #include "workload/generator.h"
 
@@ -384,6 +385,21 @@ TEST(RunSimulation, PeriodicTimerDoesNotPreventTermination) {
   jobs.push_back(rigid_job(1, 2, 30.0));
   auto result = run_simulation(config, std::move(jobs));
   EXPECT_EQ(result.finished, 1u);
+}
+
+TEST(PeriodicTimers, StopOnceOnlyTheyArePending) {
+  BatchConfig config;
+  config.scheduling_interval = 600.0;
+  Harness h(4, "fcfs", config);
+  stats::StateSampler sampler(300.0);
+  h.batch.subscribe(&sampler);
+  h.batch.submit(rigid_job(1, 4, 100.0));
+  // Node 0 is never repaired, so the requeued 4-node job can never restart:
+  // nothing but the two timers could keep the run alive.
+  ASSERT_TRUE(h.batch.inject_failure(0, 1.0));
+  h.engine.run_until(1e7);
+  EXPECT_EQ(h.engine.pending_events(), 0u);
+  EXPECT_EQ(h.batch.queued_jobs(), 1u);
 }
 
 }  // namespace

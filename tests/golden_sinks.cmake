@@ -5,7 +5,8 @@
 # file plus the exact `counters` object of telemetry.json against the values
 # committed in ${GOLDEN_DIR}/expected.txt. Unlike cli_determinism_smoke (run
 # vs run), this pins the output itself, so a refactor that changes what a
-# sink writes fails here even when it does so deterministically.
+# sink writes fails here even when it does so deterministically. Every
+# scenario runs under --validate and must report that all invariants hold.
 #
 #   a  requeue-restart under an MTBF failure model with a requeue cap,
 #      malleable + evolving + checkpointing jobs, a periodic scheduler timer
@@ -78,13 +79,17 @@ foreach(scenario IN ITEMS a b c d e f g h)
   file(MAKE_DIRECTORY ${run_dir})
   execute_process(
     COMMAND ${ELASTISIM} --platform ${PLATFORM} --workload ${workload}
-            --out-dir ${run_dir} ${args_${scenario}}
+            --out-dir ${run_dir} --validate ${args_${scenario}}
     RESULT_VARIABLE exit_code
     OUTPUT_VARIABLE stdout_text
     ERROR_VARIABLE stderr_text)
   if(NOT exit_code EQUAL 0)
     message(FATAL_ERROR "golden_sinks: scenario ${scenario} exited ${exit_code}\n"
                         "${stdout_text}\n${stderr_text}")
+  endif()
+  if(NOT stdout_text MATCHES "all invariants hold")
+    message(FATAL_ERROR "golden_sinks: scenario ${scenario} did not report "
+                        "\"all invariants hold\"\n${stdout_text}")
   endif()
   foreach(sink IN LISTS files_${scenario})
     if(NOT EXISTS ${run_dir}/${sink})

@@ -1,14 +1,16 @@
 // Parameterized property sweep: every scheduling algorithm x workload mix x
-// topology (x node failures) must satisfy the simulator's global invariants.
-// Each combination is its own test case so a regression pinpoints the exact
-// configuration. Every run is validated: the invariant checker re-verifies
-// the batch state, including each scheduler view entry against its job's
-// record, at every scheduling point.
+// topology (x node failures and maintenance drains) must satisfy the
+// simulator's global invariants. Each combination is its own test case so a
+// regression pinpoints the exact configuration. Every run is validated: the
+// invariant checker re-verifies the batch state, including each scheduler
+// view entry against its job's record and the node table, at every
+// scheduling point.
 #include <gtest/gtest.h>
 
 #include <cmath>
 
 #include "core/fault_injector.h"
+#include "core/invariant_checker.h"
 #include "core/simulation.h"
 #include "test_support.h"
 #include "workload/generator.h"
@@ -21,7 +23,8 @@ struct SweepCase {
   double malleable_fraction;
   platform::TopologyKind topology;
   /// Inject node failures (per-node MTBF 6 h) under requeue-restart, with
-  /// checkpointing jobs.
+  /// checkpointing jobs, and drain a quarter of the nodes over a window that
+  /// overlaps them.
   bool failures = false;
 };
 
@@ -58,9 +61,43 @@ class SimulationProperties : public testing::TestWithParam<SweepCase> {
       model.mean_repair = 1200.0;
       model.seed = 5;
       failures = core::FaultInjector(model).generate(config.platform.node_count);
-      config.failures = &failures;
+      return run_with_drains(config, workload::generate_workload(generator), failures);
     }
     return core::run_simulation(config, workload::generate_workload(generator));
+  }
+
+  /// run_simulation's wiring plus a maintenance window: four of the 16 nodes
+  /// drain from the first failure until 2 h after its repair, and the first
+  /// failed node is drained while it is down.
+  static core::SimulationResult run_with_drains(const core::SimulationConfig& config,
+                                                std::vector<workload::Job> jobs,
+                                                const std::vector<core::FailureEvent>& failures) {
+    core::SimulationResult result;
+    sim::Engine engine;
+    platform::Cluster cluster(engine, config.platform);
+    core::BatchSystem batch(engine, cluster, core::make_scheduler(config.scheduler),
+                            result.recorder, config.batch);
+    core::InvariantChecker checker;
+    checker.attach(batch);
+    EXPECT_EQ(core::FaultInjector::apply(batch, failures), failures.size());
+    const core::FailureEvent& first = failures.front();
+    const double until = first.repair_time + 2.0 * 3600.0;
+    EXPECT_TRUE(
+        batch.drain_node(first.node, (first.fail_time + first.repair_time) / 2.0, until));
+    for (platform::NodeId k = 1; k < 4; ++k) {
+      EXPECT_TRUE(batch.drain_node((first.node + k) % 16, first.fail_time, until));
+    }
+    result.submitted = batch.submit_all(std::move(jobs));
+    batch.begin_run();
+    engine.run();
+    batch.end_run();
+    result.finished = batch.finished_jobs();
+    result.killed = batch.killed_jobs();
+    result.stuck = batch.queued_jobs() + batch.running_jobs();
+    result.makespan = result.recorder.makespan();
+    result.validated_points = checker.scheduling_point_checks();
+    result.validated_events = checker.events_checked();
+    return result;
   }
 };
 

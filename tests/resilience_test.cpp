@@ -13,6 +13,7 @@
 #include "core/scheduler.h"
 #include "json/json.h"
 #include "test_support.h"
+#include "util/load_error.h"
 #include "util/rng.h"
 #include "workload/generator.h"
 #include "workload/workload_io.h"
@@ -186,6 +187,59 @@ TEST(FaultInjector, JsonRoundTrip) {
   events.pop_back();
   const auto restored = FaultInjector::from_json(FaultInjector::to_json(events));
   EXPECT_EQ(events, restored);
+}
+
+TEST(FaultInjector, NeverRepairedEventRoundTrips) {
+  const std::vector<FailureEvent> events = {
+      {1, 99.0, std::numeric_limits<double>::infinity()}};
+  const json::Value trace = FaultInjector::to_json(events);
+  EXPECT_EQ(trace.find("failures")->as_array()[0].find("repair"), nullptr);
+  EXPECT_EQ(FaultInjector::from_json(trace), events);
+}
+
+TEST(FaultInjector, MalformedTraceThrowsAtItsJsonPath) {
+  const std::pair<const char*, const char*> cases[] = {
+      {R"({"failure": [{"node": 1, "fail": 5}]})", "$.failures"},
+      {R"({"failures": {"node": 1, "fail": 5}})", "$.failures"},
+      {R"({"failures": [3]})", "$.failures[0]"},
+      {R"({"failures": [{"fail": 5}]})", "$.failures[0].node"},
+      {R"({"failures": [{"node": -3, "fail": 5}]})", "$.failures[0].node"},
+      {R"({"failures": [{"node": 1.5, "fail": 5}]})", "$.failures[0].node"},
+      {R"({"failures": [{"node": "2", "fail": 5}]})", "$.failures[0].node"},
+      {R"({"failures": [{"node": 2}]})", "$.failures[0].fail"},
+      {R"({"failures": [{"node": 2, "fail": -1}]})", "$.failures[0].fail"},
+      {R"({"failures": [{"node": 1, "fail": 5}, {"node": 1, "fail": 9, "repair": 2}]})",
+       "$.failures[1].repair"},
+      {R"({"failures": [{"node": 1, "fail": 5, "repair": "soon"}]})", "$.failures[0].repair"},
+  };
+  for (const auto& [text, path] : cases) {
+    const json::Value trace = json::parse(text);
+    EXPECT_THROW(FaultInjector::from_json(trace), util::LoadError) << text;
+    try {
+      FaultInjector::from_json(trace);
+    } catch (const util::LoadError& error) {
+      EXPECT_EQ(error.json_path(), path) << text;
+    }
+  }
+}
+
+TEST(FaultInjector, LoadTraceNamesTheFile) {
+  const auto path =
+      (std::filesystem::temp_directory_path() / "elsim_bad_failure_trace_test.json").string();
+  {
+    std::FILE* file = std::fopen(path.c_str(), "w");
+    ASSERT_NE(file, nullptr);
+    std::fputs(R"({"failures": [{"fail": 5}]})", file);
+    std::fclose(file);
+  }
+  try {
+    FaultInjector::load_trace(path);
+    ADD_FAILURE() << "a trace entry without a node loaded";
+  } catch (const util::LoadError& error) {
+    EXPECT_EQ(error.file(), path);
+    EXPECT_EQ(error.json_path(), "$.failures[0].node");
+  }
+  std::filesystem::remove(path);
 }
 
 TEST(FaultInjector, TraceFileRoundTrip) {
