@@ -299,35 +299,27 @@ int main(int argc, char** argv) try {
       core::FaultModelConfig fault;
       fault.mtbf = mtbf;
       const std::string dist = flags.get("failure-dist", std::string("exponential"));
-      if (dist == "weibull") {
-        fault.failure_distribution = core::FailureDistribution::kWeibull;
-      } else if (dist != "exponential") {
-        std::fprintf(stderr, "error: unknown --failure-dist %s\n", dist.c_str());
-        usage(argv[0]);
-        return 2;
+      const auto failure_distribution = core::failure_distribution_from_string(dist);
+      if (!failure_distribution) {
+        throw util::FlagError("failure-dist", dist, "one of exponential|weibull");
       }
+      fault.failure_distribution = *failure_distribution;
+      const std::string repair_dist = flags.get("repair-dist", std::string("constant"));
+      const auto repair_distribution = core::repair_distribution_from_string(repair_dist);
+      if (!repair_distribution) {
+        throw util::FlagError("repair-dist", repair_dist, "one of constant|lognormal");
+      }
+      fault.repair_distribution = *repair_distribution;
       fault.weibull_shape = flags.get("weibull-shape", fault.weibull_shape);
       fault.mean_repair = duration_flag(flags, "repair", fault.mean_repair);
-      const std::string repair_dist = flags.get("repair-dist", std::string("constant"));
-      if (repair_dist == "lognormal") {
-        fault.repair_distribution = core::RepairDistribution::kLognormal;
-      } else if (repair_dist != "constant") {
-        std::fprintf(stderr, "error: unknown --repair-dist %s\n", repair_dist.c_str());
-        usage(argv[0]);
-        return 2;
-      }
       fault.repair_sigma = flags.get("repair-sigma", fault.repair_sigma);
       fault.pod_correlation = flags.get("pod-correlation", 0.0);
-      if (!(fault.pod_correlation >= 0.0 && fault.pod_correlation <= 1.0)) {
-        throw util::FlagError("pod-correlation", flags.get("pod-correlation", std::string()),
-                              "a probability in [0, 1]");
+      fault.horizon = duration_flag(flags, "failure-horizon", 0.0);
+      if (const auto error = core::validate(fault)) {
+        throw util::FlagError(error->flag, flags.get(error->flag, std::string()),
+                              error->expected);
       }
-      double last_submit = 0.0;
-      for (const workload::Job& job : jobs) {
-        last_submit = std::max(last_submit, job.submit_time);
-      }
-      fault.horizon =
-          duration_flag(flags, "failure-horizon", std::max(86400.0, 2.0 * last_submit));
+      fault.horizon = core::failure_horizon(fault, jobs);
       fault.seed = static_cast<std::uint64_t>(flags.get("failure-seed", std::int64_t{1}));
       failures = core::FaultInjector(fault).generate(config.platform.node_count,
                                                      config.platform.pod_size);

@@ -53,62 +53,47 @@ bool parse_index_list(const std::string& text, std::set<std::size_t>& out) {
   return true;
 }
 
-void print_summary(const core::SweepSpec& spec, const core::SweepResult& result) {
+/// Prints the cell, per-scheduler and totals tables of a sweep.json report.
+void print_summary(const json::Value& report) {
+  const auto count = [](const json::Value& object, std::string_view key) {
+    return static_cast<long long>(object.find(key)->as_int());
+  };
+  const auto number = [](const json::Value& object, std::string_view key) {
+    return object.find(key)->as_double();
+  };
   std::printf("\n%-5s %-22s %-9s %6s %9s  %s\n", "cell", "scheduler/seed", "status",
               "tries", "time", "detail");
-  for (std::size_t i = 0; i < result.cells.size(); ++i) {
-    const core::SweepCell& cell = result.cells[i];
-    const core::CellOutcome& outcome = result.outcomes[i];
-    std::string label = cell.scheduler + "/" + std::to_string(cell.seed);
-    std::string detail;
-    if (!outcome.error.empty()) {
-      detail = outcome.error;
-    } else if (outcome.has_metrics) {
+  for (const json::Value& cell : report.find("cells")->as_array()) {
+    const std::string label =
+        cell.member_or("scheduler", "") + "/" + std::to_string(count(cell, "seed"));
+    std::string detail = cell.member_or("error", "");
+    if (const json::Value* metrics = cell.find("metrics"); detail.empty() && metrics) {
       char buffer[64];
-      std::snprintf(buffer, sizeof(buffer), "makespan %.0fs", outcome.metrics.makespan);
+      std::snprintf(buffer, sizeof(buffer), "makespan %.0fs", number(*metrics, "makespan_s"));
       detail = buffer;
     }
-    std::printf("%-5zu %-22s %-9s %6d %8.2fs  %s\n", cell.index, label.c_str(),
-                core::to_string(outcome.status).c_str(), outcome.attempts,
-                outcome.duration_s, detail.c_str());
+    std::printf("%-5lld %-22s %-9s %6lld %8.2fs  %s\n", count(cell, "index"), label.c_str(),
+                cell.member_or("status", "").c_str(), count(cell, "attempts"),
+                number(cell, "duration_s"), detail.c_str());
   }
 
   std::printf("\n%-20s %6s %6s %14s %12s %10s %6s\n", "scheduler", "cells", "ok",
               "mean makespan", "mean wait", "slowdown", "util");
-  for (const std::string& scheduler : spec.schedulers) {
-    std::size_t total = 0;
-    std::size_t succeeded = 0;
-    double makespan = 0.0;
-    double wait = 0.0;
-    double slowdown = 0.0;
-    double utilization = 0.0;
-    for (std::size_t i = 0; i < result.cells.size(); ++i) {
-      // elsim-lint: allow(float-equality) -- std::string comparison
-      if (result.cells[i].scheduler != scheduler) continue;
-      ++total;
-      const core::CellOutcome& outcome = result.outcomes[i];
-      if (!outcome.succeeded() || !outcome.has_metrics) continue;
-      ++succeeded;
-      makespan += outcome.metrics.makespan;
-      wait += outcome.metrics.mean_wait;
-      slowdown += outcome.metrics.mean_bounded_slowdown;
-      utilization += outcome.metrics.avg_utilization;
-    }
-    const double denom = succeeded > 0 ? static_cast<double>(succeeded) : 1.0;
-    std::printf("%-20s %6zu %6zu %13.0fs %11.1fs %10.2f %5.0f%%\n", scheduler.c_str(),
-                total, succeeded, makespan / denom, wait / denom, slowdown / denom,
-                100.0 * utilization / denom);
+  for (const json::Value& row : report.find("by_scheduler")->as_array()) {
+    std::printf("%-20s %6lld %6lld %13.0fs %11.1fs %10.2f %5.0f%%\n",
+                row.member_or("scheduler", "").c_str(), count(row, "cells"),
+                count(row, "succeeded"), number(row, "mean_makespan_s"),
+                number(row, "mean_wait_s"), number(row, "mean_bounded_slowdown"),
+                100.0 * number(row, "avg_utilization"));
   }
 
-  std::printf("\n%zu/%zu cells succeeded (ok %zu, retried %zu, timeout %zu, stalled %zu, "
-              "crashed %zu, skipped %zu)%s\n",
-              result.succeeded(), result.cells.size(), result.count(core::CellStatus::kOk),
-              result.count(core::CellStatus::kRetried),
-              result.count(core::CellStatus::kTimeout),
-              result.count(core::CellStatus::kStalled),
-              result.count(core::CellStatus::kCrashed),
-              result.count(core::CellStatus::kSkipped),
-              result.interrupted ? " — interrupted, partial results" : "");
+  const json::Value& totals = *report.find("totals");
+  std::printf("\n%lld/%lld cells succeeded (ok %lld, retried %lld, timeout %lld, stalled %lld, "
+              "crashed %lld, skipped %lld)%s\n",
+              count(totals, "succeeded"), count(totals, "cells"), count(totals, "ok"),
+              count(totals, "retried"), count(totals, "timeout"), count(totals, "stalled"),
+              count(totals, "crashed"), count(totals, "skipped"),
+              report.member_or("interrupted", false) ? " — interrupted, partial results" : "");
 }
 
 }  // namespace
@@ -212,17 +197,17 @@ int run_sweep(const util::Flags& flags) {
   std::signal(SIGINT, SIG_DFL);
   std::signal(SIGTERM, SIG_DFL);
 
-  print_summary(runner.spec(), result);
+  const int exit_code = core::sweep_exit_code(result);
+  const json::Value report = core::sweep_result_to_json(runner.spec(), std::move(result), threads);
+  print_summary(report);
 
   std::filesystem::create_directories(out_dir);
   const std::string sweep_json = out_dir + "/sweep.json";
-  json::write_file(sweep_json,
-                   core::sweep_result_to_json(runner.spec(), result, threads,
-                                              cell_outputs ? out_dir : std::string()));
+  json::write_file(sweep_json, report);
   const std::string extra = cell_outputs ? " and " + out_dir + "/cells/*/" : std::string();
   std::printf("wrote %s%s\n", sweep_json.c_str(), extra.c_str());
 
-  return core::sweep_exit_code(result);
+  return exit_code;
 }
 
 }  // namespace elastisim::cli

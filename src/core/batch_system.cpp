@@ -228,28 +228,22 @@ void BatchSystem::start_job(JobId id, int nodes) {
   }
   job.execution = std::make_unique<JobExecution>(
       *engine_, *cluster_, job.job, job.nodes,
-      [this, id](int evolving_delta) {
-        Managed& paused = managed(id);
-        paused.state = JobState::kAtBoundary;
-        paused.boundary_delta = evolving_delta;
-        // Defer: the boundary may fire from inside another job's event; a
-        // zero-delay event keeps scheduler invocations non-reentrant.
-        engine_->schedule_in(0.0, [this, id] { process_boundary(id); });
-      },
+      // Defer: the boundary may fire from inside another job's event; a
+      // zero-delay event keeps scheduler invocations non-reentrant.
+      [this, id] { engine_->schedule_in(0.0, [this, id] { process_boundary(id); }); },
       [this, id] { handle_completion(id); });
-  if (config_.failure_policy == FailurePolicy::kRequeueRestart && !job.checkpoint.at_origin()) {
+  // Only requeue-restart evictions move the checkpoint off the origin.
+  if (!job.checkpoint.at_origin()) {
     emit({.kind = Kind::kRestart, .job = &job.job, .from_checkpoint = true,
           .checkpoint_phase = job.checkpoint.phase,
           .checkpoint_iteration = job.checkpoint.iteration});
-    job.execution->start_from(job.checkpoint, config_.restart_overhead);
-  } else {
-    job.execution->start();
   }
+  job.execution->start_from(job.checkpoint, config_.restart_overhead);
 }
 
 void BatchSystem::set_target(JobId id, int nodes) {
   Managed& job = managed(id);
-  ELSIM_CHECK(job.state == JobState::kRunning || job.state == JobState::kAtBoundary,
+  ELSIM_CHECK(job.state == JobState::kRunning,
               "set_target(job {}, {} nodes): the job is not running", id, nodes);
   ELSIM_CHECK(job.job.can_resize_at_runtime(),
               "set_target(job {}, {} nodes): the job cannot resize at runtime", id, nodes);
@@ -269,12 +263,16 @@ void BatchSystem::set_target(JobId id, int nodes) {
 
 void BatchSystem::process_boundary(JobId id) {
   Managed& job = managed(id);
-  if (job.state != JobState::kAtBoundary) return;  // killed meanwhile
+  const auto paused = [&job] {
+    return job.state == JobState::kRunning && job.execution->at_boundary();
+  };
+  if (!paused()) return;  // killed or evicted meanwhile
   emit({.kind = Kind::kBoundary, .job = &job.job, .nodes = static_cast<int>(job.nodes.size())});
 
-  if (job.boundary_delta != 0 && job.job.type == workload::JobType::kEvolving) {
+  const int delta = job.execution->evolving_delta();
+  if (delta != 0 && job.job.type == workload::JobType::kEvolving) {
     const int current = static_cast<int>(job.nodes.size());
-    const int desired = job.job.clamp_nodes(current + job.boundary_delta);
+    const int desired = job.job.clamp_nodes(current + delta);
     if (desired != current) {
       const bool granted =
           scheduler_->on_evolving_request(*this, id, desired - current);
@@ -286,12 +284,11 @@ void BatchSystem::process_boundary(JobId id) {
         refresh_running(job);
       }
     }
-    job.boundary_delta = 0;
   }
 
   // Let the scheduler revise targets with this job paused at its boundary.
   invoke_scheduler(stats::JournalCause::kBoundary);
-  if (job.state != JobState::kAtBoundary) return;  // killed by walltime during scheduling
+  if (!paused()) return;  // killed by walltime during scheduling
 
   int target = job.pending_target >= 0 ? job.pending_target
                                        : static_cast<int>(job.nodes.size());
@@ -305,7 +302,6 @@ void BatchSystem::process_boundary(JobId id) {
     if (target < job.job.min_nodes) target = current;
   }
   if (target == current || !job.job.can_resize_at_runtime()) {
-    job.state = JobState::kRunning;
     job.execution->resume();
     return;
   }
@@ -316,7 +312,6 @@ void BatchSystem::apply_resize(Managed& job, int target) {
   const JobId id = job.job.id;
   const int current = static_cast<int>(job.nodes.size());
   assert(target != current && target >= job.job.min_nodes && target <= job.job.max_nodes);
-  job.state = JobState::kRunning;
   if (target > current) {
     // Expansion: new nodes are busy from the start of redistribution.
     const std::vector<platform::NodeId> added =
@@ -354,7 +349,7 @@ void BatchSystem::apply_resize(Managed& job, int target) {
 
 void BatchSystem::handle_completion(JobId id) {
   Managed& job = managed(id);
-  assert(job.state == JobState::kRunning || job.state == JobState::kAtBoundary);
+  assert(job.state == JobState::kRunning);
   job.state = JobState::kFinished;
   stop_running(job);
   recorder_->on_finish(id, engine_->now(), /*killed=*/false);
@@ -365,7 +360,7 @@ void BatchSystem::handle_completion(JobId id) {
 
 void BatchSystem::handle_walltime(JobId id) {
   Managed& job = managed(id);
-  if (job.state != JobState::kRunning && job.state != JobState::kAtBoundary) return;
+  if (job.state != JobState::kRunning) return;
   job.walltime_event = sim::kInvalidEventId;  // firing right now
   job.execution->abort();
   stop_running(job);
@@ -531,7 +526,7 @@ void BatchSystem::kill_job(Managed& job, stats::KillCause cause, platform::NodeI
 
 void BatchSystem::evict_job(Managed& job, platform::NodeId failed_node) {
   const JobId id = job.job.id;
-  assert(job.state == JobState::kRunning || job.state == JobState::kAtBoundary);
+  assert(job.state == JobState::kRunning);
   const double now = engine_->now();
   const int allocation = static_cast<int>(job.nodes.size());
   // Account the discarded work *before* tearing the execution down: a plain
@@ -546,7 +541,6 @@ void BatchSystem::evict_job(Managed& job, platform::NodeId failed_node) {
   stop_running(job);
   job.execution.reset();
   job.pending_target = -1;
-  job.boundary_delta = 0;
   if (config_.failure_policy == FailurePolicy::kKill) {
     kill_job(job, stats::KillCause::kNodeFailure, failed_node);
     return;

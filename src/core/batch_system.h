@@ -202,8 +202,7 @@ class BatchSystem final : public SchedulerContext {
     kPending,    // submitted, submit_time not reached
     kHeld,       // waiting on dependencies
     kQueued,
-    kRunning,
-    kAtBoundary,
+    kRunning,    // paused at a phase boundary when execution->at_boundary()
     kFinished,
     kKilled,
     kCancelled,  // dependency failed before the job ran
@@ -223,8 +222,6 @@ class BatchSystem final : public SchedulerContext {
     int requeue_count = 0;
     /// Scheduler-requested size; -1 = none.
     int pending_target = -1;
-    /// Evolving delta captured at the current boundary.
-    int boundary_delta = 0;
     /// Dependencies not yet finished (held jobs only).
     std::set<workload::JobId> outstanding_deps;
   };

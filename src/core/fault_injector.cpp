@@ -4,6 +4,7 @@
 #include <cassert>
 #include <cmath>
 #include <limits>
+#include <utility>
 
 #include "core/batch_system.h"
 #include "util/check.h"
@@ -27,6 +28,45 @@ std::string to_string(RepairDistribution dist) {
     case RepairDistribution::kLognormal: return "lognormal";
   }
   return "?";
+}
+
+std::optional<FailureDistribution> failure_distribution_from_string(std::string_view name) {
+  if (name == "exponential") return FailureDistribution::kExponential;
+  if (name == "weibull") return FailureDistribution::kWeibull;
+  return std::nullopt;
+}
+
+std::optional<RepairDistribution> repair_distribution_from_string(std::string_view name) {
+  if (name == "constant") return RepairDistribution::kConstant;
+  if (name == "lognormal") return RepairDistribution::kLognormal;
+  return std::nullopt;
+}
+
+double failure_horizon(const FaultModelConfig& config, const std::vector<workload::Job>& jobs) {
+  if (config.horizon > 0.0) return config.horizon;
+  double last_submit = 0.0;
+  for (const workload::Job& job : jobs) last_submit = std::max(last_submit, job.submit_time);
+  return std::max(86400.0, 2.0 * last_submit);
+}
+
+std::optional<FaultModelError> validate(const FaultModelConfig& config) {
+  const auto at_least_zero = [](double value) { return std::isfinite(value) && value >= 0.0; };
+  const char* duration = "a finite, non-negative duration";
+  const std::pair<bool, FaultModelError> checks[] = {
+      {at_least_zero(config.mtbf), {"mtbf", "mtbf", duration}},
+      {std::isfinite(config.weibull_shape) && config.weibull_shape > 0.0,
+       {"weibull_shape", "weibull-shape", "a finite number above 0"}},
+      {at_least_zero(config.mean_repair), {"repair", "repair", duration}},
+      {at_least_zero(config.repair_sigma),
+       {"repair_sigma", "repair-sigma", "a finite, non-negative number"}},
+      {config.pod_correlation >= 0.0 && config.pod_correlation <= 1.0,
+       {"pod_correlation", "pod-correlation", "a probability in [0, 1]"}},
+      {at_least_zero(config.horizon), {"horizon", "failure-horizon", duration}},
+  };
+  for (const auto& [valid, error] : checks) {
+    if (!valid) return error;
+  }
+  return std::nullopt;
 }
 
 namespace {
@@ -63,9 +103,10 @@ double draw_repair(util::Rng& rng, const FaultModelConfig& config) {
 std::vector<FailureEvent> FaultInjector::generate(std::size_t node_count,
                                                   std::size_t pod_size) const {
   std::vector<FailureEvent> events;
-  if (config_.mtbf <= 0.0 || config_.horizon <= 0.0 || node_count == 0) return events;
-  // These come straight from CLI flags (--mtbf-shape, --mean-repair): check
-  // in release builds too.
+  if (config_.mtbf <= 0.0 || node_count == 0) return events;
+  const double horizon = failure_horizon(config_, {});
+  // These come from CLI flags (--weibull-shape, --repair) and sweep specs,
+  // which validate() them first: check in release builds too.
   ELSIM_CHECK(config_.weibull_shape > 0.0, "weibull shape must be positive, got {}",
               config_.weibull_shape);
   ELSIM_CHECK(config_.mean_repair >= 0.0, "repair duration must be non-negative, got {}",
@@ -84,7 +125,7 @@ std::vector<FailureEvent> FaultInjector::generate(std::size_t node_count,
     double clock = 0.0;
     while (true) {
       clock += draw_interarrival(rng, config_);
-      if (clock >= config_.horizon) break;
+      if (clock >= horizon) break;
       const double repair = std::max(0.0, draw_repair(rng, config_));
       events.push_back({static_cast<platform::NodeId>(node), clock, clock + repair});
       // Correlated pod failure: each same-pod neighbor goes down with the

@@ -14,11 +14,14 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "json/json.h"
 #include "platform/cluster.h"
+#include "workload/job.h"
 
 namespace elastisim::core {
 
@@ -38,6 +41,8 @@ enum class RepairDistribution {
 
 std::string to_string(FailureDistribution dist);
 std::string to_string(RepairDistribution dist);
+std::optional<FailureDistribution> failure_distribution_from_string(std::string_view name);
+std::optional<RepairDistribution> repair_distribution_from_string(std::string_view name);
 
 struct FaultModelConfig {
   /// Per-node mean time between failures, seconds. <= 0 disables generation.
@@ -54,11 +59,29 @@ struct FaultModelConfig {
   /// pod (drawn independently per neighbor); 0 disables correlation.
   double pod_correlation = 0.0;
   /// Generation horizon, seconds: failures are drawn until each node's
-  /// renewal process passes this time.
-  double horizon = 86400.0;
+  /// renewal process passes this time. 0 = auto; see failure_horizon().
+  double horizon = 0.0;
   /// Master seed; per-node streams are split() children of it.
   std::uint64_t seed = 1;
 };
+
+/// The horizon `config` draws failures over: config.horizon when positive,
+/// else max(1 day, 2 x the latest submit time in `jobs`), so failures keep
+/// arriving while the workload runs.
+double failure_horizon(const FaultModelConfig& config, const std::vector<workload::Job>& jobs);
+
+/// An invalid FaultModelConfig member, named as the sweep spec's `faults`
+/// object and the CLI spell it.
+struct FaultModelError {
+  const char* member;
+  const char* flag;
+  const char* expected;
+};
+
+/// Checks the values generate() relies on: a finite mtbf, repair time,
+/// repair sigma and horizon of at least 0, a finite Weibull shape above 0
+/// and a pod correlation in [0, 1]. Returns the first invalid member.
+std::optional<FaultModelError> validate(const FaultModelConfig& config);
 
 /// One scheduled outage: node down at fail_time, back at repair_time.
 struct FailureEvent {
@@ -77,7 +100,8 @@ class FaultInjector {
 
   const FaultModelConfig& config() const { return config_; }
 
-  /// Draws the full failure schedule for a cluster of `node_count` nodes.
+  /// Draws the full failure schedule for a cluster of `node_count` nodes,
+  /// up to the horizon (1 day when it is 0: no workload is known here).
   /// `pod_size` > 0 enables pod-correlated secondary failures (nodes
   /// [p*pod_size, (p+1)*pod_size) share pod p). The result is sorted by
   /// (fail_time, node) and is byte-identical across runs for a fixed config.

@@ -19,18 +19,11 @@ using workload::JobId;
 
 namespace {
 
+/// BatchSystem::JobState names, in declaration order.
 const char* state_name(int state) {
-  switch (state) {
-    case 0: return "pending";
-    case 1: return "held";
-    case 2: return "queued";
-    case 3: return "running";
-    case 4: return "at-boundary";
-    case 5: return "finished";
-    case 6: return "killed";
-    case 7: return "cancelled";
-  }
-  return "?";
+  static constexpr const char* kNames[] = {"pending",  "held",   "queued",   "running",
+                                           "finished", "killed", "cancelled"};
+  return kNames[state];
 }
 
 }  // namespace
@@ -93,9 +86,8 @@ void InvariantChecker::on_engine_event(sim::Engine& engine, double now) {
 }
 
 void InvariantChecker::check_allocations(const BatchSystem& batch, double now) const {
-  using JobState = BatchSystem::JobState;
   const auto running = [](const BatchSystem::Managed& job) {
-    return job.state == JobState::kRunning || job.state == JobState::kAtBoundary;
+    return job.state == BatchSystem::JobState::kRunning;
   };
   const std::size_t total = batch.nodes_.size();
   std::size_t held = 0;
@@ -204,8 +196,7 @@ void InvariantChecker::check_jobs(const BatchSystem& batch, double now) const {
       case JobState::kPending:
       case JobState::kHeld: ++waiting; break;
       case JobState::kQueued: ++queued; break;
-      case JobState::kRunning:
-      case JobState::kAtBoundary: ++running; continue;
+      case JobState::kRunning: ++running; continue;
       case JobState::kFinished:
       case JobState::kKilled:
       case JobState::kCancelled: break;
@@ -219,8 +210,7 @@ void InvariantChecker::check_jobs(const BatchSystem& batch, double now) const {
     std::sort(ids.begin(), ids.end());
     for (JobId id : ids) {
       const BatchSystem::Managed& job = *batch.jobs_.at(id);
-      if (job.state != JobState::kRunning && job.state != JobState::kAtBoundary &&
-          !job.nodes.empty()) {
+      if (job.state != JobState::kRunning && !job.nodes.empty()) {
         fail(&batch, now,
              util::fmt("job {} is {} but still holds {} nodes (first: node {})", id,
                        state_name(static_cast<int>(job.state)), job.nodes.size(),

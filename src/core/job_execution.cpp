@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <unordered_map>
+#include <utility>
 
 #include "util/fmt.h"
 #include "util/log.h"
@@ -48,19 +49,20 @@ void JobExecution::start_from(ExecutionProgress from, double restart_overhead) {
     // Recovery cost (checkpoint read-back, re-initialization) occupies the
     // allocation before the resumed iteration begins.
     state_ = State::kRunningGroup;
-    sim::ActivitySpec spec;
-    spec.label = util::fmt("job{}/restart", job_->id);
-    spec.work = restart_overhead;
-    spec.rate_cap = 1.0;
-    const std::uint64_t generation = generation_;
-    active_.push_back(engine_->fluid().start(std::move(spec), [this, generation] {
-      if (generation != generation_) return;
-      active_.clear();
-      begin_iteration();
-    }));
+    run<&JobExecution::begin_iteration>(
+        delay_spec(util::fmt("job{}/restart", job_->id), restart_overhead));
     return;
   }
   begin_iteration();
+}
+
+template <void (JobExecution::*Done)()>
+void JobExecution::run(sim::ActivitySpec spec) {
+  // Two pointers' worth of capture: std::function stores it without a heap
+  // allocation.
+  active_.push_back(engine_->fluid().start(std::move(spec), [this, generation = generation_] {
+    if (generation == generation_) (this->*Done)();
+  }));
 }
 
 void JobExecution::begin_iteration() {
@@ -70,6 +72,7 @@ void JobExecution::begin_iteration() {
 }
 
 void JobExecution::begin_group() {
+  active_.clear();
   const Phase& phase = current_phase();
   // Skip empty groups; an iteration with no tasks completes immediately.
   while (group_ < phase.groups.size() && phase.groups[group_].empty()) ++group_;
@@ -85,13 +88,8 @@ void JobExecution::begin_group() {
 void JobExecution::on_task_complete() {
   assert(outstanding_tasks_ > 0);
   if (--outstanding_tasks_ > 0) return;
-  active_.clear();
   ++group_;
-  if (group_ < current_phase().groups.size()) {
-    begin_group();
-  } else {
-    finish_iteration();
-  }
+  begin_group();
 }
 
 bool JobExecution::phase_has_checkpoint(const Phase& phase) {
@@ -129,9 +127,7 @@ void JobExecution::finish_iteration() {
     durable_time_ = engine_->now();
   }
   state_ = State::kAtBoundary;
-  // An evolving request is raised when a phase is *entered* (iteration 0).
-  const int delta = iteration_ == 0 ? current_phase().evolving_delta : 0;
-  if (on_boundary_) on_boundary_(delta);
+  if (on_boundary_) on_boundary_();
 }
 
 void JobExecution::resume() {
@@ -145,39 +141,36 @@ void JobExecution::resume_with_nodes(std::vector<platform::NodeId> nodes,
   assert(state_ == State::kAtBoundary);
   assert(!nodes.empty());
   const bool grew = nodes.size() > nodes_.size();
-  std::vector<platform::NodeId> old_nodes = std::move(nodes_);
-  nodes_ = std::move(nodes);
+  std::vector<platform::NodeId> old_nodes = std::exchange(nodes_, std::move(nodes));
   on_reconfig_applied_ = std::move(on_applied);
   if (charge_redistribution && job_->application.state_bytes_per_node > 0.0 &&
       nodes_ != old_nodes) {
     start_redistribution(std::move(old_nodes), grew);
-    return;
+  } else {
+    apply_reconfiguration();
   }
-  if (on_reconfig_applied_) {
-    auto applied = std::move(on_reconfig_applied_);
-    on_reconfig_applied_ = nullptr;
-    applied();
-  }
+}
+
+void JobExecution::apply_reconfiguration() {
+  state_ = State::kAtBoundary;
+  if (on_reconfig_applied_) std::exchange(on_reconfig_applied_, nullptr)();
   begin_iteration();
 }
 
 void JobExecution::start_redistribution(std::vector<platform::NodeId> old_nodes, bool grew) {
-  state_ = State::kRedistributing;
   // Growing: every added node receives one node-share of state from the
-  // retained nodes. Shrinking: every removed node ships its share to the
-  // survivors. Round-robin pairing spreads the transfer.
+  // retained nodes, a prefix of the new allocation. Shrinking: every removed
+  // node, appended to the endpoints after the kept ones, ships its share to
+  // the survivors. Round-robin pairing spreads the transfer.
   std::vector<Flow> flows;
-  std::vector<platform::NodeId> endpoints;
+  std::vector<platform::NodeId> endpoints = nodes_;
   const double share = job_->application.state_bytes_per_node;
   if (grew) {
-    endpoints = nodes_;  // old nodes are a prefix of the new allocation
     const std::size_t old_count = old_nodes.size();
     for (std::size_t i = old_count; i < nodes_.size(); ++i) {
       flows.push_back({i % old_count, i, share});
     }
   } else {
-    // endpoints = kept nodes followed by removed nodes.
-    endpoints = nodes_;
     std::vector<std::size_t> removed_indices;
     for (platform::NodeId node : old_nodes) {
       if (std::find(nodes_.begin(), nodes_.end(), node) == nodes_.end()) {
@@ -189,21 +182,15 @@ void JobExecution::start_redistribution(std::vector<platform::NodeId> old_nodes,
       flows.push_back({removed_indices[i], i % nodes_.size(), share});
     }
   }
-  const std::uint64_t generation = generation_;
-  const bool launched = launch_flows(flows, endpoints,
-                                     util::fmt("job{}/redistribute", job_->id));
-  if (!launched) {
+  std::optional<sim::ActivitySpec> spec =
+      flow_spec(flows, endpoints, util::fmt("job{}/redistribute", job_->id));
+  if (!spec) {
     // Degenerate (e.g. same node set); apply immediately.
-    state_ = State::kAtBoundary;
-    if (on_reconfig_applied_) {
-      auto applied = std::move(on_reconfig_applied_);
-      on_reconfig_applied_ = nullptr;
-      applied();
-    }
-    begin_iteration();
+    apply_reconfiguration();
     return;
   }
-  (void)generation;
+  state_ = State::kRedistributing;
+  run<&JobExecution::apply_reconfiguration>(std::move(*spec));
 }
 
 void JobExecution::abort() {
@@ -227,7 +214,7 @@ void JobExecution::launch_task(const Task& task) {
   } else if (const auto* io = std::get_if<workload::IoTask>(&task.payload)) {
     launch_io(*io, label);
   } else if (const auto* delay = std::get_if<workload::DelayTask>(&task.payload)) {
-    launch_delay(*delay, label);
+    run<&JobExecution::on_task_complete>(delay_spec(label, std::max(delay->seconds, 0.0)));
   }
 }
 
@@ -260,10 +247,7 @@ void JobExecution::launch_compute(const workload::ComputeTask& task, const std::
     }
   }
   spec.rate_cap = cap;
-  const std::uint64_t generation = generation_;
-  active_.push_back(engine_->fluid().start(std::move(spec), [this, generation] {
-    if (generation == generation_) on_task_complete();
-  }));
+  run<&JobExecution::on_task_complete>(std::move(spec));
 }
 
 void JobExecution::launch_comm(const workload::CommTask& task, const std::string& label) {
@@ -286,19 +270,19 @@ void JobExecution::launch_comm(const workload::CommTask& task, const std::string
   if (startup > 0.0) {
     // Chain: pay the latency first, then run the bandwidth phase as the same
     // logical task (the group's outstanding count stays at one).
-    sim::ActivitySpec delay;
-    delay.label = label + "/latency";
-    delay.work = startup;
-    delay.rate_cap = 1.0;
-    const std::uint64_t generation = generation_;
-    active_.push_back(
-        engine_->fluid().start(std::move(delay), [this, generation, flows, label] {
+    active_.push_back(engine_->fluid().start(
+        delay_spec(label + "/latency", startup), [this, generation = generation_, flows, label] {
           if (generation != generation_) return;
-          if (!launch_flows(flows, nodes_, label)) on_task_complete();
+          if (auto spec = flow_spec(flows, nodes_, label)) {
+            run<&JobExecution::on_task_complete>(std::move(*spec));
+          } else {
+            on_task_complete();
+          }
         }));
     return;
   }
-  if (!launch_flows(flows, nodes_, label)) launch_instant(label);
+  std::optional<sim::ActivitySpec> spec = flow_spec(flows, nodes_, label);
+  run<&JobExecution::on_task_complete>(spec ? std::move(*spec) : delay_spec(label, 0.0));
 }
 
 void JobExecution::launch_io(const workload::IoTask& task, const std::string& label) {
@@ -306,7 +290,7 @@ void JobExecution::launch_io(const workload::IoTask& task, const std::string& la
   const double per_node =
       workload::scaled_work_per_node(task.scaling, task.bytes, 0.0, k);
   if (per_node <= 0.0) {
-    launch_instant(label);
+    run<&JobExecution::on_task_complete>(delay_spec(label, 0.0));
     return;
   }
   sim::ActivitySpec spec;
@@ -332,7 +316,7 @@ void JobExecution::launch_io(const workload::IoTask& task, const std::string& la
   } else {
     if (!cluster_->has_pfs()) {
       ELSIM_WARN("job {}: I/O task on a platform without PFS treated as instant", job_->id);
-      launch_instant(label);
+      run<&JobExecution::on_task_complete>(delay_spec(label, 0.0));
       return;
     }
     // Every node moves per_node bytes through its route; the PFS endpoint
@@ -353,37 +337,20 @@ void JobExecution::launch_io(const workload::IoTask& task, const std::string& la
     std::sort(spec.demands.begin(), spec.demands.end(),
               [](const sim::Demand& a, const sim::Demand& b) { return a.resource < b.resource; });
   }
-  const std::uint64_t generation = generation_;
-  active_.push_back(engine_->fluid().start(std::move(spec), [this, generation] {
-    if (generation == generation_) on_task_complete();
-  }));
+  run<&JobExecution::on_task_complete>(std::move(spec));
 }
 
-void JobExecution::launch_delay(const workload::DelayTask& task, const std::string& label) {
+sim::ActivitySpec JobExecution::delay_spec(std::string label, double seconds) {
   sim::ActivitySpec spec;
-  spec.label = label;
-  spec.work = std::max(task.seconds, 0.0);
+  spec.label = std::move(label);
+  spec.work = seconds;
   spec.rate_cap = 1.0;  // one second of work per second
-  const std::uint64_t generation = generation_;
-  active_.push_back(engine_->fluid().start(std::move(spec), [this, generation] {
-    if (generation == generation_) on_task_complete();
-  }));
+  return spec;
 }
 
-void JobExecution::launch_instant(const std::string& label) {
-  sim::ActivitySpec spec;
-  spec.label = label;
-  spec.work = 0.0;
-  spec.rate_cap = 1.0;
-  const std::uint64_t generation = generation_;
-  active_.push_back(engine_->fluid().start(std::move(spec), [this, generation] {
-    if (generation == generation_) on_task_complete();
-  }));
-}
-
-bool JobExecution::launch_flows(const std::vector<Flow>& flows,
-                                const std::vector<platform::NodeId>& endpoints,
-                                const std::string& label) {
+std::optional<sim::ActivitySpec> JobExecution::flow_spec(
+    const std::vector<Flow>& flows, const std::vector<platform::NodeId>& endpoints,
+    const std::string& label) const {
   // Aggregate flows into per-link byte volumes, then normalize into one
   // activity: rate 1 means "the heaviest link's bytes per second", so the
   // activity finishes exactly when the slowest link would.
@@ -395,7 +362,7 @@ bool JobExecution::launch_flows(const std::vector<Flow>& flows,
       link_bytes[link] += flow.bytes;
     }
   }
-  if (link_bytes.empty()) return false;
+  if (link_bytes.empty()) return std::nullopt;
   double heaviest = 0.0;
   // elsim-lint: allow(unordered-iteration) -- max() is order-independent
   for (const auto& [link, bytes] : link_bytes) heaviest = std::max(heaviest, bytes);
@@ -409,24 +376,7 @@ bool JobExecution::launch_flows(const std::vector<Flow>& flows,
   }
   std::sort(spec.demands.begin(), spec.demands.end(),
             [](const sim::Demand& a, const sim::Demand& b) { return a.resource < b.resource; });
-  const std::uint64_t generation = generation_;
-  const bool redistribution = state_ == State::kRedistributing;
-  active_.push_back(engine_->fluid().start(std::move(spec), [this, generation, redistribution] {
-    if (generation != generation_) return;
-    if (redistribution) {
-      active_.clear();
-      state_ = State::kAtBoundary;
-      if (on_reconfig_applied_) {
-        auto applied = std::move(on_reconfig_applied_);
-        on_reconfig_applied_ = nullptr;
-        applied();
-      }
-      begin_iteration();
-    } else {
-      on_task_complete();
-    }
-  }));
-  return true;
+  return spec;
 }
 
 }  // namespace elastisim::core

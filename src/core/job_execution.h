@@ -9,6 +9,8 @@
 
 #include <cstdint>
 #include <functional>
+#include <optional>
+#include <string>
 #include <vector>
 
 #include "platform/cluster.h"
@@ -30,10 +32,10 @@ struct ExecutionProgress {
 
 class JobExecution {
  public:
-  /// Fired at each scheduling point. `evolving_delta` is non-zero when the
-  /// upcoming phase opens with an application resize request. The batch
-  /// system must eventually call resume() / resume_with_nodes().
-  using BoundaryCallback = std::function<void(int evolving_delta)>;
+  /// Fired at each scheduling point; evolving_delta() holds the upcoming
+  /// phase's resize request. The batch system must eventually call resume() /
+  /// resume_with_nodes().
+  using BoundaryCallback = std::function<void()>;
   /// Fired when the application's last phase iteration completes.
   using CompletionCallback = std::function<void()>;
 
@@ -71,12 +73,14 @@ class JobExecution {
   /// callback will not fire.
   void abort();
 
+  /// Paused at a scheduling point, waiting for resume() / resume_with_nodes().
   bool at_boundary() const { return state_ == State::kAtBoundary; }
-  bool done() const { return state_ == State::kDone; }
+  /// The resize request of the phase this boundary enters (iteration 0); 0 at
+  /// any other boundary and while not paused.
+  int evolving_delta() const {
+    return at_boundary() && iteration_ == 0 ? current_phase().evolving_delta : 0;
+  }
   int node_count() const { return static_cast<int>(nodes_.size()); }
-  const std::vector<platform::NodeId>& nodes() const { return nodes_; }
-  /// Index of the phase the execution is in (or about to enter).
-  std::size_t phase_index() const { return phase_; }
 
   /// Latest position this attempt could restart from: advances to the
   /// iteration after each completed iteration that wrote a checkpoint
@@ -95,23 +99,32 @@ class JobExecution {
   /// Whether any task of `phase` is a durable checkpoint write.
   static bool phase_has_checkpoint(const workload::Phase& phase);
   void begin_iteration();
+  /// Launches the next non-empty group, or finishes the iteration.
   void begin_group();
   void on_task_complete();
   void finish_iteration();
+  /// Ends a reconfiguration: fires the resize callback, then resumes.
+  void apply_reconfiguration();
   /// Advances (phase_, iteration_) past the just-finished iteration;
   /// returns false when the application is exhausted.
   bool advance_position();
+
+  /// Starts `spec` on the fluid model; `Done` runs when it completes, unless
+  /// abort() came first.
+  template <void (JobExecution::*Done)()>
+  void run(sim::ActivitySpec spec);
 
   void launch_task(const workload::Task& task);
   void launch_compute(const workload::ComputeTask& task, const std::string& label);
   void launch_comm(const workload::CommTask& task, const std::string& label);
   void launch_io(const workload::IoTask& task, const std::string& label);
-  void launch_delay(const workload::DelayTask& task, const std::string& label);
-  void launch_instant(const std::string& label);
+  /// `seconds` of work at one unit per second on no resource (0 = instant).
+  static sim::ActivitySpec delay_spec(std::string label, double seconds);
   /// Aggregates point-to-point flows into a single fluid activity; see
-  /// DESIGN.md §2.1. Returns false when there is nothing to transfer.
-  bool launch_flows(const std::vector<workload::Flow>& flows,
-                    const std::vector<platform::NodeId>& endpoints, const std::string& label);
+  /// DESIGN.md §2.1. nullopt when there is nothing to transfer.
+  std::optional<sim::ActivitySpec> flow_spec(const std::vector<workload::Flow>& flows,
+                                             const std::vector<platform::NodeId>& endpoints,
+                                             const std::string& label) const;
 
   void start_redistribution(std::vector<platform::NodeId> old_nodes, bool grew);
 

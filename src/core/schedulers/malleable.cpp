@@ -65,8 +65,6 @@ void expand_into_idle(SchedulerContext& ctx) {
 void shrink_to_admit_head(SchedulerContext& ctx) {
   if (ctx.queue().empty()) return;
   const workload::Job& head = *ctx.queue().front();
-  const int needed_size = std::max(head.min_nodes, std::min(head.requested_nodes,
-                                                            ctx.total_nodes()));
   // Count what is already free or already being shrunk away.
   int incoming = ctx.free_nodes();
   for (const RunningJob& running : ctx.running()) {
@@ -93,7 +91,6 @@ void shrink_to_admit_head(SchedulerContext& ctx) {
     if (a.target != b.target) return a.target > b.target;
     return a.id < b.id;
   });
-  (void)needed_size;
   for (Candidate& candidate : candidates) {
     if (incoming >= head.min_nodes) break;
     const int give = std::min(candidate.target - candidate.min_nodes,

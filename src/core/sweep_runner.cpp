@@ -6,7 +6,6 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
-#include <set>
 #include <stdexcept>
 #include <thread>
 
@@ -131,39 +130,48 @@ FaultModelConfig parse_faults(const json::Value& value) {
   if (!value.is_object()) {
     throw LoadError("", "$.faults", "an object", json::type_name(value));
   }
+  const auto found = [&value](std::string_view member) {
+    const json::Value* entry = value.find(member);
+    // elsim-lint: allow(float-equality) -- pointer null check
+    return entry != nullptr ? json::describe(*entry) : std::string("nothing");
+  };
   FaultModelConfig fault;
   fault.mtbf = duration_member(value, "$.faults", "mtbf", 0.0);
   if (fault.mtbf <= 0.0) {
-    const json::Value* mtbf = value.find("mtbf");
-    throw LoadError("", "$.faults.mtbf", "a positive duration",
-                    // elsim-lint: allow(float-equality) -- pointer null check
-                    mtbf != nullptr ? json::describe(*mtbf) : std::string("nothing"));
+    throw LoadError("", "$.faults.mtbf", "a positive duration", found("mtbf"));
   }
   const std::string dist = value.member_or("failure_dist", "exponential");
-  if (dist == "weibull") {
-    fault.failure_distribution = FailureDistribution::kWeibull;
-  } else if (dist != "exponential") {
+  const auto failure_distribution = failure_distribution_from_string(dist);
+  if (!failure_distribution) {
     throw LoadError("", "$.faults.failure_dist", "one of exponential|weibull",
                     util::fmt("\"{}\"", dist));
   }
+  fault.failure_distribution = *failure_distribution;
   fault.weibull_shape = value.member_or("weibull_shape", fault.weibull_shape);
   fault.mean_repair = duration_member(value, "$.faults", "repair", fault.mean_repair);
   const std::string repair_dist = value.member_or("repair_dist", "constant");
-  if (repair_dist == "lognormal") {
-    fault.repair_distribution = RepairDistribution::kLognormal;
-  } else if (repair_dist != "constant") {
+  const auto repair_distribution = repair_distribution_from_string(repair_dist);
+  if (!repair_distribution) {
     throw LoadError("", "$.faults.repair_dist", "one of constant|lognormal",
                     util::fmt("\"{}\"", repair_dist));
   }
+  fault.repair_distribution = *repair_distribution;
   fault.repair_sigma = value.member_or("repair_sigma", fault.repair_sigma);
   fault.pod_correlation = value.member_or("pod_correlation", 0.0);
-  if (fault.pod_correlation < 0.0 || fault.pod_correlation > 1.0) {
-    throw LoadError("", "$.faults.pod_correlation", "a probability in [0, 1]",
-                    json::describe(*value.find("pod_correlation")));
+  fault.horizon = duration_member(value, "$.faults", "horizon", 0.0);
+  if (const auto error = validate(fault)) {
+    throw LoadError("", util::fmt("$.faults.{}", error->member), error->expected,
+                    found(error->member));
   }
-  fault.horizon = duration_member(value, "$.faults", "horizon", fault.horizon);
   // fault.seed is irrelevant here: each cell overrides it with the cell seed.
   return fault;
+}
+
+/// "cells/NNN": a cell's artifact directory, relative to the sweep output.
+std::string cell_dir(std::size_t index) {
+  char name[32];
+  std::snprintf(name, sizeof(name), "cells/%03zu", index);
+  return name;
 }
 
 CellMetrics metrics_from(const SimulationResult& result) {
@@ -181,6 +189,11 @@ CellMetrics metrics_from(const SimulationResult& result) {
   metrics.requeues = static_cast<std::size_t>(result.recorder.total_requeues());
   metrics.lost_node_seconds = result.recorder.total_lost_node_seconds();
   metrics.events_processed = result.events_processed;
+  for (const stats::JobRecord& record : result.recorder.records()) {
+    if (!record.completed()) continue;
+    metrics.job_waits.push_back(record.wait_time());
+    metrics.job_slowdowns.push_back(record.bounded_slowdown());
+  }
   return metrics;
 }
 
@@ -359,6 +372,7 @@ SimulationResult SweepRunner::run_cell(const SweepCell& cell,
   std::vector<FailureEvent> failures;
   if (spec_.faults) {
     FaultModelConfig fault = *spec_.faults;
+    fault.horizon = failure_horizon(fault, jobs);
     fault.seed = cell.seed;
     failures = FaultInjector(fault).generate(platform.node_count, platform.pod_size);
     run.failures = &failures;
@@ -368,10 +382,8 @@ SimulationResult SweepRunner::run_cell(const SweepCell& cell,
 
 void SweepRunner::write_cell_outputs(const SweepCell& cell, const SimulationResult& result,
                                      const CellMetrics& metrics) const {
-  char index_name[32];
-  std::snprintf(index_name, sizeof(index_name), "%03zu", cell.index);
   const std::filesystem::path dir =
-      std::filesystem::path(options_.cell_output_dir) / "cells" / index_name;
+      std::filesystem::path(options_.cell_output_dir) / cell_dir(cell.index);
   std::filesystem::create_directories(dir);
   std::ofstream jobs_csv(dir / "jobs.csv");
   result.recorder.write_jobs_csv(jobs_csv);
@@ -398,16 +410,14 @@ void SweepRunner::write_cell_postmortem(const SweepCell& cell, CellOutcome& outc
     recorder.note_cancel(token->sim_time(), static_cast<int>(token->reason()),
                          token->events());
   }
-  char index_name[32];
-  std::snprintf(index_name, sizeof(index_name), "%03zu", cell.index);
-  const std::filesystem::path path = std::filesystem::path(options_.cell_output_dir) /
-                                     "cells" / index_name / "postmortem.json";
+  const std::string postmortem = cell_dir(cell.index) + "/postmortem.json";
+  const std::filesystem::path path = std::filesystem::path(options_.cell_output_dir) / postmortem;
   try {
     recorder.write_postmortem(path.string(), to_string(outcome.status), outcome.error);
   } catch (const std::exception&) {
     return;  // diagnostics must never fail the sweep
   }
-  outcome.postmortem = util::fmt("cells/{}/postmortem.json", index_name);
+  outcome.postmortem = postmortem;
 }
 
 CellOutcome SweepRunner::run_one(const SweepCell& cell, Slot& slot) {
@@ -643,9 +653,7 @@ SweepResult SweepRunner::run() {
   return result;
 }
 
-json::Value sweep_result_to_json(const SweepSpec& spec, const SweepResult& result,
-                                 std::size_t threads,
-                                 const std::string& cell_output_dir) {
+json::Value sweep_result_to_json(const SweepSpec& spec, SweepResult result, std::size_t threads) {
   json::Object out;
   out["schema"] = "elastisim-sweep-v2";
   out["partial"] = result.partial();
@@ -741,27 +749,16 @@ json::Value sweep_result_to_json(const SweepSpec& spec, const SweepResult& resul
   stats::SweepAggregator aggregator;
   for (std::size_t i = 0; i < result.cells.size(); ++i) {
     const SweepCell& cell = result.cells[i];
-    const CellOutcome& outcome = result.outcomes[i];
+    CellOutcome& outcome = result.outcomes[i];
     const std::string& platform = spec.platforms[cell.platform_index];
     const std::string& workload = spec.workloads[cell.workload_index];
     aggregator.add_cell(platform, workload, cell.scheduler);
     if (!outcome.succeeded() || !outcome.has_metrics) continue;
-    stats::SweepCellSample sample;
-    sample.seed = cell.seed;
-    sample.mean_wait_s = outcome.metrics.mean_wait;
-    sample.mean_bounded_slowdown = outcome.metrics.mean_bounded_slowdown;
-    sample.avg_utilization = outcome.metrics.avg_utilization;
-    sample.makespan_s = outcome.metrics.makespan;
-    aggregator.add_cell_sample(platform, workload, cell.scheduler, sample);
-    if (!cell_output_dir.empty()) {
-      char index_name[32];
-      std::snprintf(index_name, sizeof(index_name), "%03zu", cell.index);
-      const std::filesystem::path jobs_csv =
-          std::filesystem::path(cell_output_dir) / "cells" / index_name / "jobs.csv";
-      // Best-effort by contract: a missing or malformed per-cell file drops
-      // only the per-job quantiles, never the sweep output.
-      aggregator.add_jobs_csv(platform, workload, cell.scheduler, jobs_csv.string());
-    }
+    CellMetrics& metrics = outcome.metrics;
+    aggregator.add_cell_sample(platform, workload, cell.scheduler,
+                               {cell.seed, metrics.mean_wait, metrics.mean_bounded_slowdown,
+                                metrics.avg_utilization, metrics.makespan,
+                                std::move(metrics.job_waits), std::move(metrics.job_slowdowns)});
   }
   out["aggregates"] = aggregator.to_json();
   return json::Value(std::move(out));

@@ -132,6 +132,10 @@ struct CellMetrics {
   std::size_t requeues = 0;
   double lost_node_seconds = 0.0;
   std::uint64_t events_processed = 0;
+  /// Wait and bounded slowdown of every completed job, in record order (the
+  /// per-job distributions of sweep.json's aggregates; not in metrics.json).
+  std::vector<double> job_waits;
+  std::vector<double> job_slowdowns;
 };
 
 struct CellOutcome {
@@ -258,14 +262,11 @@ class SweepRunner {
 /// Serializes a finished sweep (schema "elastisim-sweep-v2": per-cell
 /// status/attempts/duration/metrics, per-scheduler mean tables, and the
 /// `aggregates` section — per-(platform x workload x scheduler) distribution
-/// statistics with seed-variance bands, built by stats::SweepAggregator in
-/// grid order so the section is byte-identical across pool sizes). When
-/// `cell_output_dir` names the sweep's output directory, each succeeded
-/// cell's cells/NNN/jobs.csv additionally feeds exact per-job wait and
-/// bounded-slowdown quantiles into its group.
-json::Value sweep_result_to_json(const SweepSpec& spec, const SweepResult& result,
-                                 std::size_t threads,
-                                 const std::string& cell_output_dir = std::string());
+/// statistics with seed-variance bands and exact per-job wait and
+/// bounded-slowdown quantiles, built by stats::SweepAggregator in grid order
+/// so the section is byte-identical across pool sizes). Takes the result by
+/// value: the cells' per-job values move into the aggregator.
+json::Value sweep_result_to_json(const SweepSpec& spec, SweepResult result, std::size_t threads);
 
 /// 0 = every cell succeeded; 3 = sweep completed but partial (failed or
 /// skipped cells — graceful degradation, results were still written).

@@ -108,15 +108,6 @@ PhaseStats Profiler::stats(Phase phase) const noexcept {
   return PhaseStats{ticks.calls, ticks.inclusive_t * scale, ticks.exclusive_t * scale};
 }
 
-double Profiler::parent_edge_s(Phase child, Phase parent) const noexcept {
-  return parent_t_[static_cast<std::size_t>(child)][static_cast<std::size_t>(parent)] /
-         ticks_per_second();
-}
-
-double Profiler::root_edge_s(Phase child) const noexcept {
-  return parent_t_[static_cast<std::size_t>(child)][kPhaseCount] / ticks_per_second();
-}
-
 void Profiler::set_counter(const std::string& name, std::uint64_t value) {
   for (auto& [existing, slot] : counters_) {
     if (existing == name) {

@@ -167,12 +167,6 @@ class Profiler {
     return counters_;
   }
 
-  /// Wall seconds attributed to `child` while `parent` was the innermost
-  /// enclosing scope (the observed call-tree edge weights).
-  double parent_edge_s(Phase child, Phase parent) const noexcept;
-  /// Wall seconds `child` spent with no enclosing scope (top-level).
-  double root_edge_s(Phase child) const noexcept;
-
   /// Drops all accumulated stats and counters and restarts the profiled
   /// window at the current instant.
   void reset() noexcept;

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "json/json.h"
+#include "stats/batch_event.h"
 #include "stats/journal.h"
 #include "stats/state_sampler.h"
 #include "util/csv.h"
@@ -127,11 +128,12 @@ TraceMarkers read_trace_markers(const std::string& path) {
     ++markers.entries;
     // seq,time,event,job,detail
     const std::string& event = fields[2];
-    if (event != "requeue" && event != "kill") continue;
+    const bool requeue = event == to_string(BatchEventKind::kRequeue);
+    if (!requeue && event != to_string(BatchEventKind::kKill)) continue;
     try {
       const double time = std::stod(fields[1]);
       const long long job = std::stoll(fields[3]);
-      (event == "requeue" ? markers.requeues : markers.kills)[job].push_back(time);
+      (requeue ? markers.requeues : markers.kills)[job].push_back(time);
     } catch (const std::exception&) {
       continue;  // tolerate foreign rows; markers are best-effort decoration
     }

@@ -2,21 +2,19 @@
 
 #include <algorithm>
 #include <cmath>
-#include <fstream>
-
-#include "util/csv.h"
 
 namespace elastisim::stats {
 
 namespace {
 
-/// jobs.csv columns the per-job fold needs (header-mapped, so column order
-/// is free to evolve). Returns npos when the column is absent.
-std::size_t find_column(const std::vector<std::string>& header, const char* name) {
-  for (std::size_t i = 0; i < header.size(); ++i) {
-    if (header[i] == name) return i;
-  }
-  return static_cast<std::size_t>(-1);
+/// Reads a sorted, non-empty sample at rank q*(n-1), interpolating linearly
+/// between neighbors.
+double interpolate(const std::vector<double>& sorted, double q) {
+  const double rank = q * static_cast<double>(sorted.size() - 1);
+  const std::size_t lo = static_cast<std::size_t>(rank);
+  const std::size_t hi = std::min(lo + 1, sorted.size() - 1);
+  const double frac = rank - static_cast<double>(lo);
+  return sorted[lo] + frac * (sorted[hi] - sorted[lo]);
 }
 
 }  // namespace
@@ -24,12 +22,7 @@ std::size_t find_column(const std::vector<std::string>& header, const char* name
 double DistAccumulator::quantile(std::vector<double> values, double q) {
   if (values.empty()) return 0.0;
   std::sort(values.begin(), values.end());
-  q = std::clamp(q, 0.0, 1.0);
-  const double rank = q * static_cast<double>(values.size() - 1);
-  const std::size_t lo = static_cast<std::size_t>(rank);
-  const std::size_t hi = std::min(lo + 1, values.size() - 1);
-  const double frac = rank - static_cast<double>(lo);
-  return values[lo] + frac * (values[hi] - values[lo]);
+  return interpolate(values, std::clamp(q, 0.0, 1.0));
 }
 
 DistSummary DistAccumulator::summary() const {
@@ -46,20 +39,13 @@ DistSummary DistAccumulator::summary() const {
   for (double v : values_) squares += (v - out.mean) * (v - out.mean);
   out.stddev = std::sqrt(squares / static_cast<double>(values_.size()));
 
-  out.min = *std::min_element(values_.begin(), values_.end());
-  out.max = *std::max_element(values_.begin(), values_.end());
   std::vector<double> sorted(values_);
   std::sort(sorted.begin(), sorted.end());
-  const auto at = [&sorted](double q) {
-    const double rank = q * static_cast<double>(sorted.size() - 1);
-    const std::size_t lo = static_cast<std::size_t>(rank);
-    const std::size_t hi = std::min(lo + 1, sorted.size() - 1);
-    const double frac = rank - static_cast<double>(lo);
-    return sorted[lo] + frac * (sorted[hi] - sorted[lo]);
-  };
-  out.p50 = at(0.50);
-  out.p95 = at(0.95);
-  out.p99 = at(0.99);
+  out.min = sorted.front();
+  out.max = sorted.back();
+  out.p50 = interpolate(sorted, 0.50);
+  out.p95 = interpolate(sorted, 0.95);
+  out.p99 = interpolate(sorted, 0.99);
   return out;
 }
 
@@ -102,7 +88,7 @@ void SweepAggregator::add_cell(const std::string& platform, const std::string& w
 void SweepAggregator::add_cell_sample(const std::string& platform,
                                       const std::string& workload,
                                       const std::string& scheduler,
-                                      const SweepCellSample& sample) {
+                                      SweepCellSample sample) {
   Group& group = group_for(platform, workload, scheduler);
   ++group.succeeded;
   group.seeds.push_back(sample.seed);
@@ -110,56 +96,8 @@ void SweepAggregator::add_cell_sample(const std::string& platform,
   group.mean_bounded_slowdown.add(sample.mean_bounded_slowdown);
   group.avg_utilization.add(sample.avg_utilization);
   group.makespan_s.add(sample.makespan_s);
-}
-
-bool SweepAggregator::add_jobs_csv(const std::string& platform,
-                                   const std::string& workload,
-                                   const std::string& scheduler,
-                                   const std::string& path) {
-  std::ifstream in(path);
-  if (!in) return false;
-  std::string line;
-  if (!std::getline(in, line)) return false;
-  const std::vector<std::string> header = util::split_csv_line(line);
-  const std::size_t c_submit = find_column(header, "submit");
-  const std::size_t c_start = find_column(header, "start");
-  const std::size_t c_end = find_column(header, "end");
-  const std::size_t npos = static_cast<std::size_t>(-1);
-  if (c_submit == npos || c_start == npos || c_end == npos) return false;
-
-  // Parse every row before folding any: a malformed file must not leave the
-  // group half-updated.
-  std::vector<double> waits;
-  std::vector<double> slowdowns;
-  constexpr double kTau = 10.0;  // bounded-slowdown threshold, seconds
-  while (std::getline(in, line)) {
-    if (line.empty()) continue;
-    const std::vector<std::string> fields = util::split_csv_line(line);
-    if (fields.size() <= std::max({c_submit, c_start, c_end})) return false;
-    double submit = 0.0;
-    double start = 0.0;
-    double end = 0.0;
-    try {
-      submit = std::stod(fields[c_submit]);
-      start = std::stod(fields[c_start]);
-      end = std::stod(fields[c_end]);
-    } catch (const std::exception&) {
-      return false;
-    }
-    // Same population as Recorder's aggregates: completed jobs only (ran to
-    // an end; -1 sentinels mark never-started / never-finished).
-    if (start < 0.0 || end < 0.0) continue;
-    waits.push_back(start - submit);
-    const double turnaround = end - submit;
-    const double runtime = end - start;
-    slowdowns.push_back(std::max(1.0, turnaround / std::max(runtime, kTau)));
-  }
-
-  Group& group = group_for(platform, workload, scheduler);
-  for (double v : waits) group.job_wait_s.add(v);
-  for (double v : slowdowns) group.job_bounded_slowdown.add(v);
-  ++group.cells_with_jobs;
-  return true;
+  for (double v : sample.job_waits) group.job_wait_s.add(v);
+  for (double v : sample.job_slowdowns) group.job_bounded_slowdown.add(v);
 }
 
 json::Value SweepAggregator::to_json() const {
@@ -187,9 +125,9 @@ json::Value SweepAggregator::to_json() const {
     metrics["avg_utilization"] = dist_summary_to_json(group.avg_utilization.summary());
     metrics["makespan_s"] = dist_summary_to_json(group.makespan_s.summary());
     entry["metrics"] = json::Value(std::move(metrics));
-    if (group.cells_with_jobs > 0) {
+    if (group.succeeded > 0) {
       json::Object jobs;
-      jobs["cells_with_jobs"] = group.cells_with_jobs;
+      jobs["cells_with_jobs"] = group.succeeded;
       jobs["wait_s"] = dist_summary_to_json(group.job_wait_s.summary());
       jobs["bounded_slowdown"] =
           dist_summary_to_json(group.job_bounded_slowdown.summary());

@@ -2,17 +2,16 @@
 // sweep.json `aggregates` section (schema elastisim-sweep-v2) and the
 // `elastisim sweep-report` comparison tables.
 //
-// A sweep produces one CellMetrics per succeeded cell plus, with
-// --cell-outputs, a per-cell jobs.csv. SweepAggregator folds those — always
-// in grid order, cells one at a time — into per-(platform x workload x
+// A sweep produces one CellMetrics per succeeded cell, which carries the
+// cell's per-job waits and bounded slowdowns. SweepAggregator folds those —
+// always in grid order, cells one at a time — into per-(platform x workload x
 // scheduler) distribution statistics:
 //
 //   - per-seed bands: the distribution of each *cell-level* metric (mean
 //     wait, mean bounded slowdown, average utilization, makespan) across the
 //     group's seeds,
 //   - per-job distributions: exact wait-time and bounded-slowdown quantiles
-//     over every job row of the group's succeeded cells (only when cell
-//     outputs exist to read them from).
+//     over every completed job of the group's succeeded cells.
 //
 // Everything folded here is deterministic simulation output (no wall-clock
 // values), and the fold happens after the sweep in grid order, so the
@@ -52,7 +51,6 @@ struct DistSummary {
 class DistAccumulator {
  public:
   void add(double value) { values_.push_back(value); }
-  std::size_t count() const { return values_.size(); }
   bool empty() const { return values_.empty(); }
 
   /// Exact quantile with linear interpolation: rank q*(n-1) of the sorted
@@ -70,14 +68,17 @@ class DistAccumulator {
 /// {count, mean, stddev, min, max, p50, p95, p99}.
 json::Value dist_summary_to_json(const DistSummary& summary);
 
-/// Cell-level metric sample of one succeeded cell (the deterministic
-/// CellMetrics fields the seed-variance bands are computed over).
+/// Metric sample of one succeeded cell: the deterministic CellMetrics fields
+/// the seed-variance bands are computed over, and the per-job values of its
+/// completed jobs (stats::JobRecord::wait_time() and bounded_slowdown()).
 struct SweepCellSample {
   std::uint64_t seed = 0;
   double mean_wait_s = 0.0;
   double mean_bounded_slowdown = 0.0;
   double avg_utilization = 0.0;
   double makespan_s = 0.0;
+  std::vector<double> job_waits;
+  std::vector<double> job_slowdowns;
 };
 
 /// Folds per-cell results into per-(platform x workload x scheduler) groups.
@@ -87,20 +88,14 @@ struct SweepCellSample {
 class SweepAggregator {
  public:
   /// Counts a cell toward its group. Only succeeded cells should also call
-  /// add_cell_sample / add_jobs_csv; failed ones still show up in `cells`.
+  /// add_cell_sample; failed ones still show up in `cells`.
   void add_cell(const std::string& platform, const std::string& workload,
                 const std::string& scheduler);
 
-  /// Folds a succeeded cell's metric values into the group's per-seed bands.
+  /// Folds a succeeded cell's metric values into the group's per-seed bands
+  /// and its per-job values into the group's per-job distributions.
   void add_cell_sample(const std::string& platform, const std::string& workload,
-                       const std::string& scheduler, const SweepCellSample& sample);
-
-  /// Folds every completed job row of a cell's jobs.csv (wait time and
-  /// bounded slowdown with the standard tau = 10 s) into the group's per-job
-  /// distributions. Returns false without touching the group when the file
-  /// is missing or malformed — aggregation must never fail a sweep.
-  bool add_jobs_csv(const std::string& platform, const std::string& workload,
-                    const std::string& scheduler, const std::string& path);
+                       const std::string& scheduler, SweepCellSample sample);
 
   std::size_t group_count() const { return groups_.size(); }
 
@@ -115,16 +110,15 @@ class SweepAggregator {
     std::string workload;
     std::string scheduler;
     std::size_t cells = 0;      ///< all cells of the group, any status
-    std::size_t succeeded = 0;  ///< cells that contributed samples
+    std::size_t succeeded = 0;  ///< cells that contributed samples (and jobs)
     std::vector<std::uint64_t> seeds;  ///< seeds of succeeded cells, fold order
     DistAccumulator mean_wait_s;
     DistAccumulator mean_bounded_slowdown;
     DistAccumulator avg_utilization;
     DistAccumulator makespan_s;
-    /// Per-job samples across the group's succeeded cells (cell outputs on).
+    /// Per-job samples across the group's succeeded cells.
     DistAccumulator job_wait_s;
     DistAccumulator job_bounded_slowdown;
-    std::size_t cells_with_jobs = 0;
   };
 
   Group& group_for(const std::string& platform, const std::string& workload,

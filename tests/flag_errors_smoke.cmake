@@ -41,6 +41,12 @@ expect_usage_error(mtbf "error: --mtbf: expected a duration" --mtbf 3x)
 expect_usage_error(pod_correlation
                    "error: --pod-correlation: expected a probability in \\[0, 1\\], got \"7\""
                    --mtbf 3h --pod-correlation 7)
+expect_usage_error(weibull_shape
+                   "error: --weibull-shape: expected a finite number above 0, got \"0\""
+                   --mtbf 3h --failure-dist weibull --weibull-shape 0)
+expect_usage_error(negative_repair
+                   "error: --repair: expected a finite, non-negative duration, got \"-5m\""
+                   --mtbf 3h --repair -5m)
 
-message(STATUS "flag_errors_smoke: malformed --interval, --mtbf and "
-               "--pod-correlation all exit 2 without a postmortem")
+message(STATUS "flag_errors_smoke: malformed --interval, --mtbf, --pod-correlation, "
+               "--weibull-shape and --repair all exit 2 without a postmortem")

@@ -33,7 +33,7 @@ struct Fixture {
     stored = std::move(job);
     double completed = -1.0;
     JobExecution execution(
-        engine, cluster, stored, std::move(nodes), [](int) {},
+        engine, cluster, stored, std::move(nodes), [] {},
         [&] { completed = engine.now(); });
     execution.start();
     engine.run();
@@ -113,9 +113,9 @@ TEST(Gpu, TwoGpuJobsShareTheAccelerators) {
   b.id = 2;
   double a_done = -1.0, b_done = -1.0;
   JobExecution exec_a(
-      engine, cluster, a, {0, 1}, [](int) {}, [&] { a_done = engine.now(); });
+      engine, cluster, a, {0, 1}, [] {}, [&] { a_done = engine.now(); });
   JobExecution exec_b(
-      engine, cluster, b, {0, 1}, [](int) {}, [&] { b_done = engine.now(); });
+      engine, cluster, b, {0, 1}, [] {}, [&] { b_done = engine.now(); });
   exec_a.start();
   exec_b.start();
   engine.run();

@@ -34,10 +34,11 @@ struct Fixture {
     stored_job = std::move(job);
     return std::make_unique<JobExecution>(
         engine, cluster, stored_job, std::move(nodes),
-        [this](int delta) {
+        [this] {
           ++boundaries;
-          last_delta = delta;
-          if (auto_resume && execution) execution->resume();
+          if (!execution) return;
+          last_delta = execution->evolving_delta();
+          if (auto_resume) execution->resume();
         },
         [this] { completed_at = engine.now(); });
   }
@@ -277,8 +278,8 @@ TEST(JobExecution, EvolvingDeltaReportedOnPhaseEntry) {
   std::vector<int> deltas;
   auto execution = std::make_unique<JobExecution>(
       f.engine, f.cluster, job, std::vector<platform::NodeId>{0, 1},
-      [&](int delta) {
-        deltas.push_back(delta);
+      [&] {
+        deltas.push_back(f.execution->evolving_delta());
         f.execution->resume();
       },
       [] {});

@@ -51,7 +51,7 @@ struct Fixture {
     const double begin = engine.now();  // the engine is reused across calls
     double completed = -1.0;
     JobExecution execution(
-        engine, cluster, job, ids, [](int) {}, [&] { completed = engine.now(); });
+        engine, cluster, job, ids, [] {}, [&] { completed = engine.now(); });
     execution.start();
     engine.run();
     return completed - begin;

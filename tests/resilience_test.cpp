@@ -174,6 +174,25 @@ TEST(FaultInjector, PodCorrelationAddsSecondaryFailures) {
   }
 }
 
+TEST(FaultInjector, ZeroHorizonFollowsTheWorkload) {
+  // 0 = auto: max(1 day, 2 x the last submit); a positive horizon wins.
+  FaultModelConfig config;
+  config.mtbf = 20000.0;
+  std::vector<workload::Job> jobs(2);
+  jobs[1].submit_time = 60000.0;
+  EXPECT_DOUBLE_EQ(failure_horizon(config, jobs), 120000.0);
+  jobs[1].submit_time = 1000.0;
+  EXPECT_DOUBLE_EQ(failure_horizon(config, jobs), 86400.0);
+  config.horizon = 5000.0;
+  EXPECT_DOUBLE_EQ(failure_horizon(config, jobs), 5000.0);
+  // generate() knows no workload: horizon 0 draws over one day.
+  config.horizon = 0.0;
+  const auto automatic = FaultInjector(config).generate(8);
+  EXPECT_FALSE(automatic.empty());
+  config.horizon = 86400.0;
+  EXPECT_EQ(automatic, FaultInjector(config).generate(8));
+}
+
 TEST(FaultInjector, DisabledWhenMtbfNonPositive) {
   FaultModelConfig config;
   config.mtbf = 0.0;

@@ -1,16 +1,15 @@
 // Tests for the sweep aggregator: exact-quantile and variance math on known
-// inputs, group ordering and JSON shape, and per-job jobs.csv folding
-// (including atomicity on malformed files).
+// inputs, group ordering and JSON shape, and per-job value folding.
 #include "stats/sweep_aggregate.h"
 
 #include <gtest/gtest.h>
 
-#include <filesystem>
-#include <fstream>
 #include <string>
 #include <vector>
 
+#include "core/sweep_runner.h"
 #include "json/json.h"
+#include "workload/job.h"
 
 using namespace elastisim;
 using stats::DistAccumulator;
@@ -19,21 +18,6 @@ using stats::SweepAggregator;
 using stats::SweepCellSample;
 
 namespace {
-
-std::filesystem::path temp_dir() {
-  const auto dir =
-      std::filesystem::temp_directory_path() / "elsim_sweep_aggregate_test";
-  std::filesystem::create_directories(dir);
-  return dir;
-}
-
-std::string write_temp(const std::string& name, const std::string& content) {
-  const auto path = temp_dir() / name;
-  std::ofstream out(path);
-  out << content;
-  out.close();
-  return path.string();
-}
 
 SweepCellSample sample(std::uint64_t seed, double wait, double slowdown,
                        double utilization, double makespan) {
@@ -138,74 +122,83 @@ TEST(SweepAggregatorTest, GroupsKeepFirstAppearanceOrder) {
   EXPECT_DOUBLE_EQ(wait->member_or("stddev", 0.0), 5.0);
   EXPECT_DOUBLE_EQ(wait->member_or("p50", 0.0), 15.0);
 
-  // No jobs.csv folded: the jobs member is absent, not empty.
-  EXPECT_EQ(fcfs.find("jobs"), nullptr);
+  // Both succeeded cells count toward the per-job section, even without jobs.
+  const json::Value* jobs = fcfs.find("jobs");
+  ASSERT_NE(jobs, nullptr);
+  EXPECT_EQ(jobs->member_or("cells_with_jobs", std::int64_t{0}), 2);
+  EXPECT_EQ(jobs->find("wait_s")->member_or("count", std::int64_t{-1}), 0);
 
-  // The easy group exists with zero samples (its cell never succeeded).
+  // The easy group exists with zero samples (its cell never succeeded), and
+  // its jobs member is absent, not empty.
   const json::Value& easy = groups->as_array()[1];
   EXPECT_EQ(easy.member_or("succeeded", std::int64_t{0}), 0);
+  EXPECT_EQ(easy.find("jobs"), nullptr);
 }
 
-// --- jobs.csv folding --------------------------------------------------------
+// --- per-job folding ---------------------------------------------------------
 
-TEST(SweepAggregatorTest, FoldsJobsCsvWaitAndBoundedSlowdown) {
-  // Two completed jobs: waits 5 and 0; slowdowns max(1, turnaround /
-  // max(runtime, 10)) = 15/10 = 1.5 and max(1, 2/10) = 1.0.
-  const std::string path = write_temp("jobs_ok.csv",
-                                      "job_id,submit,start,end,extra\n"
-                                      "1,0,5,15,x\n"
-                                      "2,10,10,12,y\n");
+TEST(SweepAggregatorTest, FoldsPerJobValues) {
+  // Two cells of one group: waits 5 and 0 with slowdowns 1.5 and 1.0, then
+  // one job with wait 7 and slowdown 2.
+  SweepCellSample first = sample(1, 2.5, 1.25, 0.5, 15.0);
+  first.job_waits = {5.0, 0.0};
+  first.job_slowdowns = {1.5, 1.0};
+  SweepCellSample second = sample(2, 7.0, 2.0, 0.5, 20.0);
+  second.job_waits = {7.0};
+  second.job_slowdowns = {2.0};
   SweepAggregator aggregator;
   aggregator.add_cell("p", "w", "fcfs");
-  EXPECT_TRUE(aggregator.add_jobs_csv("p", "w", "fcfs", path));
+  aggregator.add_cell_sample("p", "w", "fcfs", std::move(first));
+  aggregator.add_cell("p", "w", "fcfs");
+  aggregator.add_cell_sample("p", "w", "fcfs", std::move(second));
   const json::Value out = aggregator.to_json();
   const json::Value* jobs = out.find("groups")->as_array()[0].find("jobs");
   ASSERT_NE(jobs, nullptr);
-  EXPECT_EQ(jobs->member_or("cells_with_jobs", std::int64_t{0}), 1);
+  EXPECT_EQ(jobs->member_or("cells_with_jobs", std::int64_t{0}), 2);
   const json::Value* wait = jobs->find("wait_s");
   ASSERT_NE(wait, nullptr);
-  EXPECT_EQ(wait->member_or("count", std::int64_t{0}), 2);
-  EXPECT_DOUBLE_EQ(wait->member_or("mean", 0.0), 2.5);
-  EXPECT_DOUBLE_EQ(wait->member_or("max", 0.0), 5.0);
+  EXPECT_EQ(wait->member_or("count", std::int64_t{0}), 3);
+  EXPECT_DOUBLE_EQ(wait->member_or("mean", 0.0), 4.0);
+  EXPECT_DOUBLE_EQ(wait->member_or("max", 0.0), 7.0);
+  EXPECT_DOUBLE_EQ(wait->member_or("p50", 0.0), 5.0);
   const json::Value* slowdown = jobs->find("bounded_slowdown");
   ASSERT_NE(slowdown, nullptr);
   EXPECT_DOUBLE_EQ(slowdown->member_or("min", 0.0), 1.0);
-  EXPECT_DOUBLE_EQ(slowdown->member_or("max", 0.0), 1.5);
+  EXPECT_DOUBLE_EQ(slowdown->member_or("max", 0.0), 2.0);
 }
 
 TEST(SweepAggregatorTest, SkipsUnfinishedJobs) {
-  const std::string path = write_temp("jobs_unfinished.csv",
-                                      "job_id,submit,start,end\n"
-                                      "1,0,5,20\n"
-                                      "2,0,-1,-1\n");  // never started
-  SweepAggregator aggregator;
-  aggregator.add_cell("p", "w", "fcfs");
-  EXPECT_TRUE(aggregator.add_jobs_csv("p", "w", "fcfs", path));
-  const json::Value out = aggregator.to_json();
-  const json::Value* jobs = out.find("groups")->as_array()[0].find("jobs");
+  // A cell with one completed job (wait 5 s, bounded slowdown 15/10) and one
+  // that never started: only the completed one reaches the per-job
+  // distributions the sweep runner hands the aggregator.
+  core::SweepSpec spec;
+  spec.platforms = {"unopened-platform.json"};
+  spec.workloads = {"unopened-workload.json"};
+  spec.schedulers = {"fcfs"};
+  spec.seeds = {1};
+  core::SweepOptions options;
+  options.threads = 1;
+  core::SweepRunner runner(spec, options);
+  runner.set_cell_body([](const core::SweepCell&, sim::CancellationToken&) {
+    core::SimulationResult result;
+    workload::Job job;
+    for (workload::JobId id : {1, 2}) {
+      job.id = id;
+      result.recorder.on_submit(job, 0.0);
+    }
+    result.recorder.on_start(1, 5.0, 1);
+    result.recorder.on_finish(1, 15.0, /*killed=*/false);
+    return result;
+  });
+  const json::Value report = core::sweep_result_to_json(spec, runner.run(), 1);
+  const json::Value* jobs =
+      report.find("aggregates")->find("groups")->as_array()[0].find("jobs");
   ASSERT_NE(jobs, nullptr);
+  EXPECT_EQ(jobs->member_or("cells_with_jobs", std::int64_t{0}), 1);
   EXPECT_EQ(jobs->find("wait_s")->member_or("count", std::int64_t{0}), 1);
-}
-
-TEST(SweepAggregatorTest, MalformedJobsCsvFoldsNothing) {
-  // A garbage row anywhere must reject the whole file: no half-folded cell.
-  const std::string path = write_temp("jobs_bad.csv",
-                                      "job_id,submit,start,end\n"
-                                      "1,0,5,20\n"
-                                      "2,zero,five,garbage\n");
-  SweepAggregator aggregator;
-  aggregator.add_cell("p", "w", "fcfs");
-  EXPECT_FALSE(aggregator.add_jobs_csv("p", "w", "fcfs", path));
-  const json::Value out = aggregator.to_json();
-  EXPECT_EQ(out.find("groups")->as_array()[0].find("jobs"), nullptr);
-}
-
-TEST(SweepAggregatorTest, MissingJobsCsvIsNotAnError) {
-  SweepAggregator aggregator;
-  aggregator.add_cell("p", "w", "fcfs");
-  EXPECT_FALSE(aggregator.add_jobs_csv("p", "w", "fcfs",
-                                       (temp_dir() / "absent.csv").string()));
-  EXPECT_EQ(aggregator.to_json().find("groups")->as_array()[0].find("jobs"), nullptr);
+  EXPECT_DOUBLE_EQ(jobs->find("wait_s")->member_or("max", 0.0), 5.0);
+  EXPECT_EQ(jobs->find("bounded_slowdown")->member_or("count", std::int64_t{0}), 1);
+  EXPECT_DOUBLE_EQ(jobs->find("bounded_slowdown")->member_or("max", 0.0), 1.5);
 }
 
 }  // namespace

@@ -236,8 +236,8 @@ TEST(SweepRunTest, ResultJsonCarriesStatusesAndAggregates) {
     result.makespan = 100.0;
     return result;
   });
-  const core::SweepResult result = runner.run();
-  const json::Value report = core::sweep_result_to_json(spec, result, 2);
+  core::SweepResult result = runner.run();
+  const json::Value report = core::sweep_result_to_json(spec, std::move(result), 2);
   EXPECT_EQ(report.member_or("schema", ""), "elastisim-sweep-v2");
   // The v2 aggregates section groups per (platform, workload, scheduler);
   // the crashed easy-backfill cell still gets a group, with zero samples.
@@ -249,6 +249,7 @@ TEST(SweepRunTest, ResultJsonCarriesStatusesAndAggregates) {
   EXPECT_EQ(groups->as_array()[0].member_or("scheduler", ""), "fcfs");
   EXPECT_EQ(groups->as_array()[0].member_or("succeeded", std::int64_t{0}), 1);
   EXPECT_EQ(groups->as_array()[1].member_or("succeeded", std::int64_t{0}), 0);
+  EXPECT_EQ(groups->as_array()[1].find("jobs"), nullptr);
   EXPECT_TRUE(report.member_or("partial", false));
   const json::Value* totals = report.find("totals");
   ASSERT_NE(totals, nullptr);
@@ -355,6 +356,19 @@ TEST(SweepSpecTest, BadFaultsAreDiagnosed) {
   } catch (const util::LoadError& error) {
     EXPECT_EQ(error.json_path(), "$.faults.mtbf");
     EXPECT_EQ(error.expected(), "a positive duration");
+  }
+}
+
+TEST(SweepSpecTest, InvalidFaultModelValueIsDiagnosed) {
+  // A shape generate() cannot draw with fails at load, before any cell runs.
+  try {
+    core::parse_sweep_spec(json::parse(R"({"platforms": ["p.json"], "workloads": ["w.json"],
+                                           "faults": {"mtbf": "3h", "weibull_shape": 0}})"));
+    FAIL() << "expected LoadError";
+  } catch (const util::LoadError& error) {
+    EXPECT_EQ(error.json_path(), "$.faults.weibull_shape");
+    EXPECT_EQ(error.expected(), "a finite number above 0");
+    EXPECT_EQ(error.found(), "0");
   }
 }
 
