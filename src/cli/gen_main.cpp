@@ -87,24 +87,20 @@ int main(int argc, char** argv) try {
 
   const std::string out = flags.get("out", std::string("workload.json"));
   const std::string format = flags.get("format", std::string("json"));
-
-  for (const std::string& unknown : flags.unused()) {
-    std::fprintf(stderr, "warning: unknown flag --%s ignored\n", unknown.c_str());
-  }
+  if (format != "json" && format != "swf") throw util::FlagError("format", format, "json or swf");
+  // Nothing is generated or written before every flag is known.
+  if (flags.report_unknown()) return 2;
 
   const auto jobs = workload::generate_workload(config);
   if (format == "json") {
     workload::save_workload(out, jobs);
-  } else if (format == "swf") {
+  } else {
     std::ofstream file(out);
     if (!file) {
       std::fprintf(stderr, "error: cannot write %s\n", out.c_str());
       return 1;
     }
     workload::write_swf(file, jobs, config.flops_per_node, /*processors_per_node=*/1);
-  } else {
-    std::fprintf(stderr, "error: unknown --format %s (json|swf)\n", format.c_str());
-    return 2;
   }
   std::printf("wrote %zu jobs to %s (%s)\n", jobs.size(), out.c_str(), format.c_str());
   return 0;

@@ -360,13 +360,7 @@ int main(int argc, char** argv) try {
                       "repair-sigma", "pod-correlation", "failure-horizon", "failure-seed",
                       "failure-trace", "save-failure-trace", "failure-policy",
                       "restart-overhead", "max-requeues"});
-    const auto unknown_flags = flags.unknown_with_suggestions();
-    if (!unknown_flags.empty()) {
-      for (const auto& [name, suggestion] : unknown_flags) {
-        const std::string hint =
-            suggestion.empty() ? std::string() : " (did you mean --" + suggestion + "?)";
-        std::fprintf(stderr, "error: unknown flag --%s%s\n", name.c_str(), hint.c_str());
-      }
+    if (flags.report_unknown()) {
       usage(argv[0]);
       return 2;
     }

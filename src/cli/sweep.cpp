@@ -124,13 +124,7 @@ int run_sweep(const util::Flags& flags) {
     return 2;
   }
 
-  const auto unknown = flags.unknown_with_suggestions();
-  if (!unknown.empty()) {
-    for (const auto& [name, suggestion] : unknown) {
-      const std::string hint =
-          suggestion.empty() ? std::string() : " (did you mean --" + suggestion + "?)";
-      std::fprintf(stderr, "error: unknown flag --%s%s\n", name.c_str(), hint.c_str());
-    }
+  if (flags.report_unknown()) {
     usage(program);
     return 2;
   }

@@ -7,10 +7,10 @@
 #include <utility>
 
 #include "core/batch_system.h"
+#include "json/reader.h"
 #include "util/check.h"
-#include "util/fmt.h"
-#include "util/load_error.h"
 #include "util/rng.h"
+#include "util/units.h"
 
 namespace elastisim::core {
 
@@ -180,47 +180,21 @@ json::Value FaultInjector::to_json(const std::vector<FailureEvent>& events) {
 }
 
 std::vector<FailureEvent> FaultInjector::from_json(const json::Value& value) {
-  using util::LoadError;
-  const json::Value* list = value.find("failures");
-  if (!list || !list->is_array()) {
-    throw LoadError("", "$.failures", "an array of failures",
-                    list ? json::type_name(*list)
-                         : (value.is_object() ? "nothing" : json::type_name(value)));
-  }
-  const json::Array& entries = list->as_array();
+  json::Reader trace(value, "$", "a failure trace object");
   std::vector<FailureEvent> events;
-  events.reserve(entries.size());
-  for (std::size_t i = 0; i < entries.size(); ++i) {
-    const json::Value& entry = entries[i];
-    const std::string path = util::fmt("$.failures[{}]", i);
-    if (!entry.is_object()) {
-      throw LoadError("", path, "a failure object", json::type_name(entry));
-    }
-    const auto found = [](const json::Value* member) {
-      return member ? json::describe(*member) : std::string("nothing");
-    };
-    const json::Value* node = entry.find("node");
-    const double id = node && node->is_number() ? node->as_double() : -1.0;
-    const bool in_range = id >= 0.0 && id <= std::numeric_limits<platform::NodeId>::max();
-    // elsim-lint: allow(float-equality) -- an integrality test wants exactness
-    if (!in_range || id != std::floor(id)) {
-      throw LoadError("", path + ".node", "a non-negative integer node id", found(node));
-    }
-    const json::Value* fail = entry.find("fail");
-    const double fail_time = fail && fail->is_number() ? fail->as_double() : -1.0;
-    if (!std::isfinite(fail_time) || fail_time < 0.0) {
-      throw LoadError("", path + ".fail", "a finite, non-negative time", found(fail));
-    }
-    double repair_time = std::numeric_limits<double>::infinity();  // never repaired
-    if (const json::Value* repair = entry.find("repair")) {
-      if (!repair->is_number() || !(repair->as_double() >= fail_time)) {
-        throw LoadError("", path + ".repair", "a time no earlier than the failure",
-                        found(repair));
-      }
-      repair_time = repair->as_double();
-    }
-    events.push_back({static_cast<platform::NodeId>(id), fail_time, repair_time});
+  for (const json::Element& element : trace.array("failures", "an array of failures", true)) {
+    json::Reader entry(element.value, element.path, "a failure object");
+    const auto node = entry.integer<platform::NodeId>("node", std::nullopt, 0, "integer node id");
+    const double fail =
+        entry.quantity("fail", std::nullopt, util::parse_duration, json::Min::kZero);
+    // Never repaired when absent.
+    const double repair = entry.quantity("repair", std::numeric_limits<double>::infinity(),
+                                         util::parse_duration, json::Min::kZero);
+    if (repair < fail) entry.fail("repair", "a time no earlier than the failure");
+    entry.finish();
+    events.push_back({node, fail, repair});
   }
+  trace.finish();
   return events;
 }
 

@@ -115,10 +115,10 @@ class FaultInjector {
   /// {"failures": [{"node": 3, "fail": 120.0, "repair": 1920.0}, ...]}; an
   /// event without "repair" is never repaired.
   static json::Value to_json(const std::vector<FailureEvent>& events);
-  /// Throws util::LoadError at the JSON path of the first malformed member:
-  /// a missing or non-array "failures", an entry that is not an object, a
-  /// missing, non-integer or negative "node", a missing, non-finite or
-  /// negative "fail", or a "repair" that is not a number or precedes "fail".
+  /// Reads strictly (json::Reader): throws util::LoadError at the JSON path
+  /// of the first malformed member, e.g. a missing or non-array "failures",
+  /// a missing or negative "node", a missing or negative "fail", a "repair"
+  /// before "fail", or an unknown key. Times are durations ("1h" or 3600).
   static std::vector<FailureEvent> from_json(const json::Value& value);
   static void save_trace(const std::string& path, const std::vector<FailureEvent>& events);
   /// from_json() over a file; a LoadError names the file.

@@ -11,6 +11,7 @@
 
 #include "core/flight_recorder.h"
 #include "core/scheduler.h"
+#include "json/reader.h"
 #include "platform/loader.h"
 #include "stats/profiler.h"
 #include "stats/sweep_aggregate.h"
@@ -31,138 +32,64 @@ double seconds_since(Clock::time_point begin) {
   return std::chrono::duration<double>(Clock::now() - begin).count();
 }
 
-/// Reads a required or optional array-of-strings member.
-std::vector<std::string> string_list(const json::Value& object, std::string_view key,
-                                     bool required) {
-  const json::Value* member = object.find(key);
-  if (member == nullptr) {
-    if (required) {
-      throw LoadError("", util::fmt("$.{}", key), "a non-empty array of strings", "nothing");
-    }
-    return {};
-  }
-  if (!member->is_array()) {
-    throw LoadError("", util::fmt("$.{}", key), "an array of strings",
-                    json::type_name(*member));
-  }
+/// Reads a required, non-empty array of strings.
+std::vector<std::string> string_list(json::Reader& in, std::string_view key) {
   std::vector<std::string> out;
-  const json::Array& entries = member->as_array();
-  for (std::size_t i = 0; i < entries.size(); ++i) {
-    if (!entries[i].is_string()) {
-      throw LoadError("", util::fmt("$.{}[{}]", key, i), "a string",
-                      json::type_name(entries[i]));
+  for (const json::Element& entry : in.array(key, "a non-empty array of strings", true)) {
+    if (!entry.value.is_string()) {
+      throw LoadError("", entry.path, "a string", json::describe(entry.value));
     }
-    out.push_back(entries[i].as_string());
+    out.push_back(entry.value.as_string());
   }
-  if (required && out.empty()) {
-    throw LoadError("", util::fmt("$.{}", key), "a non-empty array of strings",
-                    "an empty array");
-  }
+  if (out.empty()) in.fail(key, "a non-empty array of strings");
   return out;
 }
 
-/// Reads a duration member that may be a bare number of seconds or a unit
-/// string ("30s", "2h"). `path` is the enclosing object's JSON path.
-double duration_member(const json::Value& object, std::string_view path,
-                       std::string_view key, double fallback) {
-  const json::Value* member = object.find(key);
-  if (member == nullptr) return fallback;
-  if (member->is_number()) {
-    if (member->as_double() < 0.0) {
-      throw LoadError("", util::fmt("{}.{}", path, key), "a non-negative duration",
-                      json::describe(*member));
-    }
-    return member->as_double();
-  }
-  if (member->is_string()) {
-    if (auto parsed = util::parse_duration(member->as_string())) return *parsed;
-    throw LoadError("", util::fmt("{}.{}", path, key), "a parsable duration string",
-                    json::describe(*member));
-  }
-  throw LoadError("", util::fmt("{}.{}", path, key), "number or duration string",
-                  json::type_name(*member));
+/// A non-negative duration member: seconds, or a unit string ("30s", "2h").
+double duration(json::Reader& in, std::string_view key, double fallback) {
+  return in.quantity(key, fallback, util::parse_duration, json::Min::kZero);
 }
 
-std::int64_t int_member(const json::Value& object, std::string_view path,
-                        std::string_view key, std::int64_t fallback, std::int64_t minimum) {
-  const json::Value* member = object.find(key);
-  if (member == nullptr) return fallback;
-  if (!member->is_number() || member->as_int() < minimum) {
-    throw LoadError("", util::fmt("{}.{}", path, key),
-                    util::fmt("an integer >= {}", minimum), json::describe(*member));
-  }
-  return member->as_int();
-}
-
-SweepRetryPolicy parse_retry(const json::Value& value) {
-  if (!value.is_object()) {
-    throw LoadError("", "$.retry", "an object", json::type_name(value));
-  }
+SweepRetryPolicy parse_retry(json::Reader& in) {
   SweepRetryPolicy retry;
-  retry.max_attempts = static_cast<int>(int_member(value, "$.retry", "max_attempts", 1, 1));
-  retry.backoff_s = duration_member(value, "$.retry", "backoff", retry.backoff_s);
-  retry.retry_crashed = value.member_or("crashed", retry.retry_crashed);
-  retry.retry_stalled = value.member_or("stalled", retry.retry_stalled);
-  retry.retry_timeout = value.member_or("timeout", retry.retry_timeout);
+  retry.max_attempts = in.integer<int>("max_attempts", 1, 1);
+  retry.backoff_s = duration(in, "backoff", retry.backoff_s);
+  retry.retry_crashed = in.boolean("crashed", retry.retry_crashed);
+  retry.retry_stalled = in.boolean("stalled", retry.retry_stalled);
+  retry.retry_timeout = in.boolean("timeout", retry.retry_timeout);
+  in.finish();
   return retry;
 }
 
-BatchConfig parse_batch(const json::Value& value) {
-  if (!value.is_object()) {
-    throw LoadError("", "$.batch", "an object", json::type_name(value));
-  }
+BatchConfig parse_batch(json::Reader& in) {
   BatchConfig batch;
-  batch.scheduling_interval = duration_member(value, "$.batch", "interval", 0.0);
-  batch.charge_reconfiguration = value.member_or("reconfig_cost", true);
-  const std::string policy = value.member_or("failure_policy", "requeue");
-  if (auto parsed = failure_policy_from_string(policy)) {
-    batch.failure_policy = *parsed;
-  } else {
-    throw LoadError("", "$.batch.failure_policy", "one of kill|requeue|requeue-restart",
-                    util::fmt("\"{}\"", policy));
-  }
-  batch.restart_overhead = duration_member(value, "$.batch", "restart_overhead", 0.0);
-  batch.max_requeues = static_cast<int>(int_member(value, "$.batch", "max_requeues", 0, 0));
+  batch.scheduling_interval = duration(in, "interval", 0.0);
+  batch.charge_reconfiguration = in.boolean("reconfig_cost", true);
+  batch.failure_policy = in.choice("failure_policy", FailurePolicy::kRequeue,
+                                   failure_policy_from_string,
+                                   "one of kill|requeue|requeue-restart");
+  batch.restart_overhead = duration(in, "restart_overhead", 0.0);
+  batch.max_requeues = in.integer<int>("max_requeues", 0, 0);
+  in.finish();
   return batch;
 }
 
-FaultModelConfig parse_faults(const json::Value& value) {
-  if (!value.is_object()) {
-    throw LoadError("", "$.faults", "an object", json::type_name(value));
-  }
-  const auto found = [&value](std::string_view member) {
-    const json::Value* entry = value.find(member);
-    // elsim-lint: allow(float-equality) -- pointer null check
-    return entry != nullptr ? json::describe(*entry) : std::string("nothing");
-  };
+FaultModelConfig parse_faults(json::Reader& in) {
   FaultModelConfig fault;
-  fault.mtbf = duration_member(value, "$.faults", "mtbf", 0.0);
-  if (fault.mtbf <= 0.0) {
-    throw LoadError("", "$.faults.mtbf", "a positive duration", found("mtbf"));
-  }
-  const std::string dist = value.member_or("failure_dist", "exponential");
-  const auto failure_distribution = failure_distribution_from_string(dist);
-  if (!failure_distribution) {
-    throw LoadError("", "$.faults.failure_dist", "one of exponential|weibull",
-                    util::fmt("\"{}\"", dist));
-  }
-  fault.failure_distribution = *failure_distribution;
-  fault.weibull_shape = value.member_or("weibull_shape", fault.weibull_shape);
-  fault.mean_repair = duration_member(value, "$.faults", "repair", fault.mean_repair);
-  const std::string repair_dist = value.member_or("repair_dist", "constant");
-  const auto repair_distribution = repair_distribution_from_string(repair_dist);
-  if (!repair_distribution) {
-    throw LoadError("", "$.faults.repair_dist", "one of constant|lognormal",
-                    util::fmt("\"{}\"", repair_dist));
-  }
-  fault.repair_distribution = *repair_distribution;
-  fault.repair_sigma = value.member_or("repair_sigma", fault.repair_sigma);
-  fault.pod_correlation = value.member_or("pod_correlation", 0.0);
-  fault.horizon = duration_member(value, "$.faults", "horizon", 0.0);
-  if (const auto error = validate(fault)) {
-    throw LoadError("", util::fmt("$.faults.{}", error->member), error->expected,
-                    found(error->member));
-  }
+  fault.mtbf = in.quantity("mtbf", std::nullopt, util::parse_duration, json::Min::kAboveZero);
+  fault.failure_distribution =
+      in.choice("failure_dist", FailureDistribution::kExponential,
+                failure_distribution_from_string, "one of exponential|weibull");
+  fault.weibull_shape = in.number("weibull_shape", fault.weibull_shape);
+  fault.mean_repair = duration(in, "repair", fault.mean_repair);
+  fault.repair_distribution =
+      in.choice("repair_dist", RepairDistribution::kConstant,
+                repair_distribution_from_string, "one of constant|lognormal");
+  fault.repair_sigma = in.number("repair_sigma", fault.repair_sigma);
+  fault.pod_correlation = in.number("pod_correlation", 0.0);
+  fault.horizon = duration(in, "horizon", 0.0);
+  in.finish();
+  if (const auto error = validate(fault)) in.fail(error->member, error->expected);
   // fault.seed is irrelevant here: each cell overrides it with the cell seed.
   return fault;
 }
@@ -250,43 +177,30 @@ std::string to_string(CellStatus status) {
 }
 
 SweepSpec parse_sweep_spec(const json::Value& value) {
-  if (!value.is_object()) {
-    throw LoadError("", "$", "a sweep object", json::type_name(value));
-  }
+  json::Reader in(value, "$", "a sweep object");
   SweepSpec spec;
-  spec.platforms = string_list(value, "platforms", true);
-  spec.workloads = string_list(value, "workloads", true);
-  spec.schedulers = string_list(value, "schedulers", false);
-  if (spec.schedulers.empty()) spec.schedulers = {"easy-malleable"};
+  spec.platforms = string_list(in, "platforms");
+  spec.workloads = string_list(in, "workloads");
   const std::vector<std::string> known = scheduler_names();
-  for (std::size_t i = 0; i < spec.schedulers.size(); ++i) {
-    if (std::find(known.begin(), known.end(), spec.schedulers[i]) == known.end()) {
-      throw LoadError("", util::fmt("$.schedulers[{}]", i), "a known scheduler name",
-                      util::fmt("\"{}\"", spec.schedulers[i]));
+  for (const json::Element& entry : in.array("schedulers", "an array of strings", false)) {
+    if (!entry.value.is_string() ||
+        std::find(known.begin(), known.end(), entry.value.as_string()) == known.end()) {
+      throw LoadError("", entry.path, "a known scheduler name", json::describe(entry.value));
     }
+    spec.schedulers.push_back(entry.value.as_string());
   }
-
-  if (const json::Value* seeds = value.find("seeds")) {
-    if (!seeds->is_array()) {
-      throw LoadError("", "$.seeds", "an array of non-negative integers",
-                      json::type_name(*seeds));
-    }
-    const json::Array& entries = seeds->as_array();
-    for (std::size_t i = 0; i < entries.size(); ++i) {
-      if (!entries[i].is_number() || entries[i].as_int() < 0) {
-        throw LoadError("", util::fmt("$.seeds[{}]", i), "a non-negative integer",
-                        json::describe(entries[i]));
-      }
-      spec.seeds.push_back(static_cast<std::uint64_t>(entries[i].as_int()));
-    }
+  if (spec.schedulers.empty()) spec.schedulers = {"easy-malleable"};
+  for (const json::Element& seed : in.array("seeds", "an array of non-negative integers", false)) {
+    spec.seeds.push_back(static_cast<std::uint64_t>(
+        json::read_integer(seed.value, seed.path, 0, json::kMaxSafeInteger)));
   }
   if (spec.seeds.empty()) spec.seeds = {1};
-
-  spec.timeout_s = duration_member(value, "$", "timeout", 0.0);
-  spec.stall_timeout_s = duration_member(value, "$", "stall_timeout", 0.0);
-  if (const json::Value* retry = value.find("retry")) spec.retry = parse_retry(*retry);
-  if (const json::Value* batch = value.find("batch")) spec.batch = parse_batch(*batch);
-  if (const json::Value* faults = value.find("faults")) spec.faults = parse_faults(*faults);
+  spec.timeout_s = duration(in, "timeout", 0.0);
+  spec.stall_timeout_s = duration(in, "stall_timeout", 0.0);
+  if (auto retry = in.find("retry")) spec.retry = parse_retry(*retry);
+  if (auto batch = in.find("batch")) spec.batch = parse_batch(*batch);
+  if (auto faults = in.find("faults")) spec.faults = parse_faults(*faults);
+  in.finish();
   return spec;
 }
 

@@ -15,7 +15,7 @@
 //   }
 //
 // Quantities accept the unit spellings from util/units.h; bare numbers are
-// base units (FLOP/s, bytes, bytes/s).
+// base units (FLOP/s, bytes, bytes/s, seconds).
 #pragma once
 
 #include <string>
@@ -25,8 +25,8 @@
 
 namespace elastisim::platform {
 
-/// Parses a platform description; throws std::runtime_error with a field
-/// name on malformed input.
+/// Parses a platform description; throws util::LoadError at the JSON path of
+/// a malformed or unknown member.
 ClusterConfig parse_cluster_config(const json::Value& value);
 
 /// Loads a platform description from a JSON file.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <charconv>
+#include <cstdio>
 
 namespace elastisim::util {
 
@@ -53,12 +54,12 @@ Flags::Flags(int argc, const char* const* argv, const std::set<std::string>& boo
 }
 
 bool Flags::has(const std::string& name) const {
-  queried_[name] = true;
+  queried_.insert(name);
   return values_.count(name) > 0;
 }
 
 std::optional<std::string> Flags::raw(const std::string& name) const {
-  queried_[name] = true;
+  queried_.insert(name);
   auto it = values_.find(name);
   if (it == values_.end()) return std::nullopt;
   return it->second;
@@ -93,7 +94,7 @@ std::vector<std::string> Flags::unused() const {
 }
 
 void Flags::note_known(std::initializer_list<const char*> names) const {
-  for (const char* name : names) queried_[name] = true;
+  queried_.insert(names.begin(), names.end());
 }
 
 std::size_t Flags::edit_distance(std::string_view a, std::string_view b) {
@@ -113,23 +114,32 @@ std::size_t Flags::edit_distance(std::string_view a, std::string_view b) {
   return previous[b.size()];
 }
 
+std::string closest_name(std::string_view name, const std::set<std::string, std::less<>>& known) {
+  std::string best;
+  std::size_t best_distance = name.size() >= 8 ? 3 : 2;
+  for (const std::string& candidate : known) {
+    const std::size_t distance = Flags::edit_distance(name, candidate);
+    if (distance <= best_distance && (best.empty() || distance < best_distance)) {
+      best = candidate;
+      best_distance = distance;
+    }
+  }
+  return best;
+}
+
 std::vector<std::pair<std::string, std::string>> Flags::unknown_with_suggestions() const {
   std::vector<std::pair<std::string, std::string>> out;
-  for (const std::string& name : unused()) {
-    std::string best;
-    // A suggestion must be genuinely close: within 2 edits, or 3 for long
-    // names — "--schedular" suggests "--scheduler", "--frobnicate" nothing.
-    std::size_t best_distance = name.size() >= 8 ? 3 : 2;
-    for (const auto& [known, _] : queried_) {
-      const std::size_t distance = edit_distance(name, known);
-      if (distance <= best_distance && (best.empty() || distance < best_distance)) {
-        best = known;
-        best_distance = distance;
-      }
-    }
-    out.emplace_back(name, best);
-  }
+  for (const std::string& name : unused()) out.emplace_back(name, closest_name(name, queried_));
   return out;
+}
+
+bool Flags::report_unknown() const {
+  const auto unknown = unknown_with_suggestions();
+  for (const auto& [name, suggestion] : unknown) {
+    const std::string hint = suggestion.empty() ? "" : " (did you mean --" + suggestion + "?)";
+    std::fprintf(stderr, "error: unknown flag --%s%s\n", name.c_str(), hint.c_str());
+  }
+  return !unknown.empty();
 }
 
 }  // namespace elastisim::util

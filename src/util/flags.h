@@ -16,6 +16,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <initializer_list>
 #include <map>
 #include <optional>
@@ -34,6 +35,11 @@ class FlagError : public std::runtime_error {
  public:
   FlagError(const std::string& name, const std::string& value, const std::string& expected);
 };
+
+/// The name in `known` closest to `name`: within 2 edits, or 3 for names of
+/// 8+ characters, so "schedular" finds "scheduler" and "frobnicate" nothing
+/// ("" then). Used for unknown flags and unknown JSON keys alike.
+std::string closest_name(std::string_view name, const std::set<std::string, std::less<>>& known);
 
 class Flags {
  public:
@@ -64,10 +70,14 @@ class Flags {
   /// up as "unknown" on the paths that skip them.
   void note_known(std::initializer_list<const char*> names) const;
 
-  /// Unknown flag diagnosis: each unused flag paired with the closest known
-  /// (queried or noted) name within a small edit distance, or "" when
-  /// nothing is plausibly close. Call after all get()/has() queries.
+  /// Unknown flag diagnosis: each unused flag paired with closest_name()
+  /// among the known (queried or noted) names. Call after all get()/has()
+  /// queries.
   std::vector<std::pair<std::string, std::string>> unknown_with_suggestions() const;
+
+  /// Prints "error: unknown flag --x (did you mean --y?)" to stderr for each
+  /// unknown flag; returns whether there was one.
+  bool report_unknown() const;
 
   /// Levenshtein distance; exposed for tests.
   static std::size_t edit_distance(std::string_view a, std::string_view b);
@@ -77,7 +87,7 @@ class Flags {
 
   std::string program_;
   std::map<std::string, std::string> values_;
-  mutable std::map<std::string, bool> queried_;
+  mutable std::set<std::string, std::less<>> queried_;
   std::vector<std::string> positional_;
   std::vector<std::string> duplicates_;
 };

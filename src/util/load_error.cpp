@@ -15,20 +15,6 @@ LoadError LoadError::with_file(const std::string& file) const {
   return LoadError(file, json_path_, expected_, found_);
 }
 
-LoadError LoadError::with_path_prefix(const std::string& prefix) const {
-  // "$.work" + prefix "$.jobs[2]" -> "$.jobs[2].work"; a bare "$" inner path
-  // collapses to the prefix itself.
-  std::string path = json_path_;
-  if (path == "$" || path.empty()) {
-    path = prefix;
-  } else if (path.rfind("$", 0) == 0) {
-    path = prefix + path.substr(1);
-  } else {
-    path = prefix + "." + path;
-  }
-  return LoadError(file_, path, expected_, found_);
-}
-
 std::string LoadError::format(const std::string& file, const std::string& json_path,
                               const std::string& expected, const std::string& found) {
   std::string out = "config error";

@@ -1,6 +1,6 @@
 // Structured diagnostics for malformed configuration input.
 //
-// The platform, workload, and sweep loaders throw LoadError instead of bare
+// The input loaders throw LoadError (through json::Reader) instead of bare
 // std::runtime_error so the CLI can print a diagnostic that names the file,
 // the JSON path of the offending member ("$.jobs[3].application.phases"),
 // and what was expected versus found — and so tests can assert on each part
@@ -33,11 +33,6 @@ class LoadError : public std::runtime_error {
   /// Returns a copy with the file name filled in (no-op when already set);
   /// used by load_* entry points to annotate errors from pure parsers.
   LoadError with_file(const std::string& file) const;
-
-  /// Returns a copy with `prefix` prepended to the JSON path, replacing the
-  /// inner error's "$" root: wrapping "$.work" with prefix "$.jobs[2]" gives
-  /// "$.jobs[2].work". Lets outer loaders add container context.
-  LoadError with_path_prefix(const std::string& prefix) const;
 
  private:
   static std::string format(const std::string& file, const std::string& json_path,

@@ -43,4 +43,34 @@ std::string to_string(CommPattern pattern) {
   return "?";
 }
 
+std::optional<ScalingModel> scaling_from_string(std::string_view name) {
+  if (name == "strong") return ScalingModel::kStrong;
+  if (name == "weak") return ScalingModel::kWeak;
+  if (name == "amdahl") return ScalingModel::kAmdahl;
+  return std::nullopt;
+}
+
+std::optional<CommPattern> pattern_from_string(std::string_view name) {
+  if (name == "all-to-all") return CommPattern::kAllToAll;
+  if (name == "all-reduce") return CommPattern::kAllReduce;
+  if (name == "broadcast") return CommPattern::kBroadcast;
+  if (name == "ring") return CommPattern::kRing;
+  if (name == "stencil2d") return CommPattern::kStencil2D;
+  if (name == "gather") return CommPattern::kGather;
+  if (name == "scatter") return CommPattern::kScatter;
+  return std::nullopt;
+}
+
+std::optional<ComputeTarget> compute_target_from_string(std::string_view name) {
+  if (name == "cpu") return ComputeTarget::kCpu;
+  if (name == "gpu") return ComputeTarget::kGpu;
+  return std::nullopt;
+}
+
+std::optional<IoTarget> io_target_from_string(std::string_view name) {
+  if (name == "pfs") return IoTarget::kPfs;
+  if (name == "burst-buffer" || name == "bb") return IoTarget::kBurstBuffer;
+  return std::nullopt;
+}
+
 }  // namespace elastisim::workload

@@ -12,7 +12,9 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <variant>
 #include <vector>
 
@@ -113,5 +115,12 @@ std::string to_string(ScalingModel model);
 /// "all-to-all", "all-reduce", "broadcast", "ring", "stencil2d", "gather",
 /// "scatter".
 std::string to_string(CommPattern pattern);
+/// The inverses, for workload files; nullopt for an unknown name.
+std::optional<ScalingModel> scaling_from_string(std::string_view name);
+std::optional<CommPattern> pattern_from_string(std::string_view name);
+/// "cpu" / "gpu".
+std::optional<ComputeTarget> compute_target_from_string(std::string_view name);
+/// "pfs" / "burst-buffer" (or "bb").
+std::optional<IoTarget> io_target_from_string(std::string_view name);
 
 }  // namespace elastisim::workload

@@ -2,31 +2,18 @@
 
 #include <cmath>
 #include <limits>
-#include <stdexcept>
 #include <unordered_map>
 
+#include "json/reader.h"
 #include "util/fmt.h"
 #include "util/load_error.h"
+#include "util/units.h"
 
 namespace elastisim::workload {
 
 namespace {
 
-using util::LoadError;
-
-/// Runs `fn`, prefixing the JSON path of any escaping diagnostic with
-/// `path` so nested parse errors name their position in the enclosing
-/// document ("$.jobs[3].application.phases[1]...").
-template <typename Fn>
-auto at_path(const std::string& path, Fn&& fn) {
-  try {
-    return fn();
-  } catch (const LoadError& error) {
-    throw error.with_path_prefix(path);
-  } catch (const std::exception& error) {
-    throw LoadError("", path, "", error.what());
-  }
-}
+using json::Min;
 
 json::Value task_to_json(const Task& task) {
   json::Object out;
@@ -55,71 +42,45 @@ json::Value task_to_json(const Task& task) {
   return json::Value(std::move(out));
 }
 
-ScalingModel scaling_from_string(const std::string& name) {
-  if (name == "strong") return ScalingModel::kStrong;
-  if (name == "weak") return ScalingModel::kWeak;
-  if (name == "amdahl") return ScalingModel::kAmdahl;
-  throw LoadError("", "$.scaling", "one of strong|weak|amdahl",
-                  util::fmt("\"{}\"", name));
+/// A task's payload with its type's defaults; the reader fills in the rest.
+std::optional<decltype(Task::payload)> payload_from_string(std::string_view type) {
+  if (type == "compute") return ComputeTask{};
+  if (type == "comm") return CommTask{};
+  if (type == "io") return IoTask{};
+  if (type == "delay") return DelayTask{};
+  return std::nullopt;
 }
 
-CommPattern pattern_from_string(const std::string& name) {
-  if (name == "all-to-all") return CommPattern::kAllToAll;
-  if (name == "all-reduce") return CommPattern::kAllReduce;
-  if (name == "broadcast") return CommPattern::kBroadcast;
-  if (name == "ring") return CommPattern::kRing;
-  if (name == "stencil2d") return CommPattern::kStencil2D;
-  if (name == "gather") return CommPattern::kGather;
-  if (name == "scatter") return CommPattern::kScatter;
-  throw LoadError("", "$.pattern",
-                  "one of all-to-all|all-reduce|broadcast|ring|stencil2d|gather|scatter",
-                  util::fmt("\"{}\"", name));
-}
-
-Task task_from_json(const json::Value& value) {
+Task task_from_json(const json::Element& element) {
+  constexpr const char* kScalings = "one of strong|weak|amdahl";
+  json::Reader in(element.value, element.path, "a task object");
   Task task;
-  task.name = value.member_or("name", "task");
-  const std::string type = value.member_or("type", "");
-  if (type == "compute") {
-    ComputeTask compute;
-    compute.work = value.member_or("work", 0.0);
-    compute.scaling = scaling_from_string(value.member_or("scaling", "strong"));
-    compute.alpha = value.member_or("alpha", 0.0);
-    const std::string compute_target = value.member_or("target", "cpu");
-    if (compute_target == "gpu") {
-      compute.target = ComputeTarget::kGpu;
-    } else if (compute_target != "cpu") {
-      throw LoadError("", "$.target", "\"cpu\" or \"gpu\"",
-                      util::fmt("\"{}\"", compute_target));
-    }
-    task.payload = compute;
-  } else if (type == "comm") {
-    CommTask comm;
-    comm.pattern = pattern_from_string(value.member_or("pattern", "all-reduce"));
-    comm.bytes = value.member_or("bytes", 0.0);
-    task.payload = comm;
-  } else if (type == "io") {
-    IoTask io;
-    io.write = value.member_or("write", true);
-    io.bytes = value.member_or("bytes", 0.0);
-    io.scaling = scaling_from_string(value.member_or("scaling", "strong"));
-    io.checkpoint = value.member_or("checkpoint", false);
-    const std::string target = value.member_or("target", "pfs");
-    if (target == "pfs") {
-      io.target = IoTarget::kPfs;
-    } else if (target == "burst-buffer" || target == "bb") {
-      io.target = IoTarget::kBurstBuffer;
-    } else {
-      throw LoadError("", "$.target", "\"pfs\" or \"burst-buffer\"",
-                      util::fmt("\"{}\"", target));
-    }
-    task.payload = io;
-  } else if (type == "delay") {
-    task.payload = DelayTask{value.member_or("seconds", 0.0)};
+  task.name = in.string("name", "task");
+  task.payload = in.choice("type", std::nullopt, payload_from_string,
+                           "one of compute|comm|io|delay");
+  if (auto* compute = std::get_if<ComputeTask>(&task.payload)) {
+    compute->work = in.quantity("work", 0.0, util::parse_flops, Min::kZero);
+    compute->scaling = in.choice("scaling", ScalingModel::kStrong, scaling_from_string, kScalings);
+    compute->alpha = in.number("alpha", 0.0);
+    compute->target = in.choice("target", ComputeTarget::kCpu, compute_target_from_string,
+                                "\"cpu\" or \"gpu\"");
+  } else if (auto* comm = std::get_if<CommTask>(&task.payload)) {
+    comm->pattern =
+        in.choice("pattern", CommPattern::kAllReduce, pattern_from_string,
+                  "one of all-to-all|all-reduce|broadcast|ring|stencil2d|gather|scatter");
+    comm->bytes = in.quantity("bytes", 0.0, util::parse_bytes, Min::kZero);
+  } else if (auto* io = std::get_if<IoTask>(&task.payload)) {
+    io->write = in.boolean("write", true);
+    io->bytes = in.quantity("bytes", 0.0, util::parse_bytes, Min::kZero);
+    io->scaling = in.choice("scaling", ScalingModel::kStrong, scaling_from_string, kScalings);
+    io->checkpoint = in.boolean("checkpoint", false);
+    io->target = in.choice("target", IoTarget::kPfs, io_target_from_string,
+                           "\"pfs\" or \"burst-buffer\"");
   } else {
-    throw LoadError("", "$.type", "one of compute|comm|io|delay",
-                    util::fmt("\"{}\"", type));
+    std::get<DelayTask>(task.payload).seconds =
+        in.quantity("seconds", 0.0, util::parse_duration, Min::kZero);
   }
+  in.finish();
   return task;
 }
 
@@ -138,31 +99,19 @@ json::Value phase_to_json(const Phase& phase) {
   return json::Value(std::move(out));
 }
 
-Phase phase_from_json(const json::Value& value) {
+Phase phase_from_json(const json::Element& element) {
+  json::Reader in(element.value, element.path, "a phase object");
   Phase phase;
-  phase.name = value.member_or("name", "phase");
-  phase.iterations = static_cast<int>(value.member_or("iterations", std::int64_t{1}));
-  phase.evolving_delta =
-      static_cast<int>(value.member_or("evolving_delta", std::int64_t{0}));
-  const json::Value* groups = value.find("groups");
-  if (!groups || !groups->is_array()) {
-    throw LoadError("", "$.groups", "an array of task groups",
-                    groups ? json::type_name(*groups) : "nothing");
-  }
-  const json::Array& group_array = groups->as_array();
-  for (std::size_t g = 0; g < group_array.size(); ++g) {
-    if (!group_array[g].is_array()) {
-      throw LoadError("", util::fmt("$.groups[{}]", g), "an array of tasks",
-                      json::type_name(group_array[g]));
+  phase.name = in.string("name", "phase");
+  phase.iterations = in.integer<int>("iterations", 1, 1);
+  phase.evolving_delta = in.integer<int>("evolving_delta", 0);
+  for (const json::Element& group : in.array("groups", "an array of task groups", true)) {
+    TaskGroup& tasks = phase.groups.emplace_back();
+    for (const json::Element& task : json::elements(group.value, group.path, "an array of tasks")) {
+      tasks.push_back(task_from_json(task));
     }
-    TaskGroup group;
-    const json::Array& task_array = group_array[g].as_array();
-    for (std::size_t t = 0; t < task_array.size(); ++t) {
-      at_path(util::fmt("$.groups[{}][{}]", g, t),
-              [&] { group.push_back(task_from_json(task_array[t])); });
-    }
-    phase.groups.push_back(std::move(group));
   }
+  in.finish();
   return phase;
 }
 
@@ -195,48 +144,35 @@ json::Value job_to_json(const Job& job) {
   return json::Value(std::move(out));
 }
 
-Job job_from_json(const json::Value& value) {
+Job job_from_json(const json::Value& value, const std::string& path) {
+  json::Reader in(value, path, "a job object");
   Job job;
-  job.id = static_cast<JobId>(value.member_or("id", std::int64_t{0}));
-  const std::string type = value.member_or("type", "rigid");
-  if (auto parsed = job_type_from_string(type)) {
-    job.type = *parsed;
-  } else {
-    throw LoadError("", "$.type", "a known job type", util::fmt("\"{}\"", type));
+  job.id = in.integer<JobId>("id", std::nullopt);
+  job.type = in.choice("type", JobType::kRigid, job_type_from_string, "a known job type");
+  job.name = in.string("name", util::fmt("job{}", job.id));
+  job.user = in.string("user", "unknown");
+  job.submit_time = in.quantity("submit_time", 0.0, util::parse_duration, Min::kZero);
+  job.requested_nodes = in.integer<int>("requested_nodes", 1, 1);
+  job.min_nodes = in.integer<int>("min_nodes", job.requested_nodes, 1);
+  job.max_nodes = in.integer<int>("max_nodes", job.requested_nodes, 1);
+  job.walltime_limit = in.quantity("walltime_limit", std::numeric_limits<double>::infinity(),
+                                   util::parse_duration, Min::kAboveZero);
+  job.priority = in.integer<int>("priority", 0);
+  job.memory_bytes_per_node = in.quantity("memory_per_node", 0.0, util::parse_bytes, Min::kZero);
+  for (const json::Element& dep : in.array("dependencies", "an array of job ids", false)) {
+    job.dependencies.push_back(
+        static_cast<JobId>(json::read_integer(dep.value, dep.path, 0, json::kMaxSafeInteger)));
   }
-  job.name = value.member_or("name", util::fmt("job{}", job.id));
-  job.user = value.member_or("user", "unknown");
-  job.submit_time = value.member_or("submit_time", 0.0);
-  job.requested_nodes =
-      static_cast<int>(value.member_or("requested_nodes", std::int64_t{1}));
-  job.min_nodes = static_cast<int>(
-      value.member_or("min_nodes", static_cast<std::int64_t>(job.requested_nodes)));
-  job.max_nodes = static_cast<int>(
-      value.member_or("max_nodes", static_cast<std::int64_t>(job.requested_nodes)));
-  job.walltime_limit =
-      value.member_or("walltime_limit", std::numeric_limits<double>::infinity());
-  job.priority = static_cast<int>(value.member_or("priority", std::int64_t{0}));
-  job.memory_bytes_per_node = value.member_or("memory_per_node", 0.0);
-  if (const json::Value* deps = value.find("dependencies")) {
-    for (const json::Value& dep : deps->as_array()) {
-      job.dependencies.push_back(static_cast<JobId>(dep.as_int()));
-    }
+  std::optional<json::Reader> app = in.find("application", "an application object");
+  if (!app) in.fail("application", "an application object");
+  job.application.state_bytes_per_node =
+      app->quantity("state_bytes_per_node", 0.0, util::parse_bytes, Min::kZero);
+  for (const json::Element& phase : app->array("phases", "an array of phases", true)) {
+    job.application.phases.push_back(phase_from_json(phase));
   }
-
-  const json::Value* app = value.find("application");
-  if (!app) throw LoadError("", "$.application", "an application object", "nothing");
-  job.application.state_bytes_per_node = app->member_or("state_bytes_per_node", 0.0);
-  const json::Value* phases = app->find("phases");
-  if (!phases || !phases->is_array()) {
-    throw LoadError("", "$.application.phases", "an array of phases",
-                    phases ? json::type_name(*phases) : "nothing");
-  }
-  const json::Array& phase_array = phases->as_array();
-  for (std::size_t p = 0; p < phase_array.size(); ++p) {
-    at_path(util::fmt("$.application.phases[{}]", p),
-            [&] { job.application.phases.push_back(phase_from_json(phase_array[p])); });
-  }
-  if (auto error = job.validate()) throw LoadError("", "$", "", *error);
+  app->finish();
+  in.finish();
+  if (auto error = job.validate()) throw util::LoadError("", path, "", *error);
   return job;
 }
 
@@ -249,26 +185,21 @@ json::Value workload_to_json(const std::vector<Job>& jobs) {
 }
 
 std::vector<Job> workload_from_json(const json::Value& value) {
-  const json::Value* jobs = value.find("jobs");
-  if (!jobs || !jobs->is_array()) {
-    throw LoadError("", "$.jobs", "an array of jobs",
-                    jobs ? json::type_name(*jobs)
-                         : (value.is_object() ? "nothing" : json::type_name(value)));
-  }
-  const json::Array& job_array = jobs->as_array();
+  json::Reader in(value, "$", "a workload object");
+  const std::vector<json::Element> jobs = in.array("jobs", "an array of jobs", true);
   std::vector<Job> out;
-  out.reserve(job_array.size());
+  out.reserve(jobs.size());
   std::unordered_map<JobId, std::size_t> index_of;  // id -> first $.jobs index
-  for (std::size_t i = 0; i < job_array.size(); ++i) {
-    at_path(util::fmt("$.jobs[{}]", i),
-            [&] { out.push_back(job_from_json(job_array[i])); });
-    const auto [first, inserted] = index_of.emplace(out.back().id, i);
+  for (const json::Element& element : jobs) {
+    out.push_back(job_from_json(element.value, element.path));
+    const auto [first, inserted] = index_of.emplace(out.back().id, out.size() - 1);
     if (!inserted) {
-      throw LoadError("", util::fmt("$.jobs[{}].id", i), "",
-                      util::fmt("duplicate job id {}, first used at $.jobs[{}]",
-                                out.back().id, first->second));
+      throw util::LoadError("", element.path + ".id", "",
+                            util::fmt("duplicate job id {}, first used at $.jobs[{}]",
+                                      out.back().id, first->second));
     }
   }
+  in.finish();
   return out;
 }
 

@@ -17,9 +17,9 @@ namespace elastisim::workload {
 json::Value job_to_json(const Job& job);
 json::Value workload_to_json(const std::vector<Job>& jobs);
 
-/// Throws std::runtime_error with a descriptive message on malformed input
-/// (unknown task type, missing fields, or Job::validate() failures).
-Job job_from_json(const json::Value& value);
+/// Throws util::LoadError at the JSON path of a malformed, missing or unknown
+/// member, or at the job's `path` when Job::validate() fails.
+Job job_from_json(const json::Value& value, const std::string& path = "$");
 std::vector<Job> workload_from_json(const json::Value& value);
 
 std::vector<Job> load_workload(const std::string& path);

@@ -242,6 +242,40 @@ TEST(PlatformLoader, RejectsNegativeBandwidth) {
   }
 }
 
+// Each row must fail at its member instead of running on another value (a
+// rounded node count, a default for an unknown key or a wrong type), and the
+// limits Cluster checks (a positive link bandwidth and core speed) fail at
+// load.
+TEST(PlatformLoader, MalformedMemberThrowsAtItsJsonPath) {
+  const struct {
+    const char* json;
+    const char* path;
+  } cases[] = {
+      {R"({"nodes": 12.7})", "$.nodes"},
+      {R"({"node_count": 128})", "$.node_count"},
+      {R"({"topology": 5})", "$.topology"},
+      {R"({"gpus_per_node": "2"})", "$.gpus_per_node"},
+      {R"({"cores_per_node": 4294967297})", "$.cores_per_node"},
+      {R"({"link_latency": -5})", "$.link_latency"},
+      {R"({"memory": -5})", "$.memory"},
+      {R"({"flops_per_gpu": -1})", "$.flops_per_gpu"},
+      {R"({"link_bandwidth": 0})", "$.link_bandwidth"},
+      {R"({"flops_per_core": -1})", "$.flops_per_core"},
+      {R"({"flops_per_core": 0})", "$.flops_per_core"},
+      {R"({"flops_per_cor": "2GF"})", "$.flops_per_cor"},
+      {R"({"pfs": 5})", "$.pfs"},
+      {R"({"pfs": {"read_bandwith": 1}})", "$.pfs.read_bandwith"},
+  };
+  for (const auto& c : cases) {
+    try {
+      parse_cluster_config(json::parse(c.json));
+      ADD_FAILURE() << "expected LoadError for " << c.json;
+    } catch (const util::LoadError& error) {
+      EXPECT_EQ(error.json_path(), c.path) << c.json;
+    }
+  }
+}
+
 TEST(PlatformLoader, AcceptsZeroBandwidth) {
   const auto config = parse_cluster_config(json::parse(
       R"({"pod_bandwidth": 0, "backbone_bandwidth": 0, "pfs": {"read_bandwidth": 0}})"));

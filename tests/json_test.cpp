@@ -2,8 +2,12 @@
 
 #include <cstdio>
 #include <fstream>
+#include <functional>
 
 #include "json/json.h"
+#include "json/reader.h"
+#include "util/load_error.h"
+#include "util/units.h"
 
 namespace elastisim::json {
 namespace {
@@ -223,6 +227,159 @@ TEST(JsonFile, RoundTrip) {
 
 TEST(JsonFile, MissingFileThrows) {
   EXPECT_THROW(parse_file("/nonexistent/path/x.json"), std::runtime_error);
+}
+
+// ---------------------------------------------------------------------------
+// Strict reader
+// ---------------------------------------------------------------------------
+
+std::optional<int> color_from_string(std::string_view name) {
+  if (name == "red") return 1;
+  if (name == "blue") return 2;
+  return std::nullopt;
+}
+
+TEST(JsonReader, ReadsWellFormedMembers) {
+  const Value value = parse(R"({"n": 9007199254740991, "k": -3, "q": "2KiB", "r": 250,
+                                "d": 1.5, "b": false, "s": "x", "c": "blue",
+                                "o": {"x": 1}, "a": [4, [5]]})");
+  Reader reader(value, "$");
+  EXPECT_EQ(reader.integer<std::uint64_t>("n", std::nullopt), 9007199254740991u);
+  EXPECT_EQ(reader.integer<int>("k", std::nullopt), -3);
+  EXPECT_EQ(reader.integer<int>("absent", 7, 1), 7);
+  EXPECT_EQ(reader.quantity("q", std::nullopt, util::parse_bytes, Min::kZero), 2048.0);
+  EXPECT_EQ(reader.quantity("r", std::nullopt, util::parse_duration, Min::kAboveZero), 250.0);
+  EXPECT_EQ(reader.number("d", std::nullopt), 1.5);
+  EXPECT_FALSE(reader.boolean("b", true));
+  EXPECT_EQ(reader.string("s", std::nullopt), "x");
+  EXPECT_EQ(reader.choice("c", 1, color_from_string, "red or blue"), 2);
+  std::optional<Reader> child = reader.find("o");
+  ASSERT_TRUE(child.has_value());
+  EXPECT_EQ(child->integer<int>("x", std::nullopt), 1);
+  child->finish();
+  EXPECT_FALSE(reader.find("absent_object").has_value());
+  const std::vector<Element> entries = reader.array("a", "an array", true);
+  ASSERT_EQ(entries.size(), 2u);
+  EXPECT_EQ(read_integer(entries[0].value, entries[0].path, 0, 9), 4);
+  const std::vector<Element> nested = elements(entries[1].value, entries[1].path, "an array");
+  ASSERT_EQ(nested.size(), 1u);
+  EXPECT_EQ(nested[0].path, "$.a[1][0]");
+  EXPECT_TRUE(reader.array("absent_array", "an array", false).empty());
+  EXPECT_NO_THROW(reader.finish());
+}
+
+// Each row reads one malformed member; the LoadError names its path, what
+// was expected, and what was found ("nothing" for a missing member).
+TEST(JsonReader, MalformedMemberThrowsAtItsJsonPath) {
+  using Read = std::function<void(Reader&)>;
+  const struct {
+    const char* text;
+    Read read;
+    const char* path;
+    const char* expected;
+    const char* found;
+  } cases[] = {
+      // Integers: the literal written, inside +-(2^53 - 1) and the target type.
+      {R"({"n": 9007199254740992})",
+       [](Reader& r) { r.integer<std::uint64_t>("n", std::nullopt); }, "$.n",
+       "a non-negative integer below 2^53", "9007199254740992"},
+      {R"({"n": -9007199254740992})",
+       [](Reader& r) { r.integer<std::int64_t>("n", std::nullopt); }, "$.n",
+       "an integer no smaller than -9007199254740991", "-9007199254740992"},
+      {R"({"n": 2147483648})", [](Reader& r) { r.integer<int>("n", 1, 1); }, "$.n",
+       "a positive integer no greater than 2147483647", "2147483648"},
+      {R"({"n": -2147483649})", [](Reader& r) { r.integer<int>("n", 0); }, "$.n",
+       "an integer no smaller than -2147483648", "-2147483649"},
+      {R"({"n": 12.7})", [](Reader& r) { r.integer<int>("n", 1, 1); }, "$.n",
+       "a positive integer", "12.7"},
+      {R"({"n": -1})", [](Reader& r) { r.integer<unsigned>("n", 0, 0, "integer node id"); },
+       "$.n", "a non-negative integer node id", "-1"},
+      {R"({"n": "4"})", [](Reader& r) { r.integer<int>("n", 1, 0); }, "$.n",
+       "a non-negative integer", "\"4\""},
+      {"{}", [](Reader& r) { r.integer<int>("n", std::nullopt, 1); }, "$.n",
+       "a positive integer", "nothing"},
+      // Quantities: a number or a unit string, finite and above the bound.
+      {"{}",
+       [](Reader& r) { r.quantity("q", std::nullopt, util::parse_duration, Min::kAboveZero); },
+       "$.q", "a positive duration", "nothing"},
+      {R"({"q": 0})", [](Reader& r) { r.quantity("q", 1.0, util::parse_flops, Min::kAboveZero); },
+       "$.q", "a positive FLOP quantity", "0"},
+      {R"({"q": -1})", [](Reader& r) { r.quantity("q", 0.0, util::parse_bytes, Min::kZero); },
+       "$.q", "a non-negative byte count", "-1"},
+      {R"({"q": "fast"})",
+       [](Reader& r) { r.quantity("q", 0.0, util::parse_bandwidth, Min::kZero); }, "$.q",
+       "a non-negative bandwidth", "\"fast\""},
+      {R"({"q": "nan"})", [](Reader& r) { r.quantity("q", 0.0, util::parse_duration, Min::kZero); },
+       "$.q", "a non-negative duration", "\"nan\""},
+      {R"({"q": "inf"})", [](Reader& r) { r.quantity("q", 0.0, util::parse_duration, Min::kZero); },
+       "$.q", "a non-negative duration", "\"inf\""},
+      {R"({"q": true})", [](Reader& r) { r.quantity("q", 0.0, util::parse_duration, Min::kZero); },
+       "$.q", "a non-negative duration", "true"},
+      // Plain types never fall back on a wrong type.
+      {R"({"d": "2"})", [](Reader& r) { r.number("d", 1.0); }, "$.d", "a number", "\"2\""},
+      {R"({"b": "false"})", [](Reader& r) { r.boolean("b", true); }, "$.b", "true or false",
+       "\"false\""},
+      {R"({"s": 5})", [](Reader& r) { r.string("s", "x"); }, "$.s", "a string", "5"},
+      {R"({"c": "green"})", [](Reader& r) { r.choice("c", 1, color_from_string, "red or blue"); },
+       "$.c", "red or blue", "\"green\""},
+      {R"({"c": 2})", [](Reader& r) { r.choice("c", 1, color_from_string, "red or blue"); },
+       "$.c", "red or blue", "2"},
+      // Containers extend the path.
+      {R"({"o": 3})", [](Reader& r) { r.find("o", "an options object"); }, "$.o",
+       "an options object", "3"},
+      {R"({"o": {"x": 1, "extra": 2}})",
+       [](Reader& r) {
+         std::optional<Reader> child = r.find("o");
+         child->integer<int>("x", 0);
+         child->finish();
+       },
+       "$.o.extra", "a known key", "\"extra\""},
+      {R"({"a": {}})", [](Reader& r) { r.array("a", "an array of ids", false); }, "$.a",
+       "an array of ids", "{}"},
+      {"{}", [](Reader& r) { r.array("a", "an array of ids", true); }, "$.a", "an array of ids",
+       "nothing"},
+      {R"({"a": [1, [2, "x"]]})",
+       [](Reader& r) {
+         const std::vector<Element> outer = r.array("a", "an array", true);
+         for (const Element& inner : elements(outer[1].value, outer[1].path, "an array")) {
+           read_integer(inner.value, inner.path, 0, 9);
+         }
+       },
+       "$.a[1][1]", "a non-negative integer", "\"x\""},
+      // Leftover keys: a suggestion when one is close, none otherwise.
+      {R"({"flops_per_cor": 1})", [](Reader& r) { r.number("flops_per_core", 1.0); },
+       "$.flops_per_cor", "a known key",
+       "\"flops_per_cor\" (did you mean \"flops_per_core\"?)"},
+      {R"({"frobnicate": 1})", [](Reader& r) { r.integer<int>("nodes", 16, 1); },
+       "$.frobnicate", "a known key", "\"frobnicate\""},
+      // A missing required member is reported before a leftover key.
+      {R"({"nodez": 1})", [](Reader& r) { r.integer<int>("nodes", std::nullopt, 1); },
+       "$.nodes", "a positive integer", "nothing"},
+  };
+  for (const auto& c : cases) {
+    try {
+      const Value value = parse(c.text);
+      Reader reader(value, "$");
+      c.read(reader);
+      reader.finish();
+      ADD_FAILURE() << "expected LoadError for " << c.text;
+    } catch (const util::LoadError& error) {
+      EXPECT_EQ(error.json_path(), c.path) << c.text;
+      EXPECT_EQ(error.expected(), c.expected) << c.text;
+      EXPECT_EQ(error.found(), c.found) << c.text;
+    }
+  }
+}
+
+TEST(JsonReader, RejectsNonObject) {
+  try {
+    Reader(parse("[1, 2]"), "$.jobs[0]", "a job object");
+    FAIL() << "expected LoadError";
+  } catch (const util::LoadError& error) {
+    EXPECT_EQ(error.json_path(), "$.jobs[0]");
+    EXPECT_EQ(error.expected(), "a job object");
+    EXPECT_EQ(error.found(), "[1,2]");
+  }
 }
 
 }  // namespace

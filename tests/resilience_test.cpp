@@ -230,6 +230,11 @@ TEST(FaultInjector, MalformedTraceThrowsAtItsJsonPath) {
       {R"({"failures": [{"node": 1, "fail": 5}, {"node": 1, "fail": 9, "repair": 2}]})",
        "$.failures[1].repair"},
       {R"({"failures": [{"node": 1, "fail": 5, "repair": "soon"}]})", "$.failures[0].repair"},
+      {R"({"failures": [{"node": 4294967296, "fail": 5}]})", "$.failures[0].node"},
+      {R"({"failures": [{"node": 1, "fail": "soon"}]})", "$.failures[0].fail"},
+      {R"({"failures": [{"node": 1, "fail": 5, "repiar": 9}]})", "$.failures[0].repiar"},
+      {R"({"failures": [], "seed": 3})", "$.seed"},
+      {R"([{"node": 1, "fail": 5}])", "$"},
   };
   for (const auto& [text, path] : cases) {
     const json::Value trace = json::parse(text);
@@ -240,6 +245,13 @@ TEST(FaultInjector, MalformedTraceThrowsAtItsJsonPath) {
       EXPECT_EQ(error.json_path(), path) << text;
     }
   }
+}
+
+TEST(FaultInjector, TraceTimesAcceptUnitStrings) {
+  const json::Value trace =
+      json::parse(R"({"failures": [{"node": 3, "fail": "1h", "repair": "90m"}]})");
+  EXPECT_EQ(FaultInjector::from_json(trace),
+            (std::vector<FailureEvent>{{3, 3600.0, 5400.0}}));
 }
 
 TEST(FaultInjector, LoadTraceNamesTheFile) {

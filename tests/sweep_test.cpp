@@ -372,6 +372,55 @@ TEST(SweepSpecTest, InvalidFaultModelValueIsDiagnosed) {
   }
 }
 
+// Each row must fail at its member instead of running on a default or a
+// rounded value: a string number or flag, a seed above 2^53 - 1, a
+// fractional count, an unknown key.
+TEST(SweepSpecTest, MalformedMemberThrowsAtItsJsonPath) {
+  const std::pair<const char*, const char*> cases[] = {
+      {R"("faults": {"mtbf": "6h", "failure_dist": "weibull", "weibull_shape": "2"})",
+       "$.faults.weibull_shape"},
+      {R"("faults": {"mtbf": "6h", "repair_sigma": "0.5"})", "$.faults.repair_sigma"},
+      {R"("faults": {"mtbf": "6h", "pod_correlation": true})", "$.faults.pod_correlation"},
+      {R"("faults": {"mtbf": "6h", "seed": 3})", "$.faults.seed"},
+      {R"("seeds": [1, 9007199254740993])", "$.seeds[1]"},
+      {R"("seeds": [1.5])", "$.seeds[0]"},
+      {R"("retry": {"crashed": "no"})", "$.retry.crashed"},
+      {R"("retry": {"max_attempts": 2.5})", "$.retry.max_attempts"},
+      {R"("batch": {"reconfig_cost": 1})", "$.batch.reconfig_cost"},
+      {R"("batch": {"intervall": "30s"})", "$.batch.intervall"},
+      {R"("batch": {"max_requeues": -1})", "$.batch.max_requeues"},
+      {R"("timeout": "soon")", "$.timeout"},
+      {R"("schedulers": [5])", "$.schedulers[0]"},
+      {R"("thread": 4)", "$.thread"},
+  };
+  for (const auto& [member, path] : cases) {
+    const std::string text =
+        std::string(R"({"platforms": ["p.json"], "workloads": ["w.json"], )") + member + "}";
+    try {
+      core::parse_sweep_spec(json::parse(text));
+      ADD_FAILURE() << "expected LoadError for " << text;
+    } catch (const util::LoadError& error) {
+      EXPECT_EQ(error.json_path(), path) << text;
+    }
+  }
+}
+
+// 2^53 - 1 is the largest seed a JSON number keeps exactly; the error for a
+// larger one names that bound instead of running on a rounded seed.
+TEST(SweepSpecTest, SeedErrorNamesTheBound) {
+  const core::SweepSpec spec = core::parse_sweep_spec(json::parse(
+      R"({"platforms": ["p.json"], "workloads": ["w.json"], "seeds": [9007199254740991]})"));
+  EXPECT_EQ(spec.seeds, std::vector<std::uint64_t>{9007199254740991u});
+  try {
+    core::parse_sweep_spec(json::parse(
+        R"({"platforms": ["p.json"], "workloads": ["w.json"], "seeds": [9007199254740993]})"));
+    FAIL() << "expected LoadError";
+  } catch (const util::LoadError& error) {
+    EXPECT_EQ(error.json_path(), "$.seeds[0]");
+    EXPECT_EQ(error.expected(), "a non-negative integer below 2^53");
+  }
+}
+
 TEST(SweepSpecTest, LoadAnnotatesTheFile) {
   const std::filesystem::path path =
       temp_file("elsim_sweep_bad.json", "{\"platforms\": [");

@@ -3,6 +3,7 @@
 
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <map>
 #include <sstream>
 
@@ -518,14 +519,103 @@ TEST(WorkloadIo, RejectsDuplicateJobId) {
   }
 }
 
+/// A two-job workload with `text` at `at` ("@job0", "@phase", "@task" or
+/// "@job1") and every other marker removed.
+std::string two_jobs(const std::string& at, const std::string& text) {
+  std::string out = R"({"jobs": [
+      {"id": 1@job0, "application": {"phases": [
+        {"name": "p"@phase, "groups": [[{"type": "io", "bytes": 1024@task}]]}]}},
+      {"id": 2@job1, "application": {"phases": [{"groups": [[{"type": "delay"}]]}]}}]})";
+  for (const char* marker : {"@job0", "@phase", "@task", "@job1"}) {
+    out.replace(out.find(marker), std::strlen(marker), at == marker ? text : "");
+  }
+  return out;
+}
+
+// Each row must fail at its member, not at the job and not by running on
+// another value: a string count or flag, a count past int, a fractional id,
+// a misspelled or misplaced key.
+TEST(WorkloadIo, MalformedMemberThrowsAtItsJsonPath) {
+  const std::string task = "$.jobs[0].application.phases[0].groups[0][0]";
+  const struct {
+    const char* at;
+    const char* text;
+    std::string path;
+  } cases[] = {
+      {"@phase", R"(, "iterations": "3")", "$.jobs[0].application.phases[0].iterations"},
+      {"@phase", R"(, "iterations": 4294967298)", "$.jobs[0].application.phases[0].iterations"},
+      {"@task", R"(, "write": "false")", task + ".write"},
+      {"@job0", R"(, "type": "rigid", "requested_nodes": 4294967297,
+                    "min_nodes": 4294967297, "max_nodes": 4294967297)",
+       "$.jobs[0].requested_nodes"},
+      {"@job0", ".6", "$.jobs[0].id"},
+      {"@job1", R"(, "walltime": 5)", "$.jobs[1].walltime"},
+      {"@job1", R"(, "dependencies": ["1"])", "$.jobs[1].dependencies[0]"},
+      {"@job1", R"(, "priority": 1.5)", "$.jobs[1].priority"},
+      {"@job0", R"(, "walltime_limit": "soon")", "$.jobs[0].walltime_limit"},
+      {"@job0", R"(, "submit_time": -1)", "$.jobs[0].submit_time"},
+      {"@phase", R"(, "group": [])", "$.jobs[0].application.phases[0].group"},
+      {"@task", R"(, "target": "tape")", task + ".target"},
+      {"@task", R"(, "seconds": 1)", task + ".seconds"},
+  };
+  for (const auto& c : cases) {
+    const std::string text = two_jobs(c.at, c.text);
+    try {
+      workload_from_json(json::parse(text));
+      ADD_FAILURE() << "expected LoadError for " << text;
+    } catch (const util::LoadError& error) {
+      EXPECT_EQ(error.json_path(), c.path) << text;
+    }
+  }
+  EXPECT_EQ(workload_from_json(json::parse(two_jobs("", ""))).size(), 2u);
+}
+
+// A unit string reads as the value it spells, in every quantity member.
+TEST(WorkloadIo, UnitStringsReadAsTheirValues) {
+  const Job with_units = job_from_json(json::parse(R"({"id": 1, "submit_time": "10",
+      "walltime_limit": "1h", "memory_per_node": "2GiB",
+      "application": {"state_bytes_per_node": "1MiB", "phases": [{"groups": [[
+        {"type": "io", "bytes": "32GiB"}, {"type": "compute", "work": "2GF"},
+        {"type": "comm", "bytes": "64KiB"}, {"type": "delay", "seconds": "2m"}]]}]}})"));
+  const Job with_numbers = job_from_json(json::parse(R"({"id": 1, "submit_time": 10,
+      "walltime_limit": 3600, "memory_per_node": 2147483648,
+      "application": {"state_bytes_per_node": 1048576, "phases": [{"groups": [[
+        {"type": "io", "bytes": 34359738368}, {"type": "compute", "work": 2e9},
+        {"type": "comm", "bytes": 65536}, {"type": "delay", "seconds": 120}]]}]}})"));
+  EXPECT_EQ(json::dump(job_to_json(with_units)), json::dump(job_to_json(with_numbers)));
+  EXPECT_DOUBLE_EQ(with_units.walltime_limit, 3600.0);
+  EXPECT_DOUBLE_EQ(with_units.submit_time, 10.0);
+}
+
+// Every optional branch of job_to_json (priorities, dependencies,
+// checkpoints, evolving deltas, memory, GPU and delay tasks) reads back to
+// the same workload.
 TEST(WorkloadIo, FileRoundTrip) {
   GeneratorConfig config;
-  config.job_count = 5;
-  const auto jobs = generate_workload(config);
+  config.job_count = 40;
+  config.malleable_fraction = 0.3;
+  config.evolving_fraction = 0.3;
+  config.evolving_phase_fraction = 1.0;
+  config.io_fraction = 0.3;
+  config.checkpoint_fraction = 0.3;
+  config.max_priority = 5;
+  config.chain_fraction = 0.3;
+  auto jobs = generate_workload(config);
+  jobs[0].memory_bytes_per_node = 64.0 * 1024 * 1024 * 1024;
+  ComputeTask gpu{1e12, ScalingModel::kStrong, 0.0, ComputeTarget::kGpu};
+  jobs[0].application.phases[0].groups.push_back(
+      {Task{"gpu", gpu}, Task{"settle", DelayTask{1.5}}});
   const std::string path = testing::TempDir() + "/elsim_workload_test.json";
   save_workload(path, jobs);
   const auto back = load_workload(path);
   EXPECT_EQ(back.size(), jobs.size());
+  EXPECT_EQ(json::dump(workload_to_json(back)), json::dump(workload_to_json(jobs)));
+  const std::string written = json::dump(workload_to_json(jobs));
+  for (const char* key : {"\"priority\"", "\"dependencies\"", "\"checkpoint\"",
+                          "\"evolving_delta\"", "\"memory_per_node\"", "\"alpha\"",
+                          "\"walltime_limit\"", "\"gpu\"", "\"seconds\""}) {
+    EXPECT_NE(written.find(key), std::string::npos) << key;
+  }
   std::remove(path.c_str());
 }
 
