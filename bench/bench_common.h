@@ -107,9 +107,15 @@ inline core::SimulationResult run(const platform::ClusterConfig& platform,
   config.scheduler = scheduler;
   config.batch = batch;
   stats::DecisionJournal journal;
-  if (!journal_dir().empty()) config.subscribers.push_back(&journal);
+  if (!journal_dir().empty()) {
+    config.subscribers.push_back(&journal);
+    config.checked_sinks.journal = &journal;
+  }
   stats::StateSampler sampler;
-  if (!timeseries_dir().empty()) config.subscribers.push_back(&sampler);
+  if (!timeseries_dir().empty()) {
+    config.subscribers.push_back(&sampler);
+    config.checked_sinks.sampler = &sampler;
+  }
   const double wall_begin = telemetry::enabled() ? telemetry::wall_now() : 0.0;
   core::SimulationResult result = core::run_simulation(config, std::move(jobs));
   detail::queue_high_water() = std::max(detail::queue_high_water(), result.queue_peak);

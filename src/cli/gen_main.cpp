@@ -5,9 +5,14 @@
 // Every GeneratorConfig knob is exposed as a flag; the result is a JSON
 // workload usable with `elastisim --workload`, or an SWF trace with
 // `--format swf`. Quantities accept unit suffixes ("64MiB", "2GF", "90s").
+// Every value is range-checked (workload::validate) before anything is
+// generated or written; a bad one exits 2 naming its flag.
+#include <climits>
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 
+#include "json/reader.h"
 #include "util/flags.h"
 #include "util/units.h"
 #include "workload/generator.h"
@@ -26,6 +31,20 @@ double quantity_flag(const util::Flags& flags, const std::string& name, double f
   throw util::FlagError(name, raw, "a number, or one with a unit (90s, 2GF, 64MiB)");
 }
 
+/// A duration flag that must be finite and at least 0.
+double duration_flag(const util::Flags& flags, const std::string& name, double fallback) {
+  const double value = quantity_flag(flags, name, fallback, util::parse_duration);
+  if (std::isfinite(value) && value >= 0.0) return value;
+  throw util::FlagError(name, flags.get(name, std::string()), "a finite, non-negative duration");
+}
+
+/// A count flag read as an int: a value outside [min, INT_MAX] is a
+/// FlagError instead of wrapping.
+int count_flag(const util::Flags& flags, const std::string& name, int fallback,
+               int min = INT_MIN) {
+  return static_cast<int>(flags.get(name, std::int64_t{fallback}, min, INT_MAX));
+}
+
 }  // namespace
 
 int main(int argc, char** argv) try {
@@ -33,22 +52,18 @@ int main(int argc, char** argv) try {
 
   workload::GeneratorConfig config;
   config.job_count = static_cast<std::size_t>(
-      flags.get("jobs", static_cast<std::int64_t>(config.job_count)));
-  config.seed =
-      static_cast<std::uint64_t>(flags.get("seed", static_cast<std::int64_t>(config.seed)));
+      count_flag(flags, "jobs", static_cast<int>(config.job_count), 0));
+  config.seed = static_cast<std::uint64_t>(
+      flags.get("seed", static_cast<std::int64_t>(config.seed), 0, json::kMaxSafeInteger));
   config.mean_interarrival = quantity_flag(flags, "interarrival", config.mean_interarrival,
                                            util::parse_duration);
-  config.min_nodes =
-      static_cast<int>(flags.get("min-nodes", static_cast<std::int64_t>(config.min_nodes)));
-  config.max_nodes =
-      static_cast<int>(flags.get("max-nodes", static_cast<std::int64_t>(config.max_nodes)));
+  config.min_nodes = count_flag(flags, "min-nodes", config.min_nodes);
+  config.max_nodes = count_flag(flags, "max-nodes", config.max_nodes);
   config.moldable_fraction = flags.get("moldable", config.moldable_fraction);
   config.malleable_fraction = flags.get("malleable", config.malleable_fraction);
   config.evolving_fraction = flags.get("evolving", config.evolving_fraction);
-  config.min_iterations = static_cast<int>(
-      flags.get("min-iterations", static_cast<std::int64_t>(config.min_iterations)));
-  config.max_iterations = static_cast<int>(
-      flags.get("max-iterations", static_cast<std::int64_t>(config.max_iterations)));
+  config.min_iterations = count_flag(flags, "min-iterations", config.min_iterations);
+  config.max_iterations = count_flag(flags, "max-iterations", config.max_iterations);
   config.mean_iteration_compute = quantity_flag(
       flags, "iteration-compute", config.mean_iteration_compute, util::parse_duration);
   config.flops_per_node =
@@ -60,30 +75,30 @@ int main(int argc, char** argv) try {
   config.checkpoint_fraction = flags.get("checkpoint-fraction", config.checkpoint_fraction);
   config.checkpoint_bytes =
       quantity_flag(flags, "checkpoint-bytes", config.checkpoint_bytes, util::parse_bytes);
-  config.checkpoint_every = static_cast<int>(
-      flags.get("checkpoint-every", static_cast<std::int64_t>(config.checkpoint_every)));
+  config.checkpoint_every = count_flag(flags, "checkpoint-every", config.checkpoint_every);
+  config.state_bytes_per_node =
+      quantity_flag(flags, "state-bytes", config.state_bytes_per_node, util::parse_bytes);
+  config.walltime_factor = flags.get("walltime-factor", config.walltime_factor);
+  config.evolving_phase_fraction =
+      flags.get("evolving-phase-fraction", config.evolving_phase_fraction);
+  config.max_priority = count_flag(flags, "max-priority", config.max_priority);
+  config.chain_fraction = flags.get("chain-fraction", config.chain_fraction);
+  if (const auto error = workload::validate(config)) {
+    throw util::FlagError(error->flag, flags.get(error->flag, std::string()), error->expected);
+  }
   // --daly-mtbf M derives checkpoint_every from the Young/Daly optimal
   // interval instead: checkpoint cost C comes from --daly-checkpoint-cost
   // (seconds to write one checkpoint), iteration length from
   // --iteration-compute.
-  const double daly_mtbf = quantity_flag(flags, "daly-mtbf", 0.0, util::parse_duration);
+  const double daly_mtbf = duration_flag(flags, "daly-mtbf", 0.0);
   if (daly_mtbf > 0.0) {
-    const double cost =
-        quantity_flag(flags, "daly-checkpoint-cost", 60.0, util::parse_duration);
+    const double cost = duration_flag(flags, "daly-checkpoint-cost", 60.0);
     config.checkpoint_every =
         workload::daly_checkpoint_every(cost, daly_mtbf, config.mean_iteration_compute);
     std::printf("Young/Daly: checkpoint every %d iterations (interval %.0fs)\n",
                 config.checkpoint_every,
                 workload::young_daly_interval(cost, daly_mtbf));
   }
-  config.state_bytes_per_node =
-      quantity_flag(flags, "state-bytes", config.state_bytes_per_node, util::parse_bytes);
-  config.walltime_factor = flags.get("walltime-factor", config.walltime_factor);
-  config.evolving_phase_fraction =
-      flags.get("evolving-phase-fraction", config.evolving_phase_fraction);
-  config.max_priority = static_cast<int>(
-      flags.get("max-priority", static_cast<std::int64_t>(config.max_priority)));
-  config.chain_fraction = flags.get("chain-fraction", config.chain_fraction);
 
   const std::string out = flags.get("out", std::string("workload.json"));
   const std::string format = flags.get("format", std::string("json"));

@@ -29,12 +29,14 @@
 // <out-dir>/profile.json) runs the self-profiler: hierarchical phase wall
 // times plus work-metric counters, written as deterministic-schema JSON.
 #include <algorithm>
+#include <cmath>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <optional>
 
 #include "cli/inspect.h"
@@ -48,6 +50,7 @@
 #include "core/invariant_checker.h"
 #include "core/simulation.h"
 #include "json/json.h"
+#include "json/reader.h"
 #include "stats/chrome_trace.h"
 #include "stats/journal.h"
 #include "stats/profiler.h"
@@ -257,7 +260,16 @@ int main(int argc, char** argv) try {
       return 2;
     }
     config.batch.restart_overhead = duration_flag(flags, "restart-overhead", 0.0);
-    config.batch.max_requeues = static_cast<int>(flags.get("max-requeues", std::int64_t{0}));
+    config.batch.max_requeues = static_cast<int>(
+        flags.get("max-requeues", std::int64_t{0}, 0, std::numeric_limits<int>::max()));
+    if (const auto error = core::validate(config.batch)) {
+      throw util::FlagError(error->flag, flags.get(error->flag, std::string()), error->expected);
+    }
+    const double sample_interval = duration_flag(flags, "sample-interval", 0.0);
+    if (!(std::isfinite(sample_interval) && sample_interval >= 0.0)) {
+      throw util::FlagError("sample-interval", flags.get("sample-interval", std::string()),
+                            "a finite, non-negative duration");
+    }
 
     std::vector<workload::Job> jobs;
     if (!workload_path.empty()) {
@@ -266,11 +278,12 @@ int main(int argc, char** argv) try {
       workload::SwfImportOptions options;
       options.flops_per_node =
           config.platform.cores_per_node * config.platform.flops_per_core;
-      options.processors_per_node =
-          static_cast<int>(flags.get("swf-cores-per-node", std::int64_t{1}));
+      options.processors_per_node = static_cast<int>(
+          flags.get("swf-cores-per-node", std::int64_t{1}, 1, std::numeric_limits<int>::max()));
       options.malleable_fraction = flags.get("swf-malleable", 0.0);
       options.max_nodes = static_cast<int>(config.platform.node_count);
-      options.seed = static_cast<std::uint64_t>(flags.get("seed", std::int64_t{42}));
+      options.seed = static_cast<std::uint64_t>(
+          flags.get("seed", std::int64_t{42}, 0, json::kMaxSafeInteger));
       jobs = workload::jobs_from_swf(workload::parse_swf_file(swf_path), options);
     }
     std::printf("loaded %zu jobs, %zu-node %s platform, scheduler %s\n", jobs.size(),
@@ -320,7 +333,8 @@ int main(int argc, char** argv) try {
                               error->expected);
       }
       fault.horizon = core::failure_horizon(fault, jobs);
-      fault.seed = static_cast<std::uint64_t>(flags.get("failure-seed", std::int64_t{1}));
+      fault.seed = static_cast<std::uint64_t>(
+          flags.get("failure-seed", std::int64_t{1}, 0, json::kMaxSafeInteger));
       failures = core::FaultInjector(fault).generate(config.platform.node_count,
                                                      config.platform.pod_size);
       std::printf("generated %zu failure events (mtbf %.0fs, horizon %.0fs, seed %llu)\n",
@@ -345,7 +359,6 @@ int main(int argc, char** argv) try {
     const bool want_trace = flags.get("trace", false);
     const std::string chrome_path = flags.get("chrome-trace", std::string());
     const std::string journal_path = flags.get("journal", std::string());
-    const double sample_interval = duration_flag(flags, "sample-interval", 0.0);
     // --sample-interval without --timeseries still means "I want the
     // timeline"; a bare --timeseries samples at scheduling points only.
     const bool want_timeseries = flags.get("timeseries", false) || sample_interval > 0.0;
@@ -383,6 +396,9 @@ int main(int argc, char** argv) try {
     // monotonic clocks are re-verified at every scheduling point
     // (docs/ANALYSIS.md).
     config.validate = flags.get("validate", false);
+    config.checked_sinks = {want_trace ? &trace : nullptr,
+                            !journal_path.empty() ? &journal : nullptr,
+                            want_timeseries ? &sampler : nullptr};
     config.failures = &failures;
     // Ctrl-C stops the engine between events; every sink below still
     // flushes, so an interrupted run leaves complete (partial) artifacts.

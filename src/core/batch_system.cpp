@@ -1,18 +1,31 @@
 #include "core/batch_system.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cmath>
 
 #include "core/flight_recorder.h"
 #include "stats/profiler.h"
 #include "util/check.h"
+#include "util/fmt.h"
 #include "util/log.h"
 
 namespace elastisim::core {
 
 using workload::JobId;
 using Kind = stats::BatchEventKind;
+
+namespace {
+
+/// BatchSystem::JobState names, in declaration order.
+const char* state_name(int state) {
+  static constexpr const char* kNames[] = {"pending",  "held",   "queued",   "running",
+                                           "finished", "killed", "cancelled"};
+  return kNames[state];
+}
+
+}  // namespace
 
 std::string to_string(FailurePolicy policy) {
   switch (policy) {
@@ -38,9 +51,8 @@ BatchSystem::BatchSystem(sim::Engine& engine, const platform::Cluster& cluster,
       scheduler_(std::move(scheduler)),
       recorder_(&recorder),
       config_(config),
-      nodes_(cluster.node_count()) {
+      pool_(cluster, config.placement) {
   assert(scheduler_ && "batch system needs a scheduler");
-  for (const platform::Node& node : cluster.nodes()) free_nodes_.insert(node.id);
   recorder_->set_total_nodes(static_cast<int>(cluster.node_count()));
 }
 
@@ -140,7 +152,6 @@ void BatchSystem::enter_queue(JobId id) {
   if (!job.outstanding_deps.empty()) {
     job.state = JobState::kHeld;
     emit({.kind = Kind::kHeld, .job = &job.job});
-    ++held_;
     return;
   }
   job.state = JobState::kQueued;
@@ -157,13 +168,11 @@ void BatchSystem::resolve_dependents(JobId id, bool succeeded) {
     Managed& child = managed(child_id);
     if (child.state != JobState::kHeld) continue;  // pending or already cancelled
     if (!succeeded) {
-      --held_;
       cancel_job(child);
       continue;
     }
     child.outstanding_deps.erase(id);
     if (child.outstanding_deps.empty()) {
-      --held_;
       child.state = JobState::kQueued;
       queue_.push_back(&child.job);
       emit({.kind = Kind::kQueued, .job = &child.job});
@@ -216,8 +225,7 @@ void BatchSystem::start_job(JobId id, int nodes) {
   std::erase(queue_, &job.job);
   job.state = JobState::kRunning;
   job.start_time = engine_->now();
-  job.nodes = take_nodes(config_.placement, *cluster_, free_nodes_, nodes);
-  for (platform::NodeId node : job.nodes) nodes_[node].owner = &job;
+  job.nodes = pool_.take(nodes, &job.job);
   running_.push_back({&job.job, job.start_time, nodes, nodes});
   recorder_->on_start(id, engine_->now(), nodes);
   emit({.kind = Kind::kStart, .job = &job.job, .nodes = nodes, .node_list = job.nodes});
@@ -314,20 +322,13 @@ void BatchSystem::apply_resize(Managed& job, int target) {
   assert(target != current && target >= job.job.min_nodes && target <= job.job.max_nodes);
   if (target > current) {
     // Expansion: new nodes are busy from the start of redistribution.
-    const std::vector<platform::NodeId> added =
-        take_nodes(config_.placement, *cluster_, free_nodes_, target - current);
-    std::vector<platform::NodeId> grown = job.nodes;
-    for (platform::NodeId node : added) {
-      grown.push_back(node);
-      nodes_[node].owner = &job;
-    }
-    job.nodes = grown;
+    const std::vector<platform::NodeId> added = pool_.take(target - current, &job.job);
+    job.nodes.insert(job.nodes.end(), added.begin(), added.end());
     refresh_running(job);
     recorder_->on_resize(id, engine_->now(), target);
     emit({.kind = Kind::kExpand, .job = &job.job, .nodes = target, .previous_nodes = current,
           .node_list = added});
-    job.execution->resume_with_nodes(std::move(grown), config_.charge_reconfiguration,
-                                     nullptr);
+    job.execution->resume_with_nodes(job.nodes, config_.charge_reconfiguration, nullptr);
   } else {
     // Shrink: keep a prefix; the tail is released after redistribution.
     std::vector<platform::NodeId> kept(job.nodes.begin(), job.nodes.begin() + target);
@@ -369,16 +370,8 @@ void BatchSystem::handle_walltime(JobId id) {
 }
 
 void BatchSystem::return_node(platform::NodeId node) {
-  // A failed node stays out until repaired; a draining one drains now.
-  NodeStatus& status = nodes_[node];
-  status.owner = nullptr;
-  const bool freed = !status.failed && !status.drain;
-  if (freed) {
-    free_nodes_.insert(node);
-  } else if (!status.failed) {
-    ++drained_count_;
-    ELSIM_INFO("t={} node {} drained", engine_->now(), node);
-  }
+  const bool freed = pool_.release(node);
+  if (!freed && !pool_.failed(node)) ELSIM_INFO("t={} node {} drained", engine_->now(), node);
   emit({.kind = Kind::kRelease, .node = node, .freed = freed});
 }
 
@@ -403,30 +396,9 @@ void BatchSystem::refresh_running(const Managed& job) {
 // Failure injection
 // ---------------------------------------------------------------------------
 
-bool BatchSystem::valid_window(const char* what, platform::NodeId node, double when,
-                               double until) const {
-  // Explicit validation (not just asserts): failure and drain schedules come
-  // from outside the simulator (trace files, embedders), so bad input must be
-  // rejected in release builds too.
-  if (node >= cluster_->node_count()) {
-    ELSIM_ERROR("rejecting {}: node {} outside cluster of {}", what, node, cluster_->node_count());
-    return false;
-  }
-  if (!std::isfinite(when) || when < 0.0) {
-    ELSIM_ERROR("rejecting {} for node {}: bad start time {}", what, node, when);
-    return false;
-  }
-  if (std::isnan(until) || until < when) {
-    ELSIM_ERROR("rejecting {} for node {}: end at {} precedes start at {}", what, node, until,
-                when);
-    return false;
-  }
-  return true;
-}
-
 bool BatchSystem::inject_failure(platform::NodeId node, double fail_time,
                                  double repair_time) {
-  if (!valid_window("failure injection", node, fail_time, repair_time)) return false;
+  if (!pool_.valid_window("failure injection", node, fail_time, repair_time)) return false;
   engine_->schedule_at(fail_time, [this, node, repair_time] { fail_node(node, repair_time); });
   if (std::isfinite(repair_time)) {
     engine_->schedule_at(repair_time, [this, node] { restore_node(node); });
@@ -436,46 +408,25 @@ bool BatchSystem::inject_failure(platform::NodeId node, double fail_time,
 
 void BatchSystem::fail_node(platform::NodeId node, double repair_time) {
   ELSIM_PROFILE_SCOPE(stats::profiler::Phase::kFault);
-  NodeStatus& status = nodes_[node];
-  if (status.failed) {
-    // Double failure while a repair is pending: extend the outage window so
-    // the earlier repair event cannot return a still-broken node to service.
-    status.repair_until = std::max(status.repair_until, repair_time);
-    return;
-  }
-  // A drained node stops counting as drained; its drain flag outlives the
-  // failure, so the repair returns it to the drain, not to service.
-  if (status.drain && status.owner == nullptr) --drained_count_;
-  status.failed = true;
-  status.repair_until = repair_time;
-  ++failed_count_;
+  if (!pool_.fail(node, repair_time)) return;  // a repeat failure extends the outage
   ELSIM_INFO("t={} node {} failed", engine_->now(), node);
   emit({.kind = Kind::kNodeFail, .node = node});
-  free_nodes_.erase(node);
-  if (status.owner != nullptr) evict_job(*status.owner, node);
+  if (const workload::Job* owner = pool_.owner(node)) evict_job(managed(owner->id), node);
   invoke_scheduler(stats::JournalCause::kFailure);
 }
 
 void BatchSystem::restore_node(platform::NodeId node) {
   ELSIM_PROFILE_SCOPE(stats::profiler::Phase::kFault);
-  NodeStatus& status = nodes_[node];
   // A later-injected outage may still cover this node.
-  if (!status.failed || engine_->now() < status.repair_until) return;
-  status.failed = false;
-  --failed_count_;
+  if (!pool_.restore(node, engine_->now())) return;
   ELSIM_INFO("t={} node {} restored", engine_->now(), node);
   emit({.kind = Kind::kNodeRestore, .node = node});
-  if (status.drain) {
-    ++drained_count_;
-    ELSIM_INFO("t={} node {} repaired into drain", engine_->now(), node);
-  } else {
-    free_nodes_.insert(node);
-  }
+  if (pool_.draining(node)) ELSIM_INFO("t={} node {} repaired into drain", engine_->now(), node);
   invoke_scheduler(stats::JournalCause::kRepair);
 }
 
 bool BatchSystem::drain_node(platform::NodeId node, double when, double until) {
-  if (!valid_window("drain", node, when, until)) return false;
+  if (!pool_.valid_window("drain", node, when, until)) return false;
   engine_->schedule_at(when, [this, node] { start_drain(node); });
   if (std::isfinite(until)) {
     engine_->schedule_at(until, [this, node] { undrain_node(node); });
@@ -485,31 +436,23 @@ bool BatchSystem::drain_node(platform::NodeId node, double when, double until) {
 
 void BatchSystem::start_drain(platform::NodeId node) {
   ELSIM_PROFILE_SCOPE(stats::profiler::Phase::kFault);
-  NodeStatus& status = nodes_[node];
-  if (status.drain) return;
+  if (!pool_.drain(node)) return;
   emit({.kind = Kind::kNodeDrain, .node = node});
-  status.drain = true;
-  if (free_nodes_.erase(node) > 0) {
-    ++drained_count_;
+  if (pool_.owner(node) == nullptr && !pool_.failed(node)) {
     ELSIM_INFO("t={} node {} drained (was idle)", engine_->now(), node);
   } else {
     ELSIM_INFO("t={} node {} drain pending ({})", engine_->now(), node,
-               status.failed ? "down" : "busy");
+               pool_.failed(node) ? "down" : "busy");
   }
   invoke_scheduler(stats::JournalCause::kMaintenance);
 }
 
 void BatchSystem::undrain_node(platform::NodeId node) {
   ELSIM_PROFILE_SCOPE(stats::profiler::Phase::kFault);
-  NodeStatus& status = nodes_[node];
-  if (!status.drain) return;
-  status.drain = false;
   // A busy or failed node never counted as drained; its release or repair
   // frees it.
-  if (status.owner != nullptr || status.failed) return;
-  --drained_count_;
+  if (!pool_.undrain(node)) return;
   emit({.kind = Kind::kNodeUndrain, .node = node});
-  free_nodes_.insert(node);
   ELSIM_INFO("t={} node {} back in service", engine_->now(), node);
   invoke_scheduler(stats::JournalCause::kMaintenance);
 }
@@ -604,8 +547,120 @@ void BatchSystem::invoke_scheduler(stats::JournalCause cause) {
 bool BatchSystem::test_corrupt_double_allocation(workload::JobId id) {
   const Managed& job = managed(id);
   if (job.nodes.empty()) return false;
-  free_nodes_.insert(job.nodes.front());
+  pool_.test_corrupt_free_set(job.nodes.front());
   return true;
+}
+
+std::size_t BatchSystem::held_jobs() const {
+  std::size_t held = 0;
+  // elsim-lint: allow(unordered-iteration) -- counts only
+  for (const auto& [id, job] : jobs_) held += job->state == JobState::kHeld;
+  return held;
+}
+
+std::optional<std::string> BatchSystem::check(bool all_jobs) const {
+  const std::size_t total = cluster_->node_count();
+  held_marks_.assign(total, 0);
+  for (const RunningJob& entry : running_) {
+    const JobId id = entry.job->id;
+    const auto it = jobs_.find(id);
+    if (it == jobs_.end() || it->second->state != JobState::kRunning) {
+      return util::fmt("running list holds job {} which is not running", id);
+    }
+    const Managed& job = *it->second;
+    const int nodes = static_cast<int>(job.nodes.size());
+    const auto view = [id](const std::string& what) {
+      return util::fmt("running view of job {}: {}", id, what);
+    };
+    if (entry.job != &job.job) return view("points at another job's record");
+    if (std::bit_cast<std::uint64_t>(entry.start_time) !=
+        std::bit_cast<std::uint64_t>(job.start_time)) {
+      return view(util::fmt("start_time {}, record has {}", entry.start_time, job.start_time));
+    }
+    if (entry.nodes != nodes) {
+      return view(util::fmt("nodes {}, record holds {}", entry.nodes, nodes));
+    }
+    if (entry.pending_target != (job.pending_target >= 0 ? job.pending_target : nodes)) {
+      return view(job.pending_target >= 0
+                      ? util::fmt("pending_target {}, record has {}", entry.pending_target,
+                                  job.pending_target)
+                      : util::fmt("pending_target {}, record has none ({} nodes)",
+                                  entry.pending_target, nodes));
+    }
+    if (job.nodes.empty()) return util::fmt("job {} is running but holds no nodes", id);
+    for (platform::NodeId node : job.nodes) {
+      if (node >= total) {
+        return util::fmt("job {} holds node {} outside the {}-node cluster", id, node, total);
+      }
+      const workload::Job* owner = pool_.owner(node);
+      if (owner != &job.job) {
+        return owner != nullptr
+                   ? util::fmt("node {} allocated to both job {} and job {}", node, id, owner->id)
+                   : util::fmt("node {} allocated to job {} has no owner in the node table",
+                               node, id);
+      }
+      if (pool_.failed(node)) return util::fmt("job {} occupies failed node {}", id, node);
+      if (held_marks_[node]++ != 0) {
+        return util::fmt("node {} is owned by job {}, which holds it {} times", node, id,
+                         std::count(job.nodes.begin(), job.nodes.end(), node));
+      }
+    }
+  }
+  // Every held node is owned by its one holder; an owned node nobody holds
+  // has an owner that is not running, or one that lost track of it.
+  for (platform::NodeId node = 0; node < total; ++node) {
+    const workload::Job* owner = pool_.owner(node);
+    if (owner == nullptr || held_marks_[node] != 0) continue;
+    const Managed& job = managed(owner->id);
+    return job.state != JobState::kRunning
+               ? util::fmt("node {} is owned by job {}, which is {}", node, owner->id,
+                           state_name(static_cast<int>(job.state)))
+               : util::fmt("node {} is owned by job {}, which holds it 0 times", node, owner->id);
+  }
+  if (auto error = pool_.check()) return error;
+  return all_jobs ? check_jobs() : std::nullopt;
+}
+
+std::optional<std::string> BatchSystem::check_jobs() const {
+  std::size_t waiting = 0, queued = 0, running = 0;
+  const Managed* stray = nullptr;  // the lowest-id job holding nodes while not running
+  // elsim-lint: allow(unordered-iteration) -- counts, and a minimum by id
+  for (const auto& [id, job] : jobs_) {
+    switch (job->state) {
+      case JobState::kPending:
+      case JobState::kHeld: ++waiting; break;
+      case JobState::kQueued: ++queued; break;
+      case JobState::kRunning: ++running; continue;
+      case JobState::kFinished:
+      case JobState::kKilled:
+      case JobState::kCancelled: break;
+    }
+    if (!job->nodes.empty() && (stray == nullptr || id < stray->job.id)) stray = job.get();
+  }
+  if (stray != nullptr) {
+    return util::fmt("job {} is {} but still holds {} nodes (first: node {})", stray->job.id,
+                     state_name(static_cast<int>(stray->state)), stray->nodes.size(),
+                     stray->nodes.front());
+  }
+  if (queue_.size() != queued) {
+    return util::fmt("queue lists {} jobs but {} jobs are queued", queue_.size(), queued);
+  }
+  for (QueuedJob entry : queue_) {
+    const auto it = jobs_.find(entry->id);
+    if (it == jobs_.end() || &it->second->job != entry ||
+        it->second->state != JobState::kQueued) {
+      return util::fmt("queue lists job {} which is not queued", entry->id);
+    }
+  }
+  if (running_.size() != running) {
+    return util::fmt("running list holds {} jobs but {} jobs hold allocations", running_.size(),
+                     running);
+  }
+  if (unfinished() != waiting + queued + running) {
+    return util::fmt("unfinished counter is {} but {} jobs are unfinished", unfinished(),
+                     waiting + queued + running);
+  }
+  return std::nullopt;
 }
 
 void BatchSystem::explain(workload::JobId id, stats::HoldReason reason, std::string detail) {
@@ -634,9 +689,9 @@ void BatchSystem::emit(stats::BatchEvent event) {
   event.time = engine_->now();
   event.state = {static_cast<int>(queue_.size()),
                  static_cast<int>(running_.size()),
-                 static_cast<int>(free_nodes_.size()),
-                 static_cast<int>(failed_count_),
-                 static_cast<int>(drained_count_),
+                 static_cast<int>(pool_.free_set().size()),
+                 static_cast<int>(pool_.failed_count()),
+                 static_cast<int>(pool_.drained_count()),
                  static_cast<int>(cluster_->node_count()),
                  tallies_};
   // elsim-lint: allow(hot-virtual-loop) -- the virtual call IS the subscriber API; one dispatch per subscriber per event

@@ -1,5 +1,7 @@
-// The batch system: job queue, node bookkeeping, scheduling points, and the
-// malleable-reconfiguration protocol.
+// The batch system: job queue, scheduling points, and the
+// malleable-reconfiguration protocol. Node state and placement live in its
+// NodePool; the batch system decides when nodes move and runs the scheduler
+// after each node event.
 //
 // Scheduling points (each triggers Scheduler::schedule):
 //   - job submission,
@@ -22,7 +24,8 @@
 // checker, or any other stats::BatchSubscriber. The batch system keeps only
 // the always-on counters (scheduler invocations/rounds/jobs scanned, job
 // outcomes, the BatchTallies) and formats nothing itself; a new sink needs
-// no change here.
+// no change here. check() verifies its lists and node pool on demand (the
+// InvariantChecker calls it at every scheduling point).
 #pragma once
 
 #include <functional>
@@ -37,7 +40,7 @@
 #include <vector>
 
 #include "core/job_execution.h"
-#include "core/placement.h"
+#include "core/node_pool.h"
 #include "core/scheduler.h"
 #include "platform/cluster.h"
 #include "sim/engine.h"
@@ -121,6 +124,17 @@ class BatchSystem final : public SchedulerContext {
   /// Returns false when the job holds no nodes.
   bool test_corrupt_double_allocation(workload::JobId job);
 
+  /// Verifies the running list in start order, each entry against its job's
+  /// record (same job, start time bit for bit, size, pending target); each
+  /// node a running job holds in bounds, owned by that job in the node pool,
+  /// not failed and held once; every owned node held by its owner; then the
+  /// pool's own check(). With `all_jobs`, also walks every job: the per-state
+  /// counts against the queue, the running list and the unfinished count,
+  /// and no job that is not running holding nodes. O(running jobs + nodes),
+  /// plus O(all jobs) with `all_jobs`. Returns the first broken rule,
+  /// formatted only then.
+  std::optional<std::string> check(bool all_jobs) const;
+
   /// Schedules node `node` to fail at `fail_time` and (optionally) return to
   /// service at `repair_time`. A failed node leaves the free pool; a job
   /// running on it is killed or requeued per BatchConfig::failure_policy.
@@ -145,10 +159,10 @@ class BatchSystem final : public SchedulerContext {
   std::size_t finished_jobs() const { return tallies_.finished; }
   std::size_t killed_jobs() const { return tallies_.killed; }
   std::size_t cancelled_jobs() const { return tallies_.cancelled; }
-  std::size_t held_jobs() const { return held_; }
+  std::size_t held_jobs() const;
   std::size_t requeued_jobs() const { return tallies_.requeues; }
-  std::size_t failed_nodes_now() const { return failed_count_; }
-  std::size_t drained_nodes_now() const { return drained_count_; }
+  std::size_t failed_nodes_now() const { return pool_.failed_count(); }
+  std::size_t drained_nodes_now() const { return pool_.drained_count(); }
   std::size_t queued_jobs() const { return queue_.size(); }
   std::size_t running_jobs() const { return running_.size(); }
 
@@ -162,11 +176,6 @@ class BatchSystem final : public SchedulerContext {
   /// workloads. Always counted, like the invocation/round counters.
   std::uint64_t scheduler_jobs_scanned() const { return scheduler_jobs_scanned_; }
 
-  /// Cumulative job outcomes, expansions, shrinks, evolving grants,
-  /// requeues, checkpoint restarts and lost node-seconds, in event order
-  /// (also carried by every event's state).
-  const stats::BatchTallies& tallies() const { return tallies_; }
-
   /// Concrete nodes a job currently occupies (empty when not running).
   std::vector<platform::NodeId> nodes_of(workload::JobId id) const { return managed(id).nodes; }
 
@@ -179,9 +188,9 @@ class BatchSystem final : public SchedulerContext {
   /// Nodes in service: failures and drains shrink the machine (drain-pending
   /// nodes still count; their jobs are still running).
   int total_nodes() const override {
-    return static_cast<int>(cluster_->node_count() - failed_count_ - drained_count_);
+    return static_cast<int>(cluster_->node_count() - pool_.failed_count() - pool_.drained_count());
   }
-  int free_nodes() const override { return static_cast<int>(free_nodes_.size()); }
+  int free_nodes() const override { return static_cast<int>(pool_.free_set().size()); }
   const std::vector<QueuedJob>& queue() const override { return queue_; }
   const std::vector<RunningJob>& running() const override { return running_; }
   double user_usage(const std::string& user) const override {
@@ -194,10 +203,6 @@ class BatchSystem final : public SchedulerContext {
                std::string detail = std::string()) override;
 
  private:
-  /// The checker reads the private node table and lists directly so
-  /// validation needs no public surface area beyond subscribe().
-  friend class InvariantChecker;
-
   enum class JobState {
     kPending,    // submitted, submit_time not reached
     kHeld,       // waiting on dependencies
@@ -226,19 +231,6 @@ class BatchSystem final : public SchedulerContext {
     std::set<workload::JobId> outstanding_deps;
   };
 
-  /// One cluster node. It is free (in free_nodes_) exactly when it has no
-  /// owner and is neither failed nor draining, and counts as drained when it
-  /// is draining, intact and unowned. The drain flag is independent of
-  /// failure, so a drain requested while the node is down holds at repair.
-  struct NodeStatus {
-    Managed* owner = nullptr;
-    bool failed = false;
-    bool drain = false;
-    /// Latest scheduled repair while failed: a repair event only restores
-    /// the node once no later outage window covers it.
-    double repair_until = 0.0;
-  };
-
   const Managed& managed(workload::JobId id) const;
   /// Accepted jobs not yet finished, killed or cancelled; timers stop at 0.
   std::size_t unfinished() const {
@@ -247,6 +239,8 @@ class BatchSystem final : public SchedulerContext {
   Managed& managed(workload::JobId id) {
     return const_cast<Managed&>(std::as_const(*this).managed(id));
   }
+  /// check()'s O(all jobs) walk.
+  std::optional<std::string> check_jobs() const;
 
   void enter_queue(workload::JobId id);
   /// Dependency bookkeeping: release or cancel the dependents of `id`.
@@ -259,12 +253,9 @@ class BatchSystem final : public SchedulerContext {
   void kill_job(Managed& job, stats::KillCause cause, platform::NodeId failed_node);
   void start_drain(platform::NodeId node);
   void undrain_node(platform::NodeId node);
-  /// Takes a node off its owner after a job releases it; it is freed unless
-  /// failed or draining.
+  /// Releases a node a job gave up to the pool; it is freed unless failed or
+  /// draining.
   void return_node(platform::NodeId node);
-  /// Whether an outage or drain of `node` over [when, until) is valid input;
-  /// logs an error naming `what` when it is not.
-  bool valid_window(const char* what, platform::NodeId node, double when, double until) const;
   /// Evicts the victim of `failed_node`'s failure (requeue or kill per the
   /// failure policy); the node id rides on the event so the requeue cause is
   /// attributable.
@@ -313,14 +304,11 @@ class BatchSystem final : public SchedulerContext {
   /// list, leaves it or changes.
   std::vector<QueuedJob> queue_;
   std::vector<RunningJob> running_;
-  /// Indexed by node id; free_nodes_ is the placement's view of its idle
-  /// nodes, and the two counters count its failed and drained ones.
-  std::vector<NodeStatus> nodes_;
-  std::set<platform::NodeId> free_nodes_;
-  std::size_t failed_count_ = 0;
-  std::size_t drained_count_ = 0;
+  NodePool pool_;
+  /// check()'s per-node hold marks, reused so a clean check allocates
+  /// nothing.
+  mutable std::vector<std::uint8_t> held_marks_;
 
-  std::size_t held_ = 0;
   std::uint64_t scheduler_invocations_ = 0;
   std::uint64_t scheduler_rounds_ = 0;
   std::uint64_t scheduler_jobs_scanned_ = 0;

@@ -49,10 +49,10 @@ double failure_horizon(const FaultModelConfig& config, const std::vector<workloa
   return std::max(86400.0, 2.0 * last_submit);
 }
 
-std::optional<FaultModelError> validate(const FaultModelConfig& config) {
+std::optional<SettingError> validate(const FaultModelConfig& config) {
   const auto at_least_zero = [](double value) { return std::isfinite(value) && value >= 0.0; };
   const char* duration = "a finite, non-negative duration";
-  const std::pair<bool, FaultModelError> checks[] = {
+  const std::pair<bool, SettingError> checks[] = {
       {at_least_zero(config.mtbf), {"mtbf", "mtbf", duration}},
       {std::isfinite(config.weibull_shape) && config.weibull_shape > 0.0,
        {"weibull_shape", "weibull-shape", "a finite number above 0"}},

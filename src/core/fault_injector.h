@@ -70,9 +70,9 @@ struct FaultModelConfig {
 /// arriving while the workload runs.
 double failure_horizon(const FaultModelConfig& config, const std::vector<workload::Job>& jobs);
 
-/// An invalid FaultModelConfig member, named as the sweep spec's `faults`
-/// object and the CLI spell it.
-struct FaultModelError {
+/// An invalid setting (a FaultModelConfig or BatchConfig member), named as
+/// the sweep spec's `faults` or `batch` object and the CLI spell it.
+struct SettingError {
   const char* member;
   const char* flag;
   const char* expected;
@@ -81,7 +81,7 @@ struct FaultModelError {
 /// Checks the values generate() relies on: a finite mtbf, repair time,
 /// repair sigma and horizon of at least 0, a finite Weibull shape above 0
 /// and a pod correlation in [0, 1]. Returns the first invalid member.
-std::optional<FaultModelError> validate(const FaultModelConfig& config);
+std::optional<SettingError> validate(const FaultModelConfig& config);
 
 /// One scheduled outage: node down at fail_time, back at repair_time.
 struct FailureEvent {

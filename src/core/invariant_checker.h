@@ -9,12 +9,18 @@
 // the live queue. In debug builds scattered assert()s cover fragments of
 // this; the InvariantChecker re-verifies the whole state machine in release
 // builds, at every scheduling point and (cheaply) at every engine event.
-// Every check is written once and formats its message only when it fails.
 //
-// Wire-up: construct one checker per run and attach() it to the batch system
-// after the sinks it should cross-check: it validates the clock and fluid
-// model at every engine event and, as the last subscriber on the batch event
-// stream, the whole batch state plus the trace, journal and sampler at every
+// Each check lives with the state it checks: NodePool::check() for the node
+// table and free set, BatchSystem::check() for the job lists and node
+// ownership (it runs the pool's check too), FluidModel::check_invariants()
+// for the fluid model. The checker orchestrates them through public calls
+// only, and itself checks the clocks and the sinks it is handed.
+//
+// Wire-up: construct one checker per run with the trace, journal and sampler
+// it should cross-check (each may be null), and attach() it to the engine
+// and the batch system after subscribing those sinks: it validates the clock
+// and fluid model at every engine event and, as the last subscriber on the
+// batch event stream, the whole batch state plus the named sinks at every
 // scheduling point. A broken invariant throws InvariantViolation with a
 // diagnostic naming the offending job/node and the last committed journal
 // sequence number. Overhead: one walk over the running jobs and the node
@@ -51,11 +57,21 @@ class InvariantViolation : public std::runtime_error {
 
 class InvariantChecker final : public stats::BatchSubscriber {
  public:
-  /// Installs the per-event hook on the batch system's engine and subscribes
-  /// to its event stream, picking up the EventTrace, DecisionJournal and
-  /// StateSampler subscribed so far for the sink cross-checks. The checker
-  /// must outlive the run.
-  void attach(BatchSystem& batch);
+  /// The sinks to cross-check at every scheduling point (not owned; each
+  /// may be null, and each must be subscribed to the batch system and
+  /// outlive the run).
+  struct Sinks {
+    const stats::EventTrace* trace = nullptr;
+    const stats::DecisionJournal* journal = nullptr;
+    const stats::StateSampler* sampler = nullptr;
+  };
+
+  InvariantChecker() = default;
+  explicit InvariantChecker(Sinks sinks) : sinks_(sinks) {}
+
+  /// Installs the per-event hook on `engine` and subscribes to `batch`'s
+  /// event stream. The checker must outlive the run.
+  void attach(sim::Engine& engine, BatchSystem& batch);
 
   /// kSchedulingBegin snapshots the queue counts the scheduler is about to
   /// see; kSchedulingEnd re-validates the whole batch state and cross-checks
@@ -76,25 +92,14 @@ class InvariantChecker final : public stats::BatchSubscriber {
   static constexpr std::uint32_t kFluidStride = 64;
   static constexpr std::uint32_t kJobWalkStride = 32;
 
-  [[noreturn]] void fail(const BatchSystem* batch, double now, const std::string& what) const;
-  /// O(running jobs + nodes), at every scheduling point, in start order and
-  /// then by node id: each running entry against its job's record; each
-  /// node a running job holds owned by that job in the node table and not
-  /// failed; every owned node held by its owner; the free pool exactly the
-  /// idle nodes; the failed and drained counters equal to the table's.
-  /// Together these imply node conservation.
-  void check_allocations(const BatchSystem& batch, double now) const;
-  /// O(all jobs), every kJobWalkStride points: the per-state job counts
-  /// against the queue, the running list and the unfinished counter, and no
-  /// job that is not running holding nodes.
-  void check_jobs(const BatchSystem& batch, double now) const;
-  void check_sinks(const BatchSystem& batch);
-  void on_engine_event(sim::Engine& engine, double now);
+  /// Throws InvariantViolation; `at_point` adds the last journal seq.
+  [[noreturn]] void fail(bool at_point, double now, const std::string& what) const;
+  void check_sinks(double now);
+  void on_engine_event(double now);
 
+  Sinks sinks_;
+  sim::Engine* engine_ = nullptr;
   const BatchSystem* batch_ = nullptr;
-  const stats::EventTrace* trace_ = nullptr;
-  const stats::DecisionJournal* journal_ = nullptr;
-  const stats::StateSampler* sampler_ = nullptr;
 
   std::uint32_t events_since_fluid_check_ = 0;
   std::uint32_t points_since_job_walk_ = 0;

@@ -1,0 +1,161 @@
+#include "core/node_pool.h"
+
+#include <algorithm>
+#include <cassert>
+#include <cmath>
+
+#include "util/fmt.h"
+#include "util/log.h"
+
+namespace elastisim::core {
+
+NodePool::NodePool(const platform::Cluster& cluster, PlacementPolicy policy)
+    : cluster_(&cluster), policy_(policy), nodes_(cluster.node_count()) {
+  for (const platform::Node& node : cluster.nodes()) free_.insert(node.id);
+}
+
+std::vector<platform::NodeId> NodePool::take(int count, const workload::Job* owner) {
+  assert(count <= static_cast<int>(free_.size()) && "allocating more nodes than free");
+  const std::size_t wanted = std::min(static_cast<std::size_t>(count), free_.size());
+  std::vector<platform::NodeId> taken;
+  taken.reserve(wanted);
+  if (policy_ == PlacementPolicy::kLowestId) {
+    while (taken.size() < wanted) taken.push_back(free_.extract(free_.begin()).value());
+  } else {
+    // Free nodes by pod, each pod in ascending node order.
+    std::vector<std::vector<platform::NodeId>> pods(cluster_->pod_count());
+    for (platform::NodeId node : free_) pods[cluster_->pod_of(node)].push_back(node);
+    if (policy_ == PlacementPolicy::kCompact) {
+      // Pods by descending free count (ties by pod id): take whole pods
+      // before spilling into the next.
+      std::stable_sort(pods.begin(), pods.end(),
+                       [](const auto& a, const auto& b) { return a.size() > b.size(); });
+      for (const std::vector<platform::NodeId>& pod : pods) {
+        for (std::size_t i = 0; i < pod.size() && taken.size() < wanted; ++i) {
+          taken.push_back(pod[i]);
+        }
+      }
+    } else {
+      // Spread: one node per pod per pass, each pass starting one pod further.
+      for (std::size_t pass = 0; taken.size() < wanted; ++pass) {
+        for (std::size_t i = 0; i < pods.size() && taken.size() < wanted; ++i) {
+          std::vector<platform::NodeId>& pod = pods[(i + pass) % pods.size()];
+          if (pod.empty()) continue;
+          taken.push_back(pod.front());
+          pod.erase(pod.begin());
+        }
+      }
+    }
+    for (platform::NodeId node : taken) free_.erase(node);
+  }
+  for (platform::NodeId node : taken) nodes_[node].owner = owner;
+  return taken;
+}
+
+bool NodePool::release(platform::NodeId node) {
+  Node& status = nodes_[node];
+  status.owner = nullptr;
+  const bool freed = !status.failed && !status.drain;
+  if (freed) {
+    free_.insert(node);
+  } else if (!status.failed) {
+    ++drained_count_;
+  }
+  return freed;
+}
+
+bool NodePool::fail(platform::NodeId node, double repair) {
+  Node& status = nodes_[node];
+  if (status.failed) {
+    // Extend the outage so the earlier repair event cannot return a
+    // still-broken node to service.
+    status.repair_until = std::max(status.repair_until, repair);
+    return false;
+  }
+  if (status.drain && status.owner == nullptr) --drained_count_;
+  status.failed = true;
+  status.repair_until = repair;
+  ++failed_count_;
+  free_.erase(node);
+  return true;
+}
+
+bool NodePool::restore(platform::NodeId node, double now) {
+  Node& status = nodes_[node];
+  if (!status.failed || now < status.repair_until) return false;
+  status.failed = false;
+  --failed_count_;
+  // An owner still holding the node frees or drains it at its release.
+  if (status.owner == nullptr) release(node);
+  return true;
+}
+
+bool NodePool::drain(platform::NodeId node) {
+  Node& status = nodes_[node];
+  if (status.drain) return false;
+  status.drain = true;
+  if (free_.erase(node) > 0) ++drained_count_;
+  return true;
+}
+
+bool NodePool::undrain(platform::NodeId node) {
+  Node& status = nodes_[node];
+  if (!status.drain) return false;
+  status.drain = false;
+  if (status.owner != nullptr || status.failed) return false;
+  --drained_count_;
+  free_.insert(node);
+  return true;
+}
+
+bool NodePool::valid_window(const char* what, platform::NodeId node, double when,
+                            double until) const {
+  // Explicit validation (not just asserts): failure and drain schedules come
+  // from outside the simulator (trace files, embedders), so bad input must be
+  // rejected in release builds too.
+  if (node >= nodes_.size()) {
+    ELSIM_ERROR("rejecting {}: node {} outside cluster of {}", what, node, nodes_.size());
+    return false;
+  }
+  if (!std::isfinite(when) || when < 0.0) {
+    ELSIM_ERROR("rejecting {} for node {}: bad start time {}", what, node, when);
+    return false;
+  }
+  if (std::isnan(until) || until < when) {
+    ELSIM_ERROR("rejecting {} for node {}: end at {} precedes start at {}", what, node, until,
+                when);
+    return false;
+  }
+  return true;
+}
+
+std::optional<std::string> NodePool::check() const {
+  std::size_t failed = 0, drained = 0;
+  auto free_it = free_.begin();
+  for (platform::NodeId node = 0; node < nodes_.size(); ++node) {
+    const Node& status = nodes_[node];
+    const bool listed_free = free_it != free_.end() && *free_it == node;
+    if (listed_free) ++free_it;
+    const bool idle = status.owner == nullptr && !status.failed && !status.drain;
+    if (listed_free != idle) {
+      return !listed_free ? util::fmt("idle node {} is missing from the free pool", node)
+             : status.owner != nullptr
+                 ? util::fmt("node {} allocated to job {} is also in the free pool", node,
+                             status.owner->id)
+                 : util::fmt("node {} is both free and {}", node,
+                             status.failed ? "failed" : "drained");
+    }
+    failed += status.failed;
+    drained += status.drain && !status.failed && status.owner == nullptr;
+  }
+  if (free_it != free_.end()) {
+    return util::fmt("free pool holds node {} outside the cluster", *free_it);
+  }
+  if (failed != failed_count_ || drained != drained_count_) {
+    return util::fmt("node counters say {} failed and {} drained, the node table {} and {}",
+                     failed_count_, drained_count_, failed, drained);
+  }
+  return std::nullopt;
+}
+
+}  // namespace elastisim::core

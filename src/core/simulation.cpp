@@ -1,6 +1,7 @@
 #include "core/simulation.h"
 
 #include <chrono>
+#include <cmath>
 #include <cstdlib>
 #include <optional>
 #include <stdexcept>
@@ -51,7 +52,9 @@ SimulationResult run_impl(const platform::ClusterConfig& platform,
   }
   // Last subscriber, so it cross-checks what the sinks wrote at each point.
   std::optional<InvariantChecker> checker;
-  if (config.validate || validate_env_enabled()) checker.emplace().attach(batch);
+  if (config.validate || validate_env_enabled()) {
+    checker.emplace(config.checked_sinks).attach(engine, batch);
+  }
 
   result.submitted = batch.submit_all(std::move(jobs));
   batch.begin_run();
@@ -86,6 +89,18 @@ SimulationResult run_impl(const platform::ClusterConfig& platform,
 }
 
 }  // namespace
+
+std::optional<SettingError> validate(const BatchConfig& config) {
+  const auto at_least_zero = [](double value) { return std::isfinite(value) && value >= 0.0; };
+  const char* duration = "a finite, non-negative duration";
+  if (!at_least_zero(config.scheduling_interval)) {
+    return SettingError{"interval", "interval", duration};
+  }
+  if (!at_least_zero(config.restart_overhead)) {
+    return SettingError{"restart_overhead", "restart-overhead", duration};
+  }
+  return std::nullopt;
+}
 
 SimulationResult run_simulation(const SimulationConfig& config,
                                 std::vector<workload::Job> jobs) {

@@ -3,17 +3,22 @@
 // the examples and benchmark harnesses use.
 //
 // Configuration is split along the sharing boundary the sweep orchestrator
-// needs: RunConfig carries only *per-run* state (scheduler choice, sinks,
-// cancellation), while the parsed platform and job list are shared inputs a
-// caller may hold once and reuse across many concurrent runs (run_scenario).
-// SimulationConfig remains the owning single-run convenience facade.
+// needs: RunConfig carries only *per-run* state (scheduler choice, sinks and
+// the ones the invariant checker cross-checks, cancellation), while the
+// parsed platform and job list are shared inputs a caller may hold once and
+// reuse across many concurrent runs (run_scenario). SimulationConfig remains
+// the owning single-run convenience facade. validate(BatchConfig) holds the
+// batch settings' ranges for both the CLI flags and the sweep spec.
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "core/batch_system.h"
+#include "core/fault_injector.h"
+#include "core/invariant_checker.h"
 #include "platform/cluster.h"
 #include "stats/metrics.h"
 #include "workload/job.h"
@@ -24,7 +29,10 @@ class CancellationToken;
 
 namespace elastisim::core {
 
-struct FailureEvent;
+/// Checks the BatchConfig values the CLI flags and the sweep spec's `batch`
+/// object share: a finite scheduling interval and restart overhead of at
+/// least 0. Returns the first invalid member.
+std::optional<SettingError> validate(const BatchConfig& config);
 
 /// Per-run state: everything that is unique to one simulation run and cheap
 /// to set up, as opposed to the parsed platform/workload inputs that may be
@@ -41,11 +49,14 @@ struct RunConfig {
   std::vector<stats::BatchSubscriber*> subscribers;
   /// Runs a core::InvariantChecker for the whole run: every scheduling point
   /// and engine event re-validates the state machine and cross-checks the
-  /// trace, journal and sampler among `subscribers`, throwing
-  /// InvariantViolation on the first breach. Also enabled by setting the
-  /// ELSIM_VALIDATE environment variable to anything but "0", so examples
-  /// and benches pick it up without code changes.
+  /// sinks named in `checked_sinks`, throwing InvariantViolation on the
+  /// first breach. Also enabled by setting the ELSIM_VALIDATE environment
+  /// variable to anything but "0", so examples and benches pick it up
+  /// without code changes.
   bool validate = false;
+  /// The trace, journal and sampler among `subscribers` that the invariant
+  /// checker cross-checks when it runs (each may be null).
+  InvariantChecker::Sinks checked_sinks;
   /// Cooperative cancellation (not owned; must outlive the run): when the
   /// token is cancelled the engine stops between events and the result comes
   /// back with `cancelled` set instead of the run being torn down mid-state.

@@ -71,6 +71,7 @@ BatchConfig parse_batch(json::Reader& in) {
   batch.restart_overhead = duration(in, "restart_overhead", 0.0);
   batch.max_requeues = in.integer<int>("max_requeues", 0, 0);
   in.finish();
+  if (const auto error = validate(batch)) in.fail(error->member, error->expected);
   return batch;
 }
 

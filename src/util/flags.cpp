@@ -79,6 +79,17 @@ std::int64_t Flags::get(const std::string& name, std::int64_t fallback) const {
   return value ? parse_in_full<std::int64_t>(name, *value, "an integer") : fallback;
 }
 
+std::int64_t Flags::get(const std::string& name, std::int64_t fallback, std::int64_t min,
+                        std::int64_t max) const {
+  const auto value = raw(name);
+  if (!value) return fallback;
+  const std::string expected =
+      "an integer in [" + std::to_string(min) + ", " + std::to_string(max) + "]";
+  const auto parsed = parse_in_full<std::int64_t>(name, *value, expected.c_str());
+  if (parsed < min || parsed > max) throw FlagError(name, *value, expected);
+  return parsed;
+}
+
 bool Flags::get(const std::string& name, bool fallback) const {
   auto value = raw(name);
   if (!value) return fallback;

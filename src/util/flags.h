@@ -52,6 +52,10 @@ class Flags {
   std::string get(const std::string& name, const std::string& fallback) const;
   double get(const std::string& name, double fallback) const;
   std::int64_t get(const std::string& name, std::int64_t fallback) const;
+  /// An integer in [min, max]: a value outside it throws FlagError ("an
+  /// integer in [min, max]") instead of wrapping in a narrower type.
+  std::int64_t get(const std::string& name, std::int64_t fallback, std::int64_t min,
+                   std::int64_t max) const;
   bool get(const std::string& name, bool fallback) const;
 
   const std::vector<std::string>& positional() const { return positional_; }

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <utility>
 
 #include "util/check.h"
 #include "util/fmt.h"
@@ -206,6 +207,49 @@ double estimate_runtime(const Job& job, int nodes, double flops_per_node) {
     seconds += per_iteration * phase.iterations;
   }
   return seconds;
+}
+
+std::optional<GeneratorError> validate(const GeneratorConfig& config) {
+  const auto fraction = [](double value) { return value >= 0.0 && value <= 1.0; };
+  const auto at_least_zero = [](double value) { return std::isfinite(value) && value >= 0.0; };
+  const auto positive = [](double value) { return std::isfinite(value) && value > 0.0; };
+  const char* in_unit = "a fraction in [0, 1]";
+  const char* bytes = "a finite, non-negative byte count";
+  const std::pair<bool, GeneratorError> checks[] = {
+      {at_least_zero(config.mean_interarrival),
+       {"interarrival", "a finite, non-negative duration"}},
+      {config.min_nodes >= 1, {"min-nodes", "a positive integer"}},
+      {config.max_nodes >= config.min_nodes,
+       {"max-nodes", "an integer no smaller than --min-nodes"}},
+      {fraction(config.moldable_fraction), {"moldable", in_unit}},
+      {fraction(config.malleable_fraction), {"malleable", in_unit}},
+      {fraction(config.evolving_fraction), {"evolving", in_unit}},
+      {config.moldable_fraction + config.malleable_fraction + config.evolving_fraction <=
+           1.0 + 1e-9,
+       {"evolving", "a fraction keeping --moldable + --malleable + --evolving at most 1"}},
+      {config.min_iterations >= 1, {"min-iterations", "a positive integer"}},
+      {config.max_iterations >= config.min_iterations,
+       {"max-iterations", "an integer no smaller than --min-iterations"}},
+      {positive(config.mean_iteration_compute),
+       {"iteration-compute", "a finite, positive duration"}},
+      {positive(config.flops_per_node), {"flops-per-node", "a finite, positive FLOP rate"}},
+      {fraction(config.max_alpha), {"max-alpha", in_unit}},
+      {at_least_zero(config.comm_bytes), {"comm-bytes", bytes}},
+      {fraction(config.io_fraction), {"io-fraction", in_unit}},
+      {at_least_zero(config.io_bytes), {"io-bytes", bytes}},
+      {fraction(config.checkpoint_fraction), {"checkpoint-fraction", in_unit}},
+      {at_least_zero(config.checkpoint_bytes), {"checkpoint-bytes", bytes}},
+      {config.checkpoint_every >= 1, {"checkpoint-every", "a positive integer"}},
+      {at_least_zero(config.state_bytes_per_node), {"state-bytes", bytes}},
+      {positive(config.walltime_factor), {"walltime-factor", "a finite, positive number"}},
+      {fraction(config.evolving_phase_fraction), {"evolving-phase-fraction", in_unit}},
+      {config.max_priority >= 0, {"max-priority", "a non-negative integer"}},
+      {fraction(config.chain_fraction), {"chain-fraction", in_unit}},
+  };
+  for (const auto& [valid, error] : checks) {
+    if (!valid) return error;
+  }
+  return std::nullopt;
 }
 
 std::vector<Job> generate_workload(const GeneratorConfig& config) {

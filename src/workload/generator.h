@@ -11,6 +11,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "workload/job.h"
@@ -80,6 +81,20 @@ struct GeneratorConfig {
   /// chains, e.g. simulation -> analysis -> archive stages). 0 disables.
   double chain_fraction = 0.0;
 };
+
+/// An invalid GeneratorConfig member, named as its elastisim-gen flag.
+struct GeneratorError {
+  const char* flag;
+  const char* expected;
+};
+
+/// Checks every value generate_workload() relies on: fractions in [0, 1]
+/// with the class fractions summing to at most 1, 1 <= min <= max for node
+/// counts and iterations, at least one iteration between checkpoints, a
+/// non-negative priority bound, and finite quantities (positive iteration
+/// time, node speed and walltime factor; the rest at least 0). Returns the
+/// first invalid member.
+std::optional<GeneratorError> validate(const GeneratorConfig& config);
 
 /// Generates `config.job_count` jobs sorted by submit time, ids 1..N.
 /// Every produced job satisfies Job::validate().

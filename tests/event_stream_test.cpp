@@ -78,6 +78,7 @@ TEST(EventStream, SinkOutsideCoreSeesTheTalliesEveryOwnerReports) {
   CountingSink counter;
   stats::StateSampler sampler(300.0);
   config.subscribers = {&counter, &sampler};
+  config.checked_sinks.sampler = &sampler;
   config.failures = &failures;
   const core::SimulationResult result =
       core::run_simulation(config, workload::generate_workload(generator));

@@ -60,6 +60,28 @@ expect_usage_error(negative_repair
                    "error: --repair: expected a finite, non-negative duration, got \"-5m\""
                    --mtbf 3h --repair -5m)
 
+# The batch and sampling flags take the sweep spec's ranges: no negative or
+# NaN interval, no NaN overhead, no negative requeue bound, and failure
+# seeds below 2^53 like sweep seeds.
+set(duration_range "expected a finite, non-negative duration")
+expect_usage_error(negative_interval "error: --interval: ${duration_range}, got \"-5\""
+                   --scheduler easy --interval -5)
+expect_usage_error(nan_interval "error: --interval: ${duration_range}, got \"nan\""
+                   --scheduler easy --interval nan)
+expect_usage_error(nan_sample_interval
+                   "error: --sample-interval: ${duration_range}, got \"nan\""
+                   --scheduler easy --sample-interval nan)
+expect_usage_error(nan_restart_overhead
+                   "error: --restart-overhead: ${duration_range}, got \"nan\""
+                   --scheduler easy --failure-policy requeue-restart --mtbf 3h
+                   --restart-overhead nan)
+expect_usage_error(negative_max_requeues
+                   "error: --max-requeues: expected an integer in \\[0, 2147483647\\], got \"-3\""
+                   --scheduler easy --max-requeues -3)
+expect_usage_error(negative_failure_seed
+                   "error: --failure-seed: expected an integer in \\[0, 9007199254740991\\]"
+                   --scheduler easy --mtbf 3h --failure-seed -1)
+
 # Input files are read strictly: a fractional node count and a misspelled
 # job member fail at their JSON path.
 file(READ ${PLATFORM} platform_json)
@@ -101,5 +123,23 @@ expect_rejected(big_seed "big_seed\\.json at \\$\\.seeds\\[0\\]: ${seed_bound}"
 expect_rejected(gen_unknown_flag "error: unknown flag --jobz \\(did you mean --jobs\\?\\)"
                 ${ELASTISIM_GEN} --jobz 5)
 
-message(STATUS "flag_errors_smoke: malformed flags, platform, workload and sweep files, "
-               "and unknown elastisim-gen flags all exit 2 and write nothing")
+# elastisim-gen checks every count and fraction before it generates: a
+# negative or out-of-int count, an empty node range, a fraction outside
+# [0, 1].
+expect_rejected(gen_negative_jobs
+                "error: --jobs: expected an integer in \\[0, 2147483647\\], got \"-5\""
+                ${ELASTISIM_GEN} --jobs -5)
+expect_rejected(gen_zero_min_nodes "error: --min-nodes: expected a positive integer, got \"0\""
+                ${ELASTISIM_GEN} --min-nodes 0)
+expect_rejected(gen_wrapping_min_nodes "error: --min-nodes: expected an integer in"
+                ${ELASTISIM_GEN} --min-nodes 4294967297)
+expect_rejected(gen_malleable "error: --malleable: expected a fraction in \\[0, 1\\], got \"2\""
+                ${ELASTISIM_GEN} --malleable 2)
+expect_rejected(gen_max_iterations "error: --max-iterations: expected an integer no smaller"
+                ${ELASTISIM_GEN} --max-iterations -1)
+expect_rejected(gen_io_fraction
+                "error: --io-fraction: expected a fraction in \\[0, 1\\], got \"-1\""
+                ${ELASTISIM_GEN} --io-fraction -1)
+
+message(STATUS "flag_errors_smoke: malformed and out-of-range flags, platform, workload "
+               "and sweep files, and bad elastisim-gen flags all exit 2 and write nothing")

@@ -23,7 +23,7 @@ struct Harness {
   explicit Harness(std::size_t nodes)
       : cluster(engine, tiny_platform(nodes)),
         batch(engine, cluster, make_scheduler("fcfs"), recorder) {
-    checker.attach(batch);
+    checker.attach(engine, batch);
   }
 
   sim::Engine engine;

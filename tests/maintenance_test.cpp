@@ -22,7 +22,7 @@ struct Harness {
       : cluster(engine, config),
         batch(engine, cluster, make_scheduler("fcfs"), recorder) {
     (void)nodes;
-    checker.attach(batch);
+    checker.attach(engine, batch);
   }
   explicit Harness(std::size_t nodes) : Harness(nodes, tiny_platform(nodes)) {}
 

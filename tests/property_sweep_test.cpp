@@ -78,7 +78,7 @@ class SimulationProperties : public testing::TestWithParam<SweepCase> {
     core::BatchSystem batch(engine, cluster, core::make_scheduler(config.scheduler),
                             result.recorder, config.batch);
     core::InvariantChecker checker;
-    checker.attach(batch);
+    checker.attach(engine, batch);
     EXPECT_EQ(core::FaultInjector::apply(batch, failures), failures.size());
     const core::FailureEvent& first = failures.front();
     const double until = first.repair_time + 2.0 * 3600.0;
