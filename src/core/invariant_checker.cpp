@@ -38,6 +38,7 @@ void InvariantChecker::on_event(const stats::BatchEvent& event) {
     if (all_jobs) points_since_job_walk_ = 0;
     if (auto error = batch_->check(all_jobs)) fail(true, now, *error);
     check_sinks(now);
+    if (auto error = engine_->fluid().check_invariants(all_jobs)) fail(true, now, *error);
     begin_seen_ = false;
   }
 }
@@ -50,7 +51,7 @@ void InvariantChecker::on_engine_event(double now) {
   last_event_time_ = std::max(last_event_time_, now);
   if (++events_since_fluid_check_ >= kFluidStride) {
     events_since_fluid_check_ = 0;
-    if (auto error = engine_->fluid().check_invariants()) fail(false, now, *error);
+    if (auto error = engine_->fluid().check_invariants(true)) fail(false, now, *error);
   }
 }
 
@@ -112,8 +113,6 @@ void InvariantChecker::check_sinks(double now) {
                      running, free_nodes, down));
     }
   }
-
-  if (auto error = engine_->fluid().check_invariants()) fail(true, now, *error);
 }
 
 void InvariantChecker::fail(bool at_point, double now, const std::string& what) const {

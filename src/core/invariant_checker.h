@@ -86,9 +86,10 @@ class InvariantChecker final : public stats::BatchSubscriber {
  private:
   /// The per-event hook re-verifies the fluid model every kFluidStride engine
   /// events and otherwise only checks clock monotonicity, keeping the hot
-  /// path to one comparison. The O(all jobs) walk runs every kJobWalkStride
-  /// scheduling points: violations are persistent, so a strided walk still
-  /// catches them, a few points later.
+  /// path to one comparison. The O(all jobs) walk and the re-derivation of
+  /// the fluid fill's kept state run every kJobWalkStride scheduling points:
+  /// violations are persistent, so a strided walk still catches them, a few
+  /// points later.
   static constexpr std::uint32_t kFluidStride = 64;
   static constexpr std::uint32_t kJobWalkStride = 32;
 

@@ -52,6 +52,10 @@ Reservation head_reservation(const SchedulerContext& ctx, int head_size) {
 bool easy_backfill_round(SchedulerContext& ctx) {
   fcfs_start(ctx);
   if (ctx.queue().size() < 2) return false;
+  // Every job needs at least one node (Job::validate), so with none free no
+  // candidate can start; only an explaining run still walks them for their
+  // hold reasons.
+  if (ctx.free_nodes() == 0 && !ctx.explaining()) return false;
 
   const workload::Job& head = *ctx.queue().front();
   // Reservations are made for the head's requested size (its preference);

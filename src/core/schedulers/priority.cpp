@@ -1,6 +1,8 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "core/schedulers.h"
@@ -121,10 +123,16 @@ void PriorityScheduler::schedule(SchedulerContext& ctx) {
 }
 
 void FairShareScheduler::schedule(SchedulerContext& ctx) {
-  passes::ranked_backfill(ctx, [&ctx](const QueuedJob& queued) {
+  // One usage query per user per scheduling point. Time stands still within
+  // the point, and a job started at `now` adds nodes * 0.0 to its user's
+  // running terms, which leaves the usage unchanged to the bit.
+  std::unordered_map<std::string, double> usage;
+  passes::ranked_backfill(ctx, [&ctx, &usage](const QueuedJob& queued) {
     // Users who have consumed the least go first; ties resolve FCFS via the
     // stable sort over the submission-ordered queue.
-    return ctx.user_usage(queued->user);
+    const auto [it, inserted] = usage.try_emplace(queued->user, 0.0);
+    if (inserted) it->second = ctx.user_usage(queued->user);
+    return it->second;
   });
 }
 

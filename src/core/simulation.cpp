@@ -76,6 +76,7 @@ SimulationResult run_impl(const platform::ClusterConfig& platform,
   result.queue_pops = engine.queue().pops();
   result.queue_peak = engine.queue().peak_size();
   result.activities_touched = engine.fluid().activities_touched();
+  result.demands_examined = engine.fluid().demands_examined();
   result.activities_started = engine.fluid().activities_started();
   result.scheduler_invocations = batch.scheduler_invocations();
   result.scheduler_rounds = batch.scheduler_rounds();
@@ -122,6 +123,7 @@ void record_profile_counters(const SimulationResult& result, const std::string& 
   profiler.set_counter("queue.peak", result.queue_peak);
   profiler.set_counter("fluid.solves", result.rebalances);
   profiler.set_counter("fluid.activities_touched", result.activities_touched);
+  profiler.set_counter("fluid.demands_examined", result.demands_examined);
   profiler.set_counter("fluid.activities_started", result.activities_started);
   profiler.set_counter("scheduler." + scheduler + ".invocations",
                        result.scheduler_invocations);

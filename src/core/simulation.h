@@ -96,6 +96,9 @@ struct SimulationResult {
   /// Cumulative activities examined across fluid solves (divide by
   /// `rebalances` for the mean solve width).
   std::uint64_t activities_touched = 0;
+  /// Cumulative work of the incremental fill (FluidModel::demands_examined):
+  /// demand entries and resource keys read or updated across solves.
+  std::uint64_t demands_examined = 0;
   std::uint64_t activities_started = 0;
   std::uint64_t scheduler_invocations = 0;
   std::uint64_t scheduler_rounds = 0;

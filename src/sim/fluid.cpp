@@ -22,16 +22,36 @@ constexpr double kAbsEps = 1e-12;
 
 bool leq_tol(double a, double b) { return a <= b * (1.0 + kRelEps) + kAbsEps; }
 
-constexpr std::size_t kWordBits = 64;
+/// Resource ids per block of the index.
+constexpr std::size_t kBlock = 64;
+
+/// A resource's share at the current level: the freeze test's left operand.
+/// With weight_sum > kAbsEps it is also the operand of the water level.
+double share_of(double avail, double weight_sum) {
+  return std::max(avail, 0.0) / std::max(weight_sum, kAbsEps);
+}
+
+bool same_bits(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
 }  // namespace
 
 ResourceId FluidModel::add_resource(std::string name, double capacity) {
   ELSIM_CHECK(capacity >= 0.0, "resource '{}' capacity must be non-negative, got {}", name,
               capacity);
-  resources_.push_back(Resource{std::move(name), capacity});
-  avail_.push_back(0.0);
-  weight_sum_.push_back(0.0);
-  demanded_.resize((resources_.size() + kWordBits - 1) / kWordBits, 0);
+  Resource resource;
+  resource.name = std::move(name);
+  resource.capacity = capacity;
+  resources_.push_back(std::move(resource));
+  // No users: both keys are +inf, so the block minima stand.
+  level_key_.push_back(kTimeInfinity);
+  saturation_key_.push_back(kTimeInfinity);
+  if (block_level_.size() * kBlock < resources_.size()) {
+    block_level_.push_back(kTimeInfinity);
+    block_saturation_.push_back(kTimeInfinity);
+    block_dirty_.push_back(0);
+    dirty_blocks_.push_back(0);
+  }
   return static_cast<ResourceId>(resources_.size() - 1);
 }
 
@@ -41,6 +61,7 @@ void FluidModel::set_capacity(ResourceId resource, double capacity) {
               resources_[resource].name, capacity);
   settle();
   resources_[resource].capacity = capacity;
+  mark_dirty(resource);
   solve_pending_ = true;
 }
 
@@ -57,12 +78,12 @@ const std::string& FluidModel::resource_name(ResourceId resource) const {
 double FluidModel::consumption(ResourceId resource) {
   assert(resource < resources_.size());
   solve_if_pending();
+  // The list holds the demands on this resource in insertion order, each
+  // activity's in its demand order: the order of a walk over every live
+  // activity's demands.
   double total = 0.0;
-  for (std::uint32_t slot : order_) {
-    const Activity& activity = activities_[slot];
-    for (const Demand& demand : activity.spec.demands) {
-      if (demand.resource == resource) total += demand.weight * activity.rate;
-    }
+  for (std::uint32_t at = resources_[resource].head; at != kNoEntry; at = entries_[at].next) {
+    total += entries_[at].weight * activities_[entries_[at].slot].rate;
   }
   return total;
 }
@@ -96,6 +117,30 @@ ActivityId FluidModel::start(ActivitySpec spec, std::function<void()> on_complet
   activity.on_complete = std::move(on_complete);
   slot_of_.emplace(id, slot);
   order_.push_back(slot);
+  if (activity.spec.demands.empty()) {
+    // No shared resources: runs at its cap unconditionally.
+    activity.rate = activity.spec.rate_cap;
+  } else {
+    for (const Demand& demand : activity.spec.demands) {
+      std::uint32_t entry = free_entry_;
+      if (entry == kNoEntry) {
+        entry = static_cast<std::uint32_t>(entries_.size());
+        entries_.emplace_back();
+      } else {
+        free_entry_ = entries_[entry].next;
+      }
+      entries_[entry] = Entry{slot, kNoEntry, demand.weight};
+      Resource& resource = resources_[demand.resource];
+      (resource.tail == kNoEntry ? resource.head : entries_[resource.tail].next) = entry;
+      resource.tail = entry;
+      // Appending extends the left fold by one addition; a pending refold
+      // recomputes it anyway.
+      resource.fold += demand.weight;
+      ++resource.users;
+      mark_dirty(demand.resource);
+    }
+    if (!cap_floor_stale_) count_cap(activity.spec.rate_cap);
+  }
   solve_pending_ = true;
   return id;
 }
@@ -116,6 +161,33 @@ const FluidModel::Activity* FluidModel::find(ActivityId id) const {
 }
 
 void FluidModel::remove(ActivityId id, std::uint32_t slot) {
+  const Activity& activity = activities_[slot];
+  for (const Demand& demand : activity.spec.demands) {
+    Resource& resource = resources_[demand.resource];
+    // Unlinks both entries of an activity that demands the resource twice
+    // (the second pass finds none), keeping the others in order.
+    std::uint32_t prev = kNoEntry;
+    for (std::uint32_t at = resource.head; at != kNoEntry;) {
+      const std::uint32_t next = entries_[at].next;
+      if (slot == entries_[at].slot) {
+        (prev == kNoEntry ? resource.head : entries_[prev].next) = next;
+        if (resource.tail == at) resource.tail = prev;
+        entries_[at].next = free_entry_;
+        free_entry_ = at;
+        --resource.users;
+      } else {
+        prev = at;
+      }
+      at = next;
+    }
+    resource.refold = true;
+    mark_dirty(demand.resource);
+  }
+  // Caps are positive and never NaN, so "not above the floor" is "at it".
+  if (!activity.spec.demands.empty() && !cap_floor_stale_ &&
+      !(cap_floor_ < activity.spec.rate_cap) && --cap_floor_count_ == 0) {
+    cap_floor_stale_ = true;
+  }
   slot_of_.erase(id);
   order_.erase(std::find(order_.begin(), order_.end(), slot));
   activities_[slot] = Activity{};
@@ -138,11 +210,16 @@ double FluidModel::rate(ActivityId id) {
   return activity == nullptr ? 0.0 : activity->rate;  // 0 when completed/cancelled/unknown
 }
 
-std::optional<std::string> FluidModel::check_invariants() {
+std::optional<std::string> FluidModel::check_invariants(bool kept_state) {
   solve_if_pending();
   if (order_.size() != slot_of_.size()) {
     return util::fmt("fluid model: {} activities in insertion order but {} in the table",
                      order_.size(), slot_of_.size());
+  }
+  // The fill's kept state is checked before the rates, so a run whose rates
+  // break a bound has had its index cross-checked all the same.
+  if (kept_state) {
+    if (auto error = check_kept_state()) return error;
   }
   for (std::uint32_t slot : order_) {
     const Activity& activity = activities_[slot];
@@ -170,20 +247,101 @@ std::optional<std::string> FluidModel::check_invariants() {
                        activity.rate, activity.spec.rate_cap);
     }
   }
-  // The same sums as consumption(), for every resource in one pass.
-  std::vector<double> consumption(resources_.size(), 0.0);
+  for (std::size_t r = 0; r < resources_.size(); ++r) {
+    const Resource& resource = resources_[r];
+    const double used = consumption(static_cast<ResourceId>(r));
+    if (!leq_tol(used, resource.capacity)) {
+      return util::fmt("fluid resource '{}' oversubscribed: consumption {} > capacity {}",
+                       resource.name, used, resource.capacity);
+    }
+  }
+  return std::nullopt;
+}
+
+std::optional<std::string> FluidModel::check_kept_state() const {
+  // One pass over every live demand, in insertion order, re-derives each
+  // resource's user list and fold entry by entry.
+  struct Derived {
+    double fold = 0.0;
+    std::uint32_t users = 0;
+    std::uint32_t next = kNoEntry;  // the list entry the next demand must be
+    std::uint32_t last = kNoEntry;  // the list entry the last demand was
+  };
+  std::vector<Derived> derived(resources_.size());
+  for (std::size_t r = 0; r < resources_.size(); ++r) derived[r].next = resources_[r].head;
+  double cap_floor = kTimeInfinity;
+  std::size_t at_floor = 0;
   for (std::uint32_t slot : order_) {
     const Activity& activity = activities_[slot];
     for (const Demand& demand : activity.spec.demands) {
-      consumption[demand.resource] += demand.weight * activity.rate;
+      Derived& seen = derived[demand.resource];
+      const Entry* entry = seen.next == kNoEntry ? nullptr : &entries_[seen.next];
+      if (entry == nullptr || entry->slot != slot || !same_bits(entry->weight, demand.weight)) {
+        return util::fmt("fluid resource '{}': user list entry {} is not activity {}'s demand",
+                         resources_[demand.resource].name, seen.users, activity.id);
+      }
+      ++seen.users;
+      seen.last = seen.next;
+      seen.next = entry->next;
+      seen.fold += demand.weight;
+    }
+    if (activity.spec.demands.empty()) continue;
+    const double cap = activity.spec.rate_cap;
+    at_floor = cap < cap_floor ? 1 : at_floor + !(cap_floor < cap);
+    cap_floor = std::min(cap_floor, cap);
+  }
+  if (!cap_floor_stale_ && (!same_bits(cap_floor_, cap_floor) || cap_floor_count_ != at_floor)) {
+    return util::fmt("fluid model: kept lowest rate cap {} ({} at it), the live activities' {} ({})",
+                     cap_floor_, cap_floor_count_, cap_floor, at_floor);
+  }
+  std::size_t dirty = 0;
+  for (std::size_t b = 0; b < block_level_.size(); ++b) {
+    // A block without a dirty resource holds the minima of its keys.
+    double block_level = kTimeInfinity;
+    double block_saturation = kTimeInfinity;
+    bool pending = block_dirty_[b] != 0;
+    for (std::size_t r = b * kBlock; r < std::min(resources_.size(), (b + 1) * kBlock); ++r) {
+      const Resource& resource = resources_[r];
+      const Derived& d = derived[r];
+      if (d.next != kNoEntry || resource.tail != d.last || d.users != resource.users) {
+        return util::fmt("fluid resource '{}' lists {} users, the live activities {}",
+                         resource.name, resource.users, d.users);
+      }
+      if (resource.pool != kNoPool) {
+        return util::fmt("fluid resource '{}' pool still drawn after the solve", resource.name);
+      }
+      if (!resource.refold && !same_bits(resource.fold, d.fold)) {
+        return util::fmt("fluid resource '{}' keeps weight sum {}, the live demands {}",
+                         resource.name, resource.fold, d.fold);
+      }
+      if (level_key_[r] < block_level) block_level = level_key_[r];
+      if (saturation_key_[r] < block_saturation) block_saturation = saturation_key_[r];
+      if (resource.dirty) {
+        ++dirty;
+        pending = true;
+        continue;
+      }
+      // Without users the fold is 0.0, so both keys are +inf.
+      double level = kTimeInfinity;
+      double saturation = kTimeInfinity;
+      if (resource.users > 0) {
+        saturation = share_of(resource.capacity, resource.fold);
+        if (resource.fold > kAbsEps) level = saturation;
+      }
+      if (!same_bits(level_key_[r], level) || !same_bits(saturation_key_[r], saturation)) {
+        return util::fmt("fluid resource '{}' index keys {} / {}, derived {} / {}", resource.name,
+                         level_key_[r], saturation_key_[r], level, saturation);
+      }
+    }
+    if (!pending && (!same_bits(block_level_[b], block_level) ||
+                     !same_bits(block_saturation_[b], block_saturation))) {
+      return util::fmt("fluid index block {} minima {} / {}, derived {} / {}", b,
+                       block_level_[b], block_saturation_[b], block_level, block_saturation);
     }
   }
-  for (std::size_t r = 0; r < resources_.size(); ++r) {
-    const Resource& resource = resources_[r];
-    if (!leq_tol(consumption[r], resource.capacity)) {
-      return util::fmt("fluid resource '{}' oversubscribed: consumption {} > capacity {}",
-                       resource.name, consumption[r], resource.capacity);
-    }
+  if (dirty != dirty_.size() || !pools_.empty()) {
+    return util::fmt("fluid model: {} resources flagged dirty, {} queued, {} pools drawn", dirty,
+                     dirty_.size(), pools_.size());
   }
   return std::nullopt;
 }
@@ -209,72 +367,163 @@ void FluidModel::settle() {
   last_settle_ = now;
 }
 
+void FluidModel::count_cap(double cap) {
+  if (cap < cap_floor_) {
+    cap_floor_ = cap;
+    cap_floor_count_ = 1;
+  } else if (!(cap_floor_ < cap)) {  // caps are never NaN: this is "at the floor"
+    ++cap_floor_count_;
+  }
+}
+
+void FluidModel::mark_dirty(ResourceId resource) {
+  Resource& r = resources_[resource];
+  if (r.dirty) return;
+  r.dirty = true;
+  dirty_.push_back(resource);
+}
+
+FluidModel::Pool FluidModel::pool_of(ResourceId resource) const {
+  const Resource& r = resources_[resource];
+  return r.pool == kNoPool ? Pool{r.capacity, r.fold, r.users, resource} : pools_[r.pool];
+}
+
+void FluidModel::flush_dirty() {
+  std::size_t blocks = 0;
+  for (const ResourceId id : dirty_) {
+    Resource& resource = resources_[id];
+    resource.dirty = false;
+    if (resource.refold) {
+      // A user left: the sum a full scan starts from is the left fold of the
+      // remaining weights, which no subtraction reproduces.
+      double fold = 0.0;
+      for (std::uint32_t at = resource.head; at != kNoEntry; at = entries_[at].next) {
+        fold += entries_[at].weight;
+      }
+      resource.fold = fold;
+      resource.refold = false;
+      demands_examined_ += resource.users;
+    }
+    ++demands_examined_;
+    const Pool pool = pool_of(id);
+    const double share = share_of(pool.avail, pool.weight_sum);
+    level_key_[id] = pool.weight_sum > kAbsEps ? share : kTimeInfinity;
+    saturation_key_[id] = pool.unfrozen > 0 ? share : kTimeInfinity;
+    const std::size_t block = id / kBlock;
+    if (block_dirty_[block] == 0) {
+      block_dirty_[block] = 1;
+      dirty_blocks_[blocks++] = static_cast<std::uint32_t>(block);
+    }
+  }
+  dirty_.clear();
+  for (std::size_t i = 0; i < blocks; ++i) {
+    const std::size_t block = dirty_blocks_[i];
+    block_dirty_[block] = 0;
+    // Strict comparisons from +inf, in ascending id: the leftmost of equal
+    // keys wins (0.0 against -0.0) and a NaN key never does.
+    double level = kTimeInfinity;
+    double saturation = kTimeInfinity;
+    const std::size_t end = std::min(resources_.size(), (block + 1) * kBlock);
+    for (std::size_t r = block * kBlock; r < end; ++r) {
+      if (level_key_[r] < level) level = level_key_[r];
+      if (saturation_key_[r] < saturation) saturation = saturation_key_[r];
+    }
+    block_level_[block] = level;
+    block_saturation_[block] = saturation;
+  }
+}
+
+void FluidModel::freeze(Activity& activity) {
+  activity.frozen_in = rebalance_count_;
+  for (const Demand& demand : activity.spec.demands) {
+    Resource& resource = resources_[demand.resource];
+    if (resource.pool == kNoPool) {
+      resource.pool = static_cast<std::uint32_t>(pools_.size());
+      // elsim-lint: allow(hot-container-growth) -- cleared per solve, never shrunk: it grows to the most pools one solve draws, then stops allocating
+      pools_.push_back({resource.capacity, resource.fold, resource.users, demand.resource});
+    }
+    Pool& pool = pools_[resource.pool];
+    pool.avail -= demand.weight * activity.rate;
+    pool.weight_sum -= demand.weight;
+    --pool.unfrozen;
+    mark_dirty(demand.resource);
+  }
+  demands_examined_ += activity.spec.demands.size();
+}
+
+void FluidModel::list_users(ResourceId resource, ActivityId after) {
+  const Resource& r = resources_[resource];
+  for (std::uint32_t at = r.head; at != kNoEntry; at = entries_[at].next) {
+    Activity& activity = activities_[entries_[at].slot];
+    if (activity.frozen_in != rebalance_count_ && activity.id > after) {
+      activity.candidate_in = round_;
+    }
+  }
+  demands_examined_ += r.users;
+}
+
+bool FluidModel::saturated(const Activity& activity, double lambda) {
+  for (const Demand& demand : activity.spec.demands) {
+    ++demands_examined_;
+    const Pool pool = pool_of(demand.resource);
+    if (leq_tol(share_of(pool.avail, pool.weight_sum), lambda)) return true;
+  }
+  return false;
+}
+
+void FluidModel::restore_pools() {
+  for (const Pool& pool : pools_) {
+    resources_[pool.resource].pool = kNoPool;
+    mark_dirty(pool.resource);
+  }
+  demands_examined_ += pools_.size();
+  pools_.clear();
+}
+
 // elsim-hot: the progressive-filling solve; runs once per batch of changes.
 void FluidModel::solve() {
   ELSIM_PROFILE_SCOPE(stats::profiler::Phase::kFluidSolve);
   solve_pending_ = false;
   ++rebalance_count_;
   activities_touched_ += order_.size();
-  // Working state for progressive filling, kept in member buffers so
-  // steady-state solves do not allocate. A resource's pools are reset at the
-  // first demand on it in this solve, which also sets its demanded_ bit.
-  std::vector<double>& avail = avail_;
-  std::vector<double>& weight_sum = weight_sum_;
-  std::vector<std::uint32_t>& unfrozen = scratch_unfrozen_;
-  unfrozen.clear();
-  unfrozen.reserve(order_.size());
-  // The lowest rate cap among `unfrozen`, folded in list order as the list is
-  // built.
-  double lambda_cap = kTimeInfinity;
-  for (std::uint32_t slot : order_) {
-    Activity& activity = activities_[slot];
-    if (activity.spec.demands.empty()) {
-      // No shared resources: runs at its cap unconditionally.
-      activity.rate = activity.spec.rate_cap;
-      continue;
+  if (cap_floor_stale_) {
+    // The last activity at the lowest cap left: refold the floor.
+    cap_floor_ = kTimeInfinity;
+    cap_floor_count_ = 0;
+    for (std::uint32_t slot : order_) {
+      if (!activities_[slot].spec.demands.empty()) count_cap(activities_[slot].spec.rate_cap);
     }
-    unfrozen.push_back(slot);
-    lambda_cap = std::min(lambda_cap, activity.spec.rate_cap);
-    for (const Demand& demand : activity.spec.demands) {
-      const ResourceId r = demand.resource;
-      std::uint64_t& word = demanded_[r / kWordBits];
-      const std::uint64_t bit = std::uint64_t{1} << (r % kWordBits);
-      if ((word & bit) == 0) {
-        word |= bit;
-        avail[r] = resources_[r].capacity;
-        weight_sum[r] = 0.0;
-      }
-      weight_sum[r] += demand.weight;
-    }
+    cap_floor_stale_ = false;
   }
 
   // Progressive filling: raise a common water level; freeze activities at
-  // their cap or when a resource they use saturates.
-  std::vector<std::uint32_t>& still_unfrozen = scratch_next_unfrozen_;
+  // their cap or when a resource they use saturates. The first round's list
+  // is every live activity in insertion order, where the ones without
+  // demands are skipped: they got their cap as their rate at start().
+  const std::vector<std::uint32_t>* unfrozen = &order_;
+  std::vector<std::uint32_t>* still_unfrozen = &scratch_next_unfrozen_;
+  std::vector<std::uint32_t>* spare = &scratch_unfrozen_;
   std::vector<std::uint32_t>& frozen = scratch_frozen_;
-  still_unfrozen.reserve(order_.size());
+  still_unfrozen->reserve(order_.size());
+  spare->reserve(order_.size());
   frozen.reserve(order_.size());
-  while (!unfrozen.empty()) {
-    // The resource-limited level, over the demanded resources in ascending
-    // id: the operands, in the order, of a scan over every resource (an
-    // undemanded one has a zero weight sum and would be skipped). The order
-    // is part of the result: std::min keeps its first operand when the two
-    // are unordered (a NaN pool, from an infinite pool minus an infinite
-    // rate) or equal (0.0 against -0.0).
+  double lambda_cap = cap_floor_;
+  while (!unfrozen->empty()) {
+    flush_dirty();
+    // The resource-limited level: the leftmost minimum of the water-level
+    // keys, block by block, as a scan over every resource in ascending id
+    // takes it. The order is part of the result: std::min keeps its first
+    // operand when the two are equal (0.0 against -0.0).
     double lambda_res = kTimeInfinity;
-    for (std::size_t w = 0; w < demanded_.size(); ++w) {
-      for (std::uint64_t bits = demanded_[w]; bits != 0; bits &= bits - 1) {
-        const std::size_t r = w * kWordBits + static_cast<std::size_t>(std::countr_zero(bits));
-        if (weight_sum[r] > kAbsEps) {
-          lambda_res = std::min(lambda_res, std::max(avail[r], 0.0) / weight_sum[r]);
-        }
-      }
+    for (const double level : block_level_) {
+      if (level < lambda_res) lambda_res = level;
     }
     const double lambda = std::min(lambda_res, lambda_cap);
+    ++round_;
 
     // Split the round's list into the activities that freeze at this level
     // and the rest, folding the next round's lambda_cap over the rest.
-    still_unfrozen.clear();
+    still_unfrozen->clear();
     double next_lambda_cap = kTimeInfinity;
     std::size_t frozen_this_round = 0;
     if (lambda_cap <= lambda_res) {
@@ -282,68 +531,77 @@ void FluidModel::solve() {
       // before touching the pools. A round that freezes every remaining
       // activity is the last one, and nothing reads the pools after it.
       frozen.clear();
-      for (std::uint32_t slot : unfrozen) {
+      for (std::uint32_t slot : *unfrozen) {
         Activity& activity = activities_[slot];
+        if (activity.spec.demands.empty()) continue;
         if (leq_tol(activity.spec.rate_cap, lambda)) {
           activity.rate = std::min(lambda, activity.spec.rate_cap);
           frozen.push_back(slot);
         } else {
-          still_unfrozen.push_back(slot);
+          still_unfrozen->push_back(slot);
           next_lambda_cap = std::min(next_lambda_cap, activity.spec.rate_cap);
         }
       }
-      if (still_unfrozen.empty()) break;
+      if (still_unfrozen->empty()) break;
       // The pool updates in the order the frozen activities were listed, as
       // freezing them one at a time would apply them.
-      for (std::uint32_t slot : frozen) {
-        const Activity& activity = activities_[slot];
-        for (const Demand& demand : activity.spec.demands) {
-          avail[demand.resource] -= demand.weight * activity.rate;
-          weight_sum[demand.resource] -= demand.weight;
-        }
-      }
+      for (std::uint32_t slot : frozen) freeze(activities_[slot]);
       frozen_this_round = frozen.size();
     } else {
       // Resource-binding: an activity freezes when one of its resources is
       // saturated at this level, which each freeze before it can change, so
-      // decide and subtract one activity at a time (single pass, no
-      // membership lookups).
-      for (std::uint32_t slot : unfrozen) {
-        Activity& activity = activities_[slot];
-        bool freeze = false;
-        for (const Demand& demand : activity.spec.demands) {
-          const double share = std::max(avail[demand.resource], 0.0) /
-                               std::max(weight_sum[demand.resource], kAbsEps);
-          if (leq_tol(share, lambda)) {
-            freeze = true;
-            break;
+      // decide and draw down one activity at a time, in list order. Only the
+      // users of a saturated resource can pass the test: those of resources
+      // saturated now, and those after a freeze that saturates one of its
+      // resources (the users before it were tested already).
+      const double threshold = lambda * (1.0 + kRelEps) + kAbsEps;  // leq_tol(key, lambda)
+      for (std::size_t b = 0; b < block_saturation_.size(); ++b) {
+        if (!(block_saturation_[b] <= threshold)) continue;
+        const std::size_t end = std::min(resources_.size(), (b + 1) * kBlock);
+        for (std::size_t r = b * kBlock; r < end; ++r) {
+          if (saturation_key_[r] <= threshold) {
+            list_users(static_cast<ResourceId>(r), kInvalidActivityId);
           }
         }
-        if (freeze) {
+      }
+      // Within the round, a saturation key at or under the threshold marks a
+      // listed resource: the keys read fresh at its start, and a resource
+      // listed after a freeze (drawn, so dirty, and re-keyed next round)
+      // has its key set to -inf.
+      for (std::uint32_t slot : *unfrozen) {
+        Activity& activity = activities_[slot];
+        if (activity.spec.demands.empty()) continue;
+        if (activity.candidate_in == round_ && saturated(activity, lambda)) {
           activity.rate = std::min(lambda, activity.spec.rate_cap);
-          for (const Demand& demand : activity.spec.demands) {
-            avail[demand.resource] -= demand.weight * activity.rate;
-            weight_sum[demand.resource] -= demand.weight;
-          }
+          freeze(activity);
           ++frozen_this_round;
+          for (const Demand& demand : activity.spec.demands) {
+            const Pool& pool = pools_[resources_[demand.resource].pool];
+            if (!(saturation_key_[demand.resource] <= threshold) && pool.unfrozen > 0 &&
+                leq_tol(share_of(pool.avail, pool.weight_sum), lambda)) {
+              saturation_key_[demand.resource] = -kTimeInfinity;
+              list_users(demand.resource, activity.id);
+            }
+          }
         } else {
-          still_unfrozen.push_back(slot);
+          still_unfrozen->push_back(slot);
           next_lambda_cap = std::min(next_lambda_cap, activity.spec.rate_cap);
         }
       }
     }
     if (frozen_this_round == 0) {
       // Numerical corner: make progress by freezing everything at lambda.
-      for (std::uint32_t slot : still_unfrozen) {
+      for (std::uint32_t slot : *still_unfrozen) {
         Activity& activity = activities_[slot];
         activity.rate = std::min(lambda, activity.spec.rate_cap);
       }
       break;
     }
-    unfrozen.swap(still_unfrozen);  // ping-pong the scratch buffers, no realloc
+    unfrozen = still_unfrozen;  // ping-pong the scratch buffers, no realloc
+    std::swap(still_unfrozen, spare);
     lambda_cap = next_lambda_cap;
   }
-  std::fill(demanded_.begin(), demanded_.end(), 0);
+  restore_pools();
 
   // The earliest finish, computed per activity as one completion event per
   // activity would be timed; an equal time keeps the activity inserted first,

@@ -26,11 +26,20 @@
 // would have fired. This reproduces the contention-aware completion times
 // that the original system obtains from SimGrid's fluid models.
 //
-// Activities live in a dense slot vector; the solve and settle() walk the
-// live slots in insertion order and never hash. The solve touches only the
-// resources some activity demands. Per-resource consumption is not stored:
-// consumption() and check_invariants() sum weight * rate over the live
-// activities when asked.
+// The fill is incremental (SimGrid's selective update) and bit-identical to
+// a full scan over every resource in every filling round. Across solves each
+// resource keeps its users, a list of (activity slot, weight) in insertion
+// order, and the in-order fold of those weights; a two-level minimum index
+// (per resource, then per block of 64 resource ids, the leftmost value
+// winning ties) holds each resource's water-level key and saturation key.
+// start, cancel, a completion and set_capacity only mark the resources they
+// touch dirty. Each filling round first re-keys its dirty resources and
+// re-minimises their blocks once, then reads the resource-limited level from
+// the block minima; a resource-binding round tests, in insertion order, only
+// the users of resources that are saturated at the round's start or become
+// saturated through an earlier freeze in the round. A solve restores the
+// pools it drew down and marks them dirty for the next one.
+// consumption(resource) sums that resource's own list.
 #pragma once
 
 #include <cstdint>
@@ -93,7 +102,7 @@ class FluidModel {
   std::size_t resource_count() const { return resources_.size(); }
 
   /// Total consumption currently placed on a resource (<= capacity + eps):
-  /// weight * rate summed over the live activities in insertion order, when
+  /// weight * rate summed over the resource's users in insertion order, when
   /// called. Runs a pending solve first.
   double consumption(ResourceId resource);
 
@@ -137,21 +146,69 @@ class FluidModel {
   /// rebalance_count() for the mean activities touched per solve.
   std::uint64_t activities_touched() const { return activities_touched_; }
 
+  /// Cumulative work of the incremental fill, in demand entries and resource
+  /// keys: list entries refolded after a removal, users listed when their
+  /// resource saturates, demands tested and pools drawn down by a freeze, and
+  /// one per resource re-keyed or restored. It follows the changes between
+  /// solves, not the live count.
+  std::uint64_t demands_examined() const { return demands_examined_; }
+
   /// Total activities ever started (allocation tally for the profiler).
   std::uint64_t activities_started() const { return next_activity_id_ - 1; }
 
   /// Validates internal consistency: every activity's remaining work within
   /// [0, total work] (progress in [0, 1]), rates non-negative, finite, and
-  /// within their caps, and per-resource consumption within capacity.
-  /// Returns a description of the first broken invariant, or nullopt when
-  /// all hold (core::InvariantChecker under --validate). Runs a pending solve
-  /// first, so it checks solved rates.
-  std::optional<std::string> check_invariants();
+  /// within their caps, and per-resource consumption within capacity. With
+  /// `kept_state`, it first re-derives the fill's kept state from the live
+  /// activities: each resource's users and their fold, the lowest rate cap,
+  /// the pools at rest, and every index key and block minimum not awaiting a
+  /// re-key. Returns a description of the first broken invariant, or nullopt
+  /// when all hold (core::InvariantChecker under --validate). Runs a pending
+  /// solve first, so it checks solved rates.
+  std::optional<std::string> check_invariants(bool kept_state);
 
  private:
+  static constexpr std::uint32_t kNoSlot = 0xffffffffU;
+  static constexpr std::uint32_t kNoEntry = 0xffffffffU;
+  static constexpr std::uint32_t kNoPool = 0xffffffffU;
+
+  /// One demand entry in a resource's list of users: the lists share one
+  /// pool and link their entries in insertion order.
+  struct Entry {
+    std::uint32_t slot;
+    std::uint32_t next;
+    double weight;
+  };
+
   struct Resource {
     std::string name;
     double capacity = 0.0;
+    /// The left fold of the users' weights, in list order, from 0.0: the
+    /// weight sum a full scan starts each solve from.
+    double fold = 0.0;
+    /// The demand entries of the live activities on this resource, first and
+    /// last in insertion order (an activity demanding it twice has two).
+    std::uint32_t head = kNoEntry;
+    std::uint32_t tail = kNoEntry;
+    std::uint32_t users = 0;
+    /// The resource's entry in pools_ while this solve draws it down, else
+    /// kNoPool: its pool is then its capacity, fold and users.
+    std::uint32_t pool = kNoPool;
+    /// Queued for a re-key at the next filling round.
+    bool dirty = false;
+    /// A user left the list, so `fold` is refolded at the re-key.
+    bool refold = false;
+  };
+
+  /// A resource's pool while a solve draws it down.
+  struct Pool {
+    /// Capacity less what the activities frozen so far consume.
+    double avail;
+    /// The fold less the weights frozen so far.
+    double weight_sum;
+    /// Users not yet frozen.
+    std::uint32_t unfrozen;
+    ResourceId resource;
   };
 
   struct Activity {
@@ -159,10 +216,12 @@ class FluidModel {
     ActivitySpec spec;
     double remaining = 0.0;
     double rate = 0.0;
+    /// The solve that froze this activity's rate (its rebalance count).
+    std::uint64_t frozen_in = 0;
+    /// The resource-binding round that made it a candidate for a freeze.
+    std::uint64_t candidate_in = 0;
     std::function<void()> on_complete;
   };
-
-  static constexpr std::uint32_t kNoSlot = 0xffffffffU;
 
   /// Accrues progress since the last settle instant.
   void settle();
@@ -176,9 +235,35 @@ class FluidModel {
   const Activity* find(ActivityId id) const;
   /// Takes a live activity out of the model and frees its slot.
   void remove(ActivityId id, std::uint32_t slot);
+  /// The kept-state half of check_invariants().
+  std::optional<std::string> check_kept_state() const;
+
+  /// Counts a rate cap into the lowest cap over the activities with demands
+  /// and its multiplicity.
+  void count_cap(double cap);
+  /// Queues a resource for a re-key at the next filling round.
+  void mark_dirty(ResourceId resource);
+  /// Re-keys the dirty resources and re-minimises their blocks.
+  void flush_dirty();
+  /// Freezes a live activity at its already-set rate and draws its demands
+  /// from the pools.
+  void freeze(Activity& activity);
+  /// Makes the unfrozen users of `resource` inserted after `after` candidates
+  /// of the current round.
+  void list_users(ResourceId resource, ActivityId after);
+  /// True when one of the activity's resources is saturated at `lambda`:
+  /// the freeze test of a resource-binding round.
+  bool saturated(const Activity& activity, double lambda);
+  /// A resource's pool at this point of the solve.
+  Pool pool_of(ResourceId resource) const;
+  /// Restores the pools this solve drew down.
+  void restore_pools();
 
   Engine* engine_;
   std::vector<Resource> resources_;
+  /// Every resource's user entries; a freed entry heads free_entry_'s chain.
+  std::vector<Entry> entries_;
+  std::uint32_t free_entry_ = kNoEntry;
   /// Dense activity slots; a freed slot goes on free_slots_ for reuse.
   std::vector<Activity> activities_;
   std::vector<std::uint32_t> free_slots_;
@@ -197,14 +282,31 @@ class FluidModel {
   std::uint32_t next_slot_ = kNoSlot;
   std::uint64_t rebalance_count_ = 0;
   std::uint64_t activities_touched_ = 0;
-  /// Working state for solve(), reused across calls instead of being
-  /// reallocated per solve; solve() never recurses, which makes the reuse
-  /// safe. `demanded_` has one bit per resource, set while some activity in
-  /// the current solve demands it; `avail_` and `weight_sum_` hold meaningful
-  /// values only for those resources.
-  std::vector<std::uint64_t> demanded_;
-  std::vector<double> avail_;
-  std::vector<double> weight_sum_;
+  std::uint64_t demands_examined_ = 0;
+  /// The lowest rate cap over the live activities with demands, and how many
+  /// have it; refolded at the next solve once the last of those leaves.
+  double cap_floor_ = kTimeInfinity;
+  std::size_t cap_floor_count_ = 0;
+  bool cap_floor_stale_ = false;
+  /// Filling rounds so far, across solves: the stamp of the current round.
+  std::uint64_t round_ = 0;
+  /// The index. Per resource, its water-level key (max(avail, 0) /
+  /// weight_sum, or +inf while weight_sum <= kAbsEps) and its saturation key
+  /// (max(avail, 0) / max(weight_sum, kAbsEps), or +inf without unfrozen
+  /// users); per block of 64 resource ids, the minimum of each. Current
+  /// except for the dirty resources and their blocks.
+  std::vector<double> level_key_;
+  std::vector<double> saturation_key_;
+  std::vector<double> block_level_;
+  std::vector<double> block_saturation_;
+  /// The dirty resources, then the blocks a re-key touched; a flag keeps an
+  /// id from entering twice, and dirty_blocks_ has room for every block.
+  std::vector<ResourceId> dirty_;
+  std::vector<std::uint32_t> dirty_blocks_;
+  std::vector<std::uint8_t> block_dirty_;
+  /// The pools this solve drew down, in the order it first drew them.
+  std::vector<Pool> pools_;
+  /// Scratch lists for the rounds after the first, reused across solves.
   std::vector<std::uint32_t> scratch_unfrozen_;
   std::vector<std::uint32_t> scratch_next_unfrozen_;
   std::vector<std::uint32_t> scratch_frozen_;

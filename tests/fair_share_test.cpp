@@ -2,17 +2,23 @@
 // across jobs, and long-run fairness holds on generated workloads.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <map>
+#include <set>
+#include <string>
+#include <vector>
 
 #include "core/batch_system.h"
 #include "core/schedulers.h"
 #include "core/simulation.h"
 #include "test_support.h"
+#include "util/rng.h"
 #include "workload/generator.h"
 
 namespace elastisim::core {
 namespace {
 
+using test::compute_job;
 using test::rigid_job;
 using test::tiny_platform;
 
@@ -137,6 +143,78 @@ TEST(FairShare, CompletesMixedWorkload) {
   auto result = run_simulation(config, workload::generate_workload(generator));
   EXPECT_EQ(result.finished, 40u);
   EXPECT_EQ(result.stuck, 0u);
+}
+
+TEST(FairShare, UsageMemoRanksAsDirectCallsWithOneQueryPerUser) {
+  // Random histories, running sets and queues: the policy, which asks for
+  // each user's usage once per scheduling point, starts and holds exactly
+  // what the ranked pass does when it asks again for every job and re-rank.
+  constexpr double kNow = 1000.0;
+  constexpr int kNodes = 32;
+  for (std::uint64_t seed = 1; seed <= 60; ++seed) {
+    SCOPED_TRACE(seed);
+    util::Rng rng(seed);
+    const auto users = rng.uniform_int(1, 6);
+    const int free = static_cast<int>(rng.uniform_int(0, 12));
+    const bool explaining = rng.bernoulli(0.5);
+    const auto random_job = [&](workload::JobId id) {
+      const int nodes = static_cast<int>(rng.uniform_int(1, 8));
+      workload::Job job = rng.bernoulli(0.3)
+                              ? compute_job(id, workload::JobType::kMalleable, nodes, 10.0, 1,
+                                            8)
+                              : rigid_job(id, nodes, 10.0);
+      job.walltime_limit = static_cast<double>(rng.uniform_int(1, 40)) * 25.0;
+      job.user = "u" + std::to_string(rng.uniform_int(0, users - 1));
+      return job;
+    };
+    std::vector<workload::Job> finished;
+    std::vector<std::pair<workload::Job, double>> running;  // job, start time
+    std::vector<workload::Job> queued;
+    workload::JobId next_id = 1;
+    for (auto n = rng.uniform_int(0, 20); n > 0; --n) finished.push_back(random_job(next_id++));
+    for (int busy = 0; busy < kNodes - free;) {
+      workload::Job job = random_job(next_id++);
+      job.requested_nodes = job.min_nodes = job.max_nodes =
+          std::min(job.requested_nodes, kNodes - free - busy);
+      job.type = workload::JobType::kRigid;
+      busy += job.requested_nodes;
+      running.emplace_back(std::move(job), static_cast<double>(rng.uniform_int(0, 999)));
+    }
+    for (auto n = rng.uniform_int(1, 40); n > 0; --n) queued.push_back(random_job(next_id++));
+    std::vector<double> spans;  // each finished job's start and end
+    for (std::size_t i = 0; i < finished.size(); ++i) {
+      const auto start = static_cast<double>(rng.uniform_int(0, 500));
+      spans.push_back(start);
+      spans.push_back(start + static_cast<double>(rng.uniform_int(1, 400)) / 3.0);
+    }
+
+    const auto build = [&](test::FakeContext& ctx) {
+      for (std::size_t i = 0; i < finished.size(); ++i) {
+        ctx.recorder.on_submit(finished[i], 0.0);
+        ctx.recorder.on_start(finished[i].id, spans[2 * i], finished[i].requested_nodes);
+        ctx.recorder.on_finish(finished[i].id, spans[2 * i + 1], false);
+      }
+      for (const auto& [job, since] : running) ctx.run(job, since, job.requested_nodes);
+      for (const workload::Job& job : queued) ctx.enqueue(job);
+    };
+    test::FakeContext memo(kNow, kNodes, free, explaining);
+    test::FakeContext direct(kNow, kNodes, free, explaining);
+    build(memo);
+    build(direct);
+    FairShareScheduler().schedule(memo);
+    passes::ranked_backfill(direct, [&direct](const QueuedJob& job) {
+      return direct.user_usage(job->user);
+    });
+
+    EXPECT_EQ(memo.starts, direct.starts);
+    EXPECT_EQ(memo.verdicts, direct.verdicts);
+    const std::set<std::string> asked(memo.usage_calls.begin(), memo.usage_calls.end());
+    EXPECT_EQ(memo.usage_calls.size(), asked.size()) << "a user was asked twice";
+    std::set<std::string> queued_users;
+    for (const workload::Job& job : queued) queued_users.insert(job.user);
+    EXPECT_EQ(asked, queued_users);
+    EXPECT_GE(direct.usage_calls.size(), queued.size());
+  }
 }
 
 TEST(FairShare, RecorderUserAggregation) {

@@ -10,6 +10,8 @@
 #include <iterator>
 #include <limits>
 #include <memory>
+#include <optional>
+#include <string>
 #include <vector>
 
 #include "sim/engine.h"
@@ -428,10 +430,10 @@ INSTANTIATE_TEST_SUITE_P(Counts, FluidConservation, testing::Values(1, 2, 3, 5, 
 // Differential oracle: the solve against a full-scan reference
 // ---------------------------------------------------------------------------
 
-// Progressive filling as a scan over every resource per filling round, with
-// per-resource consumption recomputed from scratch: the solve FluidModel ran
-// before it walked only the demanded resources. The operations and their
-// order are the same, so the model must match it bit for bit.
+// Progressive filling as a scan over every resource and every unfrozen
+// activity per filling round, with per-resource sums recomputed from
+// scratch. The incremental fill skips work but computes each value it keeps
+// with the scan's operands in the scan's order, so it must match bit for bit.
 struct ReferenceSolution {
   std::vector<double> rate;         // per live activity, in insertion order
   std::vector<double> consumption;  // per resource
@@ -531,7 +533,7 @@ TEST(FluidOracle, SolveMatchesFullScanReferenceBitForBit) {
     const int shared = static_cast<int>(rng.uniform_int(1, 6));
     for (int r = 0; r < shared; ++r) add_resource(pick(kCapacities));
     // Resources nobody demands, which also move the private resources below
-    // into later 64-bit words of the model's demanded-resource set.
+    // into later 64-resource blocks of the model's index.
     const auto idle = rng.uniform_int(0, 100);
     for (std::int64_t r = 0; r < idle; ++r) add_resource(pick(kCapacities));
 
@@ -612,6 +614,209 @@ TEST(FluidOracle, SolveMatchesFullScanReferenceBitForBit) {
             << "step " << step << ", resource " << r;
       }
     }
+  }
+}
+
+TEST(FluidOracle, EdgeCasesMatchFullScanReferenceBitForBit) {
+  // Where the incremental fill's kept state could part from a full scan:
+  // weights at or under the 1e-12 guard (a weight sum drops under it while a
+  // user is still unfrozen, the one case where a resource's saturation key
+  // differs from its water-level key), an activity demanding one resource
+  // twice, capacities 0, -0.0 and +inf, idle stretches of more than three
+  // 64-resource index blocks between demanded resources, resources added
+  // mid-run, and set_capacity on resources nobody demands.
+  constexpr double kCapacities[] = {0.0, -0.0, 1.0, 2.5, 10.0, 1e3, kTimeInfinity};
+  constexpr double kWeights[] = {1.0, 1.0, 0.5, 3.7, 1e-13, 1e-12, 5e-13};
+  constexpr double kRateCaps[] = {kTimeInfinity, kTimeInfinity, 0.3, 1.0, 5.0};
+  constexpr double kWorks[] = {0.0, 1.0, 5.0, 20.0};
+  constexpr double kSteps[] = {0.0, 0.05, 0.5, 2.0};
+
+  for (std::uint64_t seed = 1; seed <= 30; ++seed) {
+    SCOPED_TRACE(seed);
+    util::Rng rng(seed);
+    const auto pick = [&rng](const auto& values) {
+      return values[static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(std::size(values)) - 1))];
+    };
+    Engine engine;
+    FluidModel& fluid = engine.fluid();
+    std::vector<double> capacity;
+    const auto add_resource = [&](double cap) {
+      capacity.push_back(cap);
+      return fluid.add_resource("r", cap);
+    };
+    const auto add_idle = [&](std::int64_t count) {
+      for (std::int64_t r = 0; r < count; ++r) add_resource(pick(kCapacities));
+    };
+    std::vector<ResourceId> shared;
+    for (auto r = rng.uniform_int(1, 4); r > 0; --r) shared.push_back(add_resource(pick(kCapacities)));
+    add_idle(4 * 64 + rng.uniform_int(0, 130));
+    for (auto r = rng.uniform_int(1, 3); r > 0; --r) shared.push_back(add_resource(pick(kCapacities)));
+
+    struct Live {
+      ActivityId id;
+      ActivitySpec spec;
+    };
+    std::vector<Live> live;  // insertion order, as the model keeps it
+    std::vector<ActivityId> started;
+    int follow_ups = 40;
+
+    std::function<void()> start = [&] {
+      ActivitySpec spec;
+      spec.work = pick(kWorks);
+      spec.rate_cap = pick(kRateCaps);
+      if (rng.bernoulli(0.1)) {
+        spec.rate_cap = 2.0;  // no demands: needs a finite cap
+      } else {
+        // Repeats allowed: an activity may demand one resource twice.
+        for (auto uses = rng.uniform_int(1, 3); uses > 0; --uses) {
+          spec.demands.push_back({pick(shared), pick(kWeights)});
+        }
+        if (rng.bernoulli(0.3)) {  // a private resource past more idle blocks
+          if (rng.bernoulli(0.3)) add_idle(rng.uniform_int(1, 300));
+          spec.demands.push_back({add_resource(pick(kCapacities)), pick(kWeights)});
+        }
+      }
+      auto self = std::make_shared<ActivityId>(kInvalidActivityId);
+      const ActivityId id = fluid.start(spec, [&, self] {
+        live.erase(std::find_if(live.begin(), live.end(),
+                                [&](const Live& l) { return l.id == *self; }));
+        if (follow_ups > 0 && rng.bernoulli(0.3)) {
+          --follow_ups;
+          start();
+        }
+      });
+      *self = id;
+      live.push_back({id, std::move(spec)});
+      started.push_back(id);
+    };
+
+    for (int step = 0; step < 200; ++step) {
+      const double roll = rng.uniform();
+      if (roll < 0.35 || started.empty()) {
+        start();
+      } else if (roll < 0.5) {
+        const ActivityId id = pick(started);
+        const bool was_live = std::any_of(live.begin(), live.end(),
+                                          [id](const Live& l) { return l.id == id; });
+        ASSERT_EQ(fluid.cancel(id), was_live);
+        if (was_live) {
+          live.erase(std::find_if(live.begin(), live.end(),
+                                  [id](const Live& l) { return l.id == id; }));
+        }
+      } else if (roll < 0.8) {
+        engine.run_until(engine.now() + pick(kSteps));
+      } else {
+        // Any resource: shared, private, or one nobody has ever demanded.
+        const auto r = static_cast<ResourceId>(
+            rng.uniform_int(0, static_cast<std::int64_t>(capacity.size()) - 1));
+        capacity[r] = pick(kCapacities);
+        fluid.set_capacity(r, capacity[r]);
+      }
+
+      std::vector<const ActivitySpec*> specs;
+      for (const Live& l : live) specs.push_back(&l.spec);
+      const ReferenceSolution reference = reference_solve(capacity, specs);
+      ASSERT_EQ(fluid.active_count(), live.size()) << "step " << step;
+      for (std::size_t i = 0; i < live.size(); ++i) {
+        ASSERT_TRUE(fluid.is_active(live[i].id));
+        ASSERT_EQ(bits(fluid.rate(live[i].id)), bits(reference.rate[i]))
+            << "step " << step << ", activity " << live[i].id;
+      }
+      for (std::size_t r = 0; r < capacity.size(); ++r) {
+        ASSERT_EQ(bits(fluid.consumption(static_cast<ResourceId>(r))),
+                  bits(reference.consumption[r]))
+            << "step " << step << ", resource " << r;
+      }
+      // The kept lists, folds, keys and block minima re-derive from the live
+      // activities. Zero capacities under tiny weights and unbounded levels
+      // may break the physical bounds checked after them, so only those may
+      // be reported.
+      if (const auto error = fluid.check_invariants(true)) {
+        ASSERT_TRUE(error->find("oversubscribed") != std::string::npos ||
+                    error->rfind("fluid activity '", 0) == 0)
+            << "step " << step << ": " << *error;
+      }
+    }
+  }
+}
+
+TEST(FluidOracle, FreezeUnderTheWeightGuardSaturatesALaterUser) {
+  // s sets the level at 1 and freezes a; t's share is 1.01 at the round's
+  // start, but a's freeze leaves t a weight sum under the 1e-12 guard, which
+  // drops its share to 0.515 within the round. So b, after a in the list,
+  // freezes in the same round at 1. Without the listing after a freeze, b
+  // would reach a round that no resource bounds and get an infinite rate.
+  Engine engine;
+  FluidModel& fluid = engine.fluid();
+  const std::vector<double> capacity = {1.0, 1.515e-12};
+  const ResourceId s = fluid.add_resource("s", capacity[0]);
+  const ResourceId t = fluid.add_resource("t", capacity[1]);
+  const ActivitySpec a{10.0, {{s, 1.0}, {t, 1e-12}}, kTimeInfinity, "a"};
+  const ActivitySpec b{10.0, {{t, 5e-13}}, kTimeInfinity, "b"};
+  const ActivityId first = fluid.start(a, [] {});
+  const ActivityId second = fluid.start(b, [] {});
+  const ReferenceSolution reference = reference_solve(capacity, {&a, &b});
+  ASSERT_EQ(reference.rate, (std::vector<double>{1.0, 1.0}));
+  EXPECT_EQ(bits(fluid.rate(first)), bits(reference.rate[0]));
+  EXPECT_EQ(bits(fluid.rate(second)), bits(reference.rate[1]));
+  EXPECT_EQ(fluid.check_invariants(true), std::nullopt);
+}
+
+// ---------------------------------------------------------------------------
+// Work of the incremental fill
+// ---------------------------------------------------------------------------
+
+// Starts `background` long activities, each held at its rate cap on a private
+// resource, and solves once. Then churns up to four activities through
+// private resources and one shared link that binds below the caps: each step
+// cancels the oldest and starts one. Returns the demands examined by each
+// step's solve.
+std::vector<std::uint64_t> examined_per_churn(int background) {
+  Engine engine;
+  FluidModel& fluid = engine.fluid();
+  ActivityId first = kInvalidActivityId;
+  for (int i = 0; i < background; ++i) {
+    const ResourceId own = fluid.add_resource("own", 1.0);
+    const ActivityId id = fluid.start({1e12, {{own, 1.0}}, 1.0, "long"}, [] {});
+    if (first == kInvalidActivityId) first = id;
+  }
+  EXPECT_EQ(fluid.rate(first), 1.0);
+  const ResourceId link = fluid.add_resource("link", 0.5);
+  std::vector<ResourceId> churn_own;
+  for (int i = 0; i < 5; ++i) churn_own.push_back(fluid.add_resource("churn", 2.0));
+  std::vector<ActivityId> churn;
+  std::vector<std::uint64_t> per_solve;
+  for (std::size_t step = 0; step < 300; ++step) {
+    if (churn.size() == 4) {
+      EXPECT_TRUE(fluid.cancel(churn.front()));
+      churn.erase(churn.begin());
+    }
+    churn.push_back(fluid.start(
+        {1e12, {{churn_own[step % churn_own.size()], 1.0}, {link, 1.0}}, kTimeInfinity, "churn"},
+        [] {}));
+    const std::uint64_t solves = fluid.rebalance_count();
+    const std::uint64_t before = fluid.demands_examined();
+    EXPECT_DOUBLE_EQ(fluid.rate(churn.back()), 0.5 / static_cast<double>(churn.size()));
+    EXPECT_EQ(fluid.rebalance_count(), solves + 1);
+    per_solve.push_back(fluid.demands_examined() - before);
+  }
+  EXPECT_EQ(fluid.active_count(), static_cast<std::size_t>(background) + 4);
+  return per_solve;
+}
+
+TEST(FluidWork, DemandsExaminedFollowTheChangesNotTheLiveCount) {
+  // A step changes two activities with two demands each, on a link whose
+  // (at most four) users all freeze in a resource-binding round; the long
+  // activities freeze together in the final cap-binding round, which draws
+  // no pool. So a solve examines the same few dozen entries at 200 or 2,000
+  // live activities, where a full scan reads every live demand per round.
+  const std::vector<std::uint64_t> few = examined_per_churn(200);
+  const std::vector<std::uint64_t> many = examined_per_churn(2000);
+  EXPECT_EQ(few, many);
+  constexpr std::uint64_t kChurnDemands = 4 * 2;  // the link's users' demands
+  for (std::size_t step = 0; step < many.size(); ++step) {
+    EXPECT_LE(many[step], 8 * kChurnDemands) << "step " << step;
   }
 }
 

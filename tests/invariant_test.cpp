@@ -69,7 +69,7 @@ TEST(InvariantChecker, FluidModelInvariantsHoldAfterRun) {
   Harness h(4);
   h.batch.submit(rigid_job(1, 4, 25.0));
   h.engine.run();
-  EXPECT_EQ(h.engine.fluid().check_invariants(), std::nullopt);
+  EXPECT_EQ(h.engine.fluid().check_invariants(true), std::nullopt);
 }
 
 TEST(ElsimCheck, ThrowsCheckErrorWithContext) {

@@ -5,6 +5,7 @@
 
 #include <map>
 
+#include "core/schedulers.h"
 #include "core/simulation.h"
 #include "test_support.h"
 #include "workload/generator.h"
@@ -125,6 +126,43 @@ TEST(Easy, BackfillsIntoSpareNodesEvenWithLongWalltime) {
   auto recorder = run_jobs("easy", 4, std::move(jobs));
   EXPECT_NEAR(record_of(recorder, 3).start_time, 2.0, 1e-6);
   EXPECT_NEAR(record_of(recorder, 2).start_time, 100.0, 1e-3);
+}
+
+TEST(Easy, NoFreeNodeEndsTheRoundUnlessExplaining) {
+  // Every node is busy, so no candidate can start (each needs one). Without a
+  // journal the round stops after the head's fit and the free-node test, at
+  // any queue depth; with one, every held job still gets EASY's own reason.
+  for (const std::size_t depth : {std::size_t{5}, std::size_t{60}}) {
+    SCOPED_TRACE(depth);
+    std::vector<workload::Job> jobs;
+    jobs.reserve(depth + 1);
+    jobs.push_back(with_walltime(rigid_job(1, 4, 100.0), 200.0));
+    for (std::size_t i = 0; i < depth; ++i) {
+      const auto id = static_cast<workload::JobId>(i + 2);
+      jobs.push_back(i % 2 == 0
+                         ? with_walltime(rigid_job(id, 1 + static_cast<int>(i % 3), 10.0), 20.0)
+                         : compute_job(id, JobType::kMalleable, 2, 10.0, 1, 4));
+    }
+    for (const bool explaining : {false, true}) {
+      SCOPED_TRACE(explaining);
+      test::FakeContext ctx(50.0, 4, 0, explaining);
+      ctx.run(jobs[0], 0.0, 4);
+      for (std::size_t i = 1; i < jobs.size(); ++i) ctx.enqueue(jobs[i]);
+      EasyBackfillScheduler().schedule(ctx);
+      EXPECT_TRUE(ctx.starts.empty());
+      if (!explaining) {
+        EXPECT_EQ(ctx.free_calls, 2u);
+        EXPECT_TRUE(ctx.verdicts.empty());
+        continue;
+      }
+      std::map<workload::JobId, stats::HoldReason> last;
+      for (const auto& [id, reason] : ctx.verdicts) last[id] = reason;
+      EXPECT_EQ(last.size(), depth);
+      for (const auto& [id, reason] : last) {
+        EXPECT_EQ(reason, stats::HoldReason::kInsufficientNodes) << "job " << id;
+      }
+    }
+  }
 }
 
 TEST(Easy, NeverWorseMakespanThanFcfsOnGeneratedMix) {
