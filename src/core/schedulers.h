@@ -17,7 +17,9 @@
 //                                  equal share of the machine.
 #pragma once
 
+#include <cstddef>
 #include <functional>
+#include <span>
 
 #include "core/scheduler.h"
 
@@ -86,11 +88,28 @@ class FairShareScheduler final : public Scheduler {
 namespace passes {
 
 /// Ranking function for ranked_backfill: lower key = scheduled earlier.
+/// Keys must stay fixed within one scheduling point.
 using RankFn = std::function<double(const QueuedJob&)>;
 
-/// Rank-ordered backfilling skeleton: start in rank order, reserve for the
-/// blocked leader, backfill lower-ranked jobs that cannot delay it.
+/// Rank-ordered backfilling skeleton: ranks the queue once (one key per
+/// queued job, stable order), starts in rank order until a job blocks, then
+/// runs backfill_walk behind that leader until it starts nothing, dropping
+/// each started job from the ranking. Hold verdicts name the "leader job".
 void ranked_backfill(SchedulerContext& ctx, const RankFn& rank);
+
+/// The one backfill walk behind a blocked leader `jobs[0]`, shared by EASY,
+/// priority and fair-share. Reserves for the leader: the shadow time is the
+/// first estimated release at which its requested size, clamped to the
+/// in-service nodes, is free (+inf and no spare node when none is), and a
+/// leader whose minimum size exceeds the in-service nodes reserves nothing
+/// (shadow +inf, every free node spare). Starts the first of jobs[1..] that
+/// fits now and ends before the shadow or fits in the spare nodes, counts it
+/// in `scheduler.backfills` and returns its index; returns 0 when none
+/// starts, at once when no node is free and nothing is being explained.
+/// Explains every held candidate (not the leader), naming the leader by
+/// `leader_role`.
+std::size_t backfill_walk(SchedulerContext& ctx, std::span<const QueuedJob> jobs,
+                          const char* leader_role);
 
 /// Largest size `job` may start at with `free` nodes available, preferring
 /// its requested size; -1 when it cannot start. Rigid jobs only ever start
@@ -101,16 +120,12 @@ int feasible_start_size(const workload::Job& job, int free);
 /// min_nodes otherwise) — the figure held-job explanations quote.
 int minimum_start_size(const workload::Job& job);
 
-/// Journals an insufficient_nodes verdict for the queue head (no-op unless
-/// ctx.explaining() and the queue is non-empty).
-void explain_blocked_head(SchedulerContext& ctx);
-
 /// Starts queued jobs in FCFS order until the head no longer fits.
 void fcfs_start(SchedulerContext& ctx);
 
-/// One EASY backfilling round: reserve for the head, start any later job
-/// that fits now without pushing the reservation. Returns true if a job was
-/// started (callers loop until quiescent).
+/// One EASY backfilling round: fcfs_start, then backfill_walk over the live
+/// queue behind its head ("head job"). Returns true if the walk started a
+/// job (callers loop until quiescent).
 bool easy_backfill_round(SchedulerContext& ctx);
 
 /// Expands running malleable jobs round-robin into idle nodes (only

@@ -92,6 +92,16 @@ void ConservativeBackfillScheduler::schedule(SchedulerContext& ctx) {
     bool is_head = true;
     for (QueuedJob queued : ctx.queue()) {
       const workload::Job& job = *queued;
+      // A job larger than the in-service machine cannot start before a
+      // repair or undrain: it holds no place in the profile.
+      if (const int least = passes::minimum_start_size(job); least > ctx.total_nodes()) {
+        if (ctx.explaining()) {
+          ctx.explain(job.id, stats::HoldReason::kInsufficientNodes,
+                      util::fmt("needs {} nodes, {} in service", least, ctx.total_nodes()));
+        }
+        is_head = false;
+        continue;
+      }
       const int size = std::min(job.requested_nodes, ctx.total_nodes());
       const double duration =
           std::isfinite(job.walltime_limit) ? job.walltime_limit : FreeProfile::kForever;

@@ -19,14 +19,6 @@ int minimum_start_size(const workload::Job& job) {
   return job.type == workload::JobType::kRigid ? job.requested_nodes : job.min_nodes;
 }
 
-void explain_blocked_head(SchedulerContext& ctx) {
-  if (!ctx.explaining() || ctx.queue().empty()) return;
-  const workload::Job& head = *ctx.queue().front();
-  ctx.explain(head.id, stats::HoldReason::kInsufficientNodes,
-              util::fmt("needs {} nodes, {} free", minimum_start_size(head),
-                        ctx.free_nodes()));
-}
-
 void fcfs_start(SchedulerContext& ctx) {
   // A start erases the job from the queue, so always look at index 0.
   while (!ctx.queue().empty()) {
@@ -38,11 +30,12 @@ void fcfs_start(SchedulerContext& ctx) {
   if (!ctx.explaining() || ctx.queue().empty()) return;
   // Strict FCFS holds everything behind its blocked head; backfilling
   // callers refine the non-head verdicts afterwards.
-  explain_blocked_head(ctx);
-  const workload::JobId head_id = ctx.queue().front()->id;
+  const workload::Job& head = *ctx.queue().front();
+  ctx.explain(head.id, stats::HoldReason::kInsufficientNodes,
+              util::fmt("needs {} nodes, {} free", minimum_start_size(head), ctx.free_nodes()));
   for (std::size_t i = 1; i < ctx.queue().size(); ++i) {
     ctx.explain(ctx.queue()[i]->id, stats::HoldReason::kQueuedBehindHead,
-                util::fmt("job {} blocks the queue", head_id));
+                util::fmt("job {} blocks the queue", head.id));
   }
 }
 

@@ -1,8 +1,7 @@
 #include <algorithm>
-#include <cmath>
-#include <limits>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "core/schedulers.h"
@@ -10,104 +9,36 @@
 
 namespace elastisim::core {
 
-// Shared skeleton for rank-ordered backfilling (used by the priority and
-// fair-share policies): start jobs in rank order until one blocks, hold a
-// reservation for the blocked leader, and backfill lower-ranked jobs around
-// it EASY-style.
-
 namespace passes {
 
 void ranked_backfill(SchedulerContext& ctx, const RankFn& rank) {
-  bool progressed = true;
-  while (progressed) {
-    progressed = false;
-    struct Ranked {
-      const workload::Job* job;
-      double key;
-    };
-    std::vector<Ranked> ranked;
-    ranked.reserve(ctx.queue().size());
-    for (QueuedJob queued : ctx.queue()) ranked.push_back({queued, rank(queued)});
-    std::stable_sort(ranked.begin(), ranked.end(),
-                     [](const Ranked& a, const Ranked& b) { return a.key < b.key; });
-    if (ranked.empty()) return;
+  // Rank once. Keys are fixed within a scheduling point and a start only
+  // removes its own job, so re-ranking the rest would give the same order.
+  std::vector<std::pair<double, QueuedJob>> keyed;
+  keyed.reserve(ctx.queue().size());
+  for (QueuedJob queued : ctx.queue()) keyed.emplace_back(rank(queued), queued);
+  std::ranges::stable_sort(keyed, {}, &std::pair<double, QueuedJob>::first);
+  std::vector<QueuedJob> ranked(keyed.size());
+  std::ranges::transform(keyed, ranked.begin(), &std::pair<double, QueuedJob>::second);
 
-    // Start jobs in rank order until one blocks.
-    std::size_t blocked = ranked.size();
-    for (std::size_t i = 0; i < ranked.size(); ++i) {
-      const int size = feasible_start_size(*ranked[i].job, ctx.free_nodes());
-      if (size < 0) {
-        blocked = i;
-        break;
-      }
-      ctx.start_job(ranked[i].job->id, size);
-      progressed = true;
+  // Start in rank order until a job blocks, then backfill behind it until the
+  // walk starts nothing; a backfill only takes nodes, so the leader stays blocked.
+  while (!ranked.empty()) {
+    const workload::Job& leader = *ranked.front();
+    const int size = feasible_start_size(leader, ctx.free_nodes());
+    if (size >= 0) {
+      ctx.start_job(leader.id, size);
+      ranked.erase(ranked.begin());
+      continue;
     }
-    if (progressed) continue;  // re-rank with fresh state
-    if (blocked >= ranked.size()) return;
-
-    // Reservation for the blocked leader: when do enough nodes free up?
-    const workload::Job& head = *ranked[blocked].job;
-    const int head_size = std::min(head.requested_nodes, ctx.total_nodes());
-    struct Release {
-      double time;
-      int nodes;
-    };
-    std::vector<Release> releases;
-    for (const RunningJob& running : ctx.running()) {
-      releases.push_back({ctx.now() + estimated_remaining(running, ctx.now()), running.nodes});
-    }
-    std::sort(releases.begin(), releases.end(),
-              [](const Release& a, const Release& b) { return a.time < b.time; });
-    double shadow = std::numeric_limits<double>::infinity();
-    int available = ctx.free_nodes();
-    int spare = 0;
-    for (const Release& release : releases) {
-      available += release.nodes;
-      if (available >= head_size) {
-        shadow = release.time;
-        spare = available - head_size;
-        break;
-      }
-    }
-
-    const bool explaining = ctx.explaining();
-    if (explaining) {
-      ctx.explain(head.id, stats::HoldReason::kInsufficientNodes,
-                  util::fmt("needs {} nodes, {} free", minimum_start_size(head),
+    if (ctx.explaining()) {
+      ctx.explain(leader.id, stats::HoldReason::kInsufficientNodes,
+                  util::fmt("needs {} nodes, {} free", minimum_start_size(leader),
                             ctx.free_nodes()));
     }
-
-    // Backfill lower-ranked jobs around the reservation.
-    for (std::size_t i = blocked + 1; i < ranked.size(); ++i) {
-      const workload::Job& candidate = *ranked[i].job;
-      const int size = feasible_start_size(candidate, ctx.free_nodes());
-      if (size < 0) {
-        if (explaining) {
-          ctx.explain(candidate.id, stats::HoldReason::kInsufficientNodes,
-                      util::fmt("needs {} nodes, {} free", minimum_start_size(candidate),
-                                ctx.free_nodes()));
-        }
-        continue;
-      }
-      const bool before_shadow = ctx.now() + candidate.walltime_limit <= shadow;
-      if (before_shadow || size <= spare) {
-        ctx.start_job(candidate.id, size);
-        progressed = true;
-        break;  // views changed; restart the round
-      }
-      if (explaining) {
-        if (std::isfinite(candidate.walltime_limit)) {
-          ctx.explain(candidate.id, stats::HoldReason::kBackfillWindowTooSmall,
-                      util::fmt("walltime {}s runs past shadow t={}, {} spare nodes",
-                                candidate.walltime_limit, shadow, spare));
-        } else {
-          ctx.explain(candidate.id, stats::HoldReason::kBlockedByReservation,
-                      util::fmt("would delay leader job {} reserved at t={}", head.id,
-                                shadow));
-        }
-      }
-    }
+    const std::size_t started = backfill_walk(ctx, ranked, "leader");
+    if (started == 0) return;
+    ranked.erase(ranked.begin() + static_cast<std::ptrdiff_t>(started));
   }
 }
 

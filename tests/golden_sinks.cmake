@@ -1,7 +1,7 @@
 # Golden sink digests, run as a CTest script:
 #   cmake -DELASTISIM=<binary> -DPLATFORM=<json> -DGOLDEN_DIR=<tests/golden>
 #         -DOUT_DIR=<dir> [-DBLESS=1] -P golden_sinks.cmake
-# Runs the CLI on eight fixed scenarios and compares the SHA-256 of every sink
+# Runs the CLI on nine fixed scenarios and compares the SHA-256 of every sink
 # file plus the exact `counters` object of telemetry.json against the values
 # committed in ${GOLDEN_DIR}/expected.txt. Unlike cli_determinism_smoke (run
 # vs run), this pins the output itself, so a refactor that changes what a
@@ -17,6 +17,9 @@
 #      and every ranking pass reads it.
 #   d-h  fcfs, easy, fcfs-malleable, equal-share and priority under scenario
 #      c's failure model, so every built-in policy has a pinned schedule.
+#   i  priority on workload_priority.json (priorities 0-5, where the other
+#      scenarios' workload sets none) under scenario c's failure model, with
+#      trace and journal, so the ranking itself is pinned.
 #
 # Re-blessing is deliberate: pass -DBLESS=1 to rewrite expected.txt from the
 # current binary, and say why in CHANGES.md.
@@ -29,6 +32,7 @@ foreach(var ELASTISIM PLATFORM GOLDEN_DIR OUT_DIR)
 endforeach()
 
 set(workload "${GOLDEN_DIR}/workload.json")
+set(workload_i "${GOLDEN_DIR}/workload_priority.json")
 set(expected_file "${GOLDEN_DIR}/expected.txt")
 
 set(args_a --scheduler easy-malleable
@@ -54,6 +58,10 @@ foreach(scenario IN ITEMS d e f g h)
                        --telemetry --journal ${OUT_DIR}/${scenario}/journal.jsonl)
   set(files_${scenario} jobs.csv journal.jsonl)
 endforeach()
+set(args_i --scheduler priority --failure-policy requeue
+           --mtbf 3h --repair 20m --failure-seed 5
+           --trace --telemetry --journal ${OUT_DIR}/i/journal.jsonl)
+set(files_i jobs.csv trace.csv journal.jsonl)
 
 # "name=value" pairs of telemetry.json's counters object, in file order.
 function(counters_line telemetry_file out_var)
@@ -73,12 +81,16 @@ function(counters_line telemetry_file out_var)
 endfunction()
 
 set(actual)
-foreach(scenario IN ITEMS a b c d e f g h)
+foreach(scenario IN ITEMS a b c d e f g h i)
   set(run_dir "${OUT_DIR}/${scenario}")
+  set(scenario_workload "${workload}")
+  if(DEFINED workload_${scenario})
+    set(scenario_workload "${workload_${scenario}}")
+  endif()
   file(REMOVE_RECURSE ${run_dir})
   file(MAKE_DIRECTORY ${run_dir})
   execute_process(
-    COMMAND ${ELASTISIM} --platform ${PLATFORM} --workload ${workload}
+    COMMAND ${ELASTISIM} --platform ${PLATFORM} --workload ${scenario_workload}
             --out-dir ${run_dir} --validate ${args_${scenario}}
     RESULT_VARIABLE exit_code
     OUTPUT_VARIABLE stdout_text

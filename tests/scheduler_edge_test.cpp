@@ -100,6 +100,52 @@ TEST(SchedulerEdge, PriorityRespectsDependencies) {
   EXPECT_DOUBLE_EQ(h.record(3).start_time, 30.0);
 }
 
+// Nodes 0-3 of an 8-node machine are down from t=0 to t=10000, so only 4
+// are in service when job 1 (6 nodes, t=1) and job 2 (1 node, 100 s
+// walltime, t=2) arrive. Job 1 cannot start before the repair; nothing it
+// could reserve makes job 2 wait. With `running`, job 3 holds 3 nodes from
+// t=0.5 with a walltime release at t=50.5 that would cover the 4 nodes job 1
+// clamps to. With `malleable_leader`, job 1 is malleable in [6, 8].
+void run_past_an_oversized_leader(const std::string& policy, bool running,
+                                  bool malleable_leader) {
+  SCOPED_TRACE(policy + (running ? ", running job" : ", idle") +
+               (malleable_leader ? ", malleable leader" : ", rigid leader"));
+  Harness h(8, policy);
+  for (platform::NodeId node = 0; node < 4; ++node) {
+    ASSERT_TRUE(h.batch.inject_failure(node, 0.0, 10000.0));
+  }
+  if (running) {
+    auto holder = rigid_job(3, 3, 40.0, 0.5);
+    holder.walltime_limit = 50.0;
+    h.batch.submit(std::move(holder));
+  }
+  h.batch.submit(malleable_leader ? compute_job(1, JobType::kMalleable, 6, 10.0, 6, 8, 1.0)
+                                  : rigid_job(1, 6, 10.0, 1.0));
+  auto small = rigid_job(2, 1, 10.0, 2.0);
+  small.walltime_limit = 100.0;
+  h.batch.submit(std::move(small));
+  h.engine.run();
+  EXPECT_EQ(h.batch.finished_jobs(), running ? 3u : 2u);
+  EXPECT_DOUBLE_EQ(h.record(2).start_time, 2.0);
+  EXPECT_DOUBLE_EQ(h.record(1).start_time, 10000.0);
+}
+
+TEST(SchedulerEdge, LeaderLargerThanInServiceMachineReservesNothing) {
+  for (const char* policy : {"easy", "easy-malleable", "priority", "fair-share"}) {
+    for (const bool running : {false, true}) run_past_an_oversized_leader(policy, running, false);
+  }
+}
+
+TEST(SchedulerEdge, ConservativeHoldsJobLargerThanInServiceMachine) {
+  // It used to start such a job clamped to the in-service nodes, which
+  // start_job rejects for a rigid job and below a malleable job's minimum.
+  for (const bool malleable_leader : {false, true}) {
+    for (const bool running : {false, true}) {
+      run_past_an_oversized_leader("conservative", running, malleable_leader);
+    }
+  }
+}
+
 TEST(SchedulerEdge, EqualShareWithZeroMalleableIsFcfs) {
   Harness h(4, "equal-share");
   for (int i = 1; i <= 3; ++i) h.batch.submit(rigid_job(i, 4, 10.0, i));

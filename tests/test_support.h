@@ -65,8 +65,8 @@ inline workload::Job rigid_job(workload::JobId id, int nodes, double seconds,
 /// A SchedulerContext over lists the test owns, for calling one policy's
 /// schedule() directly: a fixed clock, a free-node count that start_job()
 /// draws down, and a Recorder behind user_usage(). It keeps the starts and
-/// hold verdicts in the order the policy made them and counts the
-/// free_nodes() and user_usage() calls.
+/// hold verdicts (with their detail text) in the order the policy made them
+/// and counts the free_nodes() and user_usage() calls.
 class FakeContext final : public core::SchedulerContext {
  public:
   FakeContext(double now, int total_nodes, int free_nodes, bool explaining)
@@ -99,8 +99,9 @@ class FakeContext final : public core::SchedulerContext {
     ADD_FAILURE() << "set_target(" << id << ", " << nodes << ") on a fake context";
   }
   bool explaining() const override { return explaining_; }
-  void explain(workload::JobId id, stats::HoldReason reason, std::string) override {
+  void explain(workload::JobId id, stats::HoldReason reason, std::string detail) override {
     verdicts.emplace_back(id, reason);
+    details.push_back(std::move(detail));
   }
 
   /// Queues `job` (submitted to the recorder at its submit time).
@@ -118,6 +119,8 @@ class FakeContext final : public core::SchedulerContext {
   stats::Recorder recorder;
   std::vector<std::pair<workload::JobId, int>> starts;
   std::vector<std::pair<workload::JobId, stats::HoldReason>> verdicts;
+  /// Each verdict's detail text, parallel to `verdicts`.
+  std::vector<std::string> details;
   mutable std::size_t free_calls = 0;
   /// The user of every user_usage() call, in call order.
   mutable std::vector<std::string> usage_calls;
