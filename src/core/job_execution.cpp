@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <unordered_map>
 #include <utility>
 
 #include "util/fmt.h"
@@ -14,6 +13,34 @@ using workload::Flow;
 using workload::Phase;
 using workload::ScalingModel;
 using workload::Task;
+
+namespace {
+
+/// (link, bytes): one link of one stream's route and the bytes the stream
+/// moves over it.
+using LinkBytes = std::vector<std::pair<sim::ResourceId, double>>;
+
+/// One demand per link, in ascending link order, whose weight is the sum of
+/// the link's bytes. The stable sort keeps each link's bytes in list order,
+/// so they add up in the order a running per-link sum over the list would
+/// add them, bit for bit.
+std::vector<sim::Demand> fold_per_link(LinkBytes& link_bytes) {
+  std::ranges::stable_sort(link_bytes, {}, &LinkBytes::value_type::first);
+  std::size_t links = 0;
+  for (std::size_t i = 0; i < link_bytes.size(); ++i) {
+    const sim::ResourceId link = link_bytes[i].first;
+    if (i == 0 || link != link_bytes[i - 1].first) ++links;
+  }
+  std::vector<sim::Demand> demands;
+  demands.reserve(links);
+  for (const auto& [link, bytes] : link_bytes) {
+    if (demands.empty() || link != demands.back().resource) demands.push_back({link, 0.0});
+    demands.back().weight += bytes;
+  }
+  return demands;
+}
+
+}  // namespace
 
 JobExecution::JobExecution(sim::Engine& engine, const platform::Cluster& cluster,
                            const workload::Job& job, std::vector<platform::NodeId> nodes,
@@ -57,10 +84,10 @@ void JobExecution::start_from(ExecutionProgress from, double restart_overhead) {
 }
 
 template <void (JobExecution::*Done)()>
-void JobExecution::run(sim::ActivitySpec spec) {
+void JobExecution::run(const sim::ActivitySpec& spec) {
   // Two pointers' worth of capture: std::function stores it without a heap
   // allocation.
-  active_.push_back(engine_->fluid().start(std::move(spec), [this, generation = generation_] {
+  active_.push_back(engine_->fluid().start(spec, [this, generation = generation_] {
     if (generation == generation_) (this->*Done)();
   }));
 }
@@ -80,9 +107,13 @@ void JobExecution::begin_group() {
     finish_iteration();
     return;
   }
-  const workload::TaskGroup& tasks = phase.groups[group_];
-  outstanding_tasks_ = tasks.size();
-  for (const Task& task : tasks) launch_task(task);
+  if (specs_.empty()) build_specs();
+  // specs_ lists the phase's tasks group after group.
+  std::size_t first = 0;
+  for (std::size_t g = 0; g < group_; ++g) first += phase.groups[g].size();
+  const std::size_t tasks = phase.groups[group_].size();
+  outstanding_tasks_ = tasks;
+  for (std::size_t i = 0; i < tasks; ++i) launch_task(static_cast<std::uint32_t>(first + i));
 }
 
 void JobExecution::on_task_complete() {
@@ -107,6 +138,7 @@ bool JobExecution::advance_position() {
   if (iteration_ >= current_phase().iterations) {
     iteration_ = 0;
     ++phase_;
+    specs_.clear();  // the next phase runs other tasks
   }
   return phase_ < job_->application.phases.size();
 }
@@ -118,6 +150,8 @@ void JobExecution::finish_iteration() {
   const bool checkpointed = phase_has_checkpoint(current_phase());
   if (!advance_position()) {
     state_ = State::kDone;
+    // Finished executions live on until the batch system's teardown.
+    specs_ = std::vector<TaskSpecs>();
     ELSIM_DEBUG("job {} application complete at t={}", job_->id, engine_->now());
     if (on_complete_) on_complete_();
     return;
@@ -142,6 +176,7 @@ void JobExecution::resume_with_nodes(std::vector<platform::NodeId> nodes,
   assert(!nodes.empty());
   const bool grew = nodes.size() > nodes_.size();
   std::vector<platform::NodeId> old_nodes = std::exchange(nodes_, std::move(nodes));
+  if (nodes_ != old_nodes) specs_.clear();  // they cost the old node set
   on_reconfig_applied_ = std::move(on_applied);
   if (charge_redistribution && job_->application.state_bytes_per_node > 0.0 &&
       nodes_ != old_nodes) {
@@ -190,7 +225,7 @@ void JobExecution::start_redistribution(std::vector<platform::NodeId> old_nodes,
     return;
   }
   state_ = State::kRedistributing;
-  run<&JobExecution::apply_reconfiguration>(std::move(*spec));
+  run<&JobExecution::apply_reconfiguration>(*spec);
 }
 
 void JobExecution::abort() {
@@ -199,40 +234,77 @@ void JobExecution::abort() {
   active_.clear();
   outstanding_tasks_ = 0;
   state_ = State::kAborted;
+  specs_ = std::vector<TaskSpecs>();
 }
 
 // ---------------------------------------------------------------------------
 // Task launchers
 // ---------------------------------------------------------------------------
 
-void JobExecution::launch_task(const Task& task) {
-  const std::string label = util::fmt("job{}/{}", job_->id, task.name);
-  if (const auto* compute = std::get_if<workload::ComputeTask>(&task.payload)) {
-    launch_compute(*compute, label);
-  } else if (const auto* comm = std::get_if<workload::CommTask>(&task.payload)) {
-    launch_comm(*comm, label);
-  } else if (const auto* io = std::get_if<workload::IoTask>(&task.payload)) {
-    launch_io(*io, label);
-  } else if (const auto* delay = std::get_if<workload::DelayTask>(&task.payload)) {
-    run<&JobExecution::on_task_complete>(delay_spec(label, std::max(delay->seconds, 0.0)));
+// elsim-hot: every task launch; begin_group builds the specs once per phase and node set.
+void JobExecution::launch_task(std::uint32_t task) {
+  const TaskSpecs& specs = specs_[task];
+  if (!specs.warning.empty()) ELSIM_WARN("{}", specs.warning);
+  // Two pointers' worth of capture, as in run().
+  // elsim-lint: allow(hot-container-growth) -- cleared per group; grows to the most activities one group starts
+  active_.push_back(engine_->fluid().start(specs.first, [this, generation = generation_, task] {
+    if (generation == generation_) finish_first(task);
+  }));
+}
+
+void JobExecution::finish_first(std::uint32_t task) {
+  // A chained transfer runs as the same logical task: the group's
+  // outstanding count stays at one until it completes.
+  if (const std::optional<sim::ActivitySpec>& then = specs_[task].then) {
+    run<&JobExecution::on_task_complete>(*then);
+  } else {
+    on_task_complete();
   }
 }
 
-void JobExecution::launch_compute(const workload::ComputeTask& task, const std::string& label) {
+void JobExecution::build_specs() {
+  const Phase& phase = current_phase();
+  std::size_t tasks = 0;
+  for (const workload::TaskGroup& group : phase.groups) tasks += group.size();
+  specs_.reserve(tasks);
+  for (const workload::TaskGroup& group : phase.groups) {
+    for (const Task& task : group) specs_.push_back(build_task(task));
+  }
+}
+
+JobExecution::TaskSpecs JobExecution::build_task(const Task& task) const {
+  TaskSpecs specs;
+  std::string label = util::fmt("job{}/{}", job_->id, task.name);
+  if (const auto* compute = std::get_if<workload::ComputeTask>(&task.payload)) {
+    build_compute(*compute, std::move(label), specs);
+  } else if (const auto* comm = std::get_if<workload::CommTask>(&task.payload)) {
+    build_comm(*comm, std::move(label), specs);
+  } else if (const auto* io = std::get_if<workload::IoTask>(&task.payload)) {
+    build_io(*io, std::move(label), specs);
+  } else {
+    const auto& delay = std::get<workload::DelayTask>(task.payload);
+    specs.first = delay_spec(std::move(label), std::max(delay.seconds, 0.0));
+  }
+  return specs;
+}
+
+void JobExecution::build_compute(const workload::ComputeTask& task, std::string label,
+                                 TaskSpecs& specs) const {
   const int k = node_count();
   const double per_node = workload::scaled_work_per_node(task.scaling, task.work, task.alpha, k);
   bool use_gpu = task.target == workload::ComputeTarget::kGpu;
   if (use_gpu) {
     for (platform::NodeId id : nodes_) {
       if (!cluster_->node(id).gpu) {
-        ELSIM_WARN("job {}: GPU compute task on GPU-less node {}; using CPUs", job_->id, id);
+        specs.warning =
+            util::fmt("job {}: GPU compute task on GPU-less node {}; using CPUs", job_->id, id);
         use_gpu = false;
         break;
       }
     }
   }
   sim::ActivitySpec spec;
-  spec.label = label;
+  spec.label = std::move(label);
   spec.work = per_node;
   spec.demands.reserve(nodes_.size());
   double cap = sim::kTimeInfinity;
@@ -247,11 +319,12 @@ void JobExecution::launch_compute(const workload::ComputeTask& task, const std::
     }
   }
   spec.rate_cap = cap;
-  run<&JobExecution::on_task_complete>(std::move(spec));
+  specs.first = std::move(spec);
 }
 
-void JobExecution::launch_comm(const workload::CommTask& task, const std::string& label) {
-  const auto flows = workload::pattern_flows(task.pattern, nodes_.size(), task.bytes);
+void JobExecution::build_comm(const workload::CommTask& task, std::string label,
+                              TaskSpecs& specs) const {
+  const std::vector<Flow> flows = workload::pattern_flows(task.pattern, nodes_.size(), task.bytes);
 
   // Latency term: the pattern's algorithm takes `rounds` sequential message
   // steps, each paying the longest route's per-hop latency. Modeled as a
@@ -259,9 +332,11 @@ void JobExecution::launch_comm(const workload::CommTask& task, const std::string
   double startup = 0.0;
   if (cluster_->config().link_latency > 0.0 && !flows.empty()) {
     std::size_t max_hops = 0;
-    for (const workload::Flow& flow : flows) {
-      max_hops = std::max(max_hops,
-                          cluster_->route(nodes_[flow.src], nodes_[flow.dst]).size());
+    std::vector<sim::ResourceId> route;
+    for (const Flow& flow : flows) {
+      route.clear();
+      cluster_->append_route(nodes_[flow.src], nodes_[flow.dst], route);
+      max_hops = std::max(max_hops, route.size());
     }
     startup = workload::pattern_rounds(task.pattern, nodes_.size()) *
               static_cast<double>(max_hops) * cluster_->config().link_latency;
@@ -269,35 +344,29 @@ void JobExecution::launch_comm(const workload::CommTask& task, const std::string
 
   if (startup > 0.0) {
     // Chain: pay the latency first, then run the bandwidth phase as the same
-    // logical task (the group's outstanding count stays at one).
-    active_.push_back(engine_->fluid().start(
-        delay_spec(label + "/latency", startup), [this, generation = generation_, flows, label] {
-          if (generation != generation_) return;
-          if (auto spec = flow_spec(flows, nodes_, label)) {
-            run<&JobExecution::on_task_complete>(std::move(*spec));
-          } else {
-            on_task_complete();
-          }
-        }));
+    // logical task; with nothing to transfer, the task ends with the latency.
+    specs.first = delay_spec(label + "/latency", startup);
+    specs.then = flow_spec(flows, nodes_, std::move(label));
     return;
   }
-  std::optional<sim::ActivitySpec> spec = flow_spec(flows, nodes_, label);
-  run<&JobExecution::on_task_complete>(spec ? std::move(*spec) : delay_spec(label, 0.0));
+  std::optional<sim::ActivitySpec> transfer = flow_spec(flows, nodes_, label);
+  specs.first = transfer ? std::move(*transfer) : delay_spec(std::move(label), 0.0);
 }
 
-void JobExecution::launch_io(const workload::IoTask& task, const std::string& label) {
+void JobExecution::build_io(const workload::IoTask& task, std::string label,
+                            TaskSpecs& specs) const {
   const int k = node_count();
   const double per_node =
       workload::scaled_work_per_node(task.scaling, task.bytes, 0.0, k);
   if (per_node <= 0.0) {
-    run<&JobExecution::on_task_complete>(delay_spec(label, 0.0));
+    specs.first = delay_spec(std::move(label), 0.0);
     return;
   }
   sim::ActivitySpec spec;
-  spec.label = label;
   spec.work = per_node;
   if (task.target == workload::IoTarget::kBurstBuffer) {
     bool have_bb = true;
+    spec.demands.reserve(nodes_.size());
     for (platform::NodeId id : nodes_) {
       const platform::Node& node = cluster_->node(id);
       if (!node.burst_buffer) {
@@ -308,36 +377,33 @@ void JobExecution::launch_io(const workload::IoTask& task, const std::string& la
     }
     if (!have_bb) {
       // Platform has no burst buffers: fall back to the PFS path.
-      launch_io(workload::IoTask{task.write, task.bytes, task.scaling,
-                                 workload::IoTarget::kPfs},
-                label);
+      build_io(workload::IoTask{task.write, task.bytes, task.scaling, workload::IoTarget::kPfs},
+               std::move(label), specs);
       return;
     }
   } else {
     if (!cluster_->has_pfs()) {
-      ELSIM_WARN("job {}: I/O task on a platform without PFS treated as instant", job_->id);
-      run<&JobExecution::on_task_complete>(delay_spec(label, 0.0));
+      specs.warning =
+          util::fmt("job {}: I/O task on a platform without PFS treated as instant", job_->id);
+      specs.first = delay_spec(std::move(label), 0.0);
       return;
     }
     // Every node moves per_node bytes through its route; the PFS endpoint
     // carries all k streams.
-    std::unordered_map<sim::ResourceId, double> link_bytes;
+    LinkBytes link_bytes;
+    std::vector<sim::ResourceId> route;
     for (platform::NodeId id : nodes_) {
-      for (sim::ResourceId link : cluster_->pfs_route(id, task.write)) {
-        link_bytes[link] += per_node;
-      }
+      route.clear();
+      cluster_->append_pfs_route(id, task.write, route);
+      for (sim::ResourceId link : route) link_bytes.emplace_back(link, per_node);
     }
-    link_bytes[task.write ? cluster_->pfs_write() : cluster_->pfs_read()] +=
-        per_node * static_cast<double>(k);
-    // elsim-lint: allow(unordered-iteration) -- demands are sorted below
-    for (const auto& [link, bytes] : link_bytes) {
-      spec.demands.push_back({link, bytes / per_node});
-    }
-    // Deterministic demand order regardless of hash iteration.
-    std::sort(spec.demands.begin(), spec.demands.end(),
-              [](const sim::Demand& a, const sim::Demand& b) { return a.resource < b.resource; });
+    link_bytes.emplace_back(task.write ? cluster_->pfs_write() : cluster_->pfs_read(),
+                            per_node * static_cast<double>(k));
+    spec.demands = fold_per_link(link_bytes);
+    for (sim::Demand& demand : spec.demands) demand.weight /= per_node;
   }
-  run<&JobExecution::on_task_complete>(std::move(spec));
+  spec.label = std::move(label);
+  specs.first = std::move(spec);
 }
 
 sim::ActivitySpec JobExecution::delay_spec(std::string label, double seconds) {
@@ -350,32 +416,27 @@ sim::ActivitySpec JobExecution::delay_spec(std::string label, double seconds) {
 
 std::optional<sim::ActivitySpec> JobExecution::flow_spec(
     const std::vector<Flow>& flows, const std::vector<platform::NodeId>& endpoints,
-    const std::string& label) const {
+    std::string label) const {
   // Aggregate flows into per-link byte volumes, then normalize into one
   // activity: rate 1 means "the heaviest link's bytes per second", so the
   // activity finishes exactly when the slowest link would.
-  std::unordered_map<sim::ResourceId, double> link_bytes;
+  LinkBytes link_bytes;
+  std::vector<sim::ResourceId> route;
   for (const Flow& flow : flows) {
     if (flow.bytes <= 0.0 || flow.src == flow.dst) continue;
     assert(flow.src < endpoints.size() && flow.dst < endpoints.size());
-    for (sim::ResourceId link : cluster_->route(endpoints[flow.src], endpoints[flow.dst])) {
-      link_bytes[link] += flow.bytes;
-    }
+    route.clear();
+    cluster_->append_route(endpoints[flow.src], endpoints[flow.dst], route);
+    for (sim::ResourceId link : route) link_bytes.emplace_back(link, flow.bytes);
   }
   if (link_bytes.empty()) return std::nullopt;
-  double heaviest = 0.0;
-  // elsim-lint: allow(unordered-iteration) -- max() is order-independent
-  for (const auto& [link, bytes] : link_bytes) heaviest = std::max(heaviest, bytes);
   sim::ActivitySpec spec;
-  spec.label = label;
+  spec.demands = fold_per_link(link_bytes);
+  double heaviest = 0.0;
+  for (const sim::Demand& demand : spec.demands) heaviest = std::max(heaviest, demand.weight);
+  for (sim::Demand& demand : spec.demands) demand.weight /= heaviest;
+  spec.label = std::move(label);
   spec.work = heaviest;
-  spec.demands.reserve(link_bytes.size());
-  // elsim-lint: allow(unordered-iteration) -- demands are sorted below
-  for (const auto& [link, bytes] : link_bytes) {
-    spec.demands.push_back({link, bytes / heaviest});
-  }
-  std::sort(spec.demands.begin(), spec.demands.end(),
-            [](const sim::Demand& a, const sim::Demand& b) { return a.resource < b.resource; });
   return spec;
 }
 

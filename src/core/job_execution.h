@@ -5,6 +5,8 @@
 // iteration the execution pauses at a *scheduling point* and notifies the
 // batch system, which resumes it — unchanged, or with a new node set (a
 // reconfiguration, optionally charged with a data-redistribution transfer).
+// A task's activities are costed once per node set: built at the phase's
+// first launch and relaunched unchanged by every later iteration.
 #pragma once
 
 #include <cstdint>
@@ -109,22 +111,50 @@ class JobExecution {
   /// returns false when the application is exhausted.
   bool advance_position();
 
+  /// One task's activities on the current node set: built at the phase's
+  /// first launch, relaunched unchanged by every later iteration, and
+  /// dropped when the node set or the phase changes.
+  struct TaskSpecs {
+    /// The activity a launch starts: the task's own, or a transfer's
+    /// latency step.
+    sim::ActivitySpec first;
+    /// The transfer a latency step leads to, run as the same logical task;
+    /// none after the task's own activity, or when a latency step has
+    /// nothing to transfer after it.
+    std::optional<sim::ActivitySpec> then;
+    /// The fallback warning the build found (a GPU task on a GPU-less node,
+    /// I/O without a PFS), or empty. Every launch logs it, as every launch
+    /// did when each one built its activities afresh.
+    std::string warning;
+  };
+
   /// Starts `spec` on the fluid model; `Done` runs when it completes, unless
   /// abort() came first.
   template <void (JobExecution::*Done)()>
-  void run(sim::ActivitySpec spec);
+  void run(const sim::ActivitySpec& spec);
 
-  void launch_task(const workload::Task& task);
-  void launch_compute(const workload::ComputeTask& task, const std::string& label);
-  void launch_comm(const workload::CommTask& task, const std::string& label);
-  void launch_io(const workload::IoTask& task, const std::string& label);
+  /// Launches task `task` of the current phase (its index in specs_).
+  void launch_task(std::uint32_t task);
+  /// Runs task `task`'s `then` once its first activity completes, or ends
+  /// the task when there is none.
+  void finish_first(std::uint32_t task);
+
+  /// Builds specs_ for every task of the current phase on nodes_ (the
+  /// first-launch build).
+  void build_specs();
+  /// What one launch of `task` runs on nodes_.
+  TaskSpecs build_task(const workload::Task& task) const;
+  void build_compute(const workload::ComputeTask& task, std::string label,
+                     TaskSpecs& specs) const;
+  void build_comm(const workload::CommTask& task, std::string label, TaskSpecs& specs) const;
+  void build_io(const workload::IoTask& task, std::string label, TaskSpecs& specs) const;
   /// `seconds` of work at one unit per second on no resource (0 = instant).
   static sim::ActivitySpec delay_spec(std::string label, double seconds);
   /// Aggregates point-to-point flows into a single fluid activity; see
   /// DESIGN.md §2.1. nullopt when there is nothing to transfer.
   std::optional<sim::ActivitySpec> flow_spec(const std::vector<workload::Flow>& flows,
                                              const std::vector<platform::NodeId>& endpoints,
-                                             const std::string& label) const;
+                                             std::string label) const;
 
   void start_redistribution(std::vector<platform::NodeId> old_nodes, bool grew);
 
@@ -144,8 +174,13 @@ class JobExecution {
   std::size_t group_ = 0;
   std::size_t outstanding_tasks_ = 0;
   std::vector<sim::ActivityId> active_;
-  /// Generation counter guards stale activity callbacks after abort().
-  std::uint64_t generation_ = 0;
+  /// Generation counter guards stale activity callbacks after abort(). 32
+  /// bits, so a callback's capture (this, generation, task) fits
+  /// std::function's inline storage.
+  std::uint32_t generation_ = 0;
+  /// The current phase's tasks, group after group, on nodes_; empty until
+  /// the phase's first launch.
+  std::vector<TaskSpecs> specs_;
 };
 
 }  // namespace elastisim::core

@@ -18,8 +18,12 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <span>
+#include <string>
+#include <unordered_map>
+#include <vector>
 
 #include "core/scheduler.h"
 
@@ -61,6 +65,24 @@ class EqualShareScheduler final : public Scheduler {
   void schedule(SchedulerContext& ctx) override;
 };
 
+namespace passes {
+
+/// The storage ranked_backfill ranks in, kept by its caller across calls so
+/// that ranking allocates only when the queue outgrows every earlier call's.
+struct Ranking {
+  struct Keyed {
+    double rank_key;
+    /// The job's position in the queue: the tie-break that makes the sort
+    /// stable without a buffer.
+    std::size_t position;
+    QueuedJob job;
+  };
+  std::vector<Keyed> keyed;
+  std::vector<QueuedJob> ranked;
+};
+
+}  // namespace passes
+
 /// Priority backfilling: (priority desc, submission) order with a
 /// reservation for the highest-ranked blocked job, EASY-style backfilling
 /// around it, and time-based aging against starvation (one priority level
@@ -74,6 +96,7 @@ class PriorityScheduler final : public Scheduler {
 
  private:
   double aging_seconds_;
+  passes::Ranking ranking_;
 };
 
 /// Fair-share backfilling: the queue is ranked by each owner's consumed
@@ -83,6 +106,19 @@ class FairShareScheduler final : public Scheduler {
  public:
   std::string name() const override { return "fair-share"; }
   void schedule(SchedulerContext& ctx) override;
+
+ private:
+  /// A user's consumed node-seconds as asked in scheduling point `point`.
+  struct Usage {
+    double node_seconds = 0.0;
+    std::uint64_t point = 0;
+  };
+  /// Every user seen so far, kept across scheduling points so that a known
+  /// user costs no allocation; an entry from an earlier point is stale.
+  std::unordered_map<std::string, Usage> usage_;
+  /// The current scheduling point, counted from 1.
+  std::uint64_t point_ = 0;
+  passes::Ranking ranking_;
 };
 
 namespace passes {
@@ -92,9 +128,12 @@ namespace passes {
 using RankFn = std::function<double(const QueuedJob&)>;
 
 /// Rank-ordered backfilling skeleton: ranks the queue once (one key per
-/// queued job, stable order), starts in rank order until a job blocks, then
-/// runs backfill_walk behind that leader until it starts nothing, dropping
-/// each started job from the ranking. Hold verdicts name the "leader job".
+/// queued job, stable order) in `ranking`, starts in rank order until a job
+/// blocks, then runs backfill_walk behind that leader until it starts
+/// nothing, dropping each started job from the ranking. Hold verdicts name
+/// the "leader job".
+void ranked_backfill(SchedulerContext& ctx, const RankFn& rank, Ranking& ranking);
+/// ranked_backfill in storage of its own, for a one-off call.
 void ranked_backfill(SchedulerContext& ctx, const RankFn& rank);
 
 /// The one backfill walk behind a blocked leader `jobs[0]`, shared by EASY,

@@ -65,6 +65,9 @@ void expand_into_idle(SchedulerContext& ctx) {
 void shrink_to_admit_head(SchedulerContext& ctx) {
   if (ctx.queue().empty()) return;
   const workload::Job& head = *ctx.queue().front();
+  // A head larger than the in-service machine cannot start before a repair
+  // or undrain, so no shrink would admit it.
+  if (minimum_start_size(head) > ctx.total_nodes()) return;
   // Count what is already free or already being shrunk away.
   int incoming = ctx.free_nodes();
   for (const RunningJob& running : ctx.running()) {
@@ -133,10 +136,12 @@ void EqualShareScheduler::schedule(SchedulerContext& ctx) {
     }
   }
   if (resizable == 0) return;
-  // Nodes the malleable pool may occupy; reserve nothing for an empty queue,
-  // the head's minimum otherwise (so shrinks admit it eventually).
+  // Nodes the malleable pool may occupy; reserve nothing for an empty queue
+  // or a head larger than the in-service machine (it cannot start before a
+  // repair), the head's minimum otherwise (so shrinks admit it eventually).
   int reserved = 0;
-  if (!ctx.queue().empty()) {
+  if (!ctx.queue().empty() &&
+      passes::minimum_start_size(*ctx.queue().front()) <= ctx.total_nodes()) {
     reserved = ctx.queue().front()->min_nodes;
   }
   const int pool = std::max(0, ctx.total_nodes() - rigid_nodes - reserved);

@@ -1,7 +1,4 @@
 #include <algorithm>
-#include <string>
-#include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "core/schedulers.h"
@@ -11,15 +8,21 @@ namespace elastisim::core {
 
 namespace passes {
 
-void ranked_backfill(SchedulerContext& ctx, const RankFn& rank) {
+void ranked_backfill(SchedulerContext& ctx, const RankFn& rank, Ranking& ranking) {
   // Rank once. Keys are fixed within a scheduling point and a start only
   // removes its own job, so re-ranking the rest would give the same order.
-  std::vector<std::pair<double, QueuedJob>> keyed;
-  keyed.reserve(ctx.queue().size());
-  for (QueuedJob queued : ctx.queue()) keyed.emplace_back(rank(queued), queued);
-  std::ranges::stable_sort(keyed, {}, &std::pair<double, QueuedJob>::first);
-  std::vector<QueuedJob> ranked(keyed.size());
-  std::ranges::transform(keyed, ranked.begin(), &std::pair<double, QueuedJob>::second);
+  // Ties keep queue order: the stable order, sorted without a buffer.
+  std::vector<Ranking::Keyed>& keyed = ranking.keyed;
+  keyed.clear();
+  for (QueuedJob queued : ctx.queue()) keyed.push_back({rank(queued), keyed.size(), queued});
+  std::ranges::sort(keyed, [](const Ranking::Keyed& a, const Ranking::Keyed& b) {
+    if (a.rank_key < b.rank_key) return true;
+    if (b.rank_key < a.rank_key) return false;
+    return a.position < b.position;
+  });
+  std::vector<QueuedJob>& ranked = ranking.ranked;
+  ranked.resize(keyed.size());
+  std::ranges::transform(keyed, ranked.begin(), &Ranking::Keyed::job);
 
   // Start in rank order until a job blocks, then backfill behind it until the
   // walk starts nothing; a backfill only takes nodes, so the leader stays blocked.
@@ -42,29 +45,41 @@ void ranked_backfill(SchedulerContext& ctx, const RankFn& rank) {
   }
 }
 
+void ranked_backfill(SchedulerContext& ctx, const RankFn& rank) {
+  Ranking ranking;
+  ranked_backfill(ctx, rank, ranking);
+}
+
 }  // namespace passes
 
 void PriorityScheduler::schedule(SchedulerContext& ctx) {
   const double aging = aging_seconds_;
-  passes::ranked_backfill(ctx, [aging, now = ctx.now()](const QueuedJob& queued) {
-    const double aged = aging > 0.0 ? (now - queued->submit_time) / aging : 0.0;
-    // Lower key = earlier; higher priority and longer waits sort first.
-    return -(static_cast<double>(queued->priority) + aged);
-  });
+  passes::ranked_backfill(
+      ctx,
+      [aging, now = ctx.now()](const QueuedJob& queued) {
+        const double aged = aging > 0.0 ? (now - queued->submit_time) / aging : 0.0;
+        // Lower key = earlier; higher priority and longer waits sort first.
+        return -(static_cast<double>(queued->priority) + aged);
+      },
+      ranking_);
 }
 
 void FairShareScheduler::schedule(SchedulerContext& ctx) {
   // One usage query per user per scheduling point. Time stands still within
   // the point, and a job started at `now` adds nodes * 0.0 to its user's
   // running terms, which leaves the usage unchanged to the bit.
-  std::unordered_map<std::string, double> usage;
-  passes::ranked_backfill(ctx, [&ctx, &usage](const QueuedJob& queued) {
-    // Users who have consumed the least go first; ties resolve FCFS via the
-    // stable sort over the submission-ordered queue.
-    const auto [it, inserted] = usage.try_emplace(queued->user, 0.0);
-    if (inserted) it->second = ctx.user_usage(queued->user);
-    return it->second;
-  });
+  ++point_;
+  passes::ranked_backfill(
+      ctx,
+      [this, &ctx](const QueuedJob& queued) {
+        // Users who have consumed the least go first; ties resolve FCFS via
+        // the stable order over the submission-ordered queue.
+        auto it = usage_.find(queued->user);
+        if (it == usage_.end()) it = usage_.emplace(queued->user, Usage{}).first;
+        if (it->second.point != point_) it->second = {ctx.user_usage(queued->user), point_};
+        return it->second.node_seconds;
+      },
+      ranking_);
 }
 
 }  // namespace elastisim::core

@@ -103,9 +103,14 @@ Cluster::Cluster(sim::Engine& engine, const ClusterConfig& config) : config_(con
 }
 
 std::vector<sim::ResourceId> Cluster::route(NodeId from, NodeId to) const {
-  assert(from < nodes_.size() && to < nodes_.size());
   std::vector<sim::ResourceId> links;
-  if (from == to) return links;  // intra-node communication is not modeled
+  append_route(from, to, links);
+  return links;
+}
+
+void Cluster::append_route(NodeId from, NodeId to, std::vector<sim::ResourceId>& links) const {
+  assert(from < nodes_.size() && to < nodes_.size());
+  if (from == to) return;  // intra-node communication is not modeled
   links.push_back(nodes_[from].uplink);
   switch (config_.topology) {
     case TopologyKind::kStar:
@@ -144,14 +149,19 @@ std::vector<sim::ResourceId> Cluster::route(NodeId from, NodeId to) const {
     }
   }
   links.push_back(nodes_[to].downlink);
-  return links;
 }
 
 std::vector<sim::ResourceId> Cluster::pfs_route(NodeId node, bool write) const {
+  std::vector<sim::ResourceId> links;
+  append_pfs_route(node, write, links);
+  return links;
+}
+
+void Cluster::append_pfs_route(NodeId node, bool write,
+                               std::vector<sim::ResourceId>& links) const {
   assert(node < nodes_.size());
   // The PFS hangs off the network core: traffic crosses the node's injection
   // link and, on grouped topologies, the group's uplink/downlink.
-  std::vector<sim::ResourceId> links;
   links.push_back(write ? nodes_[node].uplink : nodes_[node].downlink);
   switch (config_.topology) {
     case TopologyKind::kStar:
@@ -181,7 +191,6 @@ std::vector<sim::ResourceId> Cluster::pfs_route(NodeId node, bool write) const {
       }
       break;
   }
-  return links;
 }
 
 int Cluster::hop_count(NodeId from, NodeId to) const {

@@ -90,12 +90,16 @@ class Cluster {
   sim::ResourceId pfs_read() const { return *pfs_read_; }
   sim::ResourceId pfs_write() const { return *pfs_write_; }
 
-  /// Ordered list of link resources a byte traverses from `from` to `to`.
-  /// Empty when from == to (loopback is free).
+  /// Appends the ordered list of link resources a byte traverses from `from`
+  /// to `to` to `links`; appends nothing when from == to (loopback is free).
+  void append_route(NodeId from, NodeId to, std::vector<sim::ResourceId>& links) const;
+  /// append_route() into a fresh list.
   std::vector<sim::ResourceId> route(NodeId from, NodeId to) const;
 
-  /// Links traversed when `node` writes to (or reads from) the PFS,
-  /// excluding the PFS resource itself.
+  /// Appends the links traversed when `node` writes to (or reads from) the
+  /// PFS, excluding the PFS resource itself, to `links`.
+  void append_pfs_route(NodeId node, bool write, std::vector<sim::ResourceId>& links) const;
+  /// append_pfs_route() into a fresh list.
   std::vector<sim::ResourceId> pfs_route(NodeId node, bool write) const;
 
   /// Number of network hops between two nodes (for locality-aware placement).

@@ -88,7 +88,8 @@ double FluidModel::consumption(ResourceId resource) {
   return total;
 }
 
-ActivityId FluidModel::start(ActivitySpec spec, std::function<void()> on_complete) {
+// elsim-hot: every task launch starts its activity here.
+ActivityId FluidModel::start(const ActivitySpec& spec, std::function<void()> on_complete) {
   for (const Demand& demand : spec.demands) {
     ELSIM_CHECK(demand.resource < resources_.size(), "demand references unknown resource {}",
                 demand.resource);
@@ -105,6 +106,7 @@ ActivityId FluidModel::start(ActivitySpec spec, std::function<void()> on_complet
   std::uint32_t slot;
   if (free_slots_.empty()) {
     slot = static_cast<std::uint32_t>(activities_.size());
+    // elsim-lint: allow(hot-container-growth) -- one slot per peak live activity; freed slots are reused, so it stops growing
     activities_.emplace_back();
   } else {
     slot = free_slots_.back();
@@ -112,10 +114,14 @@ ActivityId FluidModel::start(ActivitySpec spec, std::function<void()> on_complet
   }
   Activity& activity = activities_[slot];
   activity.id = id;
+  // Copy-assignment reuses the slot's demand vector and label storage.
+  activity.spec = spec;
   activity.remaining = std::max(spec.work, 0.0);
-  activity.spec = std::move(spec);
+  activity.rate = 0.0;
+  activity.frozen_in = 0;
+  activity.candidate_in = 0;
   activity.on_complete = std::move(on_complete);
-  slot_of_.emplace(id, slot);
+  // elsim-lint: allow(hot-container-growth) -- grows to the most live activities, then stops allocating
   order_.push_back(slot);
   if (activity.spec.demands.empty()) {
     // No shared resources: runs at its cap unconditionally.
@@ -125,6 +131,7 @@ ActivityId FluidModel::start(ActivitySpec spec, std::function<void()> on_complet
       std::uint32_t entry = free_entry_;
       if (entry == kNoEntry) {
         entry = static_cast<std::uint32_t>(entries_.size());
+        // elsim-lint: allow(hot-container-growth) -- one entry per peak live demand; freed entries are reused, so it stops growing
         entries_.emplace_back();
       } else {
         free_entry_ = entries_[entry].next;
@@ -146,39 +153,47 @@ ActivityId FluidModel::start(ActivitySpec spec, std::function<void()> on_complet
 }
 
 bool FluidModel::cancel(ActivityId id) {
-  const auto it = slot_of_.find(id);
-  if (it == slot_of_.end()) return false;
-  const std::uint32_t slot = it->second;
+  const auto at = position(id);
+  if (at == order_.end()) return false;
   settle();
-  remove(id, slot);
+  remove(at);
   solve_pending_ = true;
   return true;
 }
 
-const FluidModel::Activity* FluidModel::find(ActivityId id) const {
-  const auto it = slot_of_.find(id);
-  return it == slot_of_.end() ? nullptr : &activities_[it->second];
+std::vector<std::uint32_t>::const_iterator FluidModel::position(ActivityId id) const {
+  const auto at = std::lower_bound(
+      order_.begin(), order_.end(), id,
+      [this](std::uint32_t slot, ActivityId wanted) { return activities_[slot].id < wanted; });
+  return at != order_.end() && id == activities_[*at].id ? at : order_.end();
 }
 
-void FluidModel::remove(ActivityId id, std::uint32_t slot) {
-  const Activity& activity = activities_[slot];
+const FluidModel::Activity* FluidModel::find(ActivityId id) const {
+  const auto at = position(id);
+  return at == order_.end() ? nullptr : &activities_[*at];
+}
+
+// elsim-hot: every completion and cancel frees its activity's slot here.
+void FluidModel::remove(std::vector<std::uint32_t>::const_iterator at) {
+  const std::uint32_t slot = *at;
+  Activity& activity = activities_[slot];
   for (const Demand& demand : activity.spec.demands) {
     Resource& resource = resources_[demand.resource];
     // Unlinks both entries of an activity that demands the resource twice
     // (the second pass finds none), keeping the others in order.
     std::uint32_t prev = kNoEntry;
-    for (std::uint32_t at = resource.head; at != kNoEntry;) {
-      const std::uint32_t next = entries_[at].next;
-      if (slot == entries_[at].slot) {
+    for (std::uint32_t entry = resource.head; entry != kNoEntry;) {
+      const std::uint32_t next = entries_[entry].next;
+      if (slot == entries_[entry].slot) {
         (prev == kNoEntry ? resource.head : entries_[prev].next) = next;
-        if (resource.tail == at) resource.tail = prev;
-        entries_[at].next = free_entry_;
-        free_entry_ = at;
+        if (resource.tail == entry) resource.tail = prev;
+        entries_[entry].next = free_entry_;
+        free_entry_ = entry;
         --resource.users;
       } else {
-        prev = at;
+        prev = entry;
       }
-      at = next;
+      entry = next;
     }
     resource.refold = true;
     mark_dirty(demand.resource);
@@ -188,13 +203,20 @@ void FluidModel::remove(ActivityId id, std::uint32_t slot) {
       !(cap_floor_ < activity.spec.rate_cap) && --cap_floor_count_ == 0) {
     cap_floor_stale_ = true;
   }
-  slot_of_.erase(id);
-  order_.erase(std::find(order_.begin(), order_.end(), slot));
-  activities_[slot] = Activity{};
+  order_.erase(at);
+  // The slot keeps its spec's storage for the next start; only the callback
+  // (and whatever it captured) goes now.
+  activity.on_complete = nullptr;
+  // elsim-lint: allow(hot-container-growth) -- holds at most one entry per slot, so it stops growing with the slots
   free_slots_.push_back(slot);
 }
 
-bool FluidModel::is_active(ActivityId id) const { return slot_of_.count(id) > 0; }
+bool FluidModel::is_active(ActivityId id) const { return position(id) != order_.end(); }
+
+const ActivitySpec* FluidModel::spec(ActivityId id) const {
+  const Activity* activity = find(id);
+  return activity == nullptr ? nullptr : &activity->spec;
+}
 
 double FluidModel::remaining_work(ActivityId id) {
   solve_if_pending();
@@ -212,9 +234,14 @@ double FluidModel::rate(ActivityId id) {
 
 std::optional<std::string> FluidModel::check_invariants(bool kept_state) {
   solve_if_pending();
-  if (order_.size() != slot_of_.size()) {
-    return util::fmt("fluid model: {} activities in insertion order but {} in the table",
-                     order_.size(), slot_of_.size());
+  // The by-id calls binary-search the insertion order, so its ids must rise.
+  for (std::size_t i = 1; i < order_.size(); ++i) {
+    const ActivityId before = activities_[order_[i - 1]].id;
+    const ActivityId after = activities_[order_[i]].id;
+    if (!(before < after)) {
+      return util::fmt("fluid model: activity {} follows activity {} in insertion order", after,
+                       before);
+    }
   }
   // The fill's kept state is checked before the rates, so a run whose rates
   // break a bound has had its index cross-checked all the same.
@@ -223,10 +250,6 @@ std::optional<std::string> FluidModel::check_invariants(bool kept_state) {
   }
   for (std::uint32_t slot : order_) {
     const Activity& activity = activities_[slot];
-    if (find(activity.id) != &activity) {
-      return util::fmt("fluid model: activity {} in insertion order but not in the table",
-                       activity.id);
-    }
     const char* label =
         activity.spec.label.empty() ? "<unnamed>" : activity.spec.label.c_str();
     if (!(activity.remaining >= 0.0)) {
@@ -380,6 +403,7 @@ void FluidModel::mark_dirty(ResourceId resource) {
   Resource& r = resources_[resource];
   if (r.dirty) return;
   r.dirty = true;
+  // elsim-lint: allow(hot-container-growth) -- the dirty flag admits each resource once, so it stops growing at the resource count
   dirty_.push_back(resource);
 }
 
@@ -649,7 +673,7 @@ void FluidModel::complete_next() {
   ELSIM_TRACE("activity '{}' complete at t={}", activities_[slot].spec.label, engine_->now());
   // elsim-lint: allow(hot-alloc) -- moves the slot's callback out; a move never allocates
   std::function<void()> callback = std::move(activities_[slot].on_complete);
-  remove(activities_[slot].id, slot);
+  remove(position(activities_[slot].id));
   solve_pending_ = true;
   if (callback) callback();
 }

@@ -46,7 +46,6 @@
 #include <functional>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "sim/event_queue.h"
@@ -110,8 +109,10 @@ class FluidModel {
   /// work is exhausted. Work <= 0 completes at the current time (the callback
   /// still fires asynchronously, never inside start()). A NaN work, a rate
   /// cap that is not positive, or an infinite cap on an activity without
-  /// demands throws util::CheckError.
-  ActivityId start(ActivitySpec spec, std::function<void()> on_complete);
+  /// demands throws util::CheckError. The spec is copied into a slot that
+  /// keeps its storage across activities, so a caller relaunching a stored
+  /// spec allocates nothing once the slot has held one as large.
+  ActivityId start(const ActivitySpec& spec, std::function<void()> on_complete);
 
   /// Aborts an activity; its completion callback will not fire.
   /// Returns false if the activity already completed or was cancelled.
@@ -127,6 +128,10 @@ class FluidModel {
   /// Current fair-share rate of a running activity; 0 for completed/
   /// cancelled/unknown ids. Runs a pending solve first.
   double rate(ActivityId activity);
+
+  /// The spec a running activity was started with; nullptr for completed/
+  /// cancelled/unknown ids. Valid until the next start() or removal.
+  const ActivitySpec* spec(ActivityId activity) const;
 
   std::size_t active_count() const { return order_.size(); }
 
@@ -231,10 +236,15 @@ class FluidModel {
   /// The completion event's callback: completes the activity the last solve
   /// chose.
   void complete_next();
+  /// The position of `id` in order_, or order_.end() for completed/
+  /// cancelled/unknown ids: a binary search, since insertion order is
+  /// ascending id.
+  std::vector<std::uint32_t>::const_iterator position(ActivityId id) const;
   /// The live slot of `id`, or nullptr for completed/cancelled/unknown ids.
   const Activity* find(ActivityId id) const;
-  /// Takes a live activity out of the model and frees its slot.
-  void remove(ActivityId id, std::uint32_t slot);
+  /// Takes a live activity out of the model and frees its slot, which keeps
+  /// its demand vector's and label's capacity for the next start.
+  void remove(std::vector<std::uint32_t>::const_iterator at);
   /// The kept-state half of check_invariants().
   std::optional<std::string> check_kept_state() const;
 
@@ -267,10 +277,10 @@ class FluidModel {
   /// Dense activity slots; a freed slot goes on free_slots_ for reuse.
   std::vector<Activity> activities_;
   std::vector<std::uint32_t> free_slots_;
-  /// Live slots in insertion order, for deterministic filling.
+  /// Live slots in insertion order, for deterministic filling. Ids are
+  /// handed out in increasing order, so this is ascending id too, and the
+  /// by-id calls binary-search it.
   std::vector<std::uint32_t> order_;
-  /// Serves the by-id calls only; the solve and settle() never consult it.
-  std::unordered_map<ActivityId, std::uint32_t> slot_of_;
   ActivityId next_activity_id_ = 1;
   SimTime last_settle_ = 0.0;
   /// Set by every change, cleared by solve().

@@ -146,6 +146,30 @@ TEST(SchedulerEdge, ConservativeHoldsJobLargerThanInServiceMachine) {
   }
 }
 
+TEST(SchedulerEdge, MalleablePassesIgnoreAHeadLargerThanInServiceMachine) {
+  // The outage above: job 2 (rigid, 6 nodes, t=1) cannot start before the
+  // repair, so no shrink of job 1 (malleable in [1, 4], 20 iterations of
+  // 100 s on 4 nodes from t=0.5) and no nodes held back could admit it. Job 1
+  // keeps its 4 nodes and ends at t=2000.5; it used to end at t=5000.5 after
+  // 10 shrinks and 9 expansions (fcfs- and easy-malleable) or at t=7700.5
+  // (equal-share).
+  for (const char* policy : {"fcfs-malleable", "easy-malleable", "equal-share"}) {
+    SCOPED_TRACE(policy);
+    Harness h(8, policy);
+    for (platform::NodeId node = 0; node < 4; ++node) {
+      ASSERT_TRUE(h.batch.inject_failure(node, 0.0, 10000.0));
+    }
+    h.batch.submit(compute_job(1, JobType::kMalleable, 4, 100.0, 1, 4, 0.5, 20));
+    h.batch.submit(rigid_job(2, 6, 10.0, 1.0));
+    h.engine.run();
+    EXPECT_EQ(h.batch.finished_jobs(), 2u);
+    EXPECT_DOUBLE_EQ(h.record(1).end_time, 2000.5);
+    EXPECT_EQ(h.record(1).shrinks, 0);
+    EXPECT_EQ(h.record(1).expansions, 0);
+    EXPECT_DOUBLE_EQ(h.record(2).start_time, 10000.0);
+  }
+}
+
 TEST(SchedulerEdge, EqualShareWithZeroMalleableIsFcfs) {
   Harness h(4, "equal-share");
   for (int i = 1; i <= 3; ++i) h.batch.submit(rigid_job(i, 4, 10.0, i));
