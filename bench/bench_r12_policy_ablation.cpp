@@ -21,15 +21,16 @@ class AblatedScheduler final : public core::Scheduler {
   std::string name() const override { return "easy-malleable-ablated"; }
 
   void schedule(core::SchedulerContext& ctx) override {
-    while (core::passes::easy_backfill_round(ctx)) {
+    while (core::passes::easy_backfill_round(ctx, workspace_)) {
     }
-    if (shrink_) core::passes::shrink_to_admit_head(ctx);
-    if (expand_) core::passes::expand_into_idle(ctx);
+    if (shrink_) core::passes::shrink_to_admit_head(ctx, workspace_);
+    if (expand_) core::passes::expand_into_idle(ctx, workspace_);
   }
 
  private:
   bool expand_;
   bool shrink_;
+  core::passes::Workspace workspace_;
 };
 
 }  // namespace

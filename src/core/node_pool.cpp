@@ -11,7 +11,19 @@ namespace elastisim::core {
 
 NodePool::NodePool(const platform::Cluster& cluster, PlacementPolicy policy)
     : cluster_(&cluster), policy_(policy), nodes_(cluster.node_count()) {
-  for (const platform::Node& node : cluster.nodes()) free_.insert(node.id);
+  free_.reserve(cluster.node_count());
+  for (const platform::Node& node : cluster.nodes()) insert_free(node.id);
+}
+
+void NodePool::insert_free(platform::NodeId node) {
+  free_.insert(std::ranges::upper_bound(free_, node), node);
+}
+
+bool NodePool::erase_free(platform::NodeId node) {
+  const auto it = std::ranges::lower_bound(free_, node);
+  if (it == free_.end() || *it != node) return false;
+  free_.erase(it);
+  return true;
 }
 
 std::vector<platform::NodeId> NodePool::take(int count, const workload::Job* owner) {
@@ -20,7 +32,9 @@ std::vector<platform::NodeId> NodePool::take(int count, const workload::Job* own
   std::vector<platform::NodeId> taken;
   taken.reserve(wanted);
   if (policy_ == PlacementPolicy::kLowestId) {
-    while (taken.size() < wanted) taken.push_back(free_.extract(free_.begin()).value());
+    const auto end = free_.begin() + static_cast<std::ptrdiff_t>(wanted);
+    taken.assign(free_.begin(), end);
+    free_.erase(free_.begin(), end);
   } else {
     // Free nodes by pod, each pod in ascending node order.
     std::vector<std::vector<platform::NodeId>> pods(cluster_->pod_count());
@@ -46,7 +60,7 @@ std::vector<platform::NodeId> NodePool::take(int count, const workload::Job* own
         }
       }
     }
-    for (platform::NodeId node : taken) free_.erase(node);
+    for (platform::NodeId node : taken) erase_free(node);
   }
   for (platform::NodeId node : taken) nodes_[node].owner = owner;
   return taken;
@@ -57,7 +71,7 @@ bool NodePool::release(platform::NodeId node) {
   status.owner = nullptr;
   const bool freed = !status.failed && !status.drain;
   if (freed) {
-    free_.insert(node);
+    insert_free(node);
   } else if (!status.failed) {
     ++drained_count_;
   }
@@ -76,7 +90,7 @@ bool NodePool::fail(platform::NodeId node, double repair) {
   status.failed = true;
   status.repair_until = repair;
   ++failed_count_;
-  free_.erase(node);
+  erase_free(node);
   return true;
 }
 
@@ -94,7 +108,7 @@ bool NodePool::drain(platform::NodeId node) {
   Node& status = nodes_[node];
   if (status.drain) return false;
   status.drain = true;
-  if (free_.erase(node) > 0) ++drained_count_;
+  if (erase_free(node)) ++drained_count_;
   return true;
 }
 
@@ -104,7 +118,7 @@ bool NodePool::undrain(platform::NodeId node) {
   status.drain = false;
   if (status.owner != nullptr || status.failed) return false;
   --drained_count_;
-  free_.insert(node);
+  insert_free(node);
   return true;
 }
 

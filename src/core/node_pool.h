@@ -8,7 +8,6 @@
 #pragma once
 
 #include <optional>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -64,7 +63,8 @@ class NodePool {
   const workload::Job* owner(platform::NodeId node) const { return nodes_[node].owner; }
   bool failed(platform::NodeId node) const { return nodes_[node].failed; }
   bool draining(platform::NodeId node) const { return nodes_[node].drain; }
-  const std::set<platform::NodeId>& free_set() const { return free_; }
+  /// The free nodes in ascending id.
+  const std::vector<platform::NodeId>& free_set() const { return free_; }
   std::size_t failed_count() const { return failed_count_; }
   std::size_t drained_count() const { return drained_count_; }
 
@@ -76,7 +76,7 @@ class NodePool {
 
   /// Test-only corruption hook: puts `node` into the free set whatever its
   /// state, so tests can prove check() and the invariant checker catch it.
-  void test_corrupt_free_set(platform::NodeId node) { free_.insert(node); }
+  void test_corrupt_free_set(platform::NodeId node) { insert_free(node); }
 
  private:
   /// One cluster node. It is free exactly when it has no owner and is
@@ -92,10 +92,17 @@ class NodePool {
     double repair_until = 0.0;
   };
 
+  /// Inserts `node` into the free set at its place in id order.
+  void insert_free(platform::NodeId node);
+  /// Erases `node` from the free set; returns whether it was there.
+  bool erase_free(platform::NodeId node);
+
   const platform::Cluster* cluster_;
   PlacementPolicy policy_;
   std::vector<Node> nodes_;
-  std::set<platform::NodeId> free_;
+  /// Sorted, with capacity for every node from the start, so a release
+  /// never allocates.
+  std::vector<platform::NodeId> free_;
   std::size_t failed_count_ = 0;
   std::size_t drained_count_ = 0;
 };

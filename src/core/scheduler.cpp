@@ -8,6 +8,16 @@
 
 namespace elastisim::core {
 
+QueuedJob queued_job(const workload::Job& job, std::uint32_t user) {
+  const bool rigid = job.type == workload::JobType::kRigid;
+  return {.job = &job,
+          .min_start = rigid ? job.requested_nodes : job.min_nodes,
+          .preferred_start = rigid ? job.requested_nodes
+                                   : std::min(job.requested_nodes, job.max_nodes),
+          .walltime_limit = job.walltime_limit,
+          .user = user};
+}
+
 double estimated_remaining(const RunningJob& running, double now) {
   if (!std::isfinite(running.job->walltime_limit)) {
     return std::numeric_limits<double>::infinity();

@@ -15,17 +15,25 @@
 // Schedulers decide *counts*; the batch system picks the concrete node ids.
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "stats/batch_event.h"
 #include "stats/journal.h"
 #include "workload/job.h"
 
 namespace elastisim::core {
 
-/// A queued job; it has waited `now() - submit_time` seconds.
-using QueuedJob = const workload::Job*;
+/// A queued job with its scheduling keys; it has waited `now() - submit_time`
+/// seconds.
+using QueuedJob = stats::QueuedJob;
+
+/// `job`'s queue entry, owned by user slot `user`: the one place its keys are
+/// derived. The batch system fills an entry when the job enters the queue
+/// (submit, dependency release, requeue); check() re-derives every entry.
+QueuedJob queued_job(const workload::Job& job, std::uint32_t user);
 
 struct RunningJob {
   const workload::Job* job;
@@ -52,16 +60,19 @@ class SchedulerContext {
   virtual double now() const = 0;
   virtual int total_nodes() const = 0;
   virtual int free_nodes() const = 0;
-  /// Queued jobs in queue order (submission, then release or requeue). The
-  /// batch system's own list, current at every read.
+  /// Queued jobs in queue order (submission, then release or requeue), each
+  /// with the keys queued_job() derived from it. The batch system's own list,
+  /// current at every read.
   virtual const std::vector<QueuedJob>& queue() const = 0;
   /// Running jobs in start order. The batch system's own list, current at
   /// every read.
   virtual const std::vector<RunningJob>& running() const = 0;
   /// Node-seconds the user has consumed so far (finished + accrued running);
-  /// the signal fair-share policies rank by. Unknown users report 0. Costs
-  /// O(running jobs), plus one refold of the user's job records after one of
-  /// that user's jobs accrued (finished, resized or was requeued).
+  /// the signal fair-share policies rank by. Unknown users report 0. Costs a
+  /// lookup of the user's name plus O(that user's running jobs), and one
+  /// refold of the user's job records after one of that user's jobs accrued
+  /// (finished, resized or was requeued). Fair-share asks once per user
+  /// present in the queue per scheduling point.
   virtual double user_usage(const std::string& user) const = 0;
 
   /// Starts a queued job on `nodes` nodes. Requires nodes in the job's

@@ -90,14 +90,15 @@ void ConservativeBackfillScheduler::schedule(SchedulerContext& ctx) {
                       running.nodes);
     }
     bool is_head = true;
-    for (QueuedJob queued : ctx.queue()) {
+    for (const QueuedJob& queued : ctx.queue()) {
       const workload::Job& job = *queued;
       // A job larger than the in-service machine cannot start before a
       // repair or undrain: it holds no place in the profile.
-      if (const int least = passes::minimum_start_size(job); least > ctx.total_nodes()) {
+      if (queued.min_start > ctx.total_nodes()) {
         if (ctx.explaining()) {
           ctx.explain(job.id, stats::HoldReason::kInsufficientNodes,
-                      util::fmt("needs {} nodes, {} in service", least, ctx.total_nodes()));
+                      util::fmt("needs {} nodes, {} in service", queued.min_start,
+                                ctx.total_nodes()));
         }
         is_head = false;
         continue;

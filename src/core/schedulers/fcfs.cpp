@@ -7,35 +7,27 @@ namespace elastisim::core {
 
 namespace passes {
 
-int feasible_start_size(const workload::Job& job, int free) {
-  if (job.type == workload::JobType::kRigid) {
-    return job.requested_nodes <= free ? job.requested_nodes : -1;
-  }
-  if (free < job.min_nodes) return -1;
-  return std::min(job.requested_nodes, std::min(free, job.max_nodes));
-}
-
-int minimum_start_size(const workload::Job& job) {
-  return job.type == workload::JobType::kRigid ? job.requested_nodes : job.min_nodes;
+int feasible_start_size(const QueuedJob& queued, int free) {
+  return free < queued.min_start ? -1 : std::min(queued.preferred_start, free);
 }
 
 void fcfs_start(SchedulerContext& ctx) {
   // A start erases the job from the queue, so always look at index 0.
   while (!ctx.queue().empty()) {
-    const workload::Job& head = *ctx.queue().front();
+    const QueuedJob& head = ctx.queue().front();
     const int size = feasible_start_size(head, ctx.free_nodes());
     if (size < 0) break;
-    ctx.start_job(head.id, size);
+    ctx.start_job(head->id, size);
   }
   if (!ctx.explaining() || ctx.queue().empty()) return;
   // Strict FCFS holds everything behind its blocked head; backfilling
   // callers refine the non-head verdicts afterwards.
-  const workload::Job& head = *ctx.queue().front();
-  ctx.explain(head.id, stats::HoldReason::kInsufficientNodes,
-              util::fmt("needs {} nodes, {} free", minimum_start_size(head), ctx.free_nodes()));
+  const QueuedJob& head = ctx.queue().front();
+  ctx.explain(head->id, stats::HoldReason::kInsufficientNodes,
+              util::fmt("needs {} nodes, {} free", head.min_start, ctx.free_nodes()));
   for (std::size_t i = 1; i < ctx.queue().size(); ++i) {
     ctx.explain(ctx.queue()[i]->id, stats::HoldReason::kQueuedBehindHead,
-                util::fmt("job {} blocks the queue", head.id));
+                util::fmt("job {} blocks the queue", head->id));
   }
 }
 

@@ -88,6 +88,29 @@ struct BatchState {
   int in_service() const { return cluster_nodes - failed - drained; }
 };
 
+/// One entry of the batch system's job queue: the job and the scheduling
+/// keys the backfill walk and the ranked policies read, so that a pass over
+/// the queue reads no job record. core::queued_job() fills the keys when the
+/// job enters the queue; `->` and `*` reach the job. It is declared with the
+/// event stream because kSchedulingEnd carries the queue as the batch system
+/// keeps it.
+struct QueuedJob {
+  const workload::Job* job = nullptr;
+  /// Smallest size the job can start at: `requested_nodes` when rigid,
+  /// `min_nodes` otherwise.
+  int min_start = 0;
+  /// The size it starts at when that many nodes are free: `requested_nodes`
+  /// when rigid, min(`requested_nodes`, `max_nodes`) otherwise.
+  int preferred_start = 0;
+  double walltime_limit = 0.0;
+  /// The owner's slot in the Recorder that interned it at submit: entries
+  /// with equal slots belong to one user.
+  std::uint32_t user = 0;
+
+  const workload::Job* operator->() const { return job; }
+  const workload::Job& operator*() const { return *job; }
+};
+
 struct BatchEvent {
   BatchEventKind kind;
   /// The job concerned; null for node, scheduling-point and run events.
@@ -120,7 +143,7 @@ struct BatchEvent {
   JournalCause cause{};
   /// kSchedulingEnd: scheduler passes run, and the queue after, in order.
   std::uint32_t rounds = 0;
-  std::span<const workload::Job* const> queue{};
+  std::span<const QueuedJob> queue{};
   /// kRunBegin: jobs accepted. kRunEnd, kSchedulingEnd: engine events so far.
   std::uint64_t count = 0;
   /// kSchedulingEnd: live engine events.

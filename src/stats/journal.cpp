@@ -99,7 +99,7 @@ void DecisionJournal::on_event(const BatchEvent& event) {
     case K::kSchedulingEnd:
       // Guarantee a verdict for every job left in the queue: schedulers that
       // never call explain() (custom policies) still yield a non-empty reason.
-      for (const workload::Job* queued : event.queue) {
+      for (const QueuedJob& queued : event.queue) {
         if (!has_held_verdict(queued->id)) {
           add({queued->id, VerdictAction::kHeld, HoldReason::kNotConsidered});
         }

@@ -1,9 +1,12 @@
 // The one backfill walk against the two walks it replaced. EASY's round
 // (with its own head reservation) and the rank-ordered pass that re-ranked
-// the queue after every start are kept here as references; on random
-// scheduler states whose leader fits the in-service nodes, easy, priority
-// and fair-share must start the same jobs at the same sizes and hold the
-// rest with the same verdicts and detail text, in the same order.
+// the queue after every start are kept here as references, reading every
+// size and walltime from the job records; the walk reads them from the
+// queue entries' keys (test::FakeContext fills them through
+// core::queued_job, as the batch system does). On random scheduler states
+// whose leader fits the in-service nodes, easy, priority and fair-share must
+// start the same jobs at the same sizes and hold the rest with the same
+// verdicts and detail text, in the same order.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -11,6 +14,8 @@
 #include <cstdint>
 #include <deque>
 #include <limits>
+#include <map>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -28,8 +33,35 @@ using workload::JobType;
 
 namespace reference {
 
-using passes::feasible_start_size;
-using passes::minimum_start_size;
+int feasible_start_size(const workload::Job& job, int free) {
+  if (job.type == workload::JobType::kRigid) {
+    return job.requested_nodes <= free ? job.requested_nodes : -1;
+  }
+  if (free < job.min_nodes) return -1;
+  return std::min(job.requested_nodes, std::min(free, job.max_nodes));
+}
+
+int minimum_start_size(const workload::Job& job) {
+  return job.type == workload::JobType::kRigid ? job.requested_nodes : job.min_nodes;
+}
+
+/// passes::fcfs_start from the job records.
+void fcfs_start(SchedulerContext& ctx) {
+  while (!ctx.queue().empty()) {
+    const workload::Job& head = *ctx.queue().front();
+    const int size = feasible_start_size(head, ctx.free_nodes());
+    if (size < 0) break;
+    ctx.start_job(head.id, size);
+  }
+  if (!ctx.explaining() || ctx.queue().empty()) return;
+  const workload::Job& head = *ctx.queue().front();
+  ctx.explain(head.id, stats::HoldReason::kInsufficientNodes,
+              util::fmt("needs {} nodes, {} free", minimum_start_size(head), ctx.free_nodes()));
+  for (std::size_t i = 1; i < ctx.queue().size(); ++i) {
+    ctx.explain(ctx.queue()[i]->id, stats::HoldReason::kQueuedBehindHead,
+                util::fmt("job {} blocks the queue", head.id));
+  }
+}
 
 struct Reservation {
   double shadow_time;
@@ -61,7 +93,7 @@ Reservation head_reservation(const SchedulerContext& ctx, int head_size) {
 }
 
 bool easy_backfill_round(SchedulerContext& ctx) {
-  passes::fcfs_start(ctx);
+  fcfs_start(ctx);
   if (ctx.queue().size() < 2) return false;
   if (ctx.free_nodes() == 0 && !ctx.explaining()) return false;
 
@@ -114,7 +146,7 @@ void ranked_backfill(SchedulerContext& ctx, const passes::RankFn& rank) {
     };
     std::vector<Ranked> ranked;
     ranked.reserve(ctx.queue().size());
-    for (QueuedJob queued : ctx.queue()) ranked.push_back({queued, rank(queued)});
+    for (const QueuedJob& queued : ctx.queue()) ranked.push_back({queued.job, rank(queued)});
     std::stable_sort(ranked.begin(), ranked.end(),
                      [](const Ranked& a, const Ranked& b) { return a.key < b.key; });
     if (ranked.empty()) return;
@@ -202,16 +234,18 @@ constexpr double kNow = 1000.0;
 /// A random scheduler state: running jobs holding all but `free` of `total`
 /// in-service nodes since random start times, and a queue of rigid, moldable
 /// and malleable jobs with finite or infinite walltimes, random priorities,
-/// submit times and users. Every queued job's minimum size fits the
-/// in-service nodes, so every leader does. Walltimes and start times are
-/// multiples of 25 s, so candidates often end exactly at a shadow time.
+/// submit times and users (up to `max_users`). Every queued job's minimum
+/// size fits the in-service nodes, so every leader does. Walltimes and start
+/// times are multiples of 25 s, so candidates often end exactly at a shadow
+/// time. Each user has finished 0 to 2 jobs of exactly 500 node-seconds, so
+/// users without running jobs often tie, at zero among them.
 struct State {
-  explicit State(std::uint64_t seed) {
+  explicit State(std::uint64_t seed, std::int64_t max_users = 5) {
     util::Rng rng(seed);
     total = static_cast<int>(rng.uniform_int(1, 32));
     free = static_cast<int>(rng.uniform_int(0, total));
     explaining = rng.bernoulli(0.5);
-    const auto users = rng.uniform_int(1, 5);
+    const auto users = rng.uniform_int(1, max_users);
     const auto walltime = [&rng] {
       return rng.bernoulli(0.2) ? std::numeric_limits<double>::infinity()
                                 : static_cast<double>(rng.uniform_int(1, 60)) * 25.0;
@@ -247,11 +281,23 @@ struct State {
       job.user = "u" + std::to_string(rng.uniform_int(0, users - 1));
       queued.push_back(std::move(job));
     }
+    for (std::int64_t user = 0; user < users; ++user) {
+      for (auto n = rng.uniform_int(0, 2); n > 0; --n) {
+        workload::Job job = rigid_job(next_id++, 5, 10.0);
+        job.user = "u" + std::to_string(user);
+        finished.push_back(std::move(job));
+      }
+    }
   }
 
   test::FakeContext& context() {
     contexts.emplace_back(kNow, total, free, explaining);
     test::FakeContext& ctx = contexts.back();
+    for (const workload::Job& job : finished) {
+      ctx.recorder.on_submit(job, 0.0);
+      ctx.recorder.on_start(job.id, 0.0, 5);
+      ctx.recorder.on_finish(job.id, 100.0, /*killed=*/false);
+    }
     for (std::size_t i = 0; i < running.size(); ++i) {
       ctx.run(running[i], running_since[i], running_nodes[i]);
     }
@@ -266,6 +312,7 @@ struct State {
   std::vector<double> running_since;
   std::vector<int> running_nodes;
   std::vector<workload::Job> queued;
+  std::vector<workload::Job> finished;
   std::deque<test::FakeContext> contexts;  // stable addresses
 };
 
@@ -326,6 +373,57 @@ TEST(BackfillWalk, FairShareMatchesTheReferenceRanking) {
     });
     expect_same_decisions(walk, reference);
   }
+}
+
+/// Whether some user's jobs in `users` (queue order) resume after another
+/// user's: u, v, u.
+bool interleaved(const std::vector<std::string>& users) {
+  std::set<std::string> left;
+  for (std::size_t i = 1; i < users.size(); ++i) {
+    if (users[i] == users[i - 1]) continue;
+    left.insert(users[i - 1]);
+    if (left.count(users[i]) != 0) return true;
+  }
+  return false;
+}
+
+TEST(BackfillWalk, FairShareRanksManyUsersAtEqualUsageInQueueOrder) {
+  // Up to 40 users, many tied (zero included): fair-share ranks users and
+  // counting-sorts the queue by rank, which must give the reference's
+  // stable sort of every job by its user's usage, so tied users' jobs keep
+  // their interleaved queue positions. It asks each present user once.
+  std::size_t tied = 0;
+  std::size_t tied_at_zero = 0;
+  std::size_t explained = 0;
+  for (std::uint64_t seed = 1; seed <= 400; ++seed) {
+    SCOPED_TRACE(seed);
+    State state(seed, /*max_users=*/40);
+    test::FakeContext& walk = state.context();
+    test::FakeContext& reference = state.context();
+    std::map<double, std::vector<std::string>> by_usage;  // queue-order users per usage
+    std::set<std::string> present;
+    for (const workload::Job& job : state.queued) {
+      by_usage[reference.recorder.user_node_seconds(job.user, kNow)].push_back(job.user);
+      present.insert(job.user);
+    }
+    for (const auto& [usage, users] : by_usage) {
+      if (!interleaved(users)) continue;
+      ++tied;
+      if (usage == 0.0) ++tied_at_zero;
+      break;
+    }
+    FairShareScheduler().schedule(walk);
+    reference::ranked_backfill(reference, [&reference](const QueuedJob& queued) {
+      return reference.user_usage(queued->user);
+    });
+    expect_same_decisions(walk, reference);
+    EXPECT_EQ(walk.usage_calls.size(), present.size());
+    EXPECT_EQ(std::set<std::string>(walk.usage_calls.begin(), walk.usage_calls.end()), present);
+    if (!walk.details.empty()) ++explained;
+  }
+  EXPECT_GT(tied, 100u);
+  EXPECT_GT(tied_at_zero, 20u);
+  EXPECT_GT(explained, 100u);
 }
 
 TEST(BackfillWalk, RankedBackfillRanksEachQueuedJobOnce) {

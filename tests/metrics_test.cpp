@@ -353,12 +353,18 @@ TEST(Recorder, NegativeAllocationThrows) {
 }
 
 // Differential oracle: user_node_seconds() against the whole-table reference
-// node_seconds_by_user() after every operation of randomized lifecycles.
-// The fast path must perform the same additions in the same order, so the
+// node_seconds_by_user() (every record, then every running job in job-id
+// order) after every operation of randomized lifecycles: starts, resizes,
+// requeues, finishes and cancels. The fast path sums only the user's own
+// running jobs but must perform the same additions in the same order, so the
 // results are compared bit for bit (EXPECT_DOUBLE_EQ would allow 4 ULPs).
-TEST(Recorder, UserNodeSecondsMatchesReferenceBitForBit) {
-  // Five users submit; the sixth never does and must report 0.
-  const std::vector<std::string> users = {"ann", "bo", "cy", "di", "ed", "nobody"};
+// With 40 users a user holds several running jobs at once, started out of id
+// order; the recorder's per-user running index must stay consistent too.
+void expect_user_node_seconds_match_reference(std::size_t submitters, int steps) {
+  // These users submit; the last one never does and must report 0.
+  std::vector<std::string> users;
+  for (std::size_t i = 0; i < submitters; ++i) users.push_back("user" + std::to_string(i));
+  users.push_back("nobody");
   enum class State { kQueued, kRunning, kDone };
   for (std::uint64_t seed = 1; seed <= 25; ++seed) {
     util::Rng rng(seed);
@@ -376,7 +382,7 @@ TEST(Recorder, UserNodeSecondsMatchesReferenceBitForBit) {
           rng.uniform_int(0, static_cast<std::int64_t>(ids.size()) - 1))];
     };
     auto nodes = [&] { return static_cast<int>(rng.uniform_int(1, 64)); };
-    for (int step = 0; step < 300; ++step) {
+    for (int step = 0; step < steps; ++step) {
       // Instants repeat about a third of the time and otherwise advance by
       // irregular amounts, so the order of additions shows in the rounding.
       if (rng.uniform() > 0.35) now += rng.uniform(0.0, 700.0);
@@ -390,7 +396,8 @@ TEST(Recorder, UserNodeSecondsMatchesReferenceBitForBit) {
           workload::JobId id = 0;
           while (id == 0 || jobs.count(id)) id = rng.uniform_int(1, 100000);
           workload::Job job = job_with_id(id);
-          job.user = users[static_cast<std::size_t>(rng.uniform_int(0, 4))];
+          job.user = users[static_cast<std::size_t>(
+              rng.uniform_int(0, static_cast<std::int64_t>(submitters) - 1))];
           recorder.on_submit(job, now);
           jobs[id] = State::kQueued;
           break;
@@ -431,8 +438,15 @@ TEST(Recorder, UserNodeSecondsMatchesReferenceBitForBit) {
             << "seed " << seed << " step " << step << " user " << user << ": "
             << recorder.user_node_seconds(user, now) << " vs " << reference[user];
       }
+      ASSERT_EQ(recorder.check_user_index().value_or("clean"), "clean")
+          << "seed " << seed << " step " << step;
     }
   }
+}
+
+TEST(Recorder, UserNodeSecondsMatchesReferenceBitForBit) {
+  expect_user_node_seconds_match_reference(5, 300);
+  expect_user_node_seconds_match_reference(40, 900);
 }
 
 }  // namespace

@@ -6,7 +6,6 @@
 
 #include <algorithm>
 #include <limits>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -32,10 +31,11 @@ struct Model {
   bool idle(NodeId id) const {
     return nodes[id].owner == nullptr && !nodes[id].failed && !nodes[id].drain;
   }
-  std::set<NodeId> free_set() const {
-    std::set<NodeId> free;
+  /// The idle nodes in ascending id, as the pool lists its free set.
+  std::vector<NodeId> free_set() const {
+    std::vector<NodeId> free;
     for (NodeId id = 0; id < nodes.size(); ++id) {
-      if (idle(id)) free.insert(id);
+      if (idle(id)) free.push_back(id);
     }
     return free;
   }
@@ -227,7 +227,7 @@ TEST(NodePoolOrders, EveryOrderOfOneNodesEvents) {
       f.pool.restore(0, 100.0);
       f.pool.undrain(0);
       if (busy && f.pool.owner(0) != nullptr) f.pool.release(0);
-      EXPECT_EQ(f.pool.free_set(), (std::set<NodeId>{0, 1}));
+      EXPECT_EQ(f.pool.free_set(), (std::vector<NodeId>{0, 1}));
     } while (std::next_permutation(events.begin(), events.end()));
   }
   EXPECT_EQ(orders, 60 + 360);

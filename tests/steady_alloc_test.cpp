@@ -1,19 +1,24 @@
 // Counts heap allocations over whole simulations of one iterative job: a run
 // of 40 iterations must allocate exactly as often as a run of 10, so a steady
 // iteration (task launches, completions, the scheduling point between
-// iterations) allocates nothing. The count is exact and the same on every
-// host. This executable replaces the global operator new and delete to count;
-// the main test binary keeps the standard ones.
+// iterations) allocates nothing. A scheduling point repeated over an
+// unchanged queue must allocate nothing either. The counts are exact and the
+// same on every host. This executable replaces the global operator new and
+// delete to count; the main test binary keeps the standard ones.
 #include <gtest/gtest.h>
 
 #include <cstddef>
 #include <cstdint>
 #include <cstdlib>
+#include <limits>
+#include <memory>
 #include <new>
 #include <string>
+#include <vector>
 
 #include "core/batch_system.h"
 #include "core/scheduler.h"
+#include "core/schedulers.h"
 #include "platform/cluster.h"
 #include "sim/engine.h"
 #include "stats/metrics.h"
@@ -120,6 +125,86 @@ TEST(SteadyIteration, AllocatesNothing) {
                                      << " times each";
     }
   }
+}
+
+/// A scheduling point frozen in place: 2 of 16 nodes free, two malleable
+/// jobs of 7 nodes running, and a queue whose 8-node head blocks and whose
+/// 2-node job fits now but can neither end by the head's shadow time nor
+/// fit its one spare node. Every pass runs in full and nothing starts:
+/// the walk reserves, shrink_to_admit_head and expand_into_idle build their
+/// candidates, and fair-share ranks four users. Targets are counted, not
+/// applied, so each repeat takes the same path.
+class FrozenContext final : public SchedulerContext {
+ public:
+  FrozenContext() {
+    const auto add = [this](workload::JobId id, workload::JobType type, int requested, int min,
+                            int max, double walltime, const char* user) {
+      workload::Job& job = jobs_[id - 1];
+      job.id = id;
+      job.type = type;
+      job.requested_nodes = requested;
+      job.min_nodes = min;
+      job.max_nodes = max;
+      job.walltime_limit = walltime;
+      job.user = user;
+      return &job;
+    };
+    const double inf = std::numeric_limits<double>::infinity();
+    for (workload::JobId id : {1, 2}) {
+      const workload::Job* job =
+          add(id, workload::JobType::kMalleable, 7, 1, 8, 500.0, id == 1 ? "ann" : "bo");
+      recorder_.on_submit(*job, 0.0);
+      recorder_.on_start(id, 100.0 * static_cast<double>(id), 7);
+      running_.push_back({job, 100.0 * static_cast<double>(id), 7, 7});
+    }
+    const char* users[] = {"cy", "di", "ann", "bo", "cy", "di"};
+    for (workload::JobId id = 3; id <= 8; ++id) {
+      const bool fits = id == 4;
+      const int size = fits ? 2 : 8;
+      const workload::Job* job =
+          add(id, workload::JobType::kRigid, size, size, size, fits ? inf : 300.0, users[id - 3]);
+      queue_.push_back(queued_job(*job, recorder_.on_submit(*job, 0.0)));
+    }
+  }
+
+  double now() const override { return 1000.0; }
+  int total_nodes() const override { return 16; }
+  int free_nodes() const override { return 2; }
+  const std::vector<QueuedJob>& queue() const override { return queue_; }
+  const std::vector<RunningJob>& running() const override { return running_; }
+  double user_usage(const std::string& user) const override {
+    return recorder_.user_node_seconds(user, now());
+  }
+  void start_job(workload::JobId id, int nodes) override {
+    ADD_FAILURE() << "start of job " << id << " on " << nodes << " nodes";
+  }
+  void set_target(workload::JobId, int) override { ++targets; }
+
+  std::size_t targets = 0;
+
+ private:
+  workload::Job jobs_[8];
+  stats::Recorder recorder_;
+  std::vector<QueuedJob> queue_;
+  std::vector<RunningJob> running_;
+};
+
+TEST(SchedulingPoint, RepeatedOverAnUnchangedQueueAllocatesNothing) {
+  for (const char* scheduler : {"easy", "easy-malleable", "fcfs-malleable", "priority",
+                                "fair-share"}) {
+    SCOPED_TRACE(scheduler);
+    FrozenContext ctx;
+    const std::unique_ptr<Scheduler> policy = make_scheduler(scheduler);
+    policy->schedule(ctx);  // the first point sizes the scheduler's storage
+    const std::uint64_t before = allocations;
+    for (int point = 0; point < 10; ++point) policy->schedule(ctx);
+    EXPECT_EQ(allocations - before, 0u);
+  }
+  // The malleable passes ran: easy-malleable and fcfs-malleable each
+  // shrink one job and expand both at every point.
+  FrozenContext ctx;
+  EasyMalleableScheduler().schedule(ctx);
+  EXPECT_EQ(ctx.targets, 3u);
 }
 
 }  // namespace

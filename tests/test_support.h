@@ -86,10 +86,10 @@ class FakeContext final : public core::SchedulerContext {
   }
   void start_job(workload::JobId id, int nodes) override {
     const auto it = std::find_if(queue_.begin(), queue_.end(),
-                                 [id](core::QueuedJob job) { return job->id == id; });
+                                 [id](const core::QueuedJob& job) { return job->id == id; });
     ASSERT_NE(it, queue_.end()) << "start of job " << id << ", which is not queued";
     ASSERT_LE(nodes, free_) << "start of job " << id;
-    running_.push_back({*it, now_, nodes, nodes});
+    running_.push_back({it->job, now_, nodes, nodes});
     queue_.erase(it);
     free_ -= nodes;
     recorder.on_start(id, now_, nodes);
@@ -104,10 +104,10 @@ class FakeContext final : public core::SchedulerContext {
     details.push_back(std::move(detail));
   }
 
-  /// Queues `job` (submitted to the recorder at its submit time).
+  /// Queues `job` (submitted to the recorder at its submit time), its entry
+  /// filled by core::queued_job() as the batch system fills it.
   void enqueue(const workload::Job& job) {
-    recorder.on_submit(job, job.submit_time);
-    queue_.push_back(&job);
+    queue_.push_back(core::queued_job(job, recorder.on_submit(job, job.submit_time)));
   }
   /// Records `job` as running on `nodes` nodes since `since`, holding them.
   void run(const workload::Job& job, double since, int nodes) {
