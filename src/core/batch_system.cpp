@@ -233,7 +233,8 @@ void BatchSystem::start_job(JobId id, int nodes) {
   erase_queue(job);
   job.state = JobState::kRunning;
   job.start_time = engine_->now();
-  job.nodes = pool_.take(nodes, &job.job);
+  assert(job.nodes.empty() && "a requeued job released its nodes");
+  pool_.take(nodes, &job.job, job.nodes);
   running_.push_back({&job.job, job.start_time, nodes, nodes});
   recorder_->on_start(id, engine_->now(), nodes);
   emit({.kind = Kind::kStart, .job = &job.job, .nodes = nodes, .node_list = job.nodes});
@@ -324,33 +325,38 @@ void BatchSystem::process_boundary(JobId id) {
   apply_resize(job, target);
 }
 
+// elsim-hot: every expansion and shrink; the job's own node list carries both.
 void BatchSystem::apply_resize(Managed& job, int target) {
   const JobId id = job.job.id;
   const int current = static_cast<int>(job.nodes.size());
   assert(target != current && target >= job.job.min_nodes && target <= job.job.max_nodes);
   if (target > current) {
     // Expansion: new nodes are busy from the start of redistribution.
-    const std::vector<platform::NodeId> added = pool_.take(target - current, &job.job);
-    job.nodes.insert(job.nodes.end(), added.begin(), added.end());
+    pool_.take(target - current, &job.job, job.nodes);
     refresh_running(job);
     recorder_->on_resize(id, engine_->now(), target);
     emit({.kind = Kind::kExpand, .job = &job.job, .nodes = target, .previous_nodes = current,
-          .node_list = added});
+          .node_list = std::span(job.nodes).subspan(static_cast<std::size_t>(current))});
     job.execution->resume_with_nodes(job.nodes, config_.charge_reconfiguration, nullptr);
   } else {
-    // Shrink: keep a prefix; the tail is released after redistribution.
-    std::vector<platform::NodeId> kept(job.nodes.begin(), job.nodes.begin() + target);
-    std::vector<platform::NodeId> removed(job.nodes.begin() + target, job.nodes.end());
+    // Shrink: the execution moves to a prefix of the job's list now; the
+    // list keeps the tail, released after redistribution. The execution's
+    // node count is the target then, so the callback captures only the id
+    // and fits std::function's inline buffer.
     job.execution->resume_with_nodes(
-        kept, config_.charge_reconfiguration,
-        [this, id, kept, removed, current, target] {
+        std::span(job.nodes).first(static_cast<std::size_t>(target)),
+        config_.charge_reconfiguration, [this, id] {
           Managed& shrunk = managed(id);
-          shrunk.nodes = kept;
+          const int previous = static_cast<int>(shrunk.nodes.size());
+          const int kept = shrunk.execution->node_count();
+          for (std::size_t i = static_cast<std::size_t>(kept); i < shrunk.nodes.size(); ++i) {
+            return_node(shrunk.nodes[i]);
+          }
+          shrunk.nodes.resize(static_cast<std::size_t>(kept));
           refresh_running(shrunk);
-          for (platform::NodeId node : removed) return_node(node);
-          recorder_->on_resize(id, engine_->now(), target);
-          emit({.kind = Kind::kShrink, .job = &shrunk.job, .nodes = target,
-                .previous_nodes = current});
+          recorder_->on_resize(id, engine_->now(), kept);
+          emit({.kind = Kind::kShrink, .job = &shrunk.job, .nodes = kept,
+                .previous_nodes = previous});
           invoke_scheduler(stats::JournalCause::kShrinkComplete);
         });
   }

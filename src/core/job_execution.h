@@ -6,12 +6,14 @@
 // batch system, which resumes it — unchanged, or with a new node set (a
 // reconfiguration, optionally charged with a data-redistribution transfer).
 // A task's activities are costed once per node set: built at the phase's
-// first launch and relaunched unchanged by every later iteration.
+// first launch and relaunched unchanged by every later iteration. A node-set
+// or phase change rebuilds them into the storage they already hold.
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <optional>
+#include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -63,12 +65,13 @@ class JobExecution {
   /// Continues past the current scheduling point without changes.
   void resume();
 
-  /// Continues with a new allocation. When `charge_redistribution` is set
-  /// and the application declares per-node state, a redistribution transfer
-  /// runs before the next iteration starts. `on_applied` fires when the new
+  /// Continues with a new allocation, copied from `nodes` (which need not
+  /// outlive the call). When `charge_redistribution` is set and the
+  /// application declares per-node state, a redistribution transfer runs
+  /// before the next iteration starts. `on_applied` fires when the new
   /// allocation takes full effect (after the transfer), which is when the
   /// batch system releases shrunk-away nodes.
-  void resume_with_nodes(std::vector<platform::NodeId> nodes, bool charge_redistribution,
+  void resume_with_nodes(std::span<const platform::NodeId> nodes, bool charge_redistribution,
                          std::function<void()> on_applied);
 
   /// Cancels all in-flight activities (walltime kill). The completion
@@ -113,15 +116,18 @@ class JobExecution {
 
   /// One task's activities on the current node set: built at the phase's
   /// first launch, relaunched unchanged by every later iteration, and
-  /// dropped when the node set or the phase changes.
+  /// rebuilt in place when the node set or the phase changes.
   struct TaskSpecs {
+    /// `job<id>/<task>`, formatted once per phase.
+    std::string label;
     /// The activity a launch starts: the task's own, or a transfer's
     /// latency step.
     sim::ActivitySpec first;
-    /// The transfer a latency step leads to, run as the same logical task;
-    /// none after the task's own activity, or when a latency step has
-    /// nothing to transfer after it.
-    std::optional<sim::ActivitySpec> then;
+    /// The transfer a latency step leads to, run as the same logical task
+    /// when `chained`. Kept while unused, so its storage outlives a node
+    /// set without one.
+    sim::ActivitySpec then;
+    bool chained = false;
     /// The fallback warning the build found (a GPU task on a GPU-less node,
     /// I/O without a PFS), or empty. Every launch logs it, as every launch
     /// did when each one built its activities afresh.
@@ -139,24 +145,26 @@ class JobExecution {
   /// the task when there is none.
   void finish_first(std::uint32_t task);
 
-  /// Builds specs_ for every task of the current phase on nodes_ (the
-  /// first-launch build).
+  /// Rebuilds specs_ for every task of the current phase on nodes_ (the
+  /// first launch after a phase or node-set change), labelling them first
+  /// when the phase changed.
   void build_specs();
-  /// What one launch of `task` runs on nodes_.
-  TaskSpecs build_task(const workload::Task& task) const;
-  void build_compute(const workload::ComputeTask& task, std::string label,
-                     TaskSpecs& specs) const;
-  void build_comm(const workload::CommTask& task, std::string label, TaskSpecs& specs) const;
-  void build_io(const workload::IoTask& task, std::string label, TaskSpecs& specs) const;
-  /// `seconds` of work at one unit per second on no resource (0 = instant).
-  static sim::ActivitySpec delay_spec(std::string label, double seconds);
-  /// Aggregates point-to-point flows into a single fluid activity; see
-  /// DESIGN.md §2.1. nullopt when there is nothing to transfer.
-  std::optional<sim::ActivitySpec> flow_spec(const std::vector<workload::Flow>& flows,
-                                             const std::vector<platform::NodeId>& endpoints,
-                                             std::string label) const;
-
-  void start_redistribution(std::vector<platform::NodeId> old_nodes, bool grew);
+  /// Rebuilds `specs` as what one launch of `task` runs on nodes_.
+  void build_task(const workload::Task& task, TaskSpecs& specs) const;
+  void build_compute(const workload::ComputeTask& task, TaskSpecs& specs) const;
+  void build_comm(const workload::CommTask& task, TaskSpecs& specs) const;
+  void build_io(const workload::IoTask& task, TaskSpecs& specs) const;
+  /// Makes `spec` one fluid activity carrying `flows` between `endpoints`;
+  /// see DESIGN.md §2.1. Its label stays. Returns false, leaving the rest
+  /// of `spec` unspecified, when there is nothing to transfer.
+  bool build_transfer(std::span<const workload::Flow> flows,
+                      std::span<const platform::NodeId> endpoints,
+                      sim::ActivitySpec& spec) const;
+  /// Builds redistribution_ as the state transfer from nodes_ to `next`;
+  /// false when nothing moves.
+  bool build_redistribution(std::span<const platform::NodeId> next);
+  /// Frees the spec storage once the execution can launch nothing more.
+  void release_specs();
 
   sim::Engine* engine_;
   const platform::Cluster* cluster_;
@@ -167,6 +175,12 @@ class JobExecution {
   std::function<void()> on_reconfig_applied_;
 
   State state_ = State::kIdle;
+  /// specs_ carries the current phase's labels. (Both flags sit in the
+  /// padding after state_: a finished execution lives on until the batch
+  /// system's teardown, so its size counts once per job.)
+  bool specs_labelled_ = false;
+  /// specs_ costs the current phase on nodes_.
+  bool specs_built_ = false;
   std::size_t phase_ = 0;
   int iteration_ = 0;
   ExecutionProgress durable_;
@@ -178,9 +192,13 @@ class JobExecution {
   /// bits, so a callback's capture (this, generation, task) fits
   /// std::function's inline storage.
   std::uint32_t generation_ = 0;
-  /// The current phase's tasks, group after group, on nodes_; empty until
-  /// the phase's first launch.
+  /// The current phase's tasks, group after group, then spare entries left
+  /// by a phase with more tasks; every entry keeps its storage until
+  /// release_specs().
   std::vector<TaskSpecs> specs_;
+  /// Every reconfiguration's transfer: made and labelled at the first
+  /// charged resize, rebuilt in place by the later ones.
+  std::unique_ptr<sim::ActivitySpec> redistribution_;
 };
 
 }  // namespace elastisim::core

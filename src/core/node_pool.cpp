@@ -26,16 +26,18 @@ bool NodePool::erase_free(platform::NodeId node) {
   return true;
 }
 
-std::vector<platform::NodeId> NodePool::take(int count, const workload::Job* owner) {
+void NodePool::take(int count, const workload::Job* owner,
+                    std::vector<platform::NodeId>& nodes) {
   assert(count <= static_cast<int>(free_.size()) && "allocating more nodes than free");
   const std::size_t wanted = std::min(static_cast<std::size_t>(count), free_.size());
-  std::vector<platform::NodeId> taken;
-  taken.reserve(wanted);
+  const std::size_t first = nodes.size();
   if (policy_ == PlacementPolicy::kLowestId) {
     const auto end = free_.begin() + static_cast<std::ptrdiff_t>(wanted);
-    taken.assign(free_.begin(), end);
+    nodes.insert(nodes.end(), free_.begin(), end);
     free_.erase(free_.begin(), end);
   } else {
+    const std::size_t target = first + wanted;
+    nodes.reserve(target);
     // Free nodes by pod, each pod in ascending node order.
     std::vector<std::vector<platform::NodeId>> pods(cluster_->pod_count());
     for (platform::NodeId node : free_) pods[cluster_->pod_of(node)].push_back(node);
@@ -45,25 +47,24 @@ std::vector<platform::NodeId> NodePool::take(int count, const workload::Job* own
       std::stable_sort(pods.begin(), pods.end(),
                        [](const auto& a, const auto& b) { return a.size() > b.size(); });
       for (const std::vector<platform::NodeId>& pod : pods) {
-        for (std::size_t i = 0; i < pod.size() && taken.size() < wanted; ++i) {
-          taken.push_back(pod[i]);
+        for (std::size_t i = 0; i < pod.size() && nodes.size() < target; ++i) {
+          nodes.push_back(pod[i]);
         }
       }
     } else {
       // Spread: one node per pod per pass, each pass starting one pod further.
-      for (std::size_t pass = 0; taken.size() < wanted; ++pass) {
-        for (std::size_t i = 0; i < pods.size() && taken.size() < wanted; ++i) {
+      for (std::size_t pass = 0; nodes.size() < target; ++pass) {
+        for (std::size_t i = 0; i < pods.size() && nodes.size() < target; ++i) {
           std::vector<platform::NodeId>& pod = pods[(i + pass) % pods.size()];
           if (pod.empty()) continue;
-          taken.push_back(pod.front());
+          nodes.push_back(pod.front());
           pod.erase(pod.begin());
         }
       }
     }
-    for (platform::NodeId node : taken) erase_free(node);
+    for (std::size_t i = first; i < nodes.size(); ++i) erase_free(nodes[i]);
   }
-  for (platform::NodeId node : taken) nodes_[node].owner = owner;
-  return taken;
+  for (std::size_t i = first; i < nodes.size(); ++i) nodes_[nodes[i]].owner = owner;
 }
 
 bool NodePool::release(platform::NodeId node) {

@@ -32,9 +32,9 @@ class NodePool {
   NodePool(const platform::Cluster& cluster, PlacementPolicy policy);
 
   /// Removes `count` nodes (at most the free set's size) from it per the
-  /// placement policy, records `owner` as their owner and returns them in
-  /// placement order.
-  std::vector<platform::NodeId> take(int count, const workload::Job* owner);
+  /// placement policy, records `owner` as their owner and appends them to
+  /// `nodes` in placement order.
+  void take(int count, const workload::Job* owner, std::vector<platform::NodeId>& nodes);
   /// Takes `node` off its owner. Returns whether it was freed: a failed node
   /// stays out until repaired, and a draining one counts as drained now.
   bool release(platform::NodeId node);

@@ -17,6 +17,7 @@
 //                                  equal share of the machine.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -185,8 +186,11 @@ std::size_t backfill_walk(SchedulerContext& ctx, std::span<const QueuedJob> jobs
 /// Largest size `queued` may start at with `free` nodes available, preferring
 /// its preferred start size; -1 when it cannot start (fewer than its
 /// `min_start` free, the figure held-job explanations quote). Rigid jobs
-/// only ever start at their requested size.
-int feasible_start_size(const QueuedJob& queued, int free);
+/// only ever start at their requested size. Inline: the backfill walk asks
+/// it of every queued entry it visits.
+inline int feasible_start_size(const QueuedJob& queued, int free) {
+  return free < queued.min_start ? -1 : std::min(queued.preferred_start, free);
+}
 
 /// Starts queued jobs in FCFS order until the head no longer fits.
 void fcfs_start(SchedulerContext& ctx);

@@ -1,15 +1,9 @@
-#include <algorithm>
-
 #include "core/schedulers.h"
 #include "util/fmt.h"
 
 namespace elastisim::core {
 
 namespace passes {
-
-int feasible_start_size(const QueuedJob& queued, int free) {
-  return free < queued.min_start ? -1 : std::min(queued.preferred_start, free);
-}
 
 void fcfs_start(SchedulerContext& ctx) {
   // A start erases the job from the queue, so always look at index 0.

@@ -78,7 +78,13 @@ std::pair<std::size_t, std::size_t> stencil_grid(std::size_t k) {
 
 std::vector<Flow> pattern_flows(CommPattern pattern, std::size_t k, double bytes) {
   std::vector<Flow> flows;
-  if (k <= 1 || bytes <= 0.0) return flows;
+  pattern_flows(pattern, k, bytes, flows);
+  return flows;
+}
+
+void pattern_flows(CommPattern pattern, std::size_t k, double bytes, std::vector<Flow>& flows) {
+  flows.clear();
+  if (k <= 1 || bytes <= 0.0) return;
   switch (pattern) {
     case CommPattern::kAllToAll: all_to_all(flows, k, bytes); break;
     case CommPattern::kAllReduce: all_reduce(flows, k, bytes); break;
@@ -88,7 +94,6 @@ std::vector<Flow> pattern_flows(CommPattern pattern, std::size_t k, double bytes
     case CommPattern::kGather: gather(flows, k, bytes); break;
     case CommPattern::kScatter: scatter(flows, k, bytes); break;
   }
-  return flows;
 }
 
 int pattern_rounds(CommPattern pattern, std::size_t k) {

@@ -37,6 +37,9 @@ struct Flow {
 /// k == 1 (or bytes <= 0) yields no flows: single-node jobs communicate
 /// through memory, which the model treats as free.
 std::vector<Flow> pattern_flows(CommPattern pattern, std::size_t k, double bytes);
+/// pattern_flows() into `flows`, replacing its contents in the storage it
+/// already holds.
+void pattern_flows(CommPattern pattern, std::size_t k, double bytes, std::vector<Flow>& flows);
 
 /// Total bytes a pattern moves (sum over flows); used by tests and stats.
 double pattern_total_bytes(CommPattern pattern, std::size_t k, double bytes);

@@ -1,8 +1,8 @@
 // Differential tests of the stored activity specs: what JobExecution launches
-// on every iteration, from the first build through relaunches and resizes,
-// against the launchers that built every spec afresh on every launch, kept
-// verbatim below as the reference; and the fluid model's by-id answers once
-// freed slots are reused.
+// on every iteration, from the first build through relaunches and the
+// in-place rebuilds at phase changes and resizes, against the launchers that
+// built every spec afresh on every launch, kept verbatim below as the
+// reference; and the fluid model's by-id answers once freed slots are reused.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -398,12 +398,41 @@ std::vector<sim::ActivitySpec> launched_specs(
 // Tests
 // ---------------------------------------------------------------------------
 
+/// Situations the in-place rebuild must get right, counted over all cases so
+/// the random draw provably reaches each of them.
+struct RebuildCoverage {
+  /// A task slot whose kind differs from the previous phase's.
+  int kind_changes = 0;
+  /// A resize that adds or drops a communication task's latency step (and
+  /// its transfer), e.g. to or from a single node.
+  int chains_gained = 0;
+  int chains_lost = 0;
+  /// A rebuild whose fallback warnings differ from the previous iteration's,
+  /// both non-empty (a GPU-less node named anew), or that has none after one
+  /// that had some.
+  int warnings_changed = 0;
+  int warnings_cleared = 0;
+};
+
+std::size_t latency_steps(const std::vector<sim::ActivitySpec>& launches) {
+  return static_cast<std::size_t>(std::count_if(
+      launches.begin(), launches.end(),
+      [](const sim::ActivitySpec& spec) { return spec.label.ends_with("/latency"); }));
+}
+
 TEST(ActivitySpecs, LaunchesMatchTheRebuildingReferenceAcrossResizes) {
-  // Phase 0 runs iterations 1-2 on A (a build, then a relaunch). Phase 1 runs
-  // iteration 3 on A (other tasks on the same nodes), 4 on B (a resize), 5 on
-  // A again (back from a shrink or a growth) and 6 on A (a relaunch after the
-  // rebuild). A job with per-node state redistributes at each resize.
+  // One execution runs nine iterations over three phases. Phase 0 runs
+  // iterations 1-2 on A (a build, then a relaunch). Phase 1 runs 3 on A
+  // (other tasks on the same nodes), 4 on B (a resize), 5 on A again (back
+  // from a shrink or a growth) and 6 on A (a relaunch after the rebuild).
+  // Phase 2 runs 7 on one node of A, 8 on A and 9 on that node again, so
+  // its communication tasks lose their transfer (and latency step) and gain
+  // them back. Each phase draws its own tasks, so a slot changes name and
+  // kind between phases, and a phase with fewer tasks than the one before
+  // leaves entries unused. A job with per-node state redistributes at each
+  // resize.
   constexpr int kCases = 150;
+  RebuildCoverage coverage;
   for (std::uint64_t seed = 1; seed <= kCases; ++seed) {
     SCOPED_TRACE(seed);
     util::Rng rng(seed);
@@ -430,26 +459,49 @@ TEST(ActivitySpecs, LaunchesMatchTheRebuildingReferenceAcrossResizes) {
       b = random_nodes(rng, cluster.node_count(),
                        static_cast<std::size_t>(rng.uniform_int(1, nodes)));
     }
+    const std::vector<platform::NodeId> one = {
+        a[static_cast<std::size_t>(rng.uniform_int(0, static_cast<std::int64_t>(a_count) - 1))]};
 
     workload::Job job;
     job.id = static_cast<workload::JobId>(seed);
     if (rng.bernoulli(0.5)) job.application.state_bytes_per_node = rng.log_uniform(1e6, 1e9);
-    for (const int iterations : {2, 4}) {
+    for (const int iterations : {2, 4, 3}) {
       workload::Phase phase;
       phase.name = util::fmt("phase{}", iterations);
       phase.iterations = iterations;
       for (Task& task : random_tasks(rng)) phase.groups.push_back({std::move(task)});
       job.application.phases.push_back(std::move(phase));
     }
+    for (std::size_t p = 1; p < job.application.phases.size(); ++p) {
+      const auto& before = job.application.phases[p - 1].groups;
+      const auto& after = job.application.phases[p].groups;
+      for (std::size_t i = 0; i < std::min(before.size(), after.size()); ++i) {
+        coverage.kind_changes += before[i][0].payload.index() != after[i][0].payload.index();
+      }
+    }
 
-    const std::vector<std::vector<platform::NodeId>> allocations = {a, a, a, b, a, a};
+    const std::vector<std::size_t> phase_of = {0, 0, 1, 1, 1, 1, 2, 2, 2};
+    const std::vector<std::vector<platform::NodeId>> allocations = {a, a, a, b, a, a, one, a, one};
     std::vector<sim::ActivitySpec> expected;
     std::string expected_log;
+    std::vector<sim::ActivitySpec> previous_launches;
+    std::string previous_log;
     for (std::size_t i = 0; i < allocations.size(); ++i) {
-      const std::vector<sim::ActivitySpec> iteration =
-          reference_iteration(cluster, job, i < 2 ? 0 : 1, allocations[i == 0 ? 0 : i - 1],
-                              allocations[i], expected_log);
+      std::string log;
+      const std::vector<sim::ActivitySpec> iteration = reference_iteration(
+          cluster, job, phase_of[i], allocations[i == 0 ? 0 : i - 1], allocations[i], log);
+      if (i > 0 && phase_of[i] == phase_of[i - 1] && allocations[i] != allocations[i - 1]) {
+        coverage.chains_gained += latency_steps(iteration) > latency_steps(previous_launches);
+        coverage.chains_lost += latency_steps(iteration) < latency_steps(previous_launches);
+      }
+      if (i > 0 && !previous_log.empty()) {
+        coverage.warnings_changed += !log.empty() && log != previous_log;
+        coverage.warnings_cleared += log.empty();
+      }
       expected.insert(expected.end(), iteration.begin(), iteration.end());
+      expected_log += log;
+      previous_launches = iteration;
+      previous_log = log;
     }
 
     testing::internal::CaptureStderr();
@@ -459,6 +511,11 @@ TEST(ActivitySpecs, LaunchesMatchTheRebuildingReferenceAcrossResizes) {
     ASSERT_EQ(launched.size(), expected.size());
     for (std::size_t i = 0; i < expected.size(); ++i) expect_same_spec(expected[i], launched[i]);
   }
+  EXPECT_GT(coverage.kind_changes, 0);
+  EXPECT_GT(coverage.chains_gained, 0);
+  EXPECT_GT(coverage.chains_lost, 0);
+  EXPECT_GT(coverage.warnings_changed, 0);
+  EXPECT_GT(coverage.warnings_cleared, 0);
 }
 
 TEST(ActivitySpecs, FallbackWarningsRepeatOnEveryLaunch) {

@@ -234,8 +234,8 @@ TEST(JobExecution, ResumeWithMoreNodesSpeedsRemainingIterations) {
   f.engine.run();  // runs until the boundary after iteration 1 (t=10)
   ASSERT_TRUE(f.execution->at_boundary());
   bool applied = false;
-  f.execution->resume_with_nodes({0, 1, 2, 3}, /*charge=*/false,
-                                 [&applied] { applied = true; });
+  const std::vector<platform::NodeId> grown = {0, 1, 2, 3};
+  f.execution->resume_with_nodes(grown, /*charge=*/false, [&applied] { applied = true; });
   f.engine.run();
   EXPECT_TRUE(applied);
   EXPECT_EQ(f.execution->node_count(), 4);

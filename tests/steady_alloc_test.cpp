@@ -1,10 +1,13 @@
 // Counts heap allocations over whole simulations of one iterative job: a run
 // of 40 iterations must allocate exactly as often as a run of 10, so a steady
 // iteration (task launches, completions, the scheduling point between
-// iterations) allocates nothing. A scheduling point repeated over an
-// unchanged queue must allocate nothing either. The counts are exact and the
-// same on every host. This executable replaces the global operator new and
-// delete to count; the main test binary keeps the standard ones.
+// iterations) allocates nothing. A malleable job resized back and forth
+// between two node sets allocates nothing per cycle after the first but for
+// the recorder's utilization timeline, which every resize lengthens. A
+// scheduling point repeated over an unchanged queue must allocate nothing
+// either. The counts are exact and the same on every host. This executable
+// replaces the global operator new and delete to count; the main test binary
+// keeps the standard ones.
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -123,6 +126,74 @@ TEST(SteadyIteration, AllocatesNothing) {
       EXPECT_EQ(long_run, short_run) << "30 more iterations allocated "
                                      << static_cast<double>(long_run - short_run) / 30.0
                                      << " times each";
+    }
+  }
+}
+
+/// Resizes its one malleable job between 8 and 16 nodes at every boundary:
+/// each scheduling point asks for the size the job does not have, and the
+/// batch system applies it at the job's next boundary. Notes the allocations
+/// so far at every scheduling point, with the capacity of the recorder's
+/// utilization timeline.
+class SeesawScheduler final : public Scheduler {
+ public:
+  struct Point {
+    std::uint64_t allocations;
+    std::size_t timeline_capacity;
+  };
+
+  explicit SeesawScheduler(const stats::Recorder& recorder) : recorder_(&recorder) {
+    points.reserve(1000);
+  }
+  std::string name() const override { return "seesaw"; }
+  void schedule(SchedulerContext& ctx) override {
+    if (!ctx.queue().empty()) ctx.start_job(ctx.queue().front()->id, 8);
+    for (const RunningJob& running : ctx.running()) {
+      ctx.set_target(running.job->id, running.nodes == 8 ? 16 : 8);
+    }
+    points.push_back({allocations, recorder_->timeline().capacity()});
+  }
+
+  std::vector<Point> points;
+
+ private:
+  const stats::Recorder* recorder_;
+};
+
+TEST(ResizeCycle, AllocatesNothingAfterTheFirst) {
+  for (const double latency : {0.0, 1e-6}) {
+    SCOPED_TRACE("link latency " + std::to_string(latency));
+    sim::Engine engine;
+    platform::Cluster cluster(engine, fat_tree(latency));
+    stats::Recorder recorder;
+    auto owned = std::make_unique<SeesawScheduler>(recorder);
+    const SeesawScheduler& seesaw = *owned;
+    BatchSystem batch(engine, cluster, std::move(owned), recorder);
+    // The steady job's iteration on 8 to 16 nodes, with 1 GB of state per
+    // node to redistribute at every resize.
+    workload::Job job = steady_job(40);
+    job.type = workload::JobType::kMalleable;
+    job.requested_nodes = job.min_nodes = 8;
+    job.max_nodes = 16;
+    job.application.state_bytes_per_node = 1e9;
+    ASSERT_TRUE(batch.submit(std::move(job)));
+    engine.run();
+    ASSERT_EQ(batch.finished_jobs(), 1u);
+    // Lowest-id placement takes nodes 8-15 at every expansion and a shrink
+    // hands back the same tail: two node sets, 39 boundaries, 39 resizes.
+    EXPECT_EQ(recorder.records().front().expansions, 20);
+    EXPECT_EQ(recorder.records().front().shrinks, 19);
+    // Points: the submit, a boundary per expansion, a boundary and a
+    // completion per shrink, and the finish. The first cycle ends at point
+    // 3, the first shrink's completion; from there on only the timeline may
+    // allocate, once whenever its capacity grew.
+    ASSERT_EQ(seesaw.points.size(), 1u + 20u + 2u * 19u + 1u);
+    for (std::size_t i = 3; i + 1 < seesaw.points.size(); ++i) {
+      const SeesawScheduler::Point& from = seesaw.points[i];
+      const SeesawScheduler::Point& to = seesaw.points[i + 1];
+      const std::uint64_t timeline_growth = to.timeline_capacity != from.timeline_capacity;
+      EXPECT_EQ(to.allocations - from.allocations, timeline_growth)
+          << "between scheduling points " << i << " and " << i + 1;
     }
   }
 }
