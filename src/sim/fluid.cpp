@@ -60,8 +60,13 @@ void FluidModel::set_capacity(ResourceId resource, double capacity) {
   ELSIM_CHECK(capacity >= 0.0, "resource '{}' capacity must be non-negative, got {}",
               resources_[resource].name, capacity);
   settle();
-  resources_[resource].capacity = capacity;
-  mark_dirty(resource);
+  Resource& r = resources_[resource];
+  r.capacity = capacity;
+  if (r.users >= 2) {
+    mark_dirty(resource);
+  } else if (r.users == 1) {
+    refresh_private(activities_[entries_[r.head].slot]);
+  }
   solve_pending_ = true;
 }
 
@@ -120,6 +125,8 @@ ActivityId FluidModel::start(const ActivitySpec& spec, std::function<void()> on_
   activity.rate = 0.0;
   activity.frozen_in = 0;
   activity.candidate_in = 0;
+  activity.private_level = kTimeInfinity;
+  activity.private_saturation = kTimeInfinity;
   activity.on_complete = std::move(on_complete);
   // elsim-lint: allow(hot-container-growth) -- grows to the most live activities, then stops allocating
   order_.push_back(slot);
@@ -136,16 +143,24 @@ ActivityId FluidModel::start(const ActivitySpec& spec, std::function<void()> on_
       } else {
         free_entry_ = entries_[entry].next;
       }
-      entries_[entry] = Entry{slot, kNoEntry, demand.weight};
       Resource& resource = resources_[demand.resource];
+      // The user the resource was private to, if this entry makes it shared.
+      const std::uint32_t owner = resource.users == 1 ? entries_[resource.head].slot : kNoSlot;
+      entries_[entry] = Entry{slot, kNoEntry, demand.weight};
       (resource.tail == kNoEntry ? resource.head : entries_[resource.tail].next) = entry;
       resource.tail = entry;
       // Appending extends the left fold by one addition; a pending refold
-      // recomputes it anyway.
+      // recomputes it anyway. From no entry, whose fold is 0.0, it is exact.
       resource.fold += demand.weight;
       ++resource.users;
-      mark_dirty(demand.resource);
+      // A private resource keeps +inf in the index: only shared ones re-key.
+      if (resource.users >= 2) mark_dirty(demand.resource);
+      if (owner != kNoSlot && owner != slot) refresh_private(activities_[owner]);
     }
+    const PrivateKeys keys = private_keys(activity);
+    activity.private_level = keys.level;
+    activity.private_saturation = keys.saturation;
+    count_private(keys.level);
     if (!cap_floor_stale_) count_cap(activity.spec.rate_cap);
   }
   solve_pending_ = true;
@@ -179,6 +194,7 @@ void FluidModel::remove(std::vector<std::uint32_t>::const_iterator at) {
   Activity& activity = activities_[slot];
   for (const Demand& demand : activity.spec.demands) {
     Resource& resource = resources_[demand.resource];
+    const std::uint32_t before = resource.users;
     // Unlinks both entries of an activity that demands the resource twice
     // (the second pass finds none), keeping the others in order.
     std::uint32_t prev = kNoEntry;
@@ -195,13 +211,25 @@ void FluidModel::remove(std::vector<std::uint32_t>::const_iterator at) {
       }
       entry = next;
     }
-    resource.refold = true;
-    mark_dirty(demand.resource);
+    if (resource.users == before) continue;  // a second demand on the resource
+    if (resource.users >= 2) {
+      resource.refold = true;
+      mark_dirty(demand.resource);
+      continue;
+    }
+    // At most one entry is left, whose fold 0.0 + w is w: exact, no refold.
+    resource.fold = resource.users == 0 ? 0.0 : entries_[resource.head].weight;
+    resource.refold = false;
+    // A shared resource's keys leave the index; a private one held +inf.
+    if (before >= 2) mark_dirty(demand.resource);
+    if (resource.users == 1) refresh_private(activities_[entries_[resource.head].slot]);
   }
-  // Caps are positive and never NaN, so "not above the floor" is "at it".
-  if (!activity.spec.demands.empty() && !cap_floor_stale_ &&
-      !(cap_floor_ < activity.spec.rate_cap) && --cap_floor_count_ == 0) {
-    cap_floor_stale_ = true;
+  if (!activity.spec.demands.empty()) {
+    uncount_private(activity.private_level);
+    // Caps are positive and never NaN, so "not above the floor" is "at it".
+    if (!cap_floor_stale_ && !(cap_floor_ < activity.spec.rate_cap) && --cap_floor_count_ == 0) {
+      cap_floor_stale_ = true;
+    }
   }
   order_.erase(at);
   // The slot keeps its spec's storage for the next start; only the callback
@@ -337,6 +365,10 @@ std::optional<std::string> FluidModel::check_kept_state() const {
         return util::fmt("fluid resource '{}' keeps weight sum {}, the live demands {}",
                          resource.name, resource.fold, d.fold);
       }
+      if (resource.users < 2 && resource.refold) {
+        return util::fmt("fluid resource '{}' with {} users awaits a refold", resource.name,
+                         resource.users);
+      }
       if (level_key_[r] < block_level) block_level = level_key_[r];
       if (saturation_key_[r] < block_saturation) block_saturation = saturation_key_[r];
       if (resource.dirty) {
@@ -344,10 +376,10 @@ std::optional<std::string> FluidModel::check_kept_state() const {
         pending = true;
         continue;
       }
-      // Without users the fold is 0.0, so both keys are +inf.
+      // Only a shared resource has keys in the index; the others hold +inf.
       double level = kTimeInfinity;
       double saturation = kTimeInfinity;
-      if (resource.users > 0) {
+      if (resource.users >= 2) {
         saturation = share_of(resource.capacity, resource.fold);
         if (resource.fold > kAbsEps) level = saturation;
       }
@@ -366,7 +398,43 @@ std::optional<std::string> FluidModel::check_kept_state() const {
     return util::fmt("fluid model: {} resources flagged dirty, {} queued, {} pools drawn", dirty,
                      dirty_.size(), pools_.size());
   }
+  // The users and folds are checked: re-derive each activity's private keys
+  // from them, and the lowest private level over the live activities.
+  double private_floor = kTimeInfinity;
+  std::size_t at_private_floor = 0;
+  for (std::uint32_t slot : order_) {
+    const Activity& activity = activities_[slot];
+    const PrivateKeys keys = private_keys(activity);
+    if (!same_bits(activity.private_level, keys.level) ||
+        !same_bits(activity.private_saturation, keys.saturation)) {
+      return util::fmt("fluid activity {} carries private keys {} / {}, derived {} / {}",
+                       activity.id, activity.private_level, activity.private_saturation,
+                       keys.level, keys.saturation);
+    }
+    if (activity.spec.demands.empty()) continue;
+    at_private_floor =
+        keys.level < private_floor ? 1 : at_private_floor + (keys.level <= private_floor);
+    if (keys.level < private_floor) private_floor = keys.level;
+  }
+  // By value: the two zeros are one floor, whichever was counted first.
+  if (!private_floor_stale_ &&
+      (private_floor_ < private_floor || private_floor < private_floor_ ||
+       private_floor_count_ != at_private_floor)) {
+    return util::fmt(
+        "fluid model: kept lowest private level {} ({} at it), the live activities' {} ({})",
+        private_floor_, private_floor_count_, private_floor, at_private_floor);
+  }
   return std::nullopt;
+}
+
+bool FluidModel::test_corrupt_private_key(ActivityId id) {
+  const auto at = position(id);
+  if (at == order_.end()) return false;
+  Activity& activity = activities_[*at];
+  activity.private_saturation = std::isinf(activity.private_saturation)
+                                    ? 0.0
+                                    : activity.private_saturation / 2.0;
+  return true;
 }
 
 // elsim-hot: runs before every rate change; touches every live activity.
@@ -399,6 +467,59 @@ void FluidModel::count_cap(double cap) {
   }
 }
 
+void FluidModel::count_private(double level) {
+  if (private_floor_stale_) return;
+  if (level < private_floor_) {
+    private_floor_ = level;
+    private_floor_count_ = 1;
+  } else if (level <= private_floor_) {  // levels are never NaN: this is "at the floor"
+    ++private_floor_count_;
+  }
+}
+
+void FluidModel::uncount_private(double level) {
+  // A live level is never under the floor, so "not above it" is "at it".
+  if (!private_floor_stale_ && level <= private_floor_ && --private_floor_count_ == 0) {
+    private_floor_stale_ = true;
+  }
+}
+
+FluidModel::PrivateKeys FluidModel::private_keys(const Activity& activity) const {
+  // The keys flush_dirty() would give each resource at rest, minimised with
+  // strict comparisons from +inf, so a NaN key never wins.
+  PrivateKeys keys{kTimeInfinity, kTimeInfinity};
+  for (const Demand& demand : activity.spec.demands) {
+    const Resource& resource = resources_[demand.resource];
+    if (resource.users != 1) continue;
+    const double share = share_of(resource.capacity, resource.fold);
+    if (resource.fold > kAbsEps && share < keys.level) keys.level = share;
+    if (share < keys.saturation) keys.saturation = share;
+  }
+  return keys;
+}
+
+void FluidModel::refresh_private(Activity& activity) {
+  const PrivateKeys keys = private_keys(activity);
+  uncount_private(activity.private_level);
+  activity.private_level = keys.level;
+  activity.private_saturation = keys.saturation;
+  count_private(keys.level);
+}
+
+double FluidModel::scan_level() const {
+  double level = kTimeInfinity;
+  for (std::size_t r = 0; r < resources_.size(); ++r) {
+    const Resource& resource = resources_[r];
+    double key = level_key_[r];  // current for a shared resource, +inf otherwise
+    if (resource.users == 1 && resource.fold > kAbsEps &&
+        activities_[entries_[resource.head].slot].frozen_in != rebalance_count_) {
+      key = share_of(resource.capacity, resource.fold);
+    }
+    if (key < level) level = key;
+  }
+  return level;
+}
+
 void FluidModel::mark_dirty(ResourceId resource) {
   Resource& r = resources_[resource];
   if (r.dirty) return;
@@ -417,22 +538,28 @@ void FluidModel::flush_dirty() {
   for (const ResourceId id : dirty_) {
     Resource& resource = resources_[id];
     resource.dirty = false;
-    if (resource.refold) {
-      // A user left: the sum a full scan starts from is the left fold of the
-      // remaining weights, which no subtraction reproduces.
-      double fold = 0.0;
-      for (std::uint32_t at = resource.head; at != kNoEntry; at = entries_[at].next) {
-        fold += entries_[at].weight;
+    if (resource.users < 2) {
+      // No longer shared: its keys left the index, or ride on its user.
+      level_key_[id] = kTimeInfinity;
+      saturation_key_[id] = kTimeInfinity;
+    } else {
+      if (resource.refold) {
+        // A user left: the sum a full scan starts from is the left fold of
+        // the remaining weights, which no subtraction reproduces.
+        double fold = 0.0;
+        for (std::uint32_t at = resource.head; at != kNoEntry; at = entries_[at].next) {
+          fold += entries_[at].weight;
+        }
+        resource.fold = fold;
+        resource.refold = false;
+        demands_examined_ += resource.users;
       }
-      resource.fold = fold;
-      resource.refold = false;
-      demands_examined_ += resource.users;
+      const Pool pool = pool_of(id);
+      const double share = share_of(pool.avail, pool.weight_sum);
+      level_key_[id] = pool.weight_sum > kAbsEps ? share : kTimeInfinity;
+      saturation_key_[id] = pool.unfrozen > 0 ? share : kTimeInfinity;
     }
     ++demands_examined_;
-    const Pool pool = pool_of(id);
-    const double share = share_of(pool.avail, pool.weight_sum);
-    level_key_[id] = pool.weight_sum > kAbsEps ? share : kTimeInfinity;
-    saturation_key_[id] = pool.unfrozen > 0 ? share : kTimeInfinity;
     const std::size_t block = id / kBlock;
     if (block_dirty_[block] == 0) {
       block_dirty_[block] = 1;
@@ -461,6 +588,8 @@ void FluidModel::freeze(Activity& activity) {
   activity.frozen_in = rebalance_count_;
   for (const Demand& demand : activity.spec.demands) {
     Resource& resource = resources_[demand.resource];
+    // A private pool has no other reader: its user leaves the rounds now.
+    if (resource.users == 1) continue;
     if (resource.pool == kNoPool) {
       resource.pool = static_cast<std::uint32_t>(pools_.size());
       // elsim-lint: allow(hot-container-growth) -- cleared per solve, never shrunk: it grows to the most pools one solve draws, then stops allocating
@@ -471,8 +600,8 @@ void FluidModel::freeze(Activity& activity) {
     pool.weight_sum -= demand.weight;
     --pool.unfrozen;
     mark_dirty(demand.resource);
+    ++demands_examined_;
   }
-  demands_examined_ += activity.spec.demands.size();
 }
 
 void FluidModel::list_users(ResourceId resource, ActivityId after) {
@@ -488,6 +617,7 @@ void FluidModel::list_users(ResourceId resource, ActivityId after) {
 
 bool FluidModel::saturated(const Activity& activity, double lambda) {
   for (const Demand& demand : activity.spec.demands) {
+    if (resources_[demand.resource].users == 1) continue;  // the caller tested its private keys
     ++demands_examined_;
     const Pool pool = pool_of(demand.resource);
     if (leq_tol(share_of(pool.avail, pool.weight_sum), lambda)) return true;
@@ -510,14 +640,21 @@ void FluidModel::solve() {
   solve_pending_ = false;
   ++rebalance_count_;
   activities_touched_ += order_.size();
-  if (cap_floor_stale_) {
-    // The last activity at the lowest cap left: refold the floor.
+  if (cap_floor_stale_ || private_floor_stale_) {
+    // The last activity at the lowest cap, or at the lowest private level,
+    // left (or rose): refold both floors in one pass.
     cap_floor_ = kTimeInfinity;
     cap_floor_count_ = 0;
-    for (std::uint32_t slot : order_) {
-      if (!activities_[slot].spec.demands.empty()) count_cap(activities_[slot].spec.rate_cap);
-    }
     cap_floor_stale_ = false;
+    private_floor_ = kTimeInfinity;
+    private_floor_count_ = 0;
+    private_floor_stale_ = false;
+    for (std::uint32_t slot : order_) {
+      const Activity& activity = activities_[slot];
+      if (activity.spec.demands.empty()) continue;
+      count_cap(activity.spec.rate_cap);
+      count_private(activity.private_level);
+    }
   }
 
   // Progressive filling: raise a common water level; freeze activities at
@@ -532,23 +669,32 @@ void FluidModel::solve() {
   spare->reserve(order_.size());
   frozen.reserve(order_.size());
   double lambda_cap = cap_floor_;
+  double lambda_private = private_floor_;
   while (!unfrozen->empty()) {
     flush_dirty();
     // The resource-limited level: the leftmost minimum of the water-level
-    // keys, block by block, as a scan over every resource in ascending id
-    // takes it. The order is part of the result: std::min keeps its first
-    // operand when the two are equal (0.0 against -0.0).
+    // keys, as a scan over every resource in ascending id takes it. The
+    // shared keys' minimum comes block by block; the private keys' is the
+    // lowest private level among this round's activities, since a frozen
+    // user's private keys are +inf in the scan. The order is part of the
+    // result only between zeros: the scan keeps the first it meets, 0.0 or
+    // -0.0, so a zero minimum comes from the scan itself.
     double lambda_res = kTimeInfinity;
     for (const double level : block_level_) {
       if (level < lambda_res) lambda_res = level;
     }
+    if (lambda_private < lambda_res) lambda_res = lambda_private;
+    // elsim-lint: allow(float-equality) -- exactly the two zeros, whose sign depends on the scan order
+    if (lambda_res == 0.0) lambda_res = scan_level();
     const double lambda = std::min(lambda_res, lambda_cap);
     ++round_;
 
     // Split the round's list into the activities that freeze at this level
-    // and the rest, folding the next round's lambda_cap over the rest.
+    // and the rest, folding the next round's lambda_cap and lowest private
+    // level over the rest.
     still_unfrozen->clear();
     double next_lambda_cap = kTimeInfinity;
+    double next_lambda_private = kTimeInfinity;
     std::size_t frozen_this_round = 0;
     if (lambda_cap <= lambda_res) {
       // Cap-binding: the freezes depend on the caps alone, so decide them all
@@ -564,6 +710,7 @@ void FluidModel::solve() {
         } else {
           still_unfrozen->push_back(slot);
           next_lambda_cap = std::min(next_lambda_cap, activity.spec.rate_cap);
+          next_lambda_private = std::min(next_lambda_private, activity.private_level);
         }
       }
       if (still_unfrozen->empty()) break;
@@ -575,9 +722,11 @@ void FluidModel::solve() {
       // Resource-binding: an activity freezes when one of its resources is
       // saturated at this level, which each freeze before it can change, so
       // decide and draw down one activity at a time, in list order. Only the
-      // users of a saturated resource can pass the test: those of resources
-      // saturated now, and those after a freeze that saturates one of its
-      // resources (the users before it were tested already).
+      // users of a saturated resource can pass the test: an activity whose
+      // private saturation key is saturated (no freeze of another changes
+      // it), the users of shared resources saturated now, and those after a
+      // freeze that saturates one of its shared resources (the users before
+      // it were tested already).
       const double threshold = lambda * (1.0 + kRelEps) + kAbsEps;  // leq_tol(key, lambda)
       for (std::size_t b = 0; b < block_saturation_.size(); ++b) {
         if (!(block_saturation_[b] <= threshold)) continue;
@@ -595,12 +744,15 @@ void FluidModel::solve() {
       for (std::uint32_t slot : *unfrozen) {
         Activity& activity = activities_[slot];
         if (activity.spec.demands.empty()) continue;
-        if (activity.candidate_in == round_ && saturated(activity, lambda)) {
+        if (activity.private_saturation <= threshold ||
+            (activity.candidate_in == round_ && saturated(activity, lambda))) {
           activity.rate = std::min(lambda, activity.spec.rate_cap);
           freeze(activity);
           ++frozen_this_round;
           for (const Demand& demand : activity.spec.demands) {
-            const Pool& pool = pools_[resources_[demand.resource].pool];
+            const Resource& resource = resources_[demand.resource];
+            if (resource.users == 1) continue;  // private: no other user to list
+            const Pool& pool = pools_[resource.pool];
             if (!(saturation_key_[demand.resource] <= threshold) && pool.unfrozen > 0 &&
                 leq_tol(share_of(pool.avail, pool.weight_sum), lambda)) {
               saturation_key_[demand.resource] = -kTimeInfinity;
@@ -610,6 +762,7 @@ void FluidModel::solve() {
         } else {
           still_unfrozen->push_back(slot);
           next_lambda_cap = std::min(next_lambda_cap, activity.spec.rate_cap);
+          next_lambda_private = std::min(next_lambda_private, activity.private_level);
         }
       }
     }
@@ -624,6 +777,7 @@ void FluidModel::solve() {
     unfrozen = still_unfrozen;  // ping-pong the scratch buffers, no realloc
     std::swap(still_unfrozen, spare);
     lambda_cap = next_lambda_cap;
+    lambda_private = next_lambda_private;
   }
   restore_pools();
 

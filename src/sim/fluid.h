@@ -29,16 +29,35 @@
 // The fill is incremental (SimGrid's selective update) and bit-identical to
 // a full scan over every resource in every filling round. Across solves each
 // resource keeps its users, a list of (activity slot, weight) in insertion
-// order, and the in-order fold of those weights; a two-level minimum index
-// (per resource, then per block of 64 resource ids, the leftmost value
-// winning ties) holds each resource's water-level key and saturation key.
-// start, cancel, a completion and set_capacity only mark the resources they
-// touch dirty. Each filling round first re-keys its dirty resources and
-// re-minimises their blocks once, then reads the resource-limited level from
-// the block minima; a resource-binding round tests, in insertion order, only
-// the users of resources that are saturated at the round's start or become
-// saturated through an earlier freeze in the round. A solve restores the
-// pools it drew down and marks them dirty for the next one.
+// order, and the in-order fold of those weights. A shared resource, one with
+// two or more demand entries, keeps its water-level key and saturation key
+// in a two-level minimum index (per resource, then per block of 64 resource
+// ids, the leftmost value winning ties). A private resource, one with exactly
+// one entry, holds +inf there: its user carries the lowest level key and the
+// lowest saturation key over its private resources, and the model keeps the
+// lowest private level over the live activities (refolded once the last
+// activity at it leaves). start, cancel, a completion and set_capacity mark
+// the shared resources they touch dirty and refresh the private keys of the
+// activities whose resources they touch alone. Each filling round first
+// re-keys its dirty resources and re-minimises their blocks once, then takes
+// the resource-limited level as the smaller of the block minima and the
+// lowest private level among its unfrozen activities; a resource-binding
+// round tests, in insertion order, only the activities with a saturated
+// private key and the users of shared resources that are saturated at the
+// round's start or become saturated through an earlier freeze in the round.
+// A freeze draws only shared pools: a private pool has no other reader, and
+// its user, once frozen, leaves the rounds. A solve restores the pools it
+// drew down and marks them dirty for the next one.
+//
+// Why this stays bit for bit: a private resource's fold is the one-term fold
+// 0.0 + w, exact, so its keys take the values the index would have held, and
+// once its user freezes the scan's keys for it are +inf (a weight sum of
+// w - w = 0, no unfrozen user), which the rounds see by dropping the user.
+// The minimum of two minima is the minimum of the union, except in the sign
+// of a zero: the scan keeps the first zero it meets, 0.0 or -0.0, so a round
+// whose minimum is a zero takes it from an exact scan in resource order. A
+// resource one activity demands twice has two entries and stays shared,
+// because drawing both weights can leave a residue the index must still see.
 // consumption(resource) sums that resource's own list.
 #pragma once
 
@@ -151,11 +170,12 @@ class FluidModel {
   /// rebalance_count() for the mean activities touched per solve.
   std::uint64_t activities_touched() const { return activities_touched_; }
 
-  /// Cumulative work of the incremental fill, in demand entries and resource
-  /// keys: list entries refolded after a removal, users listed when their
-  /// resource saturates, demands tested and pools drawn down by a freeze, and
-  /// one per resource re-keyed or restored. It follows the changes between
-  /// solves, not the live count.
+  /// Cumulative work of the incremental fill on shared resources, in demand
+  /// entries and resource keys: list entries refolded after a removal, users
+  /// listed when their resource saturates, shared demands tested and pools
+  /// drawn down by a freeze, and one per resource re-keyed or restored. A
+  /// private resource's keys ride on its user and add nothing. It follows the
+  /// changes between solves, not the live count.
   std::uint64_t demands_examined() const { return demands_examined_; }
 
   /// Total activities ever started (allocation tally for the profiler).
@@ -166,11 +186,17 @@ class FluidModel {
   /// within their caps, and per-resource consumption within capacity. With
   /// `kept_state`, it first re-derives the fill's kept state from the live
   /// activities: each resource's users and their fold, the lowest rate cap,
-  /// the pools at rest, and every index key and block minimum not awaiting a
-  /// re-key. Returns a description of the first broken invariant, or nullopt
-  /// when all hold (core::InvariantChecker under --validate). Runs a pending
-  /// solve first, so it checks solved rates.
+  /// the pools at rest, every index key and block minimum not awaiting a
+  /// re-key (+inf for a resource with at most one entry), each activity's
+  /// private keys and the lowest private level. Returns a description of the
+  /// first broken invariant, or nullopt when all hold (core::InvariantChecker
+  /// under --validate). Runs a pending solve first, so it checks solved rates.
   std::optional<std::string> check_invariants(bool kept_state);
+
+  /// Test-only corruption hook: halves the private saturation key that live
+  /// activity `activity` carries (+inf becomes 0), a stale key that
+  /// check_invariants(true) must name. Returns false when it is not live.
+  bool test_corrupt_private_key(ActivityId activity);
 
  private:
   static constexpr std::uint32_t kNoSlot = 0xffffffffU;
@@ -189,19 +215,24 @@ class FluidModel {
     std::string name;
     double capacity = 0.0;
     /// The left fold of the users' weights, in list order, from 0.0: the
-    /// weight sum a full scan starts each solve from.
+    /// weight sum a full scan starts each solve from. Exact whenever the list
+    /// holds at most one entry.
     double fold = 0.0;
     /// The demand entries of the live activities on this resource, first and
     /// last in insertion order (an activity demanding it twice has two).
     std::uint32_t head = kNoEntry;
     std::uint32_t tail = kNoEntry;
+    /// Demand entries: one makes the resource private to that entry's
+    /// activity, two or more make it shared.
     std::uint32_t users = 0;
     /// The resource's entry in pools_ while this solve draws it down, else
-    /// kNoPool: its pool is then its capacity, fold and users.
+    /// kNoPool: its pool is then its capacity, fold and users. A private
+    /// resource is never drawn.
     std::uint32_t pool = kNoPool;
     /// Queued for a re-key at the next filling round.
     bool dirty = false;
-    /// A user left the list, so `fold` is refolded at the re-key.
+    /// A user left a list that still holds two or more, so `fold` is
+    /// refolded at the re-key.
     bool refold = false;
   };
 
@@ -225,7 +256,19 @@ class FluidModel {
     std::uint64_t frozen_in = 0;
     /// The resource-binding round that made it a candidate for a freeze.
     std::uint64_t candidate_in = 0;
+    /// The lowest water-level key and the lowest saturation key over the
+    /// resources only this activity demands, at rest: the keys the index
+    /// would hold for them. +inf without such a resource.
+    double private_level = kTimeInfinity;
+    double private_saturation = kTimeInfinity;
     std::function<void()> on_complete;
+  };
+
+  /// An activity's private keys, from the resources it holds the one entry
+  /// of, in demand order.
+  struct PrivateKeys {
+    double level;
+    double saturation;
   };
 
   /// Accrues progress since the last settle instant.
@@ -251,6 +294,20 @@ class FluidModel {
   /// Counts a rate cap into the lowest cap over the activities with demands
   /// and its multiplicity.
   void count_cap(double cap);
+  /// Counts a private level into the lowest one over the activities with
+  /// demands and its multiplicity, and takes one out; a no-op while the
+  /// lowest awaits its refold.
+  void count_private(double level);
+  void uncount_private(double level);
+  /// The private keys `activity` would carry at rest.
+  PrivateKeys private_keys(const Activity& activity) const;
+  /// Re-derives a live activity's private keys after one of its resources
+  /// gained or lost its second entry or changed capacity.
+  void refresh_private(Activity& activity);
+  /// The resource-limited level as a scan over every resource in ascending
+  /// id takes it, with a private resource's key +inf once its user froze:
+  /// the exact leftmost minimum, for a round whose minimum is a zero.
+  double scan_level() const;
   /// Queues a resource for a re-key at the next filling round.
   void mark_dirty(ResourceId resource);
   /// Re-keys the dirty resources and re-minimises their blocks.
@@ -298,13 +355,19 @@ class FluidModel {
   double cap_floor_ = kTimeInfinity;
   std::size_t cap_floor_count_ = 0;
   bool cap_floor_stale_ = false;
+  /// The lowest private level over the live activities with demands, and how
+  /// many have it; refolded at the next solve once the last of those leaves
+  /// or rises.
+  double private_floor_ = kTimeInfinity;
+  std::size_t private_floor_count_ = 0;
+  bool private_floor_stale_ = false;
   /// Filling rounds so far, across solves: the stamp of the current round.
   std::uint64_t round_ = 0;
-  /// The index. Per resource, its water-level key (max(avail, 0) /
+  /// The index. Per shared resource, its water-level key (max(avail, 0) /
   /// weight_sum, or +inf while weight_sum <= kAbsEps) and its saturation key
   /// (max(avail, 0) / max(weight_sum, kAbsEps), or +inf without unfrozen
-  /// users); per block of 64 resource ids, the minimum of each. Current
-  /// except for the dirty resources and their blocks.
+  /// users), +inf for any other; per block of 64 resource ids, the minimum of
+  /// each. Current except for the dirty resources and their blocks.
   std::vector<double> level_key_;
   std::vector<double> saturation_key_;
   std::vector<double> block_level_;

@@ -763,6 +763,288 @@ TEST(FluidOracle, FreezeUnderTheWeightGuardSaturatesALaterUser) {
   EXPECT_EQ(fluid.check_invariants(true), std::nullopt);
 }
 
+// Demand entries per resource over the live specs.
+std::vector<int> entries_per_resource(std::size_t resources,
+                                      const std::vector<const ActivitySpec*>& live) {
+  std::vector<int> entries(resources, 0);
+  for (const ActivitySpec* spec : live) {
+    for (const Demand& d : spec->demands) ++entries[d.resource];
+  }
+  return entries;
+}
+
+TEST(FluidOracle, PrivateAndSharedTransitionsMatchFullScanReferenceBitForBit) {
+  // A resource with one demand entry keeps its keys on its user, not in the
+  // index. Here a few pool resources gain and lose their second entry as
+  // activities start, finish and are cancelled; an activity may demand a
+  // pool resource twice (two entries of one user: shared) and may own fresh
+  // private resources; capacities include 0.0 and -0.0, so zero keys of
+  // both signs meet in one round, on private and shared resources alike;
+  // and set_capacity reaches private and shared resources.
+  constexpr double kCapacities[] = {0.0, -0.0, 0.0, -0.0, 1.0, 2.5, 10.0, kTimeInfinity};
+  constexpr double kWeights[] = {1.0, 1.0, 0.5, 2.0, 3.7};
+  constexpr double kRateCaps[] = {kTimeInfinity, kTimeInfinity, 0.3, 1.0, 5.0};
+  constexpr double kWorks[] = {0.0, 1.0, 5.0, 20.0};
+  constexpr double kSteps[] = {0.0, 0.05, 0.5, 2.0};
+
+  int became_shared = 0;
+  int became_private = 0;
+  for (std::uint64_t seed = 1; seed <= 30; ++seed) {
+    SCOPED_TRACE(seed);
+    util::Rng rng(seed);
+    const auto pick = [&rng](const auto& values) {
+      return values[static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(std::size(values)) - 1))];
+    };
+    Engine engine;
+    FluidModel& fluid = engine.fluid();
+    std::vector<double> capacity;
+    const auto add_resource = [&](double cap) {
+      capacity.push_back(cap);
+      return fluid.add_resource("r", cap);
+    };
+    const auto pool = rng.uniform_int(2, 5);
+    for (std::int64_t r = 0; r < pool; ++r) add_resource(pick(kCapacities));
+
+    struct Live {
+      ActivityId id;
+      ActivitySpec spec;
+    };
+    std::vector<Live> live;  // insertion order, as the model keeps it
+    std::vector<ActivityId> started;
+    std::vector<int> before(static_cast<std::size_t>(pool), 0);
+    int follow_ups = 40;
+
+    std::function<void()> start = [&] {
+      ActivitySpec spec;
+      spec.work = pick(kWorks);
+      spec.rate_cap = pick(kRateCaps);
+      if (rng.bernoulli(0.1)) {
+        spec.rate_cap = 2.0;  // no demands: needs a finite cap
+      } else {
+        // Private resources first or last, so a private zero key can sit on
+        // either side of a shared one in resource order.
+        const bool own_first = rng.bernoulli(0.5);
+        const auto own = rng.uniform_int(0, 2);
+        if (own_first) {
+          for (std::int64_t o = 0; o < own; ++o) {
+            spec.demands.push_back({add_resource(pick(kCapacities)), pick(kWeights)});
+          }
+        }
+        // Repeats allowed: an activity may demand one pool resource twice.
+        for (auto uses = rng.uniform_int(1, 3); uses > 0; --uses) {
+          spec.demands.push_back(
+              {static_cast<ResourceId>(rng.uniform_int(0, pool - 1)), pick(kWeights)});
+        }
+        if (!own_first) {
+          for (std::int64_t o = 0; o < own; ++o) {
+            spec.demands.push_back({add_resource(pick(kCapacities)), pick(kWeights)});
+          }
+        }
+      }
+      auto self = std::make_shared<ActivityId>(kInvalidActivityId);
+      const ActivityId id = fluid.start(spec, [&, self] {
+        live.erase(std::find_if(live.begin(), live.end(),
+                                [&](const Live& l) { return l.id == *self; }));
+        if (follow_ups > 0 && rng.bernoulli(0.3)) {
+          --follow_ups;
+          start();
+        }
+      });
+      *self = id;
+      live.push_back({id, std::move(spec)});
+      started.push_back(id);
+    };
+
+    for (int step = 0; step < 200; ++step) {
+      const double roll = rng.uniform();
+      if (roll < 0.35 || started.empty()) {
+        start();
+      } else if (roll < 0.55) {
+        const ActivityId id = pick(started);
+        const bool was_live = std::any_of(live.begin(), live.end(),
+                                          [id](const Live& l) { return l.id == id; });
+        ASSERT_EQ(fluid.cancel(id), was_live);
+        if (was_live) {
+          live.erase(std::find_if(live.begin(), live.end(),
+                                  [id](const Live& l) { return l.id == id; }));
+        }
+      } else if (roll < 0.85) {
+        engine.run_until(engine.now() + pick(kSteps));
+      } else {
+        const auto r = static_cast<ResourceId>(
+            rng.uniform_int(0, static_cast<std::int64_t>(capacity.size()) - 1));
+        capacity[r] = pick(kCapacities);
+        fluid.set_capacity(r, capacity[r]);
+      }
+
+      std::vector<const ActivitySpec*> specs;
+      for (const Live& l : live) specs.push_back(&l.spec);
+      const ReferenceSolution reference = reference_solve(capacity, specs);
+      ASSERT_EQ(fluid.active_count(), live.size()) << "step " << step;
+      for (std::size_t i = 0; i < live.size(); ++i) {
+        ASSERT_EQ(bits(fluid.rate(live[i].id)), bits(reference.rate[i]))
+            << "step " << step << ", activity " << live[i].id;
+      }
+      for (std::size_t r = 0; r < capacity.size(); ++r) {
+        ASSERT_EQ(bits(fluid.consumption(static_cast<ResourceId>(r))),
+                  bits(reference.consumption[r]))
+            << "step " << step << ", resource " << r;
+      }
+      // The kept state re-derives. Unbounded levels may break the physical
+      // bounds checked after it, so only those may be reported.
+      if (const auto error = fluid.check_invariants(true)) {
+        ASSERT_TRUE(error->find("oversubscribed") != std::string::npos ||
+                    error->rfind("fluid activity '", 0) == 0)
+            << "step " << step << ": " << *error;
+      }
+      const std::vector<int> now = entries_per_resource(capacity.size(), specs);
+      for (std::size_t r = 0; r < before.size(); ++r) {
+        became_shared += before[r] <= 1 && now[r] >= 2;
+        became_private += before[r] >= 2 && now[r] == 1;
+        before[r] = now[r];
+      }
+    }
+  }
+  // The scripts cross the private/shared line often, both ways.
+  EXPECT_GE(became_shared, 200);
+  EXPECT_GE(became_private, 80);
+}
+
+TEST(FluidOracle, ZerosOfBothSignsTakeTheLeftmost) {
+  // A shared resource and a private one both key 0 in the first round, one
+  // 0.0 and the other -0.0: the scan keeps the first it meets in resource
+  // order, and every rate carries that zero's sign. Both orders, both signs.
+  for (const bool private_first : {false, true}) {
+    for (const double first_zero : {0.0, -0.0}) {
+      SCOPED_TRACE(testing::Message() << "private first " << private_first << ", first zero "
+                                      << first_zero);
+      Engine engine;
+      FluidModel& fluid = engine.fluid();
+      const std::vector<double> capacity = {first_zero, -first_zero};
+      const ResourceId first = fluid.add_resource("first", capacity[0]);
+      const ResourceId second = fluid.add_resource("second", capacity[1]);
+      const ResourceId shared = private_first ? second : first;
+      const ResourceId own = private_first ? first : second;
+      const ActivitySpec a{5.0, {{shared, 1.0}}, kTimeInfinity, "a"};
+      const ActivitySpec b{5.0, {{shared, 2.0}}, kTimeInfinity, "b"};
+      const ActivitySpec c{5.0, {{own, 1.0}}, kTimeInfinity, "c"};
+      const std::vector<ActivityId> ids = {fluid.start(a, [] {}), fluid.start(b, [] {}),
+                                           fluid.start(c, [] {})};
+      const ReferenceSolution reference = reference_solve(capacity, {&a, &b, &c});
+      for (std::size_t i = 0; i < ids.size(); ++i) {
+        ASSERT_EQ(bits(reference.rate[i]), bits(first_zero)) << "activity " << i;
+        EXPECT_EQ(bits(fluid.rate(ids[i])), bits(reference.rate[i])) << "activity " << i;
+      }
+      EXPECT_EQ(fluid.check_invariants(true), std::nullopt);
+    }
+  }
+}
+
+TEST(FluidOracle, AFrozenUsersPrivateZeroLeavesTheScan) {
+  // Round 1: p's key -0.0 comes first, so x, y and z freeze at -0.0. Their
+  // weights leave s a weight sum above the 1e-12 guard (370000 + 0.7 less
+  // each, 1.2e-11), so round 2 keys s at 0.0, and u, whose own resource
+  // keys 5, gets that zero from the no-progress corner. The scan in round 2
+  // must skip p, whose user froze: its -0.0 would come first.
+  Engine engine;
+  FluidModel& fluid = engine.fluid();
+  const std::vector<double> capacity = {-0.0, 0.0, 5.0};
+  const ResourceId p = fluid.add_resource("p", capacity[0]);
+  const ResourceId s = fluid.add_resource("s", capacity[1]);
+  const ResourceId q = fluid.add_resource("q", capacity[2]);
+  const ActivitySpec x{5.0, {{p, 1.0}}, kTimeInfinity, "x"};
+  const ActivitySpec y{5.0, {{s, 370000.0}}, kTimeInfinity, "y"};
+  const ActivitySpec z{5.0, {{s, 0.7}}, kTimeInfinity, "z"};
+  const ActivitySpec u{5.0, {{q, 1.0}}, kTimeInfinity, "u"};
+  const std::vector<ActivityId> ids = {fluid.start(x, [] {}), fluid.start(y, [] {}),
+                                       fluid.start(z, [] {}), fluid.start(u, [] {})};
+  const ReferenceSolution reference = reference_solve(capacity, {&x, &y, &z, &u});
+  const std::vector<double> expected = {-0.0, -0.0, -0.0, 0.0};
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    ASSERT_EQ(bits(reference.rate[i]), bits(expected[i])) << "activity " << i;
+    EXPECT_EQ(bits(fluid.rate(ids[i])), bits(reference.rate[i])) << "activity " << i;
+  }
+  EXPECT_EQ(fluid.check_invariants(true), std::nullopt);
+}
+
+TEST_F(FluidTest, ResourceTurnsSharedAndBackToPrivateBitForBit) {
+  // The link is private to a, shared once b arrives, private to b when a
+  // leaves, shared again by c alone (two entries of one activity), and
+  // finally idle. Every rate matches the full scan at every step, and the
+  // kept state (private keys, their floor, +inf in the index for the link
+  // while it has one entry) re-derives.
+  std::vector<double> capacity = {4.0, 3.0, 10.0, 10.0};
+  const ResourceId link = fluid().add_resource("link", capacity[0]);
+  const ResourceId own_a = fluid().add_resource("own_a", capacity[1]);
+  const ResourceId own_b = fluid().add_resource("own_b", capacity[2]);
+  const ResourceId own_c = fluid().add_resource("own_c", capacity[3]);
+  struct Live {
+    ActivityId id;
+    ActivitySpec spec;
+  };
+  std::vector<Live> live;
+  const auto check = [&](const char* when, std::vector<double> expected) {
+    SCOPED_TRACE(when);
+    std::vector<const ActivitySpec*> specs;
+    for (const Live& l : live) specs.push_back(&l.spec);
+    const ReferenceSolution reference = reference_solve(capacity, specs);
+    ASSERT_EQ(reference.rate, expected);
+    for (std::size_t i = 0; i < live.size(); ++i) {
+      EXPECT_EQ(bits(fluid().rate(live[i].id)), bits(reference.rate[i])) << live[i].spec.label;
+    }
+    EXPECT_EQ(fluid().check_invariants(true), std::nullopt);
+  };
+  const auto launch = [&](ActivitySpec spec) {
+    live.push_back({fluid().start(spec, [] {}), spec});
+  };
+  const auto cancel = [&](std::size_t at) {
+    ASSERT_TRUE(fluid().cancel(live[at].id));
+    live.erase(live.begin() + static_cast<std::ptrdiff_t>(at));
+  };
+
+  launch({100.0, {{link, 1.0}, {own_a, 1.0}}, kTimeInfinity, "a"});
+  check("private to a: its own resource binds", {3.0});
+  launch({100.0, {{own_b, 1.0}, {link, 1.0}}, kTimeInfinity, "b"});
+  check("shared by a and b", {2.0, 2.0});
+  capacity[0] = 8.0;
+  fluid().set_capacity(link, capacity[0]);
+  check("shared, wider: a's own resource binds first", {3.0, 5.0});
+  cancel(0);
+  check("private to b", {8.0});
+  capacity[0] = 6.0;
+  fluid().set_capacity(link, capacity[0]);
+  check("private to b, narrower", {6.0});
+  cancel(0);
+  launch({100.0, {{link, 1.0}, {own_c, 1.0}, {link, 0.5}}, kTimeInfinity, "c"});
+  check("two entries of c: shared", {4.0});
+  capacity[0] = 1.5;
+  fluid().set_capacity(link, capacity[0]);
+  check("two entries of c, narrower", {1.0});
+  launch({100.0, {{link, 2.0}}, 0.25, "d"});
+  check("shared by c twice and by capped d", {1.0 / 1.5, 0.25});
+  cancel(0);
+  check("private to d again", {0.25});
+  cancel(0);
+  check("idle", {});
+}
+
+TEST(FluidKeptState, CorruptedPrivateKeyIsNamed) {
+  Engine engine;
+  FluidModel& fluid = engine.fluid();
+  const ResourceId own = fluid.add_resource("own", 2.0);
+  const ActivityId id = fluid.start({10.0, {{own, 1.0}}, kTimeInfinity, "a"}, [] {});
+  EXPECT_EQ(fluid.rate(id), 2.0);
+  EXPECT_EQ(fluid.check_invariants(true), std::nullopt);
+  EXPECT_FALSE(fluid.test_corrupt_private_key(id + 1));
+  ASSERT_TRUE(fluid.test_corrupt_private_key(id));
+  const std::optional<std::string> error = fluid.check_invariants(true);
+  ASSERT_TRUE(error.has_value());
+  EXPECT_NE(error->find("fluid activity 1 carries private keys 2 / 1, derived 2 / 2"),
+            std::string::npos)
+      << *error;
+}
+
 // ---------------------------------------------------------------------------
 // Work of the incremental fill
 // ---------------------------------------------------------------------------
@@ -818,6 +1100,30 @@ TEST(FluidWork, DemandsExaminedFollowTheChangesNotTheLiveCount) {
   for (std::size_t step = 0; step < many.size(); ++step) {
     EXPECT_LE(many[step], 8 * kChurnDemands) << "step " << step;
   }
+}
+
+TEST(FluidWork, ActivitiesThatShareNothingCostTheIndexNothing) {
+  // Every resource has one user: the keys ride on the activities, so starts,
+  // cancels, completions, capacity changes and resource-binding rounds that
+  // freeze through private resources re-key, draw and restore nothing.
+  Engine engine;
+  FluidModel& fluid = engine.fluid();
+  std::vector<ActivityId> live;
+  std::vector<ResourceId> own;
+  for (int i = 0; i < 300; ++i) {
+    own.push_back(fluid.add_resource("own", 1.0 + i % 7));
+    const ResourceId second = fluid.add_resource("second", 2.0 + i % 5);
+    live.push_back(fluid.start(
+        {1.0 + i % 11, {{own.back(), 1.0}, {second, 0.5}}, i % 3 == 0 ? 1.5 : kTimeInfinity, "a"},
+        [] {}));
+    if (i % 4 == 3) fluid.cancel(live[static_cast<std::size_t>(i) - 2]);  // live or done
+    if (i % 9 == 0) fluid.set_capacity(own[static_cast<std::size_t>(i) / 2], 3.0);
+    engine.run_until(engine.now() + 0.25);
+  }
+  engine.run();
+  EXPECT_GT(fluid.rebalance_count(), 300u);
+  EXPECT_EQ(fluid.demands_examined(), 0u);
+  EXPECT_EQ(fluid.check_invariants(true), std::nullopt);
 }
 
 // ---------------------------------------------------------------------------
@@ -986,6 +1292,12 @@ class EngineUnderTest {
   Engine engine_;
 };
 
+// What a script's activities demand: distinct resources of the pool; or
+// resources that cross the private/shared line, with pool resources that an
+// activity may demand twice, a fresh private resource for about half the
+// activities, and capacities of 0.0 and -0.0 as well.
+enum class Mix { kDistinct, kTransitions };
+
 // One randomized script of starts, cancels, capacity changes and foreign
 // events, run against either side. Every decision is drawn from the script's
 // own generator, from inside the dispatched callbacks, so two sides that
@@ -993,10 +1305,11 @@ class EngineUnderTest {
 // capacities and delays come from small sets of round values, so equal
 // finish times, and completions at the instant of a foreign event, are
 // common.
-template <typename Side>
+template <typename Side, Mix kMix = Mix::kDistinct>
 class OracleScript {
  public:
   static constexpr double kCapacities[] = {0.0, 1.0, 2.0, 2.0, 4.0, kTimeInfinity};
+  static constexpr double kSignedCapacities[] = {0.0, -0.0, 1.0, 2.0, -0.0, 4.0, kTimeInfinity};
   static constexpr double kWorks[] = {0.0, 1.0, 2.0, 2.0, 4.0, 8.0};
   static constexpr double kWeights[] = {1.0, 1.0, 2.0};
   static constexpr double kRateCaps[] = {kTimeInfinity, kTimeInfinity, 1.0, 2.0};
@@ -1004,7 +1317,8 @@ class OracleScript {
 
   explicit OracleScript(std::uint64_t seed) : rng_(seed) {
     resources_ = rng_.uniform_int(1, 4);
-    for (std::int64_t r = 0; r < resources_; ++r) side.add_resource(pick(kCapacities));
+    for (std::int64_t r = 0; r < resources_; ++r) side.add_resource(pick_capacity());
+    all_resources_ = resources_;
     for (int i = 0; i < 3; ++i) start();
     side.schedule_in(0.0, [this] { script_event(); });
   }
@@ -1027,19 +1341,32 @@ class OracleScript {
     return values[static_cast<std::size_t>(rng_.uniform_int(0, std::int64_t{N} - 1))];
   }
 
+  double pick_capacity() {
+    return kMix == Mix::kDistinct ? pick(kCapacities) : pick(kSignedCapacities);
+  }
+
   void start() {
     ActivitySpec spec;
     spec.work = pick(kWorks);
     spec.rate_cap = pick(kRateCaps);
     if (rng_.bernoulli(0.15)) {
       spec.rate_cap = rng_.bernoulli(0.5) ? 1.0 : 2.0;  // no demands: needs a finite cap
-    } else {
+    } else if constexpr (kMix == Mix::kDistinct) {
       const auto uses = rng_.uniform_int(1, std::min<std::int64_t>(2, resources_));
       for (std::int64_t u = 0; u < uses; ++u) {
         const auto r = static_cast<ResourceId>(rng_.uniform_int(0, resources_ - 1));
         const bool taken = std::any_of(spec.demands.begin(), spec.demands.end(),
                                        [r](const Demand& d) { return d.resource == r; });
         if (!taken) spec.demands.push_back({r, pick(kWeights)});
+      }
+    } else {
+      for (auto uses = rng_.uniform_int(1, 3); uses > 0; --uses) {
+        spec.demands.push_back(
+            {static_cast<ResourceId>(rng_.uniform_int(0, resources_ - 1)), pick(kWeights)});
+      }
+      if (rng_.bernoulli(0.5)) {
+        spec.demands.push_back({side.add_resource(pick_capacity()), pick(kWeights)});
+        ++all_resources_;
       }
     }
     const auto tag = static_cast<std::int64_t>(started.size());
@@ -1075,8 +1402,10 @@ class OracleScript {
       } else if (roll < 0.6) {
         cancel_one();
       } else if (roll < 0.8) {
-        side.set_capacity(static_cast<ResourceId>(rng_.uniform_int(0, resources_ - 1)),
-                          pick(kCapacities));
+        // The pool, or in the transitions mix any resource, private ones too.
+        const std::int64_t reach = kMix == Mix::kDistinct ? resources_ : all_resources_;
+        side.set_capacity(static_cast<ResourceId>(rng_.uniform_int(0, reach - 1)),
+                          pick_capacity());
       } else {
         push(pick(kDelays));
       }
@@ -1096,34 +1425,49 @@ class OracleScript {
   }
 
   util::Rng rng_;
+  /// The pool every activity draws its shared demands from, then every
+  /// resource added so far.
   std::int64_t resources_ = 0;
+  std::int64_t all_resources_ = 0;
   int budget_ = 60;
   int follow_ups_ = 80;
   std::int64_t foreign_ = 0;
 };
 
+template <Mix kMix>
+void expect_engine_matches_eager(std::uint64_t seed) {
+  OracleScript<EngineUnderTest, kMix> real(seed);
+  OracleScript<EagerReference, kMix> eager(seed);
+  for (int step = 0;; ++step) {
+    const bool stepped = real.side.step();
+    ASSERT_EQ(stepped, eager.side.step()) << "step " << step;
+    if (!stepped) break;
+    ASSERT_EQ(real.fired, eager.fired) << "step " << step;
+    ASSERT_EQ(bits(real.side.now()), bits(eager.side.now())) << "step " << step;
+    ASSERT_EQ(real.started, eager.started) << "step " << step;
+    ASSERT_EQ(real.cancels_hit, eager.cancels_hit) << "step " << step;
+    for (const ActivityId id : real.started) {
+      ASSERT_EQ(real.side.is_active(id), eager.side.is_active(id))
+          << "step " << step << ", activity " << id;
+      ASSERT_EQ(bits(real.side.rate(id)), bits(eager.side.rate(id)))
+          << "step " << step << ", activity " << id;
+      ASSERT_EQ(bits(real.side.remaining_work(id)), bits(eager.side.remaining_work(id)))
+          << "step " << step << ", activity " << id;
+    }
+  }
+}
+
 TEST(FluidOracle, EngineFiresCompletionsAsEagerPerActivityEventsBitForBit) {
   for (std::uint64_t seed = 1; seed <= 40; ++seed) {
     SCOPED_TRACE(seed);
-    OracleScript<EngineUnderTest> real(seed);
-    OracleScript<EagerReference> eager(seed);
-    for (int step = 0;; ++step) {
-      const bool stepped = real.side.step();
-      ASSERT_EQ(stepped, eager.side.step()) << "step " << step;
-      if (!stepped) break;
-      ASSERT_EQ(real.fired, eager.fired) << "step " << step;
-      ASSERT_EQ(bits(real.side.now()), bits(eager.side.now())) << "step " << step;
-      ASSERT_EQ(real.started, eager.started) << "step " << step;
-      ASSERT_EQ(real.cancels_hit, eager.cancels_hit) << "step " << step;
-      for (const ActivityId id : real.started) {
-        ASSERT_EQ(real.side.is_active(id), eager.side.is_active(id))
-            << "step " << step << ", activity " << id;
-        ASSERT_EQ(bits(real.side.rate(id)), bits(eager.side.rate(id)))
-            << "step " << step << ", activity " << id;
-        ASSERT_EQ(bits(real.side.remaining_work(id)), bits(eager.side.remaining_work(id)))
-            << "step " << step << ", activity " << id;
-      }
-    }
+    ASSERT_NO_FATAL_FAILURE(expect_engine_matches_eager<Mix::kDistinct>(seed));
+  }
+}
+
+TEST(FluidOracle, EngineMatchesEagerEventsAcrossPrivateSharedTransitions) {
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    SCOPED_TRACE(seed);
+    ASSERT_NO_FATAL_FAILURE(expect_engine_matches_eager<Mix::kTransitions>(seed));
   }
 }
 

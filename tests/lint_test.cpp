@@ -184,6 +184,20 @@ TEST(LintRules, IntegerComparisonNotFlagged) {
   EXPECT_EQ(count_rule(findings, "float-equality"), 0u);
 }
 
+TEST(LintRules, MemberAfterSubscriptIsNotALiteral) {
+  // The left-operand walk stops at `]`, so it reads `.users` and `.frozen_in`
+  // as tokens: a dot, or an f, without a digit before it is no literal. A
+  // literal that starts with its point still is one, on either side.
+  const auto clean = run_lint(
+      "struct R { int users; long frozen_in; };\n"
+      "bool f(const R* a, int i, long n) { return a[i].users == 1 || a[i].frozen_in != n; }\n");
+  EXPECT_EQ(count_rule(clean, "float-equality"), 0u);
+  const auto flagged = run_lint(
+      "bool g(double x) { return .5 == x; }\n"
+      "bool h(int x) { return x != .5e3; }\n");
+  EXPECT_EQ(count_rule(flagged, "float-equality"), 2u);
+}
+
 TEST(LintRules, NonExhaustiveSwitchFlagged) {
   const auto findings = run_lint(
       "enum class Color { kRed, kGreen, kBlue };\n"

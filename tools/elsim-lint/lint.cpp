@@ -290,29 +290,33 @@ std::string left_operand_name(const std::string& code, std::size_t pos) {
   return code.substr(i, end - i);
 }
 
-/// True when the token starting at `pos` is a floating-point literal
-/// (contains a decimal point, a decimal exponent, or an f/F suffix).
+/// True when the token starting at `pos` is a floating-point literal: a
+/// mantissa with at least one digit, and a decimal point, a decimal exponent,
+/// or an f/F suffix. A member access such as `.users` or `.frozen_in`, which
+/// the left-operand walk meets after a `]`, has no digit before its letters.
 bool is_float_literal(const std::string& code, std::size_t pos) {
   std::size_t i = pos;
   if (i < code.size() && (code[i] == '-' || code[i] == '+')) ++i;
   if (i >= code.size()) return false;
   if (std::isdigit(static_cast<unsigned char>(code[i])) == 0 && code[i] != '.') return false;
   if (code.compare(i, 2, "0x") == 0 || code.compare(i, 2, "0X") == 0) return false;
+  bool has_digit = false;
   bool has_dot = false;
   bool has_exp = false;
   bool has_suffix = false;
   while (i < code.size()) {
     const char c = code[i];
     if (std::isdigit(static_cast<unsigned char>(c)) != 0 || c == '\'') {
+      has_digit = has_digit || c != '\'';
       ++i;
     } else if (c == '.') {
       has_dot = true;
       ++i;
-    } else if (c == 'e' || c == 'E') {
+    } else if ((c == 'e' || c == 'E') && has_digit) {
       has_exp = true;
       ++i;
       if (i < code.size() && (code[i] == '-' || code[i] == '+')) ++i;
-    } else if (c == 'f' || c == 'F') {
+    } else if ((c == 'f' || c == 'F') && has_digit) {
       has_suffix = true;
       ++i;
       break;
@@ -320,7 +324,7 @@ bool is_float_literal(const std::string& code, std::size_t pos) {
       break;
     }
   }
-  return has_dot || has_exp || has_suffix;
+  return has_digit && (has_dot || has_exp || has_suffix);
 }
 
 /// Reads the member chain starting at `pos` (`a.b->c(...).d`) and returns
